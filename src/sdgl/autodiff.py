@@ -19,15 +19,12 @@ __all__ = [
     "ShapeError",
     "NumericError",
     "TapeError",
-    "tensor",
-    "primitive",
     "grad_check",
     "set_debug_checks",
     "add",
     "sub",
     "mul",
     "divide",
-    "neg",
     "scale",
     "matmul",
     "transpose",
@@ -91,18 +88,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 class Tape:
@@ -124,14 +111,20 @@ class Tape:
         _ACTIVE_TAPE = None
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(tensor) into .grad for the whole tape."""
+        """Accumulate d(loss)/d(tensor) into .grad for the whole tape.
+
+        The tape releases each node once its gradient has been passed on, so
+        activations and gradients the caller does not hold are freed during
+        backward rather than when the tape is dropped.
+        """
         if self._consumed:
             raise TapeError("tape already consumed by a previous backward()")
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for out, inputs, backward_fn in reversed(self._nodes):
+        while self._nodes:
+            out, inputs, backward_fn = self._nodes.pop()
             g = out.grad
             if g is None:
                 g = np.zeros_like(out.data)
@@ -215,11 +208,6 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _record(out, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: _accum(a, -g))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -427,37 +415,37 @@ def conv1d_dilated(x: Tensor, w: Tensor, dilation: int) -> Tensor:
     if x.data.ndim != 4 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv1d_dilated: incompatible shapes {x.shape}, {w.shape}")
     _check_finite("conv1d_dilated", (x.data, w.data))
-    k = w.data.shape[2]
-    t_in = x.data.shape[3]
+    b, c_in, n, t_in = x.data.shape
+    c_out, _, k = w.data.shape
     t_out = t_in - dilation * (k - 1)
     if t_out < 1:
         raise ShapeError(
             f"conv1d_dilated: time axis {t_in} shorter than required minimum "
             f"{dilation * (k - 1) + 1} (kernel {k}, dilation {dilation})"
         )
-    # Tap s reads input positions offset + [0, t_out), offset = d*(k-1-s).
-    acc = np.zeros(x.data.shape[:1] + (w.data.shape[0],) + x.data.shape[2:3] + (t_out,))
-    for s in range(k):
-        off = dilation * (k - 1 - s)
-        acc += np.einsum("oi,bint->bont", w.data[:, :, s], x.data[:, :, :, off : off + t_out])
-    out = Tensor(acc)
+    # Tap s reads input positions offset + [0, t_out), offset = d*(k-1-s); it
+    # is one (C_out, C_in) matmul on that slice, flattened to (B, C_in, N*t_out).
+    offsets = [dilation * (k - 1 - s) for s in range(k)]
+
+    def tap_input(s: int) -> np.ndarray:
+        return x.data[..., offsets[s] : offsets[s] + t_out].reshape(b, c_in, n * t_out)
+
+    acc = w.data[:, :, 0] @ tap_input(0)
+    for s in range(1, k):
+        acc += w.data[:, :, s] @ tap_input(s)
+    out = Tensor(acc.reshape(b, c_out, n, t_out))
 
     def backward(g):
+        g = g.reshape(b, c_out, n * t_out)
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            for s in range(k):
-                off = dilation * (k - 1 - s)
-                gx[:, :, :, off : off + t_out] += np.einsum(
-                    "oi,bont->bint", w.data[:, :, s], g
-                )
+            for s, off in enumerate(offsets):
+                gx[..., off : off + t_out] += (w.data[:, :, s].T @ g).reshape(b, c_in, n, t_out)
             _accum(x, gx)
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
+            gw = np.empty_like(w.data)
             for s in range(k):
-                off = dilation * (k - 1 - s)
-                gw[:, :, s] = np.einsum(
-                    "bont,bint->oi", g, x.data[:, :, :, off : off + t_out]
-                )
+                gw[:, :, s] = (g @ tap_input(s).transpose(0, 2, 1)).sum(axis=0)
             _accum(w, gw)
 
     return _record(out, (x, w), backward)
@@ -468,19 +456,24 @@ def channel_map(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     if x.data.ndim != 4 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"channel_map: incompatible shapes {x.shape}, {w.shape}")
     _check_finite("channel_map", (x.data, w.data))
-    y = np.einsum("oi,bint->bont", w.data, x.data)
+    b, c_in, n, t = x.data.shape
+    c_out = w.data.shape[0]
+    y = w.data @ x.data.reshape(b, c_in, n * t)
     if bias is not None:
-        y = y + bias.data.reshape(1, -1, 1, 1)
-    out = Tensor(y)
+        y += bias.data.reshape(1, -1, 1)
+    out = Tensor(y.reshape(b, c_out, n, t))
     inputs = (x, w) if bias is None else (x, w, bias)
 
     def backward(g):
+        g = g.reshape(b, c_out, n * t)
         if x.requires_grad:
-            _accum(x, np.einsum("oi,bont->bint", w.data, g))
+            _accum(x, (w.data.T @ g).reshape(x.shape))
         if w.requires_grad:
-            _accum(w, np.einsum("bont,bint->oi", g, x.data))
+            # re-flattened here, so a strided x is not kept as a copy on the tape
+            x3 = x.data.reshape(b, c_in, n * t)
+            _accum(w, (g @ x3.transpose(0, 2, 1)).sum(axis=0))
         if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
+            _accum(bias, g.sum(axis=(0, 2)))
 
     return _record(out, inputs, backward)
 
@@ -495,66 +488,31 @@ def propagate(x: Tensor, p: Tensor) -> Tensor:
     if p.data.ndim == 2:
         if p.data.shape != (n, n):
             raise ShapeError(f"propagate: matrix {p.shape} does not match node axis {n}")
-        y = np.einsum("ij,bcjt->bcit", p.data, x.data)
+        pb = p.data
     elif p.data.ndim == 3:
         if p.data.shape[1:] != (n, n) or p.data.shape[0] != x.data.shape[0]:
             raise ShapeError(f"propagate: batch matrix {p.shape} does not match {x.shape}")
-        y = np.einsum("bij,bcjt->bcit", p.data, x.data)
+        pb = p.data[:, None]  # (B, 1, N, N): one matrix per sample, shared by channels
     else:
         raise ShapeError(f"propagate: matrix rank must be 2 or 3, got shape {p.shape}")
-    out = Tensor(y)
+    out = Tensor(pb @ x.data)
 
     def backward(g):
-        if p.data.ndim == 2:
-            if x.requires_grad:
-                _accum(x, np.einsum("ij,bcit->bcjt", p.data, g))
-            if p.requires_grad:
-                _accum(p, np.einsum("bcit,bcjt->ij", g, x.data))
-        else:
-            if x.requires_grad:
-                _accum(x, np.einsum("bij,bcit->bcjt", p.data, g))
-            if p.requires_grad:
-                _accum(p, np.einsum("bcit,bcjt->bij", g, x.data))
+        if x.requires_grad:
+            _accum(x, np.swapaxes(pb, -1, -2) @ g)
+        if p.requires_grad:
+            # g @ x^T summed over batch and channel (shared p) or over channel
+            # (per-sample p). The summed axes join time in the inner dimension
+            # of one matmul, so no (B, C, N, N) intermediate is formed.
+            def node_rows(a):
+                return np.moveaxis(a, 2, p.data.ndim - 2).reshape(p.shape[:-1] + (-1,))
+
+            _accum(p, node_rows(g) @ np.swapaxes(node_rows(x.data), -1, -2))
 
     return _record(out, (x, p), backward)
 
 
-# --- dispatch + verification -------------------------------------------------
-
-_PRIMITIVES: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "divide": divide,
-    "neg": neg,
-    "scale": scale,
-    "matmul": matmul,
-    "transpose": transpose,
-    "relu": relu,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "absolute": absolute,
-    "row_softmax": row_softmax,
-    "layer_norm": layer_norm,
-    "dropout": dropout,
-    "concat": concat,
-    "reduce_sum": reduce_sum,
-    "mean_all": mean_all,
-    "reshape": reshape,
-    "narrow": narrow,
-    "conv1d_dilated": conv1d_dilated,
-    "channel_map": channel_map,
-    "propagate": propagate,
-}
-
-
-def primitive(op_kind: str, *args, **kwargs) -> Tensor:
-    """Run a primitive by name; records on the active tape as usual."""
-    try:
-        fn = _PRIMITIVES[op_kind]
-    except KeyError:
-        raise ShapeError(f"unknown primitive {op_kind!r}") from None
-    return fn(*args, **kwargs)
+# --- verification -----------------------------------------------------------
 
 
 class GradCheckReport:

@@ -27,7 +27,7 @@ from .data import (
     save_csv,
     synth_generate,
 )
-from .model import DivergenceError, ModelConfig, evaluate, train
+from .model import ABLATION_FLAGS, DivergenceError, ModelConfig, evaluate, train
 from .static_graph import ConfigError
 
 log = logging.getLogger("sdgl")
@@ -108,6 +108,20 @@ def _require_file(path) -> Path:
     return p
 
 
+def _load_checkpoint_and_data(args):
+    """Data path, dataset, model and scaler; the node counts must agree."""
+    data_path = _require_file(args.data)
+    dataset = load_csv(data_path)
+    loaded = ckpt.load(args.checkpoint)
+    model = loaded.model
+    if dataset.n_nodes != model.config.n_nodes:
+        raise ConfigError(
+            f"node-count mismatch: checkpoint has {model.config.n_nodes}, "
+            f"dataset has {dataset.n_nodes}"
+        )
+    return data_path, dataset, model, loaded.scaler
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -155,15 +169,7 @@ def _metrics_lines(report: dict) -> list[str]:
 
 def cmd_eval(args) -> int:
     started = time.time()
-    data_path = _require_file(args.data)
-    dataset = load_csv(data_path)
-    loaded = ckpt.load(args.checkpoint)
-    model, scaler = loaded.model, loaded.scaler
-    if dataset.n_nodes != model.config.n_nodes:
-        raise ConfigError(
-            f"node-count mismatch: checkpoint has {model.config.n_nodes}, "
-            f"dataset has {dataset.n_nodes}"
-        )
+    data_path, dataset, model, scaler = _load_checkpoint_and_data(args)
     if args.split == "all":
         windows = make_windows(dataset.values, model.config.window, model.config.horizon)
     else:
@@ -190,15 +196,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_graphs(args) -> int:
     started = time.time()
-    data_path = _require_file(args.data)
-    dataset = load_csv(data_path)
-    loaded = ckpt.load(args.checkpoint)
-    model, scaler = loaded.model, loaded.scaler
-    if dataset.n_nodes != model.config.n_nodes:
-        raise ConfigError(
-            f"node-count mismatch: checkpoint has {model.config.n_nodes}, "
-            f"dataset has {dataset.n_nodes}"
-        )
+    data_path, dataset, model, scaler = _load_checkpoint_and_data(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = [f"node_{i}" for i in range(model.config.n_nodes)]
@@ -317,7 +315,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--heads", type=int)
     p.add_argument("--layers", type=int)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--ablate", action="append", choices=["no_gloss", "no_dyadj", "no_ifm", "ifm_plus"])
+    p.add_argument("--ablate", action="append", choices=ABLATION_FLAGS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,7 @@ step the dynamic embeddings follow the static ones by momentum only.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, asdict
 
@@ -301,9 +302,38 @@ def _iter_batches(windows: WindowBatch, batch_size: int, order: np.ndarray):
         yield windows.inputs[idx], windows.targets[idx]
 
 
+# glibc mallopt parameters, and the largest mmap threshold it accepts on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+
+
+def retain_freed_heap() -> None:
+    """Keep freed heap pages mapped between train steps (glibc only).
+
+    Each step drops its tape, hundreds of MB at N=100, and the next step
+    allocates the same sizes again. By default glibc gives the freed top of
+    the heap back to the OS, and the next step faults it back in page by
+    page: a few percent of every step, more when the host is busy. This puts
+    arrays up to 32 MB on the heap and keeps freed pages in the process.
+    Where mallopt is missing or refuses the threshold, nothing changes.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):
+        return
+    # fixing one threshold stops glibc's dynamic tuning of both, so the trim
+    # threshold is raised only once the mmap threshold is in place
+    if mallopt is not None and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
-    """Run the joint training loop; deterministic given config.seed."""
+    """Run the joint training loop; deterministic given config.seed.
+
+    Calls ``retain_freed_heap`` first, so the process keeps freed heap pages.
+    """
     config.validate()
+    retain_freed_heap()
     lam = 0.0 if "no_gloss" in config.ablation else config.lambda_reg
     splits = window_split(dataset, config.window, config.horizon)
     scaler = splits.scaler

@@ -4,9 +4,20 @@ Each layer runs four parallel dilated convolutions (kernel sizes 2, 3, 6, 7),
 truncates all branches to the longest kernel's output length and concatenates
 them along the channel axis. Two independent filter banks are combined as
 tanh(a) * sigmoid(b). Dilation grows geometrically with depth at rate q.
+
+A k-tap branch truncated to the 7-tap output length equals a 7-tap kernel
+whose taps s >= k are zero. So the forward pass zero-pads every branch's
+kernel to 7 taps and stacks the branches of both banks into one
+(2*C_out, C_in, 7) weight: a gated layer is a single ``conv1d_dilated``. The
+padding is built on the tape from the per-kernel filters, so gradients land
+on those filters and the padded taps have no trainable slot.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -32,8 +43,36 @@ def layer_dilation(q: float, layer_index: int) -> int:
     return max(1, int(q ** (layer_index - 1)))
 
 
+def _pad_taps(f: Tensor) -> Tensor:
+    """Extend a (C, C_in, k) kernel with zero taps s = k .. MAX_KERNEL-1."""
+    missing = MAX_KERNEL - f.shape[2]
+    if not missing:
+        return f
+    return ad.concat([f, Tensor(np.zeros(f.shape[:2] + (missing,)))], axis=2)
+
+
+def _packed_inception(x: Tensor, banks: Sequence[DilatedInception]) -> Tensor:
+    """All branches of all banks as one 7-tap convolution plus their biases.
+
+    Output channels follow bank order, then kernel order within a bank.
+    """
+    first = banks[0]
+    if x.shape[3] < first.min_length():
+        raise ad.ShapeError(
+            f"dilated inception needs time length >= {first.min_length()}, got {x.shape[3]}"
+        )
+    w = ad.concat([_pad_taps(f) for bank in banks for f in bank.filters], axis=0)
+    bias = ad.concat([bank.bias for bank in banks], axis=0)
+    y = ad.conv1d_dilated(x, w, first.dilation)
+    return ad.add(y, ad.reshape(bias, (1, -1, 1, 1)))
+
+
 class DilatedInception:
-    """Four parallel dilated convolutions with an even channel split."""
+    """Four parallel dilated convolutions with an even channel split.
+
+    The per-kernel filters ``f2 .. f7`` are the parameters; the forward pass
+    packs them, zero-padded to 7 taps, into one convolution weight.
+    """
 
     def __init__(self, c_in: int, c_out: int, dilation: int, rng: RngState):
         if c_out % len(KERNEL_SIZES) != 0:
@@ -55,21 +94,7 @@ class DilatedInception:
 
     def __call__(self, x: Tensor) -> Tensor:
         """x: (B, C_in, N, T) -> (B, C_out, N, T - dilation*(7-1))."""
-        t_in = x.shape[3]
-        if t_in < self.min_length():
-            raise ad.ShapeError(
-                f"dilated inception needs time length >= {self.min_length()}, got {t_in}"
-            )
-        t_out = t_in - self.dilation * (MAX_KERNEL - 1)
-        branches = []
-        for k, f in zip(KERNEL_SIZES, self.filters):
-            y = ad.conv1d_dilated(x, f, self.dilation)
-            extra = y.shape[3] - t_out
-            if extra:
-                y = ad.narrow(y, 3, extra, t_out)  # drop leading steps
-            branches.append(y)
-        out = ad.concat(branches, axis=1)
-        return ad.add(out, ad.reshape(self.bias, (1, -1, 1, 1)))
+        return _packed_inception(x, [self])
 
 
 class GatedTemporalLayer:
@@ -88,4 +113,6 @@ class GatedTemporalLayer:
         return out
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.mul(ad.tanh(self.filter_bank(x)), ad.sigmoid(self.gate_bank(x)))
+        both = _packed_inception(x, [self.filter_bank, self.gate_bank])
+        c = self.filter_bank.bias.shape[0]
+        return ad.mul(ad.tanh(ad.narrow(both, 1, 0, c)), ad.sigmoid(ad.narrow(both, 1, c, c)))

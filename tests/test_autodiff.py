@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,19 @@ class TestBackward:
             loss = ad.reduce_sum(ad.mul(x, x))
         t.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
+
+    def test_backward_releases_consumed_intermediates(self):
+        x = Tensor(np.linspace(-1.0, 1.0, 5), requires_grad=True)
+        t = Tape()
+        with t:
+            h = ad.tanh(x)
+            loss = ad.reduce_sum(ad.mul(h, h))
+        alive = weakref.ref(h.data)
+        del h
+        t.backward(loss)
+        assert alive() is None
+        th = np.tanh(x.data)
+        np.testing.assert_allclose(x.grad, 2 * th * (1 - th**2), rtol=1e-14)
 
     def test_matmul_sum_grad_is_ones_bt(self):
         # d/dA sum(A @ B) = ones @ B^T; frozen from the finite-difference oracle
@@ -205,11 +220,136 @@ class TestInvariants:
         assert rep.max_rel_err <= 1e-10
 
 
-class TestPrimitiveDispatch:
-    def test_dispatch_matches_function(self):
-        x = rand((2, 3), seed=9)
-        np.testing.assert_array_equal(ad.primitive("relu", x).data, ad.relu(x).data)
+# Einsum oracles for the structured primitives, independent of the matmul
+# layouts that autodiff uses.
 
-    def test_unknown_primitive(self):
-        with pytest.raises(ad.ShapeError, match="unknown"):
-            ad.primitive("fft", rand((2, 2)))
+
+def conv_oracle(x, w, d):
+    k = w.shape[2]
+    t_out = x.shape[3] - d * (k - 1)
+    out = 0.0
+    for s in range(k):
+        off = d * (k - 1 - s)
+        out = out + np.einsum("oi,bint->bont", w[:, :, s], x[:, :, :, off : off + t_out])
+    return out
+
+
+def conv_vjp_oracle(x, w, d, g):
+    k = w.shape[2]
+    t_out = g.shape[3]
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for s in range(k):
+        off = d * (k - 1 - s)
+        gx[:, :, :, off : off + t_out] += np.einsum("oi,bont->bint", w[:, :, s], g)
+        gw[:, :, s] = np.einsum("bont,bint->oi", g, x[:, :, :, off : off + t_out])
+    return gx, gw
+
+
+def channel_map_oracle(x, w, b):
+    y = np.einsum("oi,bint->bont", w, x)
+    return y if b is None else y + b.reshape(1, -1, 1, 1)
+
+
+def channel_map_vjp_oracle(x, w, g):
+    return (np.einsum("oi,bont->bint", w, g), np.einsum("bont,bint->oi", g, x),
+            g.sum(axis=(0, 2, 3)))
+
+
+def propagate_oracle(x, p):
+    if p.ndim == 2:
+        return np.einsum("ij,bcjt->bcit", p, x)
+    return np.einsum("bij,bcjt->bcit", p, x)
+
+
+def propagate_vjp_oracle(x, p, g):
+    if p.ndim == 2:
+        return np.einsum("ij,bcit->bcjt", p, g), np.einsum("bcit,bcjt->ij", g, x)
+    return np.einsum("bij,bcit->bcjt", p, g), np.einsum("bcit,bcjt->bij", g, x)
+
+
+def vjp(fn, inputs, g):
+    """Forward value of fn(*inputs) and the gradients of sum(fn * g)."""
+    for t in inputs:
+        t.requires_grad, t.grad = True, None
+    tape = Tape()
+    with tape:
+        out = fn(*inputs)
+        loss = ad.reduce_sum(ad.mul(out, Tensor(g)))
+    tape.backward(loss)
+    return out.data, [t.grad for t in inputs]
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestStructuredOracles:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conv1d_dilated(self, d, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(3, 4, 5, 17)))
+        w = Tensor(rng.normal(size=(6, 4, 3)))
+        g = rng.normal(size=(3, 6, 5, 17 - d * 2))
+        y, (gx, gw) = vjp(lambda a, b: ad.conv1d_dilated(a, b, d), [x, w], g)
+        assert_close(y, conv_oracle(x.data, w.data, d))
+        want_gx, want_gw = conv_vjp_oracle(x.data, w.data, d, g)
+        assert_close(gx, want_gx)
+        assert_close(gw, want_gw)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_channel_map(self, with_bias, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(3, 4, 5, 6)))
+        w = Tensor(rng.normal(size=(7, 4)))
+        inputs = [x, w] + ([Tensor(rng.normal(size=(7,)))] if with_bias else [])
+        g = rng.normal(size=(3, 7, 5, 6))
+        y, grads = vjp(ad.channel_map, inputs, g)
+        bias = inputs[2].data if with_bias else None
+        assert_close(y, channel_map_oracle(x.data, w.data, bias))
+        want = channel_map_vjp_oracle(x.data, w.data, g)
+        for got, expected in zip(grads, want):
+            assert_close(got, expected)
+
+    def test_channel_map_strided_input(self):
+        # model.forward feeds the residual map a narrow view of the hidden state
+        rng = np.random.default_rng(5)
+        hidden = Tensor(rng.normal(size=(2, 4, 3, 9)))
+        w = Tensor(rng.normal(size=(5, 4)))
+        g = rng.normal(size=(2, 5, 3, 4))
+
+        def f(h, m):
+            view = ad.narrow(h, 3, 5, 4)
+            assert not view.data.flags.c_contiguous
+            return ad.channel_map(view, m)
+
+        y, (gh, gw) = vjp(f, [hidden, w], g)
+        view = hidden.data[:, :, :, 5:]
+        assert_close(y, channel_map_oracle(view, w.data, None))
+        want_gv, want_gw, _ = channel_map_vjp_oracle(view, w.data, g)
+        want_gh = np.zeros_like(hidden.data)
+        want_gh[:, :, :, 5:] = want_gv
+        assert_close(gh, want_gh)
+        assert_close(gw, want_gw)
+
+    @pytest.mark.parametrize("per_sample", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_propagate(self, per_sample, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(3, 4, 6, 5)))
+        p = Tensor(rng.normal(size=(3, 6, 6) if per_sample else (6, 6)))
+        g = rng.normal(size=x.shape)
+        y, (gx, gp) = vjp(ad.propagate, [x, p], g)
+        assert_close(y, propagate_oracle(x.data, p.data))
+        want_gx, want_gp = propagate_vjp_oracle(x.data, p.data, g)
+        assert_close(gx, want_gx)
+        assert_close(gp, want_gp)
+
+    def test_shape_errors_unchanged(self):
+        with pytest.raises(ad.ShapeError, match="conv1d_dilated: time axis 5"):
+            ad.conv1d_dilated(rand((1, 2, 3, 5)), rand((2, 2, 4)), 2)
+        with pytest.raises(ad.ShapeError, match="channel_map: incompatible"):
+            ad.channel_map(rand((1, 2, 3, 5)), rand((2, 3)))
+        with pytest.raises(ad.ShapeError, match="propagate: batch matrix"):
+            ad.propagate(rand((2, 2, 3, 5)), rand((3, 3, 3)))

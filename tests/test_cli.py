@@ -156,6 +156,20 @@ class TestEval:
         ])
         assert code == EXIT_USAGE
 
+    def test_export_graphs_node_count_mismatch(self, train_dir, tmp_path, caplog):
+        code = main(["synth", "--nodes", "7", "--steps", "150",
+                     "--out-dir", str(tmp_path / "other")])
+        assert code == EXIT_OK
+        code = main([
+            "export-graphs", "--checkpoint", str(train_dir / "checkpoint.sdgl"),
+            "--data", str(tmp_path / "other" / "data.csv"),
+            "--out-dir", str(tmp_path / "graphs"),
+        ])
+        assert code == EXIT_USAGE
+        assert "node-count mismatch: checkpoint has" in caplog.text
+        assert "dataset has 7" in caplog.text
+        assert not (tmp_path / "graphs").exists()
+
     def test_corrupt_checkpoint(self, synth_dir, tmp_path):
         bad = tmp_path / "c.sdgl"
         bad.write_bytes(b"garbage not a checkpoint")

@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -195,6 +201,42 @@ class TestTraining:
         out = train(tiny_dataset(seed=6), tiny_config(epochs=2))
         assert len(out.history) == 2
         assert {"epoch", "train_loss", "val_MAE", "val_RMSE", "val_MAPE"} <= set(out.history[0])
+
+
+# Frees 48 MB of 8 MB arrays three times, then counts the page faults of
+# allocating them once more; a fresh process, so earlier train() calls in the
+# test session have not changed the allocator settings.
+_REFAULT_SCRIPT = """
+import resource, sys
+import numpy as np
+from sdgl.model import retain_freed_heap
+if sys.argv[1] == "retain":
+    retain_freed_heap()
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    arrays = [np.ones(1 << 20) for _ in range(6)]
+    del arrays
+before = faults()
+arrays = [np.ones(1 << 20) for _ in range(6)]
+print(faults() - before)
+"""
+
+
+def _refaults(mode: str) -> int:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("GLIBC_TUNABLES", None)
+    out = subprocess.run([sys.executable, "-c", _REFAULT_SCRIPT, mode], env=env,
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+def test_retain_freed_heap_keeps_pages_mapped():
+    assert _refaults("retain") == 0
+    assert _refaults("default") > 0  # so the check above would catch a no-op
 
 
 class TestEvaluatePredict:

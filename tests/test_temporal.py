@@ -28,6 +28,17 @@ def conv_loop_oracle(x, w, d):
     return out
 
 
+def bank_oracle(bank, x):
+    """Per-branch loop oracle of a DilatedInception: each branch trimmed to the
+    7-tap output length, concatenated over channels, plus the bias."""
+    t_out = x.shape[3] - bank.dilation * (MAX_KERNEL - 1)
+    parts = []
+    for f in bank.filters:
+        y = conv_loop_oracle(x, f.data, bank.dilation)
+        parts.append(y[:, :, :, y.shape[3] - t_out :])
+    return np.concatenate(parts, axis=1) + bank.bias.data.reshape(1, -1, 1, 1)
+
+
 class TestReceptiveField:
     @pytest.mark.parametrize("k,want", [(1, 7), (2, 19), (3, 43)])
     def test_doubling_dilation_max_kernel(self, k, want):
@@ -173,3 +184,44 @@ class TestGatedTemporalLayer:
         for name, p in {**l1.parameters(), **{"2." + k: v for k, v in l2.parameters().items()}}.items():
             rep = grad_check(loss, p, h=1e-4, tol=1e-3, sample=6, rng=RngState(seed))
             assert rep.passed, (name, rep)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fused_layer_matches_per_bank_oracle(self, d, seed):
+        layer = GatedTemporalLayer(3, 8, d, RngState(seed))
+        rng = np.random.default_rng(seed + 30)
+        layer.filter_bank.bias.data[:] = rng.normal(size=8)
+        layer.gate_bank.bias.data[:] = rng.normal(size=8)
+        x = rng.normal(size=(2, 3, 4, 21))
+        got = layer(Tensor(x)).data
+        a = bank_oracle(layer.filter_bank, x)
+        b = bank_oracle(layer.gate_bank, x)
+        want = np.tanh(a) / (1.0 + np.exp(-b))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["filter.f2", "gate.f6"])
+    def test_gradient_through_packed_weight(self, name):
+        layer = GatedTemporalLayer(2, 8, 2, RngState(11))
+        x = Tensor(np.random.default_rng(12).normal(size=(2, 2, 3, 16)))
+        probe = Tensor(np.random.default_rng(13).normal(size=(2, 8, 3, 4)))
+
+        def loss(_):
+            return ad.reduce_sum(ad.mul(layer(x), probe))
+
+        rep = grad_check(loss, layer.parameters()[name], h=1e-5, tol=1e-6)
+        assert rep.passed, rep
+
+    def test_per_kernel_gradients_keep_their_shape(self):
+        layer = GatedTemporalLayer(3, 8, 1, RngState(14))
+        x = Tensor(np.random.default_rng(15).normal(size=(2, 3, 2, 12)))
+        params = layer.parameters()
+        t = ad.Tape()
+        with t:
+            loss = ad.mean_all(layer(x))
+        t.backward(loss)
+        for bank in ("filter", "gate"):
+            for k in KERNEL_SIZES:
+                p = params[f"{bank}.f{k}"]
+                assert p.shape == (2, 3, k)
+                assert p.grad.shape == (2, 3, k), (bank, k)
+                assert np.all(p.grad != 0.0)
