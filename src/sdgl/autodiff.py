@@ -4,11 +4,16 @@ A ``Tape`` records primitive operations in execution order during a forward
 pass; ``Tape.backward`` replays it once in reverse, accumulating gradients
 into every tensor that requires them. All math is float64 so that central
 finite differences are a meaningful oracle (see ``grad_check``).
+
+Each gradient is written once: ``sub`` is ``add`` of ``scale(b, -1)``,
+``mean_all`` is ``scale`` of ``reduce_sum``, and ``layer_norm`` applies its
+gain and bias with ``mul`` and ``add``. Primitives do not check operands for
+non-finite values; ``train`` raises ``DivergenceError`` on a non-finite loss
+and ``build_static_graph`` raises ``NumericError`` on non-finite embeddings.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +25,6 @@ __all__ = [
     "NumericError",
     "TapeError",
     "grad_check",
-    "set_debug_checks",
     "add",
     "sub",
     "mul",
@@ -51,20 +55,11 @@ class ShapeError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Non-finite values detected while debug checks are enabled."""
+    """Non-finite values reached a step that cannot use them."""
 
 
 class TapeError(RuntimeError):
     """Tape misuse: backward on a consumed tape, non-scalar loss, etc."""
-
-
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle per-op finiteness validation (slow; off by default)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
 
 
 class Tensor:
@@ -96,7 +91,7 @@ class Tape:
     """Ordered record of executed primitives, consumable exactly once."""
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._nodes: list[tuple[Tensor, Callable]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -124,7 +119,7 @@ class Tape:
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
         while self._nodes:
-            out, inputs, backward_fn = self._nodes.pop()
+            out, backward_fn = self._nodes.pop()
             g = out.grad
             if g is None:
                 g = np.zeros_like(out.data)
@@ -134,17 +129,10 @@ class Tape:
 _ACTIVE_TAPE: Tape | None = None
 
 
-def _check_finite(name: str, arrays: Sequence[np.ndarray]) -> None:
-    if _DEBUG_CHECKS:
-        for a in arrays:
-            if not np.all(np.isfinite(a)):
-                raise NumericError(f"{name}: non-finite input detected")
-
-
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _ACTIVE_TAPE._nodes.append((out, inputs, backward_fn))
+        _ACTIVE_TAPE._nodes.append((out, backward_fn))
     return out
 
 
@@ -167,7 +155,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite("add", (a.data, b.data))
     out = Tensor(a.data + b.data)
 
     def backward(g):
@@ -178,18 +165,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite("sub", (a.data, b.data))
-    out = Tensor(a.data - b.data)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _record(out, (a, b), backward)
+    return add(a, scale(b, -1.0))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite("mul", (a.data, b.data))
     out = Tensor(a.data * b.data)
 
     def backward(g):
@@ -200,7 +179,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def divide(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite("divide", (a.data, b.data))
     out = Tensor(a.data / b.data)
 
     def backward(g):
@@ -217,21 +195,18 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    _check_finite("relu", (a.data,))
     mask = a.data > 0
     out = Tensor(np.where(mask, a.data, 0.0))
     return _record(out, (a,), lambda g: _accum(a, g * mask))
 
 
 def tanh(a: Tensor) -> Tensor:
-    _check_finite("tanh", (a.data,))
     y = np.tanh(a.data)
     out = Tensor(y)
     return _record(out, (a,), lambda g: _accum(a, g * (1.0 - y * y)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    _check_finite("sigmoid", (a.data,))
     # piecewise form avoids exp overflow for large negative inputs
     pos = a.data >= 0
     e = np.exp(np.where(pos, -a.data, a.data))
@@ -241,7 +216,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def absolute(a: Tensor) -> Tensor:
-    _check_finite("absolute", (a.data,))
     out = Tensor(np.abs(a.data))
     sign = np.sign(a.data)
     return _record(out, (a,), lambda g: _accum(a, g * sign))
@@ -253,7 +227,6 @@ def absolute(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    _check_finite("matmul", (a.data, b.data))
     out = Tensor(np.matmul(a.data, b.data))
 
     def backward(g):
@@ -276,7 +249,6 @@ def transpose(a: Tensor) -> Tensor:
 
 def row_softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis; rows sum to one, entries stay positive."""
-    _check_finite("row_softmax", (a.data,))
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -301,34 +273,25 @@ def layer_norm(
     variance whenever the input row varies at all, while a constant (or
     all-zero) row maps to zero instead of dividing by zero.
     """
-    _check_finite("layer_norm", (a.data,))
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
     guarded = var <= eps * eps
     inv = 1.0 / np.sqrt(np.maximum(var, eps * eps))
     xhat = (a.data - mu) * inv
-    y = xhat
-    if gain is not None:
-        y = y * gain.data
-    if bias is not None:
-        y = y + bias.data
-    out = Tensor(y)
-    inputs = tuple(t for t in (a, gain, bias) if t is not None)
 
     def backward(g):
-        gy = g
-        if bias is not None:
-            _accum(bias, _unbroadcast(gy, bias.shape))
-        if gain is not None:
-            _accum(gain, _unbroadcast(gy * xhat, gain.shape))
-            gy = gy * gain.data
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+        m1 = g.mean(axis=-1, keepdims=True)
+        m2 = (g * xhat).mean(axis=-1, keepdims=True)
         # guarded rows treat the scale as constant: no variance gradient
         m2 = np.where(guarded, 0.0, m2)
-        _accum(a, inv * (gy - m1 - xhat * m2))
+        _accum(a, inv * (g - m1 - xhat * m2))
 
-    return _record(out, inputs, backward)
+    y = _record(Tensor(xhat), (a,), backward)
+    if gain is not None:
+        y = mul(y, gain)
+    if bias is not None:
+        y = add(y, bias)
+    return y
 
 
 def dropout(a: Tensor, keep_prob: float, rng, training: bool) -> Tensor:
@@ -363,11 +326,9 @@ def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.shape).copy())
 
     return _record(out, (a,), backward)
 
@@ -414,7 +375,6 @@ def conv1d_dilated(x: Tensor, w: Tensor, dilation: int) -> Tensor:
     """
     if x.data.ndim != 4 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv1d_dilated: incompatible shapes {x.shape}, {w.shape}")
-    _check_finite("conv1d_dilated", (x.data, w.data))
     b, c_in, n, t_in = x.data.shape
     c_out, _, k = w.data.shape
     t_out = t_in - dilation * (k - 1)
@@ -455,7 +415,6 @@ def channel_map(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     """1x1 convolution: linear map over the channel axis of (B, C, N, T)."""
     if x.data.ndim != 4 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"channel_map: incompatible shapes {x.shape}, {w.shape}")
-    _check_finite("channel_map", (x.data, w.data))
     b, c_in, n, t = x.data.shape
     c_out = w.data.shape[0]
     y = w.data @ x.data.reshape(b, c_in, n * t)

@@ -12,6 +12,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import RngState
 
@@ -30,7 +31,6 @@ class SeriesDataset:
 
     values: np.ndarray
     name: str = "dataset"
-    timestamps: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -132,17 +132,21 @@ def save_csv(path, values: np.ndarray, header: list[str] | None = None) -> None:
 
 
 def make_windows(values: np.ndarray, h: int, horizon: int) -> WindowBatch:
-    """All stride-1 windows of a (T, N) split: T - h - L + 1 of them."""
-    t_total, n = values.shape
+    """All stride-1 windows of a (T, N) split: T - h - L + 1 of them.
+
+    ``inputs`` and ``targets`` are read-only views of ``values``, not copies.
+    """
+    t_total, _ = values.shape
     count = t_total - h - horizon + 1
     if count < 1:
         raise ParseError(
             f"split of length {t_total} too short for window {h} + horizon {horizon}"
         )
-    starts = np.arange(count)
-    inputs = np.stack([values[s : s + h].T for s in starts])
-    targets = np.stack([values[s + h : s + h + horizon].T for s in starts])
-    return WindowBatch(inputs=inputs, targets=targets, starts=starts)
+    return WindowBatch(
+        inputs=sliding_window_view(values[: t_total - horizon], h, axis=0),
+        targets=sliding_window_view(values[h:], horizon, axis=0),
+        starts=np.arange(count),
+    )
 
 
 @dataclass
@@ -205,9 +209,8 @@ def metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
     rse = float(np.sqrt((err**2).sum()) / denom) if denom > 0 else None
 
     if pred.ndim >= 2:
-        node_axis = -2 if pred.ndim >= 2 else 0
-        p2 = np.moveaxis(pred, node_axis, 0).reshape(pred.shape[node_axis], -1)
-        t2 = np.moveaxis(truth, node_axis, 0).reshape(truth.shape[node_axis], -1)
+        p2 = np.moveaxis(pred, -2, 0).reshape(pred.shape[-2], -1)
+        t2 = np.moveaxis(truth, -2, 0).reshape(truth.shape[-2], -1)
     else:
         p2, t2 = pred[None], truth[None]
     corrs = []

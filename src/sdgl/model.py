@@ -108,6 +108,14 @@ class ModelConfig:
         for flag in self.ablation:
             if flag not in ABLATION_FLAGS:
                 raise ConfigError(f"ablation: unknown flag {flag!r} (choices: {ABLATION_FLAGS})")
+        if "no_ifm" in self.ablation and "ifm_plus" in self.ablation:
+            raise ConfigError("ablation: no_ifm and ifm_plus exclude each other")
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim: need >= 1, got {self.embed_dim}")
+        if self.heads < 1:
+            raise ConfigError(f"heads: need >= 1, got {self.heads}")
+        if self.head_dim is not None and self.head_dim < 1:
+            raise ConfigError(f"head_dim: need >= 1, got {self.head_dim}")
         self.resolved_head_dim()
 
     def to_dict(self) -> dict:
@@ -383,7 +391,12 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
 
 def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch,
              batch_size: int = 128) -> dict:
-    """Per-horizon and horizon-averaged metrics in original units."""
+    """Per-horizon and horizon-averaged metrics in original units.
+
+    Calls ``retain_freed_heap`` first, so each forward batch reuses the heap
+    pages the previous one freed.
+    """
+    retain_freed_heap()
     preds = []
     norm_x = scaler.transform_windows(windows.inputs)
     for i in range(0, len(windows), batch_size):

@@ -34,14 +34,6 @@ class TestForwardValues:
         with pytest.raises(ad.ShapeError, match="matmul"):
             ad.matmul(rand((2, 3)), rand((2, 3)))
 
-    def test_debug_checks_flag_nonfinite(self):
-        ad.set_debug_checks(True)
-        try:
-            with pytest.raises(ad.NumericError):
-                ad.relu(Tensor([np.inf]))
-        finally:
-            ad.set_debug_checks(False)
-
 
 class TestBackward:
     def test_square_sum(self):
@@ -91,6 +83,19 @@ class TestBackward:
         rep = grad_check(lambda z: ad.reduce_sum(ad.mul(ad.layer_norm(z), w)), Tensor(x.data), tol=1e-4)
         assert rep.passed, rep
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_layer_norm_affine_gradients(self, seed):
+        rng = np.random.default_rng(seed)
+        x, gain, bias = (Tensor(rng.normal(size=s)) for s in ((4, 6), (6,), (6,)))
+        w = Tensor(rng.normal(size=(4, 6)))
+
+        def loss(z_x, z_gain, z_bias):
+            return ad.reduce_sum(ad.mul(ad.layer_norm(z_x, z_gain, z_bias), w))
+
+        assert grad_check(lambda z: loss(z, gain, bias), x).passed
+        assert grad_check(lambda z: loss(x, z, bias), gain).passed
+        assert grad_check(lambda z: loss(x, gain, z), bias).passed
+
     def test_non_scalar_loss_rejected(self):
         x = rand_p((2, 2))
         t = Tape()
@@ -117,7 +122,9 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [7.0])
 
 
-KINK_FREE_PRIMITIVES = {
+# Inputs are kept clear of 0, where absolute has its kink; the others are
+# smooth everywhere.
+PRIMITIVE_LOSSES = {
     "matmul": lambda x: ad.reduce_sum(ad.mul(ad.matmul(x, Tensor(np.linspace(-1, 1, 20).reshape(5, 4))), ad.matmul(x, Tensor(np.linspace(2, 3, 20).reshape(5, 4))))),
     "transpose": lambda x: ad.reduce_sum(ad.mul(ad.transpose(x), ad.transpose(x))),
     "add": lambda x: ad.reduce_sum(ad.add(x, ad.mul(x, x))),
@@ -127,7 +134,7 @@ KINK_FREE_PRIMITIVES = {
     "scale": lambda x: ad.reduce_sum(ad.scale(x, -1.7)),
     "tanh": lambda x: ad.reduce_sum(ad.tanh(x)),
     "sigmoid": lambda x: ad.reduce_sum(ad.sigmoid(x)),
-    "absolute": lambda x: ad.reduce_sum(ad.mul(x, x)),
+    "absolute": lambda x: ad.reduce_sum(ad.mul(ad.absolute(x), x)),
     "row_softmax": lambda x: ad.reduce_sum(ad.mul(ad.row_softmax(x), Tensor(np.arange(x.size, dtype=float).reshape(x.shape)))),
     "layer_norm": lambda x: ad.reduce_sum(ad.mul(ad.layer_norm(x), Tensor(np.arange(x.size, dtype=float).reshape(x.shape)))),
     "concat": lambda x: ad.reduce_sum(ad.mul(ad.concat([x, x], axis=0), Tensor(np.arange(2 * x.size, dtype=float).reshape((x.shape[0] * 2,) + x.shape[1:])))),
@@ -137,11 +144,12 @@ KINK_FREE_PRIMITIVES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(KINK_FREE_PRIMITIVES))
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_LOSSES))
 @pytest.mark.parametrize("seed", range(20))
 def test_primitive_gradients(name, seed):
     x = rand((4, 5), seed=seed)
-    rep = grad_check(KINK_FREE_PRIMITIVES[name], x, h=1e-5, tol=1e-4)
+    x.data[np.abs(x.data) < 1e-3] += 0.01  # keep clear of the kink
+    rep = grad_check(PRIMITIVE_LOSSES[name], x, h=1e-5, tol=1e-4)
     assert rep.passed, f"{name}: {rep}"
 
 

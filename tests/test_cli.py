@@ -115,6 +115,14 @@ class TestTrain:
         assert main(["train", "--data", str(synth_dir / "data.csv"),
                      "--momentum", "1.5", "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("heads", ["0", "-1"])
+    def test_bad_head_count_writes_nothing(self, synth_dir, tmp_path, caplog, heads):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(synth_dir / "data.csv"),
+                     "--heads", heads, "--out-dir", str(out)]) == EXIT_USAGE
+        assert "heads" in caplog.text
+        assert not (out / "epochs.csv").exists()
+
     def test_unknown_ablation_rejected_by_parser(self, synth_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", str(synth_dir / "data.csv"),

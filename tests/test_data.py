@@ -114,6 +114,14 @@ class TestWindows:
         np.testing.assert_array_equal(w.inputs[4], vals[4:7].T)
         np.testing.assert_array_equal(w.targets[4], vals[7:9].T)
 
+    def test_windows_are_views_equal_to_copied_windows(self):
+        vals = np.random.default_rng(3).normal(size=(40, 3))
+        w = make_windows(vals, 6, 3)
+        assert np.shares_memory(w.inputs, vals) and np.shares_memory(w.targets, vals)
+        np.testing.assert_array_equal(w.inputs, np.stack([vals[s : s + 6].T for s in w.starts]))
+        np.testing.assert_array_equal(
+            w.targets, np.stack([vals[s + 6 : s + 9].T for s in w.starts]))
+
     def test_too_short_split(self):
         with pytest.raises(ParseError):
             make_windows(np.zeros((4, 2)), 3, 2)

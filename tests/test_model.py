@@ -62,6 +62,11 @@ class TestModelConfig:
             (dict(gamma=-0.1), "gamma"),
             (dict(learning_rate=0.0), "learning_rate"),
             (dict(ablation=("bogus",)), "ablation"),
+            (dict(ablation=("no_ifm", "ifm_plus")), "ablation"),
+            (dict(heads=0), "heads"),
+            (dict(heads=-1), "heads"),
+            (dict(embed_dim=0), "embed_dim"),
+            (dict(head_dim=0), "head_dim"),
         ],
     )
     def test_rejections_name_the_field(self, overrides, field):
