@@ -225,7 +225,7 @@ def absolute(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
     out = Tensor(np.matmul(a.data, b.data))
 

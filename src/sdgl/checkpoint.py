@@ -67,23 +67,42 @@ def save(path, model: SDGLModel, scaler: Scaler) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _read(fh, size: int, path, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise CheckpointError(
+            f"{path}: truncated in {what}: needs {size} bytes, {len(data)} left"
+        )
+    return data
+
+
+def _unpack(fh, fmt: str, path, what: str) -> int:
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt), path, what))[0]
+
+
 def load(path) -> Checkpoint:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not an SDGL checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version = _unpack(fh, "<I", path, "format version")
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        hlen = _unpack(fh, "<Q", path, "header length")
+        try:
+            header = json.loads(_read(fh, hlen, path, "header").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: header is not valid JSON: {exc}") from None
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(header["tensor_count"]):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
+        for k in range(header["tensor_count"]):
+            nlen = _unpack(fh, "<I", path, f"name length of record {k}")
+            name = _read(fh, nlen, path, f"name of record {k}").decode("utf-8", "replace")
+            rank = _unpack(fh, "<I", path, f"rank of tensor {name!r}")
+            dims = tuple(_unpack(fh, "<Q", path, f"shape of tensor {name!r}") for _ in range(rank))
             count = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(dims)
+            payload = _read(fh, count * 8, path, f"tensor {name!r}")
+            data = np.frombuffer(payload, dtype="<f8").reshape(dims)
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
             tensors[name] = data.astype(np.float64)
 
     config = ModelConfig.from_dict(header["config"])

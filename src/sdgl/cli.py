@@ -26,9 +26,10 @@ from .data import (
     make_windows,
     save_csv,
     synth_generate,
+    window_split,
 )
 from .model import ABLATION_FLAGS, DivergenceError, ModelConfig, evaluate, train
-from .static_graph import ConfigError
+from .static_graph import ConfigError, build_static_graph
 
 log = logging.getLogger("sdgl")
 
@@ -77,9 +78,13 @@ def _build_config(args, n_nodes: int) -> ModelConfig:
     settings: dict = {}
     if args.config:
         try:
-            settings.update(json.loads(Path(args.config).read_text()))
+            loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config}: expected a JSON object, "
+                              f"got {type(loaded).__name__}")
+        settings.update(loaded)
     overrides = {
         "seed": args.seed,
         "epochs": args.epochs,
@@ -96,8 +101,11 @@ def _build_config(args, n_nodes: int) -> ModelConfig:
     if args.ablate:
         settings["ablation"] = list(args.ablate)
     settings["n_nodes"] = n_nodes
-    config = ModelConfig.from_dict(settings)
-    config.validate()
+    try:
+        config = ModelConfig.from_dict(settings)
+        config.validate()
+    except TypeError as exc:  # a field of the wrong type, or an unknown one
+        raise ConfigError(f"config file {args.config}: {exc}") from exc
     return config
 
 
@@ -173,8 +181,6 @@ def cmd_eval(args) -> int:
     if args.split == "all":
         windows = make_windows(dataset.values, model.config.window, model.config.horizon)
     else:
-        from .data import window_split
-
         windows = getattr(window_split(dataset, model.config.window, model.config.horizon),
                           args.split)
     report = evaluate(model, scaler, windows)
@@ -202,14 +208,9 @@ def cmd_export_graphs(args) -> int:
     header = [f"node_{i}" for i in range(model.config.n_nodes)]
 
     outputs = {}
-    result = model.forward(
-        scaler.transform_windows(
-            dataset.values[: model.config.window].T[None]
-        ),
-        training=False,
-    )
+    static = build_static_graph(model.embeddings.m_static).values.data
     static_path = out_dir / "static_adjacency.csv"
-    save_csv(static_path, result.static_graph.values.data, header)
+    save_csv(static_path, static, header)
     outputs["static"] = static_path
 
     windows = make_windows(dataset.values, model.config.window, model.config.horizon)
@@ -236,11 +237,8 @@ def cmd_export_graphs(args) -> int:
         edge_path = out_dir / "static_edges.csv"
         with open(edge_path, "w", encoding="utf-8") as fh:
             fh.write("source,target,weight\n")
-            a = result.static_graph.values.data
-            for i in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    if a[i, j] > args.threshold:
-                        fh.write(f"{i},{j},{_fmt(a[i, j])}\n")
+            for i, j in zip(*(static > args.threshold).nonzero()):
+                fh.write(f"{i},{j},{_fmt(static[i, j])}\n")
         outputs["edges"] = edge_path
 
     _write_manifest(out_dir, "export-graphs", model.config.to_dict(), data_path,

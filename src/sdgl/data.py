@@ -245,6 +245,13 @@ class PlantedGraphSpec:
             raise GenerationError(
                 f"coupling alpha must be in [0,1) to keep trajectories bounded, got {self.alpha}"
             )
+        if self.seasonal_period < 1:
+            raise GenerationError(f"seasonal period must be >= 1, got {self.seasonal_period}")
+        if self.noise_std < 0:
+            raise GenerationError(f"noise std must be >= 0, got {self.noise_std}")
+        for start, end in self.switch_intervals:
+            if start >= end:
+                raise GenerationError(f"switch interval {start}:{end} is empty; need start < end")
 
 
 @dataclass
@@ -284,6 +291,8 @@ def synth_generate(spec: PlantedGraphSpec, t_total: int, seed: int) -> SynthResu
     from the long-term one.
     """
     spec.validate()
+    if t_total < 1:
+        raise GenerationError(f"need at least 1 time step, got {t_total}")
     rng = RngState(seed)
     n = spec.n_nodes
     edges = _random_symmetric_edges(n, spec.edge_prob, rng)

@@ -141,6 +141,7 @@ class ForwardResult:
 class SDGLModel:
     def __init__(self, config: ModelConfig):
         config.validate()
+        retain_freed_heap()
         self.config = config
         rng = RngState(config.seed)
         self.dropout_rng = rng.spawn(1)
@@ -304,26 +305,22 @@ class TrainResult:
     splits: SplitWindows
 
 
-def _iter_batches(windows: WindowBatch, batch_size: int, order: np.ndarray):
-    for i in range(0, len(order), batch_size):
-        idx = order[i : i + batch_size]
-        yield windows.inputs[idx], windows.targets[idx]
-
-
 # glibc mallopt parameters, and the largest mmap threshold it accepts on 64-bit
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
 
 
 def retain_freed_heap() -> None:
-    """Keep freed heap pages mapped between train steps (glibc only).
+    """Keep freed heap pages mapped between forward passes (glibc only).
 
-    Each step drops its tape, hundreds of MB at N=100, and the next step
+    ``SDGLModel.__init__`` calls it, so trained, evaluated, predicted and
+    checkpoint-loaded models all run under it. Each pass frees what it
+    allocated (a train step's tape, hundreds of MB at N=100) and the next
     allocates the same sizes again. By default glibc gives the freed top of
-    the heap back to the OS, and the next step faults it back in page by
-    page: a few percent of every step, more when the host is busy. This puts
-    arrays up to 32 MB on the heap and keeps freed pages in the process.
-    Where mallopt is missing or refuses the threshold, nothing changes.
+    the heap back to the OS, and the next pass faults it back in page by
+    page: a few percent of every step. This puts arrays up to 32 MB on the
+    heap and keeps freed pages in the process. Where mallopt is missing or
+    refuses the threshold, nothing changes.
     """
     try:
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -336,16 +333,11 @@ def retain_freed_heap() -> None:
 
 
 def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
-    """Run the joint training loop; deterministic given config.seed.
-
-    Calls ``retain_freed_heap`` first, so the process keeps freed heap pages.
-    """
-    config.validate()
-    retain_freed_heap()
+    """Run the joint training loop; deterministic given config.seed."""
+    model = SDGLModel(config)
     lam = 0.0 if "no_gloss" in config.ablation else config.lambda_reg
     splits = window_split(dataset, config.window, config.horizon)
     scaler = splits.scaler
-    model = SDGLModel(config)
     opt = SGD(model.parameters(), config.learning_rate)
     shuffle_rng = RngState(config.seed).spawn(2)
 
@@ -356,12 +348,12 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(splits.train))
         losses = []
-        for bx, by in _iter_batches(WindowBatch(train_x, train_y, splits.train.starts),
-                                    config.batch_size, order):
+        for i in range(0, len(order), config.batch_size):
+            idx = order[i : i + config.batch_size]
             t = Tape()
             with t:
-                result = model.forward(Tensor(bx), training=True)
-                loss = hybrid_loss(result.prediction, Tensor(by), result.reg_loss, lam)
+                result = model.forward(Tensor(train_x[idx]), training=True)
+                loss = hybrid_loss(result.prediction, Tensor(train_y[idx]), result.reg_loss, lam)
             value = loss.item()
             if not math.isfinite(value):
                 raise DivergenceError(
@@ -391,18 +383,13 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
 
 def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch,
              batch_size: int = 128) -> dict:
-    """Per-horizon and horizon-averaged metrics in original units.
+    """Per-horizon and horizon-averaged metrics of ``predict``, in original units.
 
-    Calls ``retain_freed_heap`` first, so each forward batch reuses the heap
-    pages the previous one freed.
+    Scores ``predict`` on consecutive slices of ``batch_size`` windows, so only
+    one slice is ever normalized at a time.
     """
-    retain_freed_heap()
-    preds = []
-    norm_x = scaler.transform_windows(windows.inputs)
-    for i in range(0, len(windows), batch_size):
-        out = model.forward(Tensor(norm_x[i : i + batch_size]), training=False)
-        preds.append(out.prediction.data)
-    pred = scaler.inverse_windows(np.concatenate(preds, axis=0))
+    pred = np.concatenate([predict(model, scaler, windows.inputs[i : i + batch_size])
+                           for i in range(0, len(windows), batch_size)], axis=0)
     truth = windows.targets
     per_horizon = [metrics(pred[:, :, k], truth[:, :, k]) for k in range(pred.shape[2])]
     average = metrics(pred, truth)

@@ -33,6 +33,8 @@ class TestForwardValues:
     def test_shape_error_names_primitive(self):
         with pytest.raises(ad.ShapeError, match="matmul"):
             ad.matmul(rand((2, 3)), rand((2, 3)))
+        with pytest.raises(ad.ShapeError, match="matmul"):  # backward needs rank >= 2
+            ad.matmul(rand((3,)), rand((3, 2)))
 
 
 class TestBackward:

@@ -1,10 +1,15 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from sdgl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from sdgl.data import load_csv
+
+
+def error_lines(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +78,18 @@ class TestSynth:
     def test_bad_interval_is_usage_error(self, tmp_path):
         assert main(["synth", "--switch", "oops", "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
-    def test_unstable_alpha_is_runtime_error(self, tmp_path):
+    def test_unstable_alpha_is_runtime_error(self, tmp_path, caplog):
         # generation failures (including spec values that cannot produce a
-        # bounded trajectory) are runtime errors, not usage errors
-        assert main(["synth", "--alpha", "1.5", "--out-dir", str(tmp_path)]) == EXIT_RUNTIME
+        # bounded trajectory, or any series at all) are runtime errors, not
+        # usage errors
+        out = tmp_path / "synth"
+        for flags in (["--alpha", "1.5"], ["--steps", "0"], ["--period", "0"],
+                      ["--noise", "-1"], ["--switch", "5:3"]):
+            caplog.clear()
+            assert main(["synth", *flags, "--out-dir", str(out)]) == EXIT_RUNTIME, flags
+            [line] = error_lines(caplog)
+            assert "\n" not in line
+            assert not out.exists()
 
 
 class TestTrain:
@@ -105,11 +118,17 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path / "nope.csv"),
                      "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
-    def test_malformed_config_file(self, synth_dir, tmp_path):
+    def test_malformed_config_file(self, synth_dir, tmp_path, caplog):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["train", "--data", str(synth_dir / "data.csv"),
-                     "--config", str(bad), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        out = tmp_path / "run"
+        for text in ("{not json", '{"foo": 1}', "[1, 2]", '{"heads": "4"}'):
+            caplog.clear()
+            bad.write_text(text)
+            assert main(["train", "--data", str(synth_dir / "data.csv"),
+                         "--config", str(bad), "--out-dir", str(out)]) == EXIT_USAGE, text
+            [line] = error_lines(caplog)
+            assert line.startswith(f"config file {bad}: ") and "\n" not in line, line
+            assert not out.exists()
 
     def test_invalid_hyperparameter(self, synth_dir, tmp_path):
         assert main(["train", "--data", str(synth_dir / "data.csv"),
@@ -178,14 +197,19 @@ class TestEval:
         assert "dataset has 7" in caplog.text
         assert not (tmp_path / "graphs").exists()
 
-    def test_corrupt_checkpoint(self, synth_dir, tmp_path):
+    def test_corrupt_checkpoint(self, synth_dir, train_dir, tmp_path, caplog):
         bad = tmp_path / "c.sdgl"
-        bad.write_bytes(b"garbage not a checkpoint")
-        code = main([
-            "eval", "--checkpoint", str(bad),
-            "--data", str(synth_dir / "data.csv"), "--out-dir", str(tmp_path),
-        ])
-        assert code == EXIT_RUNTIME
+        good = (train_dir / "checkpoint.sdgl").read_bytes()
+        for content in (b"garbage not a checkpoint", good[: len(good) // 2]):
+            caplog.clear()
+            bad.write_bytes(content)
+            code = main([
+                "eval", "--checkpoint", str(bad),
+                "--data", str(synth_dir / "data.csv"), "--out-dir", str(tmp_path / "eval"),
+            ])
+            assert code == EXIT_RUNTIME
+            [line] = error_lines(caplog)
+            assert line.startswith(f"{bad}: ") and "\n" not in line, line
 
 
 class TestExportGraphs:
@@ -204,10 +228,13 @@ class TestExportGraphs:
             np.testing.assert_allclose(dyn.sum(axis=1), 1.0, atol=1e-12)
         edges = (tmp_path / "static_edges.csv").read_text().splitlines()
         assert edges[0] == "source,target,weight"
-        for line in edges[1:]:
-            i, j, w = line.split(",")
-            assert static[int(i), int(j)] == pytest.approx(float(w))
-            assert float(w) > 0.1
+        rows = [line.split(",") for line in edges[1:]]
+        # exactly the entries above the threshold, in row-major order
+        assert [(int(i), int(j)) for i, j, _ in rows] == [
+            (i, j) for i in range(5) for j in range(5) if static[i, j] > 0.1
+        ]
+        for i, j, w in rows:
+            assert static[int(i), int(j)] == float(w)
 
     def test_window_out_of_range(self, synth_dir, train_dir, tmp_path):
         code = main([

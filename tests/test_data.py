@@ -253,6 +253,14 @@ class TestSynthGenerator:
             synth_generate(PlantedGraphSpec(alpha=1.0), 50, seed=0)
         with pytest.raises(GenerationError):
             synth_generate(PlantedGraphSpec(edge_prob=1.5), 50, seed=0)
+        with pytest.raises(GenerationError, match="seasonal period"):
+            synth_generate(PlantedGraphSpec(seasonal_period=0), 50, seed=0)
+        with pytest.raises(GenerationError, match="noise"):
+            synth_generate(PlantedGraphSpec(noise_std=-1.0), 50, seed=0)
+        with pytest.raises(GenerationError, match="5:3"):
+            synth_generate(PlantedGraphSpec(switch_intervals=((10, 20), (5, 3))), 50, seed=0)
+        with pytest.raises(GenerationError, match="time step"):
+            synth_generate(PlantedGraphSpec(), 0, seed=0)
 
 
 def pairwise_auc(scores, labels):

@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,14 @@ import pytest
 from sdgl import autodiff as ad
 from sdgl import checkpoint
 from sdgl.autodiff import Tensor
-from sdgl.data import PlantedGraphSpec, Scaler, SeriesDataset, synth_generate
+from sdgl.data import (
+    PlantedGraphSpec,
+    Scaler,
+    SeriesDataset,
+    make_windows,
+    metrics,
+    synth_generate,
+)
 from sdgl.model import (
     ABLATION_FLAGS,
     DivergenceError,
@@ -209,14 +217,18 @@ class TestTraining:
 
 
 # Frees 48 MB of 8 MB arrays three times, then counts the page faults of
-# allocating them once more; a fresh process, so earlier train() calls in the
-# test session have not changed the allocator settings.
+# allocating them once more; a fresh process, so models built earlier in the
+# test session have not changed the allocator settings. "default" only
+# imports sdgl.model, "retain" sets the policy directly and "model" only
+# builds a model.
 _REFAULT_SCRIPT = """
 import resource, sys
 import numpy as np
-from sdgl.model import retain_freed_heap
+from sdgl.model import ModelConfig, SDGLModel, retain_freed_heap
 if sys.argv[1] == "retain":
     retain_freed_heap()
+elif sys.argv[1] == "model":
+    SDGLModel(ModelConfig(n_nodes=2))
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(3):
@@ -244,6 +256,13 @@ def test_retain_freed_heap_keeps_pages_mapped():
     assert _refaults("default") > 0  # so the check above would catch a no-op
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+def test_building_a_model_retains_freed_heap():
+    # trained, evaluated, predicted and checkpoint-loaded models all run
+    # under the policy, because each of them was built by SDGLModel.__init__
+    assert _refaults("model") == 0
+
+
 class TestEvaluatePredict:
     def make_trained(self, seed=0):
         return train(tiny_dataset(seed=seed), tiny_config(epochs=1))
@@ -266,6 +285,36 @@ class TestEvaluatePredict:
         out = self.make_trained(seed=2)
         with pytest.raises(ad.ShapeError, match="nodes"):
             predict(out.model, out.scaler, np.zeros((5, 19)))
+
+    def test_evaluate_scores_predict(self):
+        # more windows than one evaluate batch of 128
+        out = self.make_trained(seed=4)
+        windows = make_windows(tiny_dataset(t=300, seed=4).values, 19, 3)
+        assert len(windows) > 128
+        pred = predict(out.model, out.scaler, windows.inputs)
+        truth = windows.targets
+        rep = evaluate(out.model, out.scaler, windows)
+        assert rep["average"] == metrics(pred, truth)
+        assert rep["per_horizon"] == [metrics(pred[:, :, k], truth[:, :, k]) for k in range(3)]
+
+    def test_evaluate_memory_does_not_grow_with_window_copies(self):
+        # evaluate normalizes one batch at a time: from T = 2048 to T = 8192
+        # its peak grows by less than half of what the extra windows would
+        # take as one normalized copy (4.7 MB for 10 nodes at h = 19)
+        model = SDGLModel(ModelConfig(n_nodes=10))
+
+        def peak(t):
+            values = np.random.default_rng(0).normal(size=(t, 10))
+            windows = make_windows(values, 19, 3)
+            tracemalloc.start()
+            try:
+                evaluate(model, Scaler.fit(values), windows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra_window_bytes = (8192 - 2048) * 10 * 19 * 8
+        assert peak(8192) - peak(2048) < extra_window_bytes / 2
 
     def test_predict_is_in_original_units(self):
         # a scaler with a huge offset must be inverted on the way out
@@ -305,6 +354,43 @@ class TestCheckpoint:
         p = tmp_path / "bad.sdgl"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(checkpoint.CheckpointError, match="magic"):
+            checkpoint.load(p)
+
+    @staticmethod
+    def save_fresh(path):
+        """Save a fresh tiny model; returns the name of the last tensor record."""
+        model = SDGLModel(tiny_config())
+        checkpoint.save(path, model, Scaler(np.zeros(4), np.ones(4)))
+        return sorted([*model.state_tensors(), "scaler.mean", "scaler.std"])[-1]
+
+    @pytest.mark.parametrize("field", [
+        "format version", "header length", "header", "name length of record 0", "payload",
+    ])
+    def test_truncated_file_names_the_field(self, tmp_path, field):
+        p = tmp_path / "m.sdgl"
+        last = self.save_fresh(p)
+        raw = p.read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        cut = {
+            "format version": 6,
+            "header length": 12,
+            "header": 16 + hlen // 2,
+            "name length of record 0": 16 + hlen + 2,
+            "payload": len(raw) - 4,  # inside the last record's payload
+        }[field]
+        p.write_bytes(raw[:cut])
+        what = f"tensor {last!r}" if field == "payload" else field
+        with pytest.raises(checkpoint.CheckpointError) as exc:
+            checkpoint.load(p)
+        assert str(exc.value).startswith(f"{p}: truncated in {what}:")
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        p = tmp_path / "m.sdgl"
+        last = self.save_fresh(p)
+        raw = bytearray(p.read_bytes())
+        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last value of the last record
+        p.write_bytes(bytes(raw))
+        with pytest.raises(checkpoint.CheckpointError, match=f"{last!r} has non-finite"):
             checkpoint.load(p)
 
     def test_unsupported_version(self, tmp_path):
