@@ -80,6 +80,14 @@ def _unpack(fh, fmt: str, path, what: str) -> int:
     return struct.unpack(fmt, _read(fh, struct.calcsize(fmt), path, what))[0]
 
 
+def _field(header: dict, key: str, kind: type, path):
+    value = header.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise CheckpointError(f"{path}: header field {key!r}: expected {kind.__name__}, "
+                              f"got {value!r:.60}")
+    return value
+
+
 def load(path) -> Checkpoint:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
@@ -92,8 +100,11 @@ def load(path) -> Checkpoint:
             header = json.loads(_read(fh, hlen, path, "header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: header is not valid JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, "
+                                  "not an object")
         tensors: dict[str, np.ndarray] = {}
-        for k in range(header["tensor_count"]):
+        for k in range(_field(header, "tensor_count", int, path)):
             nlen = _unpack(fh, "<I", path, f"name length of record {k}")
             name = _read(fh, nlen, path, f"name of record {k}").decode("utf-8", "replace")
             rank = _unpack(fh, "<I", path, f"rank of tensor {name!r}")
@@ -105,18 +116,31 @@ def load(path) -> Checkpoint:
                 raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
             tensors[name] = data.astype(np.float64)
 
-    config = ModelConfig.from_dict(header["config"])
-    model = SDGLModel(config)
-    model.step_count = int(header["step"])
-    model.dropout_rng.set_state(_decode_rng_state(header["rng"]))
-    for name, t in model.state_tensors().items():
+    config = _field(header, "config", dict, path)
+    try:
+        model = SDGLModel(ModelConfig.from_dict(config))
+    except (TypeError, ValueError) as exc:  # an unknown, mistyped or invalid setting
+        raise CheckpointError(f"{path}: header field 'config': {exc}") from None
+    model.step_count = _field(header, "step", int, path)
+    rng = _field(header, "rng", dict, path)
+    try:
+        model.dropout_rng.set_state(_decode_rng_state(rng))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: header field 'rng': {exc!r}") from None
+    state = model.state_tensors()
+    expected = {name: t.data.shape for name, t in state.items()}
+    expected["scaler.mean"] = expected["scaler.std"] = (model.config.n_nodes,)
+    unexpected = sorted(tensors.keys() - expected.keys())
+    if unexpected:
+        raise CheckpointError(f"{path}: unexpected tensor record {unexpected[0]!r}")
+    for name, shape in expected.items():
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor record {name!r}")
-        if tensors[name].shape != t.data.shape:
+        if tensors[name].shape != shape:
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {t.data.shape}"
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
             )
+    for name, t in state.items():
         t.data = tensors[name].copy()
     scaler = Scaler(tensors["scaler.mean"], tensors["scaler.std"])
     return Checkpoint(model=model, scaler=scaler, step=model.step_count)

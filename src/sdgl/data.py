@@ -193,8 +193,8 @@ def metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
     """MAE, RMSE, MAPE, RSE and CORR between same-shape arrays.
 
     MAPE averages over nonzero targets only and is None when every target is
-    zero. CORR averages Pearson correlation per node (axis layout (..., N, L)
-    flattened per node); zero-variance nodes are excluded, None if all are.
+    zero. CORR averages over nodes (axis -2) each node's Pearson correlation
+    over its other entries; zero-variance nodes are excluded, None if all are.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -208,17 +208,15 @@ def metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
     denom = np.sqrt(((truth - truth.mean()) ** 2).sum())
     rse = float(np.sqrt((err**2).sum()) / denom) if denom > 0 else None
 
-    if pred.ndim >= 2:
-        p2 = np.moveaxis(pred, -2, 0).reshape(pred.shape[-2], -1)
-        t2 = np.moveaxis(truth, -2, 0).reshape(truth.shape[-2], -1)
-    else:
-        p2, t2 = pred[None], truth[None]
-    corrs = []
-    for pi, ti in zip(p2, t2):
-        sp, st = pi.std(), ti.std()
-        if sp > 0 and st > 0:
-            corrs.append(float(np.corrcoef(pi, ti)[0, 1]))
-    corr = float(np.mean(corrs)) if corrs else None
+    rows = pred.shape[-2] if pred.ndim >= 2 else 1
+    p2 = np.moveaxis(np.atleast_2d(pred), -2, 0).reshape(rows, -1)
+    t2 = np.moveaxis(np.atleast_2d(truth), -2, 0).reshape(rows, -1)
+    pc = p2 - p2.mean(axis=1, keepdims=True)
+    tc = t2 - t2.mean(axis=1, keepdims=True)
+    sp, st = (pc * pc).sum(axis=1), (tc * tc).sum(axis=1)
+    keep = (sp > 0) & (st > 0)
+    r = (pc * tc).sum(axis=1)[keep] / (np.sqrt(sp[keep]) * np.sqrt(st[keep]))
+    corr = float(np.clip(r, -1.0, 1.0).mean()) if keep.any() else None
     return {"MAE": mae, "RMSE": rmse, "MAPE": mape, "RSE": rse, "CORR": corr}
 
 

@@ -341,8 +341,6 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
     opt = SGD(model.parameters(), config.learning_rate)
     shuffle_rng = RngState(config.seed).spawn(2)
 
-    train_x = scaler.transform_windows(splits.train.inputs)
-    train_y = scaler.transform_windows(splits.train.targets)
     history: list[dict] = []
     last_finite = None
     for epoch in range(config.epochs):
@@ -350,10 +348,12 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
         losses = []
         for i in range(0, len(order), config.batch_size):
             idx = order[i : i + config.batch_size]
+            x = scaler.transform_windows(splits.train.inputs[idx])
+            y = scaler.transform_windows(splits.train.targets[idx])
             t = Tape()
             with t:
-                result = model.forward(Tensor(train_x[idx]), training=True)
-                loss = hybrid_loss(result.prediction, Tensor(train_y[idx]), result.reg_loss, lam)
+                result = model.forward(Tensor(x), training=True)
+                loss = hybrid_loss(result.prediction, Tensor(y), result.reg_loss, lam)
             value = loss.item()
             if not math.isfinite(value):
                 raise DivergenceError(
@@ -386,12 +386,13 @@ def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch,
     """Per-horizon and horizon-averaged metrics of ``predict``, in original units.
 
     Scores ``predict`` on consecutive slices of ``batch_size`` windows, so only
-    one slice is ever normalized at a time.
+    one slice is ever normalized at a time. CORR correlates each node over the
+    windows, at step k for ``per_horizon[k]`` and over all steps for ``average``.
     """
     pred = np.concatenate([predict(model, scaler, windows.inputs[i : i + batch_size])
                            for i in range(0, len(windows), batch_size)], axis=0)
     truth = windows.targets
-    per_horizon = [metrics(pred[:, :, k], truth[:, :, k]) for k in range(pred.shape[2])]
+    per_horizon = [metrics(pred[:, :, k:k + 1], truth[:, :, k:k + 1]) for k in range(pred.shape[2])]
     average = metrics(pred, truth)
     return {"per_horizon": per_horizon, "average": average}
 

@@ -211,6 +211,31 @@ class TestEval:
             [line] = error_lines(caplog)
             assert line.startswith(f"{bad}: ") and "\n" not in line, line
 
+    @pytest.mark.parametrize("field,value,named", [
+        ("tensor_count", None, "header field 'tensor_count'"),
+        ("step", "3", "header field 'step'"),
+        ("config", {"heads": "4"}, "header field 'config'"),
+    ])
+    def test_checkpoint_header_schema_error(self, synth_dir, train_dir, tmp_path, caplog,
+                                            field, value, named):
+        raw = (train_dir / "checkpoint.sdgl").read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16 : 16 + hlen])
+        if isinstance(value, dict):
+            header[field].update(value)
+        else:
+            header[field] = value
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "c.sdgl"
+        bad.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
+        code = main([
+            "eval", "--checkpoint", str(bad),
+            "--data", str(synth_dir / "data.csv"), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == EXIT_RUNTIME
+        [line] = error_lines(caplog)
+        assert line.startswith(f"{bad}: {named}") and "\n" not in line, line
+
 
 class TestExportGraphs:
     def test_static_and_dynamic_csvs(self, synth_dir, train_dir, tmp_path):

@@ -165,6 +165,18 @@ def loop_metrics(pred, truth):
     return mae, rmse, mape, rse, corr
 
 
+def corrcoef_loop_corr(pred, truth):
+    """CORR the way ``metrics`` once computed it: one np.corrcoef per node row."""
+    if pred.ndim >= 2:
+        p2 = np.moveaxis(pred, -2, 0).reshape(pred.shape[-2], -1)
+        t2 = np.moveaxis(truth, -2, 0).reshape(truth.shape[-2], -1)
+    else:
+        p2, t2 = pred[None], truth[None]
+    corrs = [float(np.corrcoef(pi, ti)[0, 1])
+             for pi, ti in zip(p2, t2) if pi.std() > 0 and ti.std() > 0]
+    return float(np.mean(corrs)) if corrs else None
+
+
 class TestMetrics:
     def test_perfect_prediction(self):
         t = np.random.default_rng(0).normal(size=(4, 3, 2)) + 5
@@ -185,6 +197,43 @@ class TestMetrics:
         assert m["MAPE"] == pytest.approx(mape, abs=1e-12)
         assert m["RSE"] == pytest.approx(rse, abs=1e-12)
         assert m["CORR"] == pytest.approx(corr, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7, 4), (7, 4, 1), (7, 4, 3), (5, 100, 2)])
+    def test_corr_matches_loop_oracles(self, shape):
+        # axis -2 holds the rows CORR averages over: 7 of them for (7, 4),
+        # 100 for (5, 100, 2)
+        rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+        pred = rng.normal(size=shape)
+        truth = 0.5 * pred + rng.normal(size=shape)
+        m = metrics(pred, truth)
+        assert m["CORR"] == pytest.approx(loop_metrics(pred, truth)[4], abs=1e-12)
+        assert m["CORR"] == pytest.approx(corrcoef_loop_corr(pred, truth), abs=1e-12)
+
+    def test_constant_node_excluded_from_corr(self):
+        rng = np.random.default_rng(3)
+        pred = rng.normal(size=(6, 4, 2))
+        truth = rng.normal(size=(6, 4, 2))
+        pred[:, 1, :] = 2.5  # a node whose forecast never moves
+        truth[:, 3, :] = -1.0  # a node whose target never moves
+        corr = metrics(pred, truth)["CORR"]
+        assert corr == pytest.approx(loop_metrics(pred, truth)[4], abs=1e-12)
+        kept = [np.corrcoef(pred[:, i].ravel(), truth[:, i].ravel())[0, 1] for i in (0, 2)]
+        assert corr == pytest.approx(np.mean(kept), abs=1e-12)
+
+    def test_all_constant_nodes_give_undefined_corr(self):
+        truth = np.random.default_rng(4).normal(size=(6, 3, 2))
+        assert metrics(np.full((6, 3, 2), 4.0), truth)["CORR"] is None
+        assert metrics(truth, np.zeros((6, 3, 2)))["CORR"] is None
+        assert corrcoef_loop_corr(np.full((6, 3, 2), 4.0), truth) is None
+
+    def test_anti_correlated_rows_clip_at_minus_one(self):
+        # unclipped, rounding puts these rows, and their mean, at -1 - 2e-16
+        pred = np.random.default_rng(20).normal(size=(6, 5, 3))
+        truth = -3.0 * pred + 1.0
+        corr = metrics(pred, truth)["CORR"]
+        assert corr >= -1.0
+        assert corr == pytest.approx(-1.0, abs=1e-12)
+        assert corr == pytest.approx(corrcoef_loop_corr(pred, truth), abs=1e-12)
 
     def test_all_zero_targets_mape_undefined(self):
         m = metrics(np.ones((2, 2)), np.zeros((2, 2)))

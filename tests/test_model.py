@@ -1,5 +1,7 @@
+import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -295,7 +297,20 @@ class TestEvaluatePredict:
         truth = windows.targets
         rep = evaluate(out.model, out.scaler, windows)
         assert rep["average"] == metrics(pred, truth)
-        assert rep["per_horizon"] == [metrics(pred[:, :, k], truth[:, :, k]) for k in range(3)]
+        assert rep["per_horizon"] == [metrics(pred[:, :, k:k + 1], truth[:, :, k:k + 1])
+                                      for k in range(3)]
+
+    def test_horizon_corr_is_per_node_over_windows(self):
+        out = self.make_trained(seed=5)
+        windows = make_windows(tiny_dataset(t=200, seed=5).values, 19, 3)
+        pred = predict(out.model, out.scaler, windows.inputs)
+        truth = windows.targets
+        rep = evaluate(out.model, out.scaler, windows)
+        for k in range(3):
+            per_node = [np.corrcoef(pred[:, i, k], truth[:, i, k])[0, 1] for i in range(4)]
+            assert rep["per_horizon"][k]["CORR"] == pytest.approx(np.mean(per_node), abs=1e-12)
+        pooled = [np.corrcoef(pred[:, i].ravel(), truth[:, i].ravel())[0, 1] for i in range(4)]
+        assert rep["average"]["CORR"] == pytest.approx(np.mean(pooled), abs=1e-12)
 
     def test_evaluate_memory_does_not_grow_with_window_copies(self):
         # evaluate normalizes one batch at a time: from T = 2048 to T = 8192
@@ -391,6 +406,98 @@ class TestCheckpoint:
         raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last value of the last record
         p.write_bytes(bytes(raw))
         with pytest.raises(checkpoint.CheckpointError, match=f"{last!r} has non-finite"):
+            checkpoint.load(p)
+
+    @staticmethod
+    def split_records(raw):
+        """(header dict, {name: record bytes}) of a saved checkpoint."""
+        hlen = int.from_bytes(raw[8:16], "little")
+        header, pos, records = json.loads(raw[16 : 16 + hlen]), 16 + hlen, {}
+        while pos < len(raw):
+            start = pos
+            nlen = int.from_bytes(raw[pos : pos + 4], "little")
+            name = raw[pos + 4 : pos + 4 + nlen].decode()
+            pos += 4 + nlen
+            rank = int.from_bytes(raw[pos : pos + 4], "little")
+            dims = [int.from_bytes(raw[pos + 4 + 8 * i : pos + 12 + 8 * i], "little")
+                    for i in range(rank)]
+            pos += 4 + 8 * rank + 8 * int(np.prod(dims))
+            records[name] = raw[start:pos]
+        return header, records
+
+    @staticmethod
+    def join_records(raw, header, records):
+        blob = json.dumps(header).encode()
+        return raw[:8] + len(blob).to_bytes(8, "little") + blob + b"".join(records.values())
+
+    @staticmethod
+    def mutate_header(h, records, mutation):
+        if mutation == "tensor_count renamed":
+            h["tensor_cOunt"] = h.pop("tensor_count")
+        elif mutation == "tensor_count missing":
+            del h["tensor_count"]
+        elif mutation == "tensor_count a string":
+            h["tensor_count"] = str(h["tensor_count"])
+        elif mutation == "config a list":
+            h["config"] = [1, 2]
+        elif mutation == "config missing":
+            del h["config"]
+        elif mutation == "config field unknown":
+            h["config"]["foo"] = 1
+        elif mutation == "config field mistyped":
+            h["config"]["heads"] = "4"
+        elif mutation == "config invalid":
+            h["config"]["heads"] = 0
+        elif mutation == "step a string":
+            h["step"] = "3"
+        elif mutation == "step a float":
+            h["step"] = 3.0
+        elif mutation == "rng a string":
+            h["rng"] = "philox"
+        elif mutation == "rng empty":
+            h["rng"] = {}
+        elif mutation == "header a list":
+            return [h]
+        elif mutation in ("scaler.mean missing", "scaler.std missing"):
+            del records[mutation.split()[0]]
+            h["tensor_count"] -= 1
+        elif mutation == "unexpected record":
+            name = b"zz.extra"
+            records["zz.extra"] = (len(name).to_bytes(4, "little") + name
+                                   + (1).to_bytes(4, "little") + (2).to_bytes(8, "little")
+                                   + np.zeros(2).astype("<f8").tobytes())
+            h["tensor_count"] += 1
+        return h
+
+    HEADER_MUTATIONS = {
+        "tensor_count renamed": "'tensor_count'",
+        "tensor_count missing": "'tensor_count'",
+        "tensor_count a string": "'tensor_count'",
+        "config a list": "'config'",
+        "config missing": "'config'",
+        "config field unknown": "'config'.*foo",
+        "config field mistyped": "'config'",
+        "config invalid": "'config'.*heads",
+        "step a string": "'step'",
+        "step a float": "'step'",
+        "rng a string": "'rng'",
+        "rng empty": "'rng'",
+        "header a list": "header is a JSON list",
+        "scaler.mean missing": "missing tensor record 'scaler.mean'",
+        "scaler.std missing": "missing tensor record 'scaler.std'",
+        "unexpected record": "unexpected tensor record 'zz.extra'",
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
+    def test_header_schema_errors_name_the_field(self, tmp_path, mutation):
+        p = tmp_path / "m.sdgl"
+        self.save_fresh(p)
+        raw = p.read_bytes()
+        header, records = self.split_records(raw)
+        header = self.mutate_header(header, records, mutation)
+        p.write_bytes(self.join_records(raw, header, records))
+        with pytest.raises(checkpoint.CheckpointError,
+                           match=f"^{re.escape(str(p))}: .*{self.HEADER_MUTATIONS[mutation]}"):
             checkpoint.load(p)
 
     def test_unsupported_version(self, tmp_path):
