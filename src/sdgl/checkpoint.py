@@ -7,7 +7,8 @@ Little-endian binary layout:
     u64 + bytes  length-prefixed UTF-8 JSON header: config, step counter,
                  dropout RNG state, tensor count
     repeated     per-tensor record: u32 name length, name bytes, u32 rank,
-                 rank x u64 dims, row-major f64 payload
+                 rank x u64 dims, row-major f64 payload; nothing follows
+                 the last record
 
 Save followed by load reproduces forward outputs bit-identically.
 """
@@ -115,6 +116,9 @@ def load(path) -> Checkpoint:
             if not np.isfinite(data).all():
                 raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
             tensors[name] = data.astype(np.float64)
+        trailing = len(fh.read())
+        if trailing:
+            raise CheckpointError(f"{path}: {trailing} unexpected bytes after the last record")
 
     config = _field(header, "config", dict, path)
     try:
@@ -141,7 +145,7 @@ def load(path) -> Checkpoint:
                 f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
             )
     for name, t in state.items():
-        t.data = tensors[name].copy()
+        t.data = tensors[name]
     scaler = Scaler(tensors["scaler.mean"], tensors["scaler.std"])
     return Checkpoint(model=model, scaler=scaler, step=model.step_count)
 

@@ -214,7 +214,9 @@ def metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
     pc = p2 - p2.mean(axis=1, keepdims=True)
     tc = t2 - t2.mean(axis=1, keepdims=True)
     sp, st = (pc * pc).sum(axis=1), (tc * tc).sum(axis=1)
-    keep = (sp > 0) & (st > 0)
+    # a constant row can center to tiny nonzero values when its mean does not
+    # round back to the constant, so test the range rather than the variance
+    keep = (np.ptp(p2, axis=1) > 0) & (np.ptp(t2, axis=1) > 0)
     r = (pc * tc).sum(axis=1)[keep] / (np.sqrt(sp[keep]) * np.sqrt(st[keep]))
     corr = float(np.clip(r, -1.0, 1.0).mean()) if keep.any() else None
     return {"MAE": mae, "RMSE": rmse, "MAPE": mape, "RSE": rse, "CORR": corr}
@@ -359,17 +361,9 @@ def graph_recovery_score(learned: np.ndarray, truth: np.ndarray) -> float | None
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    # Mann-Whitney U via midranks (handles ties)
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = ranks[labels].sum()
+    # Mann-Whitney U via midranks: tied scores share the mean of their 1-based ranks
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    rank_sum = midranks[group][labels].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -37,7 +37,6 @@ class MixHopConv:
         if depth < 1:
             raise ValueError(f"propagation depth must be >= 1, got {depth}")
         self.depth = depth
-        self.channels = channels
         self.w_select = weight(rng, channels * (depth + 1), (channels, channels * (depth + 1)))
         self.bias = zeros((channels,))
 

@@ -31,7 +31,7 @@ from .static_graph import (
     graph_regularization_loss,
     momentum_update,
 )
-from .temporal import GatedTemporalLayer, MAX_KERNEL, layer_dilation, receptive_field
+from .temporal import GatedTemporalLayer, MAX_KERNEL, layer_dilation
 
 ABLATION_FLAGS = ("no_gloss", "no_dyadj", "no_ifm", "ifm_plus")
 
@@ -81,7 +81,9 @@ class ModelConfig:
             raise ConfigError(f"growth: dilation rate must exceed 1, got {self.growth}")
         if self.layers < 1:
             raise ConfigError(f"layers: need >= 1, got {self.layers}")
-        rf = receptive_field(MAX_KERNEL, self.growth, self.layers)
+        # each layer shortens time by its dilation * (MAX_KERNEL - 1); one step must remain
+        rf = 1 + (MAX_KERNEL - 1) * sum(layer_dilation(self.growth, j)
+                                        for j in range(1, self.layers + 1))
         if self.window < rf:
             raise ConfigError(
                 f"window: input length {self.window} shorter than receptive field {rf} "
@@ -172,8 +174,6 @@ class SDGLModel:
         self.skip_w: list[Tensor] = []
         self.gcn_static: list[MixHopConv] = []
         self.gcn_dynamic: list[MixHopConv] = []
-        self._layer_lengths: list[int] = []
-        t = h
         for j in range(1, config.layers + 1):
             dil = layer_dilation(config.growth, j)
             self.tcn_layers.append(GatedTemporalLayer(c, c, dil, rng))
@@ -181,9 +181,6 @@ class SDGLModel:
             self.skip_w.append(weight(rng, c, (c, c)))
             self.gcn_static.append(MixHopConv(c, config.depth, rng))
             self.gcn_dynamic.append(MixHopConv(c, config.depth, rng))
-            t -= dil * (MAX_KERNEL - 1)
-            self._layer_lengths.append(t)
-        self.final_length = t
 
         self.out_w1 = weight(rng, c, (c, c))
         self.out_b1 = zeros((c,))
@@ -244,11 +241,10 @@ class SDGLModel:
         hidden = ad.channel_map(ad.reshape(x, (b, 1, n, h)), self.start_w, self.start_b)
         skip_total: Tensor | None = None
         for j, layer in enumerate(self.tcn_layers):
-            t_out = self._layer_lengths[j]
             temporal = layer(hidden)
-            skip = ad.channel_map(temporal, self.skip_w[j])
-            if t_out > self.final_length:
-                skip = ad.narrow(skip, 3, t_out - self.final_length, self.final_length)
+            t_out = temporal.shape[3]
+            # the output head reads only the last step, so each skip maps only that step
+            skip = ad.channel_map(ad.narrow(temporal, 3, t_out - 1, 1), self.skip_w[j])
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
 
             z_static = self.gcn_static[j](temporal, static)
@@ -258,8 +254,7 @@ class SDGLModel:
             res_in = ad.narrow(hidden, 3, hidden.shape[3] - t_out, t_out)
             hidden = ad.add(fused, ad.channel_map(res_in, self.residual_w[j]))
 
-        last = ad.narrow(skip_total, 3, self.final_length - 1, 1)
-        h1 = ad.relu(ad.channel_map(last, self.out_w1, self.out_b1))
+        h1 = ad.relu(ad.channel_map(skip_total, self.out_w1, self.out_b1))
         y = ad.channel_map(h1, self.out_w2, self.out_b2)  # (B, L, N, 1)
         y = ad.transpose(ad.reshape(y, (b, cfg.horizon, n)))  # (B, N, L)
         return ForwardResult(prediction=y, static_graph=static, dynamic_graphs=dynamic, reg_loss=reg)
@@ -273,13 +268,15 @@ def hybrid_loss(pred: Tensor, target: Tensor, reg_loss: Tensor, lambda_reg: floa
     return ad.add(mae, ad.scale(reg_loss, lambda_reg))
 
 
-class SGD:
-    """Plain gradient descent with global gradient-norm clipping."""
+CLIP_NORM = 5.0  # largest global gradient norm an SGD step applies
 
-    def __init__(self, params: dict[str, Tensor], lr: float, clip_norm: float = 5.0):
+
+class SGD:
+    """Plain gradient descent with global gradient-norm clipping at CLIP_NORM."""
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.clip_norm = clip_norm
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -291,7 +288,7 @@ class SGD:
             if p.grad is not None:
                 sq += float((p.grad**2).sum())
         norm = math.sqrt(sq)
-        coef = 1.0 if norm <= self.clip_norm else self.clip_norm / norm
+        coef = 1.0 if norm <= CLIP_NORM else CLIP_NORM / norm
         for p in self.params.values():
             if p.grad is not None:
                 p.data = p.data - self.lr * coef * p.grad

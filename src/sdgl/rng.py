@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-ALGORITHM = "philox4x64"
-
 
 class RngState:
     """Seeded random source for initialization and dropout masks."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self.algorithm = ALGORITHM
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
     def random(self, shape=None) -> np.ndarray:

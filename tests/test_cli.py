@@ -211,6 +211,18 @@ class TestEval:
             [line] = error_lines(caplog)
             assert line.startswith(f"{bad}: ") and "\n" not in line, line
 
+    @pytest.mark.parametrize("extra", [1, 22])
+    def test_trailing_bytes_after_checkpoint(self, synth_dir, train_dir, tmp_path, caplog, extra):
+        bad = tmp_path / "c.sdgl"
+        bad.write_bytes((train_dir / "checkpoint.sdgl").read_bytes() + b"\x00" * extra)
+        code = main([
+            "eval", "--checkpoint", str(bad),
+            "--data", str(synth_dir / "data.csv"), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == EXIT_RUNTIME == 1
+        [line] = error_lines(caplog)
+        assert line == f"{bad}: {extra} unexpected bytes after the last record", line
+
     @pytest.mark.parametrize("field,value,named", [
         ("tensor_count", None, "header field 'tensor_count'"),
         ("step", "3", "header field 'step'"),

@@ -220,6 +220,20 @@ class TestMetrics:
         kept = [np.corrcoef(pred[:, i].ravel(), truth[:, i].ravel())[0, 1] for i in (0, 2)]
         assert corr == pytest.approx(np.mean(kept), abs=1e-12)
 
+    def test_constant_forecast_excluded_whatever_its_value(self):
+        # the mean of 100 copies of 0.1 or 0.3 does not round back to the
+        # constant, so centering leaves tiny nonzero values in the row
+        rng = np.random.default_rng(6)
+        pred = rng.normal(size=(100, 3, 1))
+        truth = pred + 0.5 * rng.normal(size=(100, 3, 1))
+
+        def corr_with_constant_node(value):
+            p = pred.copy()
+            p[:, 1, :] = value
+            return metrics(p, truth)["CORR"]
+
+        assert corr_with_constant_node(0.1) == corr_with_constant_node(0.3) == corr_with_constant_node(2.5)
+
     def test_all_constant_nodes_give_undefined_corr(self):
         truth = np.random.default_rng(4).normal(size=(6, 3, 2))
         assert metrics(np.full((6, 3, 2), 4.0), truth)["CORR"] is None
@@ -330,6 +344,24 @@ def pairwise_auc(scores, labels):
     return wins / total
 
 
+def loop_midrank_auc(scores, labels):
+    """AUC from midranks found by walking runs of tied sorted scores."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
 class TestGraphRecoveryScore:
     def test_truth_as_scores_is_perfect(self):
         truth = np.zeros((5, 5))
@@ -356,6 +388,17 @@ class TestGraphRecoveryScore:
         want = pairwise_auc(learned[off], truth[off] > 0)
         got = graph_recovery_score(learned, truth)
         assert got == pytest.approx(want, abs=1e-12)
+
+    def test_tied_scores_match_midrank_loop(self):
+        rng = np.random.default_rng(0)
+        for trial in range(200):
+            n = int(rng.integers(3, 9))
+            truth = (rng.random((n, n)) < 0.4).astype(float)
+            truth[0, 1], truth[1, 0] = 1.0, 0.0  # at least one edge and one non-edge
+            learned = rng.integers(0, 4, size=(n, n)) / 4.0  # few distinct values: many ties
+            off = ~np.eye(n, dtype=bool)
+            want = loop_midrank_auc(learned[off], truth[off] > 0)
+            assert graph_recovery_score(learned, truth) == want, trial
 
     def test_degenerate_truth_undefined(self):
         n = 4

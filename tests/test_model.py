@@ -84,6 +84,42 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match=field):
             cfg.validate()
 
+    def test_window_bound_follows_floored_dilations(self):
+        # growth 1.5 floors the dilations to 1, 1, 2, so three layers shorten
+        # time by 6 * (1 + 1 + 2) = 24: window 25 leaves exactly one step
+        model = SDGLModel(tiny_config(growth=1.5, layers=3, window=25))
+        lengths = []
+
+        def recording(layer):
+            def run(hidden):
+                out = layer(hidden)
+                lengths.append(out.shape[3])
+                return out
+            return run
+
+        model.tcn_layers = [recording(layer) for layer in model.tcn_layers]
+        out = model.forward(np.random.default_rng(0).normal(size=(2, 4, 25)))
+        assert lengths == [19, 13, 1]
+        assert out.prediction.shape == (2, 4, 3)
+        with pytest.raises(ConfigError, match="window"):
+            tiny_config(growth=1.5, layers=3, window=24).validate()
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("growth", [1.5, 2.0, 2.5, 3.0])
+    def test_window_bound_is_what_the_built_layers_need(self, growth, layers):
+        roomy = SDGLModel(tiny_config(growth=growth, layers=layers, window=1000))
+        bound = 1 + 6 * sum(layer.filter_bank.dilation for layer in roomy.tcn_layers)
+        with pytest.raises(ConfigError, match="window"):
+            tiny_config(growth=growth, layers=layers, window=bound - 1).validate()
+        model = SDGLModel(tiny_config(growth=growth, layers=layers, window=bound))
+        assert model.forward(np.zeros((1, 4, bound))).prediction.shape == (1, 4, 3)
+
+    @pytest.mark.parametrize("layers,bound", [(1, 7), (2, 19), (3, 43)])
+    def test_window_bound_at_growth_two(self, layers, bound):
+        tiny_config(layers=layers, window=bound).validate()
+        with pytest.raises(ConfigError, match="window"):
+            tiny_config(layers=layers, window=bound - 1).validate()
+
     def test_head_dim_divisibility(self):
         with pytest.raises(ConfigError, match="divisible"):
             tiny_config(embed_dim=9, heads=2).validate()
@@ -165,7 +201,7 @@ class TestSGD:
     def test_clipping_rescales_global_norm(self):
         p = Tensor(np.zeros(4), requires_grad=True)
         p.grad = np.full(4, 10.0)  # norm 20 > clip 5
-        SGD({"p": p}, lr=1.0, clip_norm=5.0).step()
+        SGD({"p": p}, lr=1.0).step()
         np.testing.assert_allclose(np.linalg.norm(p.data), 5.0, atol=1e-12)
 
 
@@ -398,6 +434,15 @@ class TestCheckpoint:
         with pytest.raises(checkpoint.CheckpointError) as exc:
             checkpoint.load(p)
         assert str(exc.value).startswith(f"{p}: truncated in {what}:")
+
+    @pytest.mark.parametrize("extra", [1, 22])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        p = tmp_path / "m.sdgl"
+        self.save_fresh(p)
+        p.write_bytes(p.read_bytes() + b"\x07" * extra)
+        with pytest.raises(checkpoint.CheckpointError) as exc:
+            checkpoint.load(p)
+        assert str(exc.value) == f"{p}: {extra} unexpected bytes after the last record"
 
     def test_non_finite_payload_rejected(self, tmp_path):
         p = tmp_path / "m.sdgl"
