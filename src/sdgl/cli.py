@@ -3,6 +3,9 @@
 Configuration precedence is flags > config file > built-in defaults; every
 command writes a manifest with the effective configuration, a dataset
 fingerprint and wall-clock timings, sufficient to reproduce the run.
+A command only checks its inputs and computes its results in memory;
+``_write_outputs`` then puts its files in place, so a failed command leaves
+no output behind.
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
@@ -15,6 +18,7 @@ import logging
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -56,9 +60,21 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, data_path,
-                    outputs: dict, started: float) -> Path:
-    manifest = {
+def _text(content: str):
+    """A writer that puts ``content`` in the file at its path."""
+    return lambda path: path.write_text(content, encoding="utf-8")
+
+
+def _write_outputs(out_dir: Path, command: str, config: dict, data_path, files: dict,
+                   seconds: float) -> None:
+    """Put ``files`` ({output key: (file name, writer)}) and the manifest in ``out_dir``.
+
+    Each writer fills a temporary path in ``out_dir``. Only after all of them
+    have succeeded is each temporary renamed over its file name, the manifest
+    last. On any failure the temporaries, the files already renamed and the
+    directories this call made are removed, and the error propagates.
+    """
+    manifest = json.dumps({
         "command": command,
         "argv": sys.argv[1:],
         "config": config,
@@ -66,12 +82,28 @@ def _write_manifest(out_dir: Path, command: str, config: dict, data_path,
             "path": str(data_path),
             "sha256": _sha256(data_path),
         },
-        "outputs": {k: str(v) for k, v in outputs.items()},
-        "wall_clock_seconds": time.time() - started,
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return path
+        "outputs": {key: str(out_dir / name) for key, (name, _) in files.items()},
+        "wall_clock_seconds": seconds,
+    }, indent=2, sort_keys=True)
+    jobs = [(out_dir / name, write) for name, write in files.values()]
+    jobs.append((out_dir / "manifest.json", _text(manifest)))
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    on_disk: list[Path] = []  # what this call has put in out_dir so far
+    try:
+        for path, write in jobs:
+            on_disk.append(path.with_name(f".{path.name}.tmp"))
+            write(on_disk[-1])
+        for k, (path, _) in enumerate(jobs):
+            os.replace(on_disk[k], path)
+            on_disk[k] = path
+    except BaseException:
+        for path in on_disk:
+            path.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
+        raise
+    log.info("%s: wrote %d files to %s", command, len(jobs), out_dir)
 
 
 def _build_config(args, n_nodes: int) -> ModelConfig:
@@ -85,19 +117,10 @@ def _build_config(args, n_nodes: int) -> ModelConfig:
             raise ConfigError(f"config file {args.config}: expected a JSON object, "
                               f"got {type(loaded).__name__}")
         settings.update(loaded)
-    overrides = {
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "lambda_reg": getattr(args, "lambda_reg", None),
-        "gamma": args.gamma,
-        "momentum": args.momentum,
-        "heads": args.heads,
-        "layers": args.layers,
-        "horizon": args.horizon,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = value
+    for key in ("seed", "epochs", "lambda_reg", "gamma", "momentum", "heads", "layers",
+                "horizon"):
+        if getattr(args, key) is not None:  # each flag's dest is its config field
+            settings[key] = getattr(args, key)
     if args.ablate:
         settings["ablation"] = list(args.ablate)
     settings["n_nodes"] = n_nodes
@@ -133,36 +156,25 @@ def _load_checkpoint_and_data(args):
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+_EPOCH_COLUMNS = ("train_loss", "val_MAE", "val_RMSE", "val_MAPE")
+
+
+def cmd_train(args) -> tuple[dict, Path | None, dict]:
     data_path = _require_file(args.data)
     dataset = load_csv(data_path)
     config = _build_config(args, dataset.n_nodes)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    epochs_log = out_dir / "epochs.csv"
-    with open(epochs_log, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_MAE,val_RMSE,val_MAPE\n")
-
-        def record(row):
-            log.info("epoch %d: train_loss=%.6f val_MAE=%.6f",
-                     row["epoch"], row["train_loss"], row["val_MAE"])
-            cells = [str(row["epoch"])] + [
-                "" if row[k] is None else _fmt(row[k])
-                for k in ("train_loss", "val_MAE", "val_RMSE", "val_MAPE")
-            ]
-            fh.write(",".join(cells) + "\n")
-            fh.flush()
-
-        result = train(dataset, config, log=record)
-
-    ckpt_path = out_dir / "checkpoint.sdgl"
-    ckpt.save(ckpt_path, result.model, result.scaler)
-    _write_manifest(out_dir, "train", config.to_dict(), data_path,
-                    {"checkpoint": ckpt_path, "epochs_log": epochs_log}, started)
-    log.info("checkpoint written to %s", ckpt_path)
-    return EXIT_OK
+    result = train(dataset, config, log=lambda row: log.info(
+        "epoch %d: %s", row["epoch"], " ".join(f"{k}={row[k]}" for k in _EPOCH_COLUMNS)))
+    lines = ["epoch," + ",".join(_EPOCH_COLUMNS)] + [
+        ",".join([str(row["epoch"])] + ["" if row[k] is None else _fmt(row[k])
+                                        for k in _EPOCH_COLUMNS])
+        for row in result.history
+    ]
+    return config.to_dict(), data_path, {
+        "checkpoint": ("checkpoint.sdgl",
+                       lambda path: ckpt.save(path, result.model, result.scaler)),
+        "epochs_log": ("epochs.csv", _text("".join(line + "\n" for line in lines))),
+    }
 
 
 def _metrics_lines(report: dict) -> list[str]:
@@ -175,8 +187,7 @@ def _metrics_lines(report: dict) -> list[str]:
     return lines
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
+def cmd_eval(args) -> tuple[dict, Path | None, dict]:
     data_path, dataset, model, scaler = _load_checkpoint_and_data(args)
     if args.split == "all":
         windows = make_windows(dataset.values, model.config.window, model.config.horizon)
@@ -184,35 +195,17 @@ def cmd_eval(args) -> int:
         windows = getattr(window_split(dataset, model.config.window, model.config.horizon),
                           args.split)
     report = evaluate(model, scaler, windows)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / "metrics.json"
-    text_path = out_dir / "metrics.txt"
-    json_path.write_text(json.dumps(report, indent=2, sort_keys=True))
-    text_path.write_text("\n".join(_metrics_lines(report)) + "\n")
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("\n".join(_metrics_lines(report)))
-    _write_manifest(out_dir, "eval", model.config.to_dict(), data_path,
-                    {"metrics_json": json_path, "metrics_text": text_path}, started)
-    return EXIT_OK
+    report_json = json.dumps(report, indent=2, sort_keys=True)
+    text = "\n".join(_metrics_lines(report))
+    print(report_json if args.format == "json" else text)
+    return model.config.to_dict(), data_path, {
+        "metrics_json": ("metrics.json", _text(report_json)),
+        "metrics_text": ("metrics.txt", _text(text + "\n")),
+    }
 
 
-def cmd_export_graphs(args) -> int:
-    started = time.time()
+def cmd_export_graphs(args) -> tuple[dict, Path | None, dict]:
     data_path, dataset, model, scaler = _load_checkpoint_and_data(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header = [f"node_{i}" for i in range(model.config.n_nodes)]
-
-    outputs = {}
-    static = build_static_graph(model.embeddings.m_static).values.data
-    static_path = out_dir / "static_adjacency.csv"
-    save_csv(static_path, static, header)
-    outputs["static"] = static_path
-
     windows = make_windows(dataset.values, model.config.window, model.config.horizon)
     indices = args.windows or []
     for idx in indices:
@@ -220,31 +213,26 @@ def cmd_export_graphs(args) -> int:
             raise ConfigError(
                 f"window index {idx} out of range [0, {len(windows) - 1}]"
             )
+    if indices and "no_dyadj" in model.config.ablation:
+        raise ConfigError(
+            "checkpoint was trained without the dynamic branch; "
+            "no dynamic matrices to export"
+        )
+
+    header = [f"node_{i}" for i in range(model.config.n_nodes)]
+    static = build_static_graph(model.embeddings.m_static).values.data
+    files = {"static": ("static_adjacency.csv", partial(save_csv, values=static, header=header))}
     if indices:
-        if "no_dyadj" in model.config.ablation:
-            raise ConfigError(
-                "checkpoint was trained without the dynamic branch; "
-                "no dynamic matrices to export"
-            )
         batch = scaler.transform_windows(windows.inputs[indices])
-        out = model.forward(batch, training=False)
-        for pos, idx in enumerate(indices):
-            path = out_dir / f"dynamic_adjacency_{idx:06d}.csv"
-            save_csv(path, out.dynamic_graphs.values.data[pos], header)
-            outputs[f"dynamic_{idx}"] = path
-
+        dynamic = model.forward(batch, training=False).dynamic_graphs.values.data
+        for idx, matrix in zip(indices, dynamic):
+            files[f"dynamic_{idx}"] = (f"dynamic_adjacency_{idx:06d}.csv",
+                                       partial(save_csv, values=matrix, header=header))
     if args.threshold is not None:
-        edge_path = out_dir / "static_edges.csv"
-        with open(edge_path, "w", encoding="utf-8") as fh:
-            fh.write("source,target,weight\n")
-            for i, j in zip(*(static > args.threshold).nonzero()):
-                fh.write(f"{i},{j},{_fmt(static[i, j])}\n")
-        outputs["edges"] = edge_path
-
-    _write_manifest(out_dir, "export-graphs", model.config.to_dict(), data_path,
-                    outputs, started)
-    log.info("exported %d files to %s", len(outputs), out_dir)
-    return EXIT_OK
+        edges = [f"{i},{j},{_fmt(static[i, j])}\n"
+                 for i, j in zip(*(static > args.threshold).nonzero())]
+        files["edges"] = ("static_edges.csv", _text("source,target,weight\n" + "".join(edges)))
+    return model.config.to_dict(), data_path, files
 
 
 def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
@@ -260,8 +248,7 @@ def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
+def cmd_synth(args) -> tuple[dict, Path | None, dict]:
     spec = PlantedGraphSpec(
         n_nodes=args.nodes,
         edge_prob=args.edge_prob,
@@ -272,31 +259,22 @@ def cmd_synth(args) -> int:
         switch_fraction=args.switch_fraction,
     )
     result = synth_generate(spec, args.steps, args.seed if args.seed is not None else 0)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    data_path = out_dir / "data.csv"
-    truth_path = out_dir / "truth_adjacency.csv"
-    save_csv(data_path, result.dataset.values)
-    save_csv(truth_path, result.adjacency)
-    outputs = {"data": data_path, "truth": truth_path}
+    files = {
+        "data": ("data.csv", partial(save_csv, values=result.dataset.values)),
+        "truth": ("truth_adjacency.csv", partial(save_csv, values=result.adjacency)),
+    }
     if result.secondary_adjacency is not None:
-        secondary_path = out_dir / "secondary_adjacency.csv"
-        save_csv(secondary_path, result.secondary_adjacency)
-        outputs["secondary"] = secondary_path
-    schedule_path = out_dir / "schedule.json"
-    schedule_path.write_text(json.dumps({"switch_intervals": list(map(list, result.schedule))}))
-    outputs["schedule"] = schedule_path
-
+        files["secondary"] = ("secondary_adjacency.csv",
+                              partial(save_csv, values=result.secondary_adjacency))
+    files["schedule"] = ("schedule.json", _text(
+        json.dumps({"switch_intervals": list(map(list, result.schedule))})))
     spec_dict = {
         "nodes": args.nodes, "steps": args.steps, "seed": args.seed,
         "edge_prob": args.edge_prob, "alpha": args.alpha, "period": args.period,
         "noise": args.noise, "switch": args.switch,
         "switch_fraction": args.switch_fraction,
     }
-    _write_manifest(out_dir, "synth", spec_dict, None, outputs, started)
-    log.info("synthetic dataset written to %s", data_path)
-    return EXIT_OK
+    return spec_dict, None, files
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -360,16 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.fn(args)
+        config, data_path, files = args.fn(args)
+        _write_outputs(Path(args.out_dir), args.command, config, data_path, files,
+                       time.time() - started)
     except (ConfigError, ParseError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
     except (DivergenceError, GenerationError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -38,6 +39,19 @@ ABLATION_FLAGS = ("no_gloss", "no_dyadj", "no_ifm", "ifm_plus")
 
 class DivergenceError(RuntimeError):
     """Training loss became non-finite."""
+
+
+class SettingTypeError(ConfigError, TypeError):
+    """A setting is not of its field's type: an integer, or a finite real number."""
+
+
+# the least value of each integer setting (head_dim may also be None), and the
+# settings that take any real number before their own range checks
+_INT_LOWER_BOUNDS = {
+    "n_nodes": 2, "window": 1, "horizon": 1, "embed_dim": 1, "head_dim": 1, "heads": 1,
+    "layers": 1, "depth": 1, "channels": 4, "batch_size": 1, "epochs": 0, "seed": 0,
+}
+_REAL_FIELDS = ("growth", "lambda_reg", "gamma", "momentum", "dropout_keep", "learning_rate")
 
 
 @dataclass
@@ -75,12 +89,21 @@ class ModelConfig:
         return self.embed_dim // self.heads
 
     def validate(self) -> None:
-        if self.n_nodes < 2:
-            raise ConfigError(f"n_nodes: need >= 2, got {self.n_nodes}")
+        for name, least in _INT_LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if name == "head_dim" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SettingTypeError(f"{name}: need an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name}: need >= {least}, got {value}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise SettingTypeError(f"{name}: need a finite number, got {value!r}")
         if self.growth <= 1:
             raise ConfigError(f"growth: dilation rate must exceed 1, got {self.growth}")
-        if self.layers < 1:
-            raise ConfigError(f"layers: need >= 1, got {self.layers}")
         # each layer shortens time by its dilation * (MAX_KERNEL - 1); one step must remain
         rf = 1 + (MAX_KERNEL - 1) * sum(layer_dilation(self.growth, j)
                                         for j in range(1, self.layers + 1))
@@ -89,12 +112,8 @@ class ModelConfig:
                 f"window: input length {self.window} shorter than receptive field {rf} "
                 f"(c={MAX_KERNEL}, q={self.growth}, k={self.layers})"
             )
-        if self.horizon < 1:
-            raise ConfigError(f"horizon: need >= 1, got {self.horizon}")
         if self.channels % 4 != 0:
             raise ConfigError(f"channels: must be divisible by 4, got {self.channels}")
-        if self.depth < 1:
-            raise ConfigError(f"depth: need >= 1, got {self.depth}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum: must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.dropout_keep <= 1.0:
@@ -105,19 +124,11 @@ class ModelConfig:
             raise ConfigError(f"gamma: must be >= 0, got {self.gamma}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate: must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         for flag in self.ablation:
             if flag not in ABLATION_FLAGS:
                 raise ConfigError(f"ablation: unknown flag {flag!r} (choices: {ABLATION_FLAGS})")
         if "no_ifm" in self.ablation and "ifm_plus" in self.ablation:
             raise ConfigError("ablation: no_ifm and ifm_plus exclude each other")
-        if self.embed_dim < 1:
-            raise ConfigError(f"embed_dim: need >= 1, got {self.embed_dim}")
-        if self.heads < 1:
-            raise ConfigError(f"heads: need >= 1, got {self.heads}")
-        if self.head_dim is not None and self.head_dim < 1:
-            raise ConfigError(f"head_dim: need >= 1, got {self.head_dim}")
         self.resolved_head_dim()
 
     def to_dict(self) -> dict:
@@ -282,7 +293,8 @@ class SGD:
         for p in self.params.values():
             p.grad = None
 
-    def step(self) -> None:
+    def step(self) -> float:
+        """Apply one clipped step; returns the global gradient norm before clipping."""
         sq = 0.0
         for p in self.params.values():
             if p.grad is not None:
@@ -292,6 +304,7 @@ class SGD:
         for p in self.params.values():
             if p.grad is not None:
                 p.data = p.data - self.lr * coef * p.grad
+        return norm
 
 
 @dataclass
@@ -339,7 +352,7 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
     shuffle_rng = RngState(config.seed).spawn(2)
 
     history: list[dict] = []
-    last_finite = None
+    last_finite = last_norm = None
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(splits.train))
         losses = []
@@ -354,13 +367,14 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
             value = loss.item()
             if not math.isfinite(value):
                 raise DivergenceError(
-                    f"loss became non-finite at epoch {epoch + 1}; "
-                    f"last finite loss was {last_finite}"
+                    f"loss became non-finite at epoch {epoch + 1}, batch "
+                    f"{i // config.batch_size + 1}; last finite loss was {last_finite}, "
+                    f"last gradient norm before clipping was {last_norm}"
                 )
             last_finite = value
             opt.zero_grad()
             t.backward(loss)
-            opt.step()
+            last_norm = opt.step()
             momentum_update(model.embeddings)
             model.step_count += 1
             losses.append(value)

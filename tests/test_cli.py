@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from sdgl import checkpoint
 from sdgl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from sdgl.data import load_csv
 
@@ -121,7 +122,11 @@ class TestTrain:
     def test_malformed_config_file(self, synth_dir, tmp_path, caplog):
         bad = tmp_path / "bad.json"
         out = tmp_path / "run"
-        for text in ("{not json", '{"foo": 1}', "[1, 2]", '{"heads": "4"}'):
+        for text in ("{not json", '{"foo": 1}', "[1, 2]", '{"heads": "4"}',
+                     '{"channels": 16.0}', '{"epochs": 1.0}', '{"window": 19.0}',
+                     '{"heads": 2.0, "embed_dim": 8}', '{"batch_size": 8.0}',
+                     '{"horizon": 3.0}', '{"layers": true}', '{"head_dim": 2.5}',
+                     '{"momentum": "0.5"}', '{"dropout_keep": true}', '{"gamma": NaN}'):
             caplog.clear()
             bad.write_text(text)
             assert main(["train", "--data", str(synth_dir / "data.csv"),
@@ -129,6 +134,46 @@ class TestTrain:
             [line] = error_lines(caplog)
             assert line.startswith(f"config file {bad}: ") and "\n" not in line, line
             assert not out.exists()
+
+    def test_data_too_short_writes_nothing(self, tmp_path, caplog):
+        assert main(["synth", "--nodes", "4", "--steps", "30",
+                     "--out-dir", str(tmp_path / "synth")]) == EXIT_OK
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(tmp_path / "synth" / "data.csv"),
+                     "--out-dir", str(out)]) == EXIT_USAGE
+        [line] = error_lines(caplog)
+        assert "train split" in line and "\n" not in line, line
+        assert not out.exists()
+
+    def test_divergence_writes_nothing(self, synth_dir, tmp_path, caplog):
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({"learning_rate": 1e160, "epochs": 3, "embed_dim": 8,
+                                   "heads": 2, "channels": 8, "batch_size": 16}))
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", str(synth_dir / "data.csv"),
+                         "--config", str(cfg), "--out-dir", str(out)])
+        assert code == EXIT_RUNTIME
+        [line] = error_lines(caplog)
+        assert "last finite loss" in line and "\n" not in line, line
+        assert not out.exists()
+
+    def test_failing_writer_leaves_nothing(self, synth_dir, small_config, tmp_path,
+                                           monkeypatch, caplog):
+        def save(path, model, scaler):
+            path.write_bytes(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint, "save", save)
+        fresh, existing = tmp_path / "new" / "run", tmp_path / "existing"
+        existing.mkdir()
+        for out in (fresh, existing):
+            caplog.clear()
+            assert main(["train", "--data", str(synth_dir / "data.csv"),
+                         "--config", str(small_config), "--out-dir", str(out)]) == EXIT_RUNTIME
+            assert error_lines(caplog) == ["disk full"]
+        assert not fresh.parent.exists()
+        assert list(existing.iterdir()) == []
 
     def test_invalid_hyperparameter(self, synth_dir, tmp_path):
         assert main(["train", "--data", str(synth_dir / "data.csv"),
@@ -277,9 +322,10 @@ class TestExportGraphs:
         code = main([
             "export-graphs", "--checkpoint", str(train_dir / "checkpoint.sdgl"),
             "--data", str(synth_dir / "data.csv"),
-            "--windows", "100000", "--out-dir", str(tmp_path),
+            "--windows", "100000", "--out-dir", str(tmp_path / "graphs"),
         ])
         assert code == EXIT_USAGE
+        assert not (tmp_path / "graphs").exists()
 
     def test_no_dynamic_branch_checkpoint(self, synth_dir, small_config, tmp_path):
         run = tmp_path / "run"
@@ -292,6 +338,7 @@ class TestExportGraphs:
         code = main([
             "export-graphs", "--checkpoint", str(run / "checkpoint.sdgl"),
             "--data", str(synth_dir / "data.csv"),
-            "--windows", "0", "--out-dir", str(tmp_path),
+            "--windows", "0", "--out-dir", str(tmp_path / "graphs"),
         ])
         assert code == EXIT_USAGE
+        assert not (tmp_path / "graphs").exists()

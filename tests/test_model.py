@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import platform
 import re
@@ -77,6 +78,16 @@ class TestModelConfig:
             (dict(heads=-1), "heads"),
             (dict(embed_dim=0), "embed_dim"),
             (dict(head_dim=0), "head_dim"),
+            (dict(channels=0), "channels"),
+            (dict(batch_size=0), "batch_size"),
+            (dict(epochs=-1), "epochs"),
+            (dict(seed=-1), "seed"),
+            (dict(channels=16.0), "channels"),
+            (dict(layers=True), "layers"),
+            (dict(head_dim=2.0), "head_dim"),
+            (dict(growth="2"), "growth"),
+            (dict(dropout_keep=False), "dropout_keep"),
+            (dict(learning_rate=float("inf")), "learning_rate"),
         ],
     )
     def test_rejections_name_the_field(self, overrides, field):
@@ -245,8 +256,15 @@ class TestTraining:
 
     def test_divergence_reports_last_finite_loss(self):
         ds = tiny_dataset(seed=5)
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="last finite loss"):
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
             train(ds, tiny_config(learning_rate=1e160, epochs=5))
+        found = re.fullmatch(
+            r"loss became non-finite at epoch (\d+), batch (\d+); last finite loss was "
+            r"(\S+), last gradient norm before clipping was (\S+)", str(exc.value))
+        assert found, str(exc.value)
+        epoch, batch = int(found[1]), int(found[2])
+        assert epoch >= 1 and 1 <= batch <= 8  # 8 batches of 8 in the 59 training windows
+        assert math.isfinite(float(found[3])) and float(found[4]) > 0
 
     def test_history_records_validation_metrics(self):
         out = train(tiny_dataset(seed=6), tiny_config(epochs=2))
