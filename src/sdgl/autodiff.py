@@ -261,22 +261,18 @@ def row_softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def layer_norm(
-    a: Tensor,
-    gain: Tensor | None = None,
-    bias: Tensor | None = None,
-    eps: float = 1e-5,
-) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     """Normalize over the last axis; optional learnable per-feature affine.
 
-    The variance is floored at eps^2 so output rows have exactly unit
-    variance whenever the input row varies at all, while a constant (or
+    The variance is floored at eps^2 (eps = 1e-5) so output rows have exactly
+    unit variance whenever the input row varies at all, while a constant (or
     all-zero) row maps to zero instead of dividing by zero.
     """
+    floor = 1e-5 * 1e-5
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    guarded = var <= eps * eps
-    inv = 1.0 / np.sqrt(np.maximum(var, eps * eps))
+    guarded = var <= floor
+    inv = 1.0 / np.sqrt(np.maximum(var, floor))
     xhat = (a.data - mu) * inv
 
     def backward(g):

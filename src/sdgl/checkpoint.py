@@ -6,8 +6,8 @@ Little-endian binary layout:
     u32          format version (currently 1)
     u64 + bytes  length-prefixed UTF-8 JSON header: config, step counter,
                  dropout RNG state, tensor count
-    repeated     per-tensor record: u32 name length, name bytes, u32 rank,
-                 rank x u64 dims, row-major f64 payload; nothing follows
+    repeated     per-tensor record: u32 name length, name bytes, u32 rank
+                 (at most 32), rank x u64 dims, row-major f64 payload; nothing follows
                  the last record
 
 Save followed by load reproduces forward outputs bit-identically.
@@ -16,6 +16,8 @@ Save followed by load reproduces forward outputs bit-identically.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -37,7 +39,6 @@ class CheckpointError(ValueError):
 class Checkpoint:
     model: SDGLModel
     scaler: Scaler
-    step: int
 
 
 def save(path, model: SDGLModel, scaler: Scaler) -> None:
@@ -47,11 +48,12 @@ def save(path, model: SDGLModel, scaler: Scaler) -> None:
     header = {
         "config": model.config.to_dict(),
         "step": model.step_count,
-        "rng": _encode_rng_state(model.dropout_rng.get_state()),
-        "rng_seed": model.dropout_rng.seed,
+        "rng": model.dropout_rng.get_state(),
         "tensor_count": len(tensors),
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    # the Philox state holds ndarrays besides plain JSON values
+    blob = json.dumps(header, sort_keys=True, default=lambda a: {
+        "__ndarray__": a.tolist(), "dtype": str(a.dtype)}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -69,12 +71,11 @@ def save(path, model: SDGLModel, scaler: Scaler) -> None:
 
 
 def _read(fh, size: int, path, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise CheckpointError(
-            f"{path}: truncated in {what}: needs {size} bytes, {len(data)} left"
-        )
-    return data
+    """The next ``size`` bytes; a size beyond the end of the file is never read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise CheckpointError(f"{path}: truncated in {what}: needs {size} bytes, {left} left")
+    return fh.read(size)
 
 
 def _unpack(fh, fmt: str, path, what: str) -> int:
@@ -104,18 +105,20 @@ def load(path) -> Checkpoint:
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, "
                                   "not an object")
-        tensors: dict[str, np.ndarray] = {}
+        # name -> (dims, flat values), reshaped only once the dims are the expected ones
+        tensors: dict[str, tuple[tuple[int, ...], np.ndarray]] = {}
         for k in range(_field(header, "tensor_count", int, path)):
             nlen = _unpack(fh, "<I", path, f"name length of record {k}")
             name = _read(fh, nlen, path, f"name of record {k}").decode("utf-8", "replace")
             rank = _unpack(fh, "<I", path, f"rank of tensor {name!r}")
+            if rank > 32:  # numpy before 2.0 allows at most 32 axes
+                raise CheckpointError(f"{path}: tensor {name!r} has rank {rank}, more than 32")
             dims = tuple(_unpack(fh, "<Q", path, f"shape of tensor {name!r}") for _ in range(rank))
-            count = int(np.prod(dims)) if dims else 1
-            payload = _read(fh, count * 8, path, f"tensor {name!r}")
-            data = np.frombuffer(payload, dtype="<f8").reshape(dims)
+            payload = _read(fh, math.prod(dims) * 8, path, f"tensor {name!r}")
+            data = np.frombuffer(payload, dtype="<f8")
             if not np.isfinite(data).all():
                 raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
-            tensors[name] = data.astype(np.float64)
+            tensors[name] = dims, data.astype(np.float64)
         trailing = len(fh.read())
         if trailing:
             raise CheckpointError(f"{path}: {trailing} unexpected bytes after the last record")
@@ -127,9 +130,11 @@ def load(path) -> Checkpoint:
         raise CheckpointError(f"{path}: header field 'config': {exc}") from None
     model.step_count = _field(header, "step", int, path)
     rng = _field(header, "rng", dict, path)
+    # a damaged state fails in numpy's dtype parser (SyntaxError, TypeError), array
+    # conversion (OverflowError, ValueError) or Philox state setter (IndexError, ...)
     try:
         model.dropout_rng.set_state(_decode_rng_state(rng))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, LookupError, SyntaxError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: header field 'rng': {exc!r}") from None
     state = model.state_tensors()
     expected = {name: t.data.shape for name, t in state.items()}
@@ -140,29 +145,15 @@ def load(path) -> Checkpoint:
     for name, shape in expected.items():
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor record {name!r}")
-        if tensors[name].shape != shape:
+        if tensors[name][0] != shape:
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
+                f"{path}: tensor {name!r} has shape {tensors[name][0]}, expected {shape}"
             )
+    values = {name: data.reshape(dims) for name, (dims, data) in tensors.items()}
     for name, t in state.items():
-        t.data = tensors[name]
-    scaler = Scaler(tensors["scaler.mean"], tensors["scaler.std"])
-    return Checkpoint(model=model, scaler=scaler, step=model.step_count)
-
-
-def _encode_rng_state(state: dict) -> dict:
-    """Philox state contains numpy integer arrays; make it JSON-safe."""
-
-    def enc(v):
-        if isinstance(v, dict):
-            return {k: enc(x) for k, x in v.items()}
-        if isinstance(v, np.ndarray):
-            return {"__ndarray__": v.tolist(), "dtype": str(v.dtype)}
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        return v
-
-    return enc(state)
+        t.data = values[name]
+    scaler = Scaler(values["scaler.mean"], values["scaler.std"])
+    return Checkpoint(model=model, scaler=scaler)
 
 
 def _decode_rng_state(state: dict):

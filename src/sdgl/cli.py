@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -107,28 +108,35 @@ def _write_outputs(out_dir: Path, command: str, config: dict, data_path, files: 
 
 
 def _build_config(args, n_nodes: int) -> ModelConfig:
+    """Flags over the config file over defaults; ``n_nodes`` is the dataset's.
+
+    An error is prefixed with the config file when the setting it names (its
+    first word) came from the file, that is was set there and not by a flag.
+    """
     settings: dict = {}
     if args.config:
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            settings = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(settings, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object, "
-                              f"got {type(loaded).__name__}")
-        settings.update(loaded)
-    for key in ("seed", "epochs", "lambda_reg", "gamma", "momentum", "heads", "layers",
-                "horizon"):
-        if getattr(args, key) is not None:  # each flag's dest is its config field
-            settings[key] = getattr(args, key)
-    if args.ablate:
-        settings["ablation"] = list(args.ablate)
-    settings["n_nodes"] = n_nodes
+                              f"got {type(settings).__name__}")
+    # each config flag's dest is its ModelConfig field
+    flags = {f.name: getattr(args, f.name) for f in fields(ModelConfig)
+             if getattr(args, f.name, None) is not None}
+    from_file = settings.keys() - flags.keys() - {"n_nodes"}
     try:
-        config = ModelConfig.from_dict(settings)
-        config.validate()
-    except TypeError as exc:  # a field of the wrong type, or an unknown one
+        # only the file can hold an unknown field, or an ablation list of the wrong type
+        config = ModelConfig.from_dict({**settings, **flags, "n_nodes": n_nodes})
+    except TypeError as exc:
         raise ConfigError(f"config file {args.config}: {exc}") from exc
+    try:
+        config.validate()
+    except ConfigError as exc:
+        if str(exc).split(":")[0] in from_file:
+            raise ConfigError(f"config file {args.config}: {exc}") from exc
+        raise
     return config
 
 
@@ -258,7 +266,7 @@ def cmd_synth(args) -> tuple[dict, Path | None, dict]:
         switch_intervals=_parse_intervals(args.switch),
         switch_fraction=args.switch_fraction,
     )
-    result = synth_generate(spec, args.steps, args.seed if args.seed is not None else 0)
+    result = synth_generate(spec, args.steps, args.seed)
     files = {
         "data": ("data.csv", partial(save_csv, values=result.dataset.values)),
         "truth": ("truth_adjacency.csv", partial(save_csv, values=result.adjacency)),
@@ -268,13 +276,8 @@ def cmd_synth(args) -> tuple[dict, Path | None, dict]:
                               partial(save_csv, values=result.secondary_adjacency))
     files["schedule"] = ("schedule.json", _text(
         json.dumps({"switch_intervals": list(map(list, result.schedule))})))
-    spec_dict = {
-        "nodes": args.nodes, "steps": args.steps, "seed": args.seed,
-        "edge_prob": args.edge_prob, "alpha": args.alpha, "period": args.period,
-        "noise": args.noise, "switch": args.switch,
-        "switch_fraction": args.switch_fraction,
-    }
-    return spec_dict, None, files
+    return ({k: v for k, v in vars(args).items() if k not in ("command", "fn", "out_dir")},
+            None, files)
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -291,7 +294,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--heads", type=int)
     p.add_argument("--layers", type=int)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--ablate", action="append", choices=ABLATION_FLAGS)
+    p.add_argument("--ablate", dest="ablation", action="append", choices=ABLATION_FLAGS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,7 +30,6 @@ class SeriesDataset:
     """T_total x N matrix of observations, one node per column."""
 
     values: np.ndarray
-    name: str = "dataset"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -94,29 +93,30 @@ def load_csv(path) -> SeriesDataset:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            n_cols = len(header)
+            for line_no, raw in enumerate(reader, start=2):
+                if not raw:
+                    continue
+                if len(raw) != n_cols:
+                    raise ParseError(
+                        f"{path}: ragged row at line {line_no} "
+                        f"({len(raw)} cells, expected {n_cols})"
+                    )
+                parsed = []
+                for col, cell in enumerate(raw, start=1):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise ParseError(f"{path}: non-numeric cell at row {line_no - 1}, "
+                                         f"column {col}: {cell!r}") from None
+                rows.append(parsed)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        n_cols = len(header)
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != n_cols:
-                raise ParseError(
-                    f"{path}: ragged row at line {line_no} "
-                    f"({len(raw)} cells, expected {n_cols})"
-                )
-            parsed = []
-            for col, cell in enumerate(raw, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric cell at row {line_no - 1}, column {col}: {cell!r}"
-                    ) from None
-            rows.append(parsed)
+        except csv.Error as exc:  # an over-long field; before Python 3.11 also a NUL byte
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return SeriesDataset(np.array(rows), name=str(path))
+    return SeriesDataset(np.array(rows))
 
 
 def save_csv(path, values: np.ndarray, header: list[str] | None = None) -> None:
@@ -158,21 +158,13 @@ class SplitWindows:
     boundaries: tuple[int, int]
 
 
-def window_split(
-    ds: SeriesDataset,
-    h: int,
-    horizon: int,
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-) -> SplitWindows:
-    """Chronological split, then sliding windows within each part.
+def window_split(ds: SeriesDataset, h: int, horizon: int) -> SplitWindows:
+    """Chronological 6:2:2 split, then sliding windows within each part.
 
     The scaler is fit on the training rows only.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ParseError(f"split ratios must sum to 1, got {ratios}")
     t = ds.n_steps
-    i1 = int(t * ratios[0])
-    i2 = int(t * (ratios[0] + ratios[1]))
+    i1, i2 = int(t * 0.6), int(t * 0.8)
     parts = {"train": ds.values[:i1], "val": ds.values[i1:i2], "test": ds.values[i2:]}
     for name, part in parts.items():
         if part.shape[0] < h + horizon:
@@ -337,7 +329,7 @@ def synth_generate(spec: PlantedGraphSpec, t_total: int, seed: int) -> SynthResu
     if not np.all(np.isfinite(x)):
         raise GenerationError("trajectory diverged despite spectral-radius guard")
     return SynthResult(
-        dataset=SeriesDataset(x, name=f"synth-n{n}-seed{seed}"),
+        dataset=SeriesDataset(x),
         adjacency=edges,
         secondary_adjacency=secondary,
         schedule=tuple(spec.switch_intervals),

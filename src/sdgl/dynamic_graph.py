@@ -67,23 +67,19 @@ class AdjacencyHeads:
         n_heads: int,
         dropout_keep: float,
         rng: RngState,
-        mlp_hidden: int | None = None,
     ):
-        if n_heads < 1 or head_dim < 1:
-            raise ValueError(f"need n_heads >= 1 and head_dim >= 1, got {n_heads}, {head_dim}")
         self.n_heads = n_heads
         self.head_dim = head_dim
         self.dropout_keep = dropout_keep
-        hidden = mlp_hidden if mlp_hidden is not None else n_nodes
         self.ln_gain = ones((dim,))
         self.ln_bias = zeros((dim,))
         self.w_q = [weight(rng, dim, (dim, head_dim)) for _ in range(n_heads)]
         self.w_k = [weight(rng, dim, (dim, head_dim)) for _ in range(n_heads)]
         self.head_mix = [Tensor(1.0, requires_grad=True) for _ in range(n_heads)]
         self.w_res = weight(rng, dim, (dim, head_dim))
-        self.w_1 = weight(rng, n_nodes, (n_nodes, hidden))
-        self.b_1 = zeros((hidden,))
-        self.w_2 = weight(rng, hidden, (hidden, n_nodes))
+        self.w_1 = weight(rng, n_nodes, (n_nodes, n_nodes))
+        self.b_1 = zeros((n_nodes,))
+        self.w_2 = weight(rng, n_nodes, (n_nodes, n_nodes))
         self.b_2 = zeros((n_nodes,))
 
     def parameters(self) -> dict[str, Tensor]:

@@ -24,10 +24,10 @@ class DegenerateGraphError(ValueError):
 def transition_matrix(a: Tensor | AdjacencyMatrix) -> Tensor:
     """P = A / rowsum(A); the identity for already row-stochastic input."""
     t = a.values if isinstance(a, AdjacencyMatrix) else a
-    row_sums = t.data.sum(axis=-1)
-    if np.any(row_sums <= 0):
+    row_sums = ad.reduce_sum(t, axis=-1, keepdims=True)
+    if np.any(row_sums.data <= 0):
         raise DegenerateGraphError("adjacency has a row with nonpositive sum")
-    return ad.divide(t, ad.reduce_sum(t, axis=-1, keepdims=True))
+    return ad.divide(t, row_sums)
 
 
 class MixHopConv:

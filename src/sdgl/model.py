@@ -83,8 +83,8 @@ class ModelConfig:
             return self.head_dim
         if self.embed_dim % self.heads != 0:
             raise ConfigError(
-                f"embed_dim ({self.embed_dim}) must be divisible by heads ({self.heads}) "
-                "when head_dim is left unset"
+                f"heads: embed_dim ({self.embed_dim}) must be divisible by heads "
+                f"({self.heads}) when head_dim is left unset"
             )
         return self.embed_dim // self.heads
 
@@ -360,22 +360,24 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
             idx = order[i : i + config.batch_size]
             x = scaler.transform_windows(splits.train.inputs[idx])
             y = scaler.transform_windows(splits.train.targets[idx])
-            t = Tape()
-            with t:
-                result = model.forward(Tensor(x), training=True)
-                loss = hybrid_loss(result.prediction, Tensor(y), result.reg_loss, lam)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise DivergenceError(
-                    f"loss became non-finite at epoch {epoch + 1}, batch "
-                    f"{i // config.batch_size + 1}; last finite loss was {last_finite}, "
-                    f"last gradient norm before clipping was {last_norm}"
-                )
-            last_finite = value
-            opt.zero_grad()
-            t.backward(loss)
-            last_norm = opt.step()
-            momentum_update(model.embeddings)
+            # a diverging step is reported by the loss check, not by numpy warnings
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                t = Tape()
+                with t:
+                    result = model.forward(Tensor(x), training=True)
+                    loss = hybrid_loss(result.prediction, Tensor(y), result.reg_loss, lam)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise DivergenceError(
+                        f"loss became non-finite at epoch {epoch + 1}, batch "
+                        f"{i // config.batch_size + 1}; last finite loss was {last_finite}, "
+                        f"last gradient norm before clipping was {last_norm}"
+                    )
+                last_finite = value
+                opt.zero_grad()
+                t.backward(loss)
+                last_norm = opt.step()
+                momentum_update(model.embeddings)
             model.step_count += 1
             losses.append(value)
         val = evaluate(model, scaler, splits.val)["average"]
@@ -392,16 +394,18 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
     return TrainResult(model=model, scaler=scaler, history=history, splits=splits)
 
 
-def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch,
-             batch_size: int = 128) -> dict:
+EVAL_BATCH = 128  # windows per ``predict`` call in ``evaluate``
+
+
+def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch) -> dict:
     """Per-horizon and horizon-averaged metrics of ``predict``, in original units.
 
-    Scores ``predict`` on consecutive slices of ``batch_size`` windows, so only
+    Scores ``predict`` on consecutive slices of EVAL_BATCH windows, so only
     one slice is ever normalized at a time. CORR correlates each node over the
     windows, at step k for ``per_horizon[k]`` and over all steps for ``average``.
     """
-    pred = np.concatenate([predict(model, scaler, windows.inputs[i : i + batch_size])
-                           for i in range(0, len(windows), batch_size)], axis=0)
+    pred = np.concatenate([predict(model, scaler, windows.inputs[i : i + EVAL_BATCH])
+                           for i in range(0, len(windows), EVAL_BATCH)], axis=0)
     truth = windows.targets
     per_horizon = [metrics(pred[:, :, k:k + 1], truth[:, :, k:k + 1]) for k in range(pred.shape[2])]
     average = metrics(pred, truth)

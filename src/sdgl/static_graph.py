@@ -29,12 +29,12 @@ class AdjacencyMatrix:
     values: Tensor
     kind: str  # "static" | "dynamic"
 
-    def validate(self, atol: float = 1e-9) -> None:
+    def validate(self) -> None:
         data = self.values.data
         rows = data.sum(axis=-1)
         if not np.all(data > 0):
             raise ValueError(f"{self.kind} adjacency has non-positive entries")
-        if not np.allclose(rows, 1.0, atol=atol):
+        if not np.allclose(rows, 1.0, atol=1e-9):
             raise ValueError(f"{self.kind} adjacency rows do not sum to 1")
 
 

@@ -1,5 +1,9 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,19 @@ class TestTrain:
             [line] = error_lines(caplog)
             assert line.startswith(f"config file {bad}: ") and "\n" not in line, line
             assert not out.exists()
+        # the file is named only when the setting in the error was set there and not by a flag
+        bad.write_text('{"momentum": 1.5}')
+        good = tmp_path / "good.json"
+        good.write_text('{"momentum": 0.5}')
+        for flags, prefix in ((["--config", str(bad)], f"config file {bad}: momentum: "),
+                              (["--lambda", "nan"], "lambda_reg: "),
+                              (["--config", str(good), "--momentum", "nan"], "momentum: ")):
+            caplog.clear()
+            assert main(["train", "--data", str(synth_dir / "data.csv"), *flags,
+                         "--out-dir", str(out)]) == EXIT_USAGE, flags
+            [line] = error_lines(caplog)
+            assert line.startswith(prefix), line
+            assert not out.exists()
 
     def test_data_too_short_writes_nothing(self, tmp_path, caplog):
         assert main(["synth", "--nodes", "4", "--steps", "30",
@@ -145,17 +162,22 @@ class TestTrain:
         assert "train split" in line and "\n" not in line, line
         assert not out.exists()
 
-    def test_divergence_writes_nothing(self, synth_dir, tmp_path, caplog):
+    def test_divergence_writes_nothing(self, synth_dir, tmp_path):
         cfg = tmp_path / "diverge.json"
         cfg.write_text(json.dumps({"learning_rate": 1e160, "epochs": 3, "embed_dim": 8,
                                    "heads": 2, "channels": 8, "batch_size": 16}))
         out = tmp_path / "run"
-        with np.errstate(all="ignore"):
-            code = main(["train", "--data", str(synth_dir / "data.csv"),
-                         "--config", str(cfg), "--out-dir", str(out)])
-        assert code == EXIT_RUNTIME
-        [line] = error_lines(caplog)
-        assert "last finite loss" in line and "\n" not in line, line
+        # a fresh process, so its whole stderr is what a user sees
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                        os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-m", "sdgl.cli", "train",
+                              "--data", str(synth_dir / "data.csv"), "--config", str(cfg),
+                              "--out-dir", str(out)], env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_RUNTIME
+        [line] = run.stderr.splitlines()
+        assert line.startswith("ERROR sdgl: loss became non-finite") \
+            and "last finite loss" in line, run.stderr
         assert not out.exists()
 
     def test_failing_writer_leaves_nothing(self, synth_dir, small_config, tmp_path,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sdgl.data import (
     GenerationError,
@@ -64,6 +66,22 @@ class TestCsvRoundTrip:
         p.write_text("a,b\n1,2\n1,oops\n")
         with pytest.raises(ParseError, match="row 2, column 2"):
             load_csv(p)
+
+    def test_over_long_field_is_parse_error(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("a,b\n" + "1" * 200_000 + ",2\n")
+        with pytest.raises(ParseError, match="line 2: field larger than field limit"):
+            load_csv(p)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.text())
+    def test_garbage_text_loads_or_is_parse_error(self, tmp_path, text):
+        p = tmp_path / "g.csv"
+        p.write_text(text, encoding="utf-8")
+        try:
+            load_csv(p)
+        except ParseError:
+            pass
 
 
 class TestScaler:
@@ -137,10 +155,6 @@ class TestWindows:
         np.testing.assert_allclose(sw.scaler.mean, vals[:60].mean(axis=0), atol=1e-14)
         np.testing.assert_array_equal(sw.train.inputs[0], vals[0:5].T)
         np.testing.assert_array_equal(sw.test.inputs[0], vals[80:85].T)
-
-    def test_bad_ratios(self):
-        with pytest.raises(ParseError, match="ratios"):
-            window_split(SeriesDataset(np.zeros((50, 2))), 3, 1, ratios=(0.5, 0.4, 0.2))
 
 
 def loop_metrics(pred, truth):

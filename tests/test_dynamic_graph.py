@@ -72,8 +72,8 @@ class TestInformationFusion:
 
 
 class TestAdjacencyHeads:
-    def make(self, n=4, d=3, dk=3, heads=2, seed=0, keep=1.0, hidden=None):
-        return AdjacencyHeads(n, d, dk, heads, keep, RngState(seed), mlp_hidden=hidden)
+    def make(self, n=4, d=3, dk=3, heads=2, seed=0, keep=1.0):
+        return AdjacencyHeads(n, d, dk, heads, keep, RngState(seed))
 
     def test_orthonormal_rows_give_scaled_identity(self):
         # h_t rows chosen zero-mean orthonormal; the layer norm's gain is set

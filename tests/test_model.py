@@ -5,11 +5,16 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sdgl import autodiff as ad
 from sdgl import checkpoint
@@ -254,6 +259,12 @@ class TestTraining:
         assert np.abs(md - ms).max() > 0  # lags behind
         assert np.all(np.isfinite(md))
 
+    def test_divergence_warns_nothing(self):
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(DivergenceError):
+            warnings.simplefilter("always")
+            train(tiny_dataset(seed=5), tiny_config(learning_rate=1e160, epochs=5))
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_divergence_reports_last_finite_loss(self):
         ds = tiny_dataset(seed=5)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
@@ -394,13 +405,22 @@ class TestEvaluatePredict:
         assert np.abs(y).max() > 1e5
 
 
+@lru_cache(maxsize=None)
+def fresh_checkpoint_bytes() -> bytes:
+    """The checkpoint of a fresh ``tiny_config`` model, for the fuzz tests."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.sdgl"
+        checkpoint.save(path, SDGLModel(tiny_config()), Scaler(np.zeros(4), np.ones(4)))
+        return path.read_bytes()
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         out = train(tiny_dataset(seed=7), tiny_config(epochs=1, dropout_keep=0.8))
         p = tmp_path / "m.sdgl"
         checkpoint.save(p, out.model, out.scaler)
         back = checkpoint.load(p)
-        assert back.step == out.model.step_count
+        assert back.model.step_count == out.model.step_count
         x = np.random.default_rng(2).normal(size=(3, 4, 19))
         np.testing.assert_array_equal(
             back.model.forward(x).prediction.data,
@@ -434,21 +454,28 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("field", [
         "format version", "header length", "header", "name length of record 0", "payload",
+        "header of length 2**63", "first dimension 2**62",
     ])
     def test_truncated_file_names_the_field(self, tmp_path, field):
         p = tmp_path / "m.sdgl"
         last = self.save_fresh(p)
         raw = p.read_bytes()
         hlen = int.from_bytes(raw[8:16], "little")
-        cut = {
-            "format version": 6,
-            "header length": 12,
-            "header": 16 + hlen // 2,
-            "name length of record 0": 16 + hlen + 2,
-            "payload": len(raw) - 4,  # inside the last record's payload
+        first = sorted(self.split_records(raw)[1])[0]
+        dim0 = 16 + hlen + 4 + len(first) + 4  # offset of the first record's first dimension
+        # a size beyond the end of the file is reported as truncation, before any read
+        bad, what = {
+            "format version": (raw[:6], field),
+            "header length": (raw[:12], field),
+            "header": (raw[: 16 + hlen // 2], field),
+            "name length of record 0": (raw[: 16 + hlen + 2], field),
+            "payload": (raw[:-4], f"tensor {last!r}"),  # inside the last record's payload
+            "header of length 2**63": (raw[:8] + (2**63).to_bytes(8, "little") + raw[16:],
+                                       "header"),
+            "first dimension 2**62": (raw[:dim0] + (2**62).to_bytes(8, "little")
+                                      + raw[dim0 + 8 :], f"tensor {first!r}"),
         }[field]
-        p.write_bytes(raw[:cut])
-        what = f"tensor {last!r}" if field == "payload" else field
+        p.write_bytes(bad)
         with pytest.raises(checkpoint.CheckpointError) as exc:
             checkpoint.load(p)
         assert str(exc.value).startswith(f"{p}: truncated in {what}:")
@@ -519,11 +546,19 @@ class TestCheckpoint:
             h["rng"] = "philox"
         elif mutation == "rng empty":
             h["rng"] = {}
+        elif mutation == "rng counter too short":
+            h["rng"]["state"]["counter"]["__ndarray__"] = [0]
+        elif mutation == "rng key too large":
+            h["rng"]["state"]["key"]["__ndarray__"][0] = 2**64
         elif mutation == "header a list":
             return [h]
         elif mutation in ("scaler.mean missing", "scaler.std missing"):
             del records[mutation.split()[0]]
             h["tensor_count"] -= 1
+        elif mutation == "rank 33":
+            name, rec = next(iter(records.items()))
+            at = 4 + len(name)  # after the name length and the name
+            records[name] = rec[:at] + (33).to_bytes(4, "little") + rec[at + 4 :]
         elif mutation == "unexpected record":
             name = b"zz.extra"
             records["zz.extra"] = (len(name).to_bytes(4, "little") + name
@@ -545,9 +580,12 @@ class TestCheckpoint:
         "step a float": "'step'",
         "rng a string": "'rng'",
         "rng empty": "'rng'",
+        "rng counter too short": "'rng'",
+        "rng key too large": "'rng'",
         "header a list": "header is a JSON list",
         "scaler.mean missing": "missing tensor record 'scaler.mean'",
         "scaler.std missing": "missing tensor record 'scaler.std'",
+        "rank 33": "tensor 'dynamic.fusion.b_in' has rank 33",
         "unexpected record": "unexpected tensor record 'zz.extra'",
     }
 
@@ -562,6 +600,28 @@ class TestCheckpoint:
         with pytest.raises(checkpoint.CheckpointError,
                            match=f"^{re.escape(str(p))}: .*{self.HEADER_MUTATIONS[mutation]}"):
             checkpoint.load(p)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_prefix_is_rejected(self, tmp_path, data):
+        raw = fresh_checkpoint_bytes()
+        p = tmp_path / "m.sdgl"
+        p.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(checkpoint.CheckpointError):
+            checkpoint.load(p)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_changed_byte_loads_or_is_checkpoint_error(self, tmp_path, data):
+        raw = fresh_checkpoint_bytes()
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+        p = tmp_path / "m.sdgl"
+        p.write_bytes(raw[:pos] + bytes([byte]) + raw[pos + 1 :])
+        try:
+            checkpoint.load(p)
+        except checkpoint.CheckpointError:
+            pass
 
     def test_unsupported_version(self, tmp_path):
         out = train(tiny_dataset(seed=9), tiny_config(epochs=0))
