@@ -5,6 +5,21 @@ pass; ``Tape.backward`` replays it once in reverse, accumulating gradients
 into every tensor that requires them. All math is float64 so that central
 finite differences are a meaningful oracle (see ``grad_check``).
 
+What the tape keeps: a tensor's gradient lives in a slot apart from its
+data, and ``Tensor.grad`` reads and writes that slot. A primitive that runs
+under an active tape with an input that requires a gradient records one node:
+its output's slot, the output's shape and a backward closure. The closure
+holds the slot of each input that needs a gradient and exactly the arrays its
+rule reads: the other operand of ``mul``, ``divide``, ``matmul``,
+``conv1d_dilated``, ``channel_map`` and ``propagate``, the output of
+``tanh``, ``sigmoid`` and ``row_softmax``, the masks of ``relu``,
+``dropout`` (one byte per entry) and ``absolute``'s sign, ``layer_norm``'s
+normalized input. It never holds a ``Tensor``. So an activation no rule reads,
+such as the output of ``add``, ``scale``, ``reshape``, ``narrow`` or
+``concat``, is freed as soon as the forward pass drops it, and the rest is
+freed as ``backward`` releases each node. With no active tape, no closure and
+no slot is built.
+
 Each gradient is written once: ``sub`` is ``add`` of ``scale(b, -1)``,
 ``mean_all`` is ``scale`` of ``reduce_sum``, and ``layer_norm`` applies its
 gain and bias with ``mul`` and ``add``. Primitives do not check operands for
@@ -62,15 +77,34 @@ class TapeError(RuntimeError):
     """Tape misuse: backward on a consumed tape, non-scalar loss, etc."""
 
 
+class _Slot:
+    """Where one tensor's gradient accumulates; backward closures hold this."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
     """A shaped float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self._slot: _Slot | None = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._slot is None else self._slot.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._slot is None:
+            self._slot = _Slot()
+        self._slot.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,7 +125,8 @@ class Tape:
     """Ordered record of executed primitives, consumable exactly once."""
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, Callable]] = []
+        # (output's gradient slot, output's shape, backward closure)
+        self._nodes: list[tuple[_Slot, tuple[int, ...], Callable]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -109,8 +144,9 @@ class Tape:
         """Accumulate d(loss)/d(tensor) into .grad for the whole tape.
 
         The tape releases each node once its gradient has been passed on, so
-        activations and gradients the caller does not hold are freed during
-        backward rather than when the tape is dropped.
+        the arrays its rule kept and the gradients the caller does not hold
+        are freed during backward rather than when the tape is dropped. A
+        node whose output got no gradient passes on zeros.
         """
         if self._consumed:
             raise TapeError("tape already consumed by a previous backward()")
@@ -119,26 +155,38 @@ class Tape:
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
         while self._nodes:
-            out, backward_fn = self._nodes.pop()
-            g = out.grad
-            if g is None:
-                g = np.zeros_like(out.data)
-            backward_fn(g)
+            slot, shape, backward_fn = self._nodes.pop()
+            g = slot.grad
+            backward_fn(np.zeros(shape) if g is None else g)
 
 
 _ACTIVE_TAPE: Tape | None = None
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
-    if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        _ACTIVE_TAPE._nodes.append((out, backward_fn))
-    return out
+def _recording(*inputs: Tensor) -> bool:
+    """Whether a primitive on ``inputs`` goes on the tape: one is active and
+    some input requires a gradient. Primitives build their closure only then."""
+    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+def _slot(t: Tensor) -> _Slot | None:
+    """The slot a rule accumulates ``t``'s gradient into; None if t needs none."""
+    if not t.requires_grad:
+        return None
+    if t._slot is None:
+        t._slot = _Slot()
+    return t._slot
+
+
+def _record(out: Tensor, backward_fn: Callable) -> None:
+    out.requires_grad = True
+    out._slot = _Slot()
+    _ACTIVE_TAPE._nodes.append((out._slot, out.data.shape, backward_fn))
+
+
+def _accum(slot: _Slot | None, g: np.ndarray) -> None:
+    if slot is not None:
+        slot.grad = g if slot.grad is None else slot.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -151,17 +199,26 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+# Each primitive computes its output and, only when recording, takes the
+# slots of its inputs and the arrays its rule reads. A product's rule reads
+# each operand only for the other one's gradient, so it keeps an operand only
+# when the other one needs a gradient.
+
+
 # --- elementwise ------------------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
+    if _recording(a, b):
+        ga, gb, a_shape, b_shape = _slot(a), _slot(b), a.shape, b.shape
 
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        def backward(g):
+            _accum(ga, _unbroadcast(g, a_shape))
+            _accum(gb, _unbroadcast(g, b_shape))
 
-    return _record(out, (a, b), backward)
+        _record(out, backward)
+    return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -170,40 +227,61 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
+    if _recording(a, b):
+        ga, gb, a_shape, b_shape = _slot(a), _slot(b), a.shape, b.shape
+        a_data, b_data = (a.data if gb else None), (b.data if ga else None)
 
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        def backward(g):
+            if ga:
+                _accum(ga, _unbroadcast(g * b_data, a_shape))
+            if gb:
+                _accum(gb, _unbroadcast(g * a_data, b_shape))
 
-    return _record(out, (a, b), backward)
+        _record(out, backward)
+    return out
 
 
 def divide(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data / b.data)
+    if _recording(a, b):
+        ga, gb, a_shape, b_shape = _slot(a), _slot(b), a.shape, b.shape
+        a_data, b_data = (a.data if gb else None), b.data
 
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        def backward(g):
+            if ga:
+                _accum(ga, _unbroadcast(g / b_data, a_shape))
+            if gb:
+                _accum(gb, _unbroadcast(-g * a_data / (b_data * b_data), b_shape))
 
-    return _record(out, (a, b), backward)
+        _record(out, backward)
+    return out
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor(a.data * s)
-    return _record(out, (a,), lambda g: _accum(a, g * s))
+    if _recording(a):
+        ga = _slot(a)
+        _record(out, lambda g: _accum(ga, g * s))
+    return out
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     out = Tensor(np.where(mask, a.data, 0.0))
-    return _record(out, (a,), lambda g: _accum(a, g * mask))
+    if _recording(a):
+        ga = _slot(a)
+        _record(out, lambda g: _accum(ga, g * mask))
+    return out
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = Tensor(y)
-    return _record(out, (a,), lambda g: _accum(a, g * (1.0 - y * y)))
+    if _recording(a):
+        ga = _slot(a)
+        _record(out, lambda g: _accum(ga, g * (1.0 - y * y)))
+    return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -212,13 +290,18 @@ def sigmoid(a: Tensor) -> Tensor:
     e = np.exp(np.where(pos, -a.data, a.data))
     y = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(y)
-    return _record(out, (a,), lambda g: _accum(a, g * y * (1.0 - y)))
+    if _recording(a):
+        ga = _slot(a)
+        _record(out, lambda g: _accum(ga, g * y * (1.0 - y)))
+    return out
 
 
 def absolute(a: Tensor) -> Tensor:
     out = Tensor(np.abs(a.data))
-    sign = np.sign(a.data)
-    return _record(out, (a,), lambda g: _accum(a, g * sign))
+    if _recording(a):
+        ga, sign = _slot(a), np.sign(a.data)
+        _record(out, lambda g: _accum(ga, g * sign))
+    return out
 
 
 # --- linear algebra ---------------------------------------------------------
@@ -228,12 +311,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
     out = Tensor(np.matmul(a.data, b.data))
+    if _recording(a, b):
+        ga, gb, a_shape, b_shape = _slot(a), _slot(b), a.shape, b.shape
+        a_data, b_data = (a.data if gb else None), (b.data if ga else None)
 
-    def backward(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        def backward(g):
+            if ga:
+                _accum(ga, _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
+            if gb:
+                _accum(gb, _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
 
-    return _record(out, (a, b), backward)
+        _record(out, backward)
+    return out
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -241,7 +330,10 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError(f"transpose: need rank >= 2, got shape {a.shape}")
     out = Tensor(np.swapaxes(a.data, -1, -2))
-    return _record(out, (a,), lambda g: _accum(a, np.swapaxes(g, -1, -2)))
+    if _recording(a):
+        ga = _slot(a)
+        _record(out, lambda g: _accum(ga, np.swapaxes(g, -1, -2)))
+    return out
 
 
 # --- normalization ----------------------------------------------------------
@@ -253,12 +345,15 @@ def row_softmax(a: Tensor) -> Tensor:
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
+    if _recording(a):
+        ga = _slot(a)
 
-    def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, y * (g - dot))
+        def backward(g):
+            dot = (g * y).sum(axis=-1, keepdims=True)
+            _accum(ga, y * (g - dot))
 
-    return _record(out, (a,), backward)
+        _record(out, backward)
+    return out
 
 
 def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
@@ -271,18 +366,20 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     floor = 1e-5 * 1e-5
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    guarded = var <= floor
     inv = 1.0 / np.sqrt(np.maximum(var, floor))
     xhat = (a.data - mu) * inv
+    y = Tensor(xhat)
+    if _recording(a):
+        ga, guarded = _slot(a), var <= floor
 
-    def backward(g):
-        m1 = g.mean(axis=-1, keepdims=True)
-        m2 = (g * xhat).mean(axis=-1, keepdims=True)
-        # guarded rows treat the scale as constant: no variance gradient
-        m2 = np.where(guarded, 0.0, m2)
-        _accum(a, inv * (g - m1 - xhat * m2))
+        def backward(g):
+            m1 = g.mean(axis=-1, keepdims=True)
+            m2 = (g * xhat).mean(axis=-1, keepdims=True)
+            # guarded rows treat the scale as constant: no variance gradient
+            m2 = np.where(guarded, 0.0, m2)
+            _accum(ga, inv * (g - m1 - xhat * m2))
 
-    y = _record(Tensor(xhat), (a,), backward)
+        _record(y, backward)
     if gain is not None:
         y = mul(y, gain)
     if bias is not None:
@@ -296,9 +393,15 @@ def dropout(a: Tensor, keep_prob: float, rng, training: bool) -> Tensor:
         raise ShapeError(f"dropout: keep probability must be in (0, 1], got {keep_prob}")
     if not training or keep_prob == 1.0:
         return a
-    mask = (rng.random(a.shape) < keep_prob) / keep_prob
-    out = Tensor(a.data * mask)
-    return _record(out, (a,), lambda g: _accum(a, g * mask))
+    # a one-byte mask and one scale keep the tape small; a * keep * inv is
+    # bit for bit a * (keep / keep_prob)
+    keep = rng.random(a.shape) < keep_prob
+    inv = 1.0 / keep_prob
+    out = Tensor(a.data * keep * inv)
+    if _recording(a):
+        ga = _slot(a)
+        _record(out, lambda g: _accum(ga, g * keep * inv))
+    return out
 
 
 # --- shape manipulation -----------------------------------------------------
@@ -308,25 +411,30 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat: empty input list")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    if _recording(*parts):
+        slots = [_slot(p) for p in parts]
+        splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
-    def backward(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            _accum(p, piece)
+        def backward(g):
+            for slot, piece in zip(slots, np.split(g, splits, axis=axis)):
+                _accum(slot, piece)
 
-    return _record(out, tuple(parts), backward)
+        _record(out, backward)
+    return out
 
 
 def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    if _recording(a):
+        ga, a_shape = _slot(a), a.shape
 
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        def backward(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            _accum(ga, np.broadcast_to(g, a_shape).copy())
 
-    return _record(out, (a,), backward)
+        _record(out, backward)
+    return out
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -336,7 +444,10 @@ def mean_all(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: _accum(a, g.reshape(a.shape)))
+    if _recording(a):
+        ga, a_shape = _slot(a), a.shape
+        _record(out, lambda g: _accum(ga, g.reshape(a_shape)))
+    return out
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -350,16 +461,25 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     out = Tensor(a.data[idx])
+    if _recording(a):
+        ga, a_shape = _slot(a), a.shape
 
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        _accum(a, full)
+        def backward(g):
+            full = np.zeros(a_shape)
+            full[idx] = g
+            _accum(ga, full)
 
-    return _record(out, (a,), backward)
+        _record(out, backward)
+    return out
 
 
 # --- structured primitives --------------------------------------------------
+
+
+def _tap(x: np.ndarray, offset: int, t_out: int) -> np.ndarray:
+    """Positions offset + [0, t_out) of a (B, C, N, T) array as (B, C, N*t_out)."""
+    b, c, n, _ = x.shape
+    return x[..., offset : offset + t_out].reshape(b, c, n * t_out)
 
 
 def conv1d_dilated(x: Tensor, w: Tensor, dilation: int) -> Tensor:
@@ -382,29 +502,29 @@ def conv1d_dilated(x: Tensor, w: Tensor, dilation: int) -> Tensor:
     # Tap s reads input positions offset + [0, t_out), offset = d*(k-1-s); it
     # is one (C_out, C_in) matmul on that slice, flattened to (B, C_in, N*t_out).
     offsets = [dilation * (k - 1 - s) for s in range(k)]
-
-    def tap_input(s: int) -> np.ndarray:
-        return x.data[..., offsets[s] : offsets[s] + t_out].reshape(b, c_in, n * t_out)
-
-    acc = w.data[:, :, 0] @ tap_input(0)
+    acc = w.data[:, :, 0] @ _tap(x.data, offsets[0], t_out)
     for s in range(1, k):
-        acc += w.data[:, :, s] @ tap_input(s)
+        acc += w.data[:, :, s] @ _tap(x.data, offsets[s], t_out)
     out = Tensor(acc.reshape(b, c_out, n, t_out))
+    if _recording(x, w):
+        gx, gw = _slot(x), _slot(w)
+        x_data, w_data = (x.data if gw else None), (w.data if gx else None)
 
-    def backward(g):
-        g = g.reshape(b, c_out, n * t_out)
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for s, off in enumerate(offsets):
-                gx[..., off : off + t_out] += (w.data[:, :, s].T @ g).reshape(b, c_in, n, t_out)
-            _accum(x, gx)
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for s in range(k):
-                gw[:, :, s] = (g @ tap_input(s).transpose(0, 2, 1)).sum(axis=0)
-            _accum(w, gw)
+        def backward(g):
+            g = g.reshape(b, c_out, n * t_out)
+            if gx:
+                dx = np.zeros((b, c_in, n, t_in))
+                for s, off in enumerate(offsets):
+                    dx[..., off : off + t_out] += (w_data[:, :, s].T @ g).reshape(b, c_in, n, t_out)
+                _accum(gx, dx)
+            if gw:
+                dw = np.empty((c_out, c_in, k))
+                for s, off in enumerate(offsets):
+                    dw[:, :, s] = (g @ _tap(x_data, off, t_out).transpose(0, 2, 1)).sum(axis=0)
+                _accum(gw, dw)
 
-    return _record(out, (x, w), backward)
+        _record(out, backward)
+    return out
 
 
 def channel_map(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -418,19 +538,30 @@ def channel_map(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
         y += bias.data.reshape(1, -1, 1)
     out = Tensor(y.reshape(b, c_out, n, t))
     inputs = (x, w) if bias is None else (x, w, bias)
+    if _recording(*inputs):
+        gx, gw = _slot(x), _slot(w)
+        gbias = None if bias is None else _slot(bias)
+        x_data, w_data = (x.data if gw else None), (w.data if gx else None)
 
-    def backward(g):
-        g = g.reshape(b, c_out, n * t)
-        if x.requires_grad:
-            _accum(x, (w.data.T @ g).reshape(x.shape))
-        if w.requires_grad:
-            # re-flattened here, so a strided x is not kept as a copy on the tape
-            x3 = x.data.reshape(b, c_in, n * t)
-            _accum(w, (g @ x3.transpose(0, 2, 1)).sum(axis=0))
-        if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2)))
+        def backward(g):
+            g = g.reshape(b, c_out, n * t)
+            if gx:
+                _accum(gx, (w_data.T @ g).reshape(b, c_in, n, t))
+            if gw:
+                # re-flattened here, so a strided x is not kept as a copy on the tape
+                x3 = x_data.reshape(b, c_in, n * t)
+                _accum(gw, (g @ x3.transpose(0, 2, 1)).sum(axis=0))
+            if gbias:
+                _accum(gbias, g.sum(axis=(0, 2)))
 
-    return _record(out, inputs, backward)
+        _record(out, backward)
+    return out
+
+
+def _node_rows(a: np.ndarray, p_shape: tuple[int, ...]) -> np.ndarray:
+    """(B, C, N, T) with the node axis first, the rest flattened behind it:
+    (N, B*C*T) for a shared p, (B, N, C*T) for one p per sample."""
+    return np.moveaxis(a, 2, len(p_shape) - 2).reshape(p_shape[:-1] + (-1,))
 
 
 def propagate(x: Tensor, p: Tensor) -> Tensor:
@@ -451,20 +582,21 @@ def propagate(x: Tensor, p: Tensor) -> Tensor:
     else:
         raise ShapeError(f"propagate: matrix rank must be 2 or 3, got shape {p.shape}")
     out = Tensor(pb @ x.data)
+    if _recording(x, p):
+        gx, gp, p_shape = _slot(x), _slot(p), p.shape
+        x_data, p_data = (x.data if gp else None), (pb if gx else None)
 
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, np.swapaxes(pb, -1, -2) @ g)
-        if p.requires_grad:
-            # g @ x^T summed over batch and channel (shared p) or over channel
-            # (per-sample p). The summed axes join time in the inner dimension
-            # of one matmul, so no (B, C, N, N) intermediate is formed.
-            def node_rows(a):
-                return np.moveaxis(a, 2, p.data.ndim - 2).reshape(p.shape[:-1] + (-1,))
+        def backward(g):
+            if gx:
+                _accum(gx, np.swapaxes(p_data, -1, -2) @ g)
+            if gp:
+                # g @ x^T summed over batch and channel (shared p) or over channel
+                # (per-sample p). The summed axes join time in the inner dimension
+                # of one matmul, so no (B, C, N, N) intermediate is formed.
+                _accum(gp, _node_rows(g, p_shape) @ np.swapaxes(_node_rows(x_data, p_shape), -1, -2))
 
-            _accum(p, node_rows(g) @ np.swapaxes(node_rows(x.data), -1, -2))
-
-    return _record(out, (x, p), backward)
+        _record(out, backward)
+    return out
 
 
 # --- verification -----------------------------------------------------------

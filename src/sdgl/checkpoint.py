@@ -15,6 +15,7 @@ Save followed by load reproduces forward outputs bit-identically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data import Scaler
-from .model import ModelConfig, SDGLModel
+from .model import ModelConfig, SDGLModel, state_shapes
 
 MAGIC = b"SDGL"
 VERSION = 1
@@ -123,11 +124,30 @@ def load(path) -> Checkpoint:
         if trailing:
             raise CheckpointError(f"{path}: {trailing} unexpected bytes after the last record")
 
-    config = _field(header, "config", dict, path)
+    settings = _field(header, "config", dict, path)
     try:
-        model = SDGLModel(ModelConfig.from_dict(config))
+        config = ModelConfig.from_dict(settings)
+        config.validate()
     except (TypeError, ValueError) as exc:  # an unknown, mistyped or invalid setting
         raise CheckpointError(f"{path}: header field 'config': {exc}") from None
+    # Each record is checked against the config before the model is built, so
+    # the model allocates no more than the file holds. The expected tensors
+    # come one at a time: a config asking for more than the file has fails at
+    # the first one missing.
+    scaler_shapes = [(name, (config.n_nodes,)) for name in ("scaler.mean", "scaler.std")]
+    seen = set()
+    for name, shape in itertools.chain(state_shapes(config), scaler_shapes):
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor record {name!r}")
+        if tensors[name][0] != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {tensors[name][0]}, expected {shape}"
+            )
+        seen.add(name)
+    unexpected = sorted(tensors.keys() - seen)
+    if unexpected:
+        raise CheckpointError(f"{path}: unexpected tensor record {unexpected[0]!r}")
+    model = SDGLModel(config)
     model.step_count = _field(header, "step", int, path)
     rng = _field(header, "rng", dict, path)
     # a damaged state fails in numpy's dtype parser (SyntaxError, TypeError), array
@@ -136,21 +156,8 @@ def load(path) -> Checkpoint:
         model.dropout_rng.set_state(_decode_rng_state(rng))
     except (ArithmeticError, LookupError, SyntaxError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: header field 'rng': {exc!r}") from None
-    state = model.state_tensors()
-    expected = {name: t.data.shape for name, t in state.items()}
-    expected["scaler.mean"] = expected["scaler.std"] = (model.config.n_nodes,)
-    unexpected = sorted(tensors.keys() - expected.keys())
-    if unexpected:
-        raise CheckpointError(f"{path}: unexpected tensor record {unexpected[0]!r}")
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor record {name!r}")
-        if tensors[name][0] != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {tensors[name][0]}, expected {shape}"
-            )
     values = {name: data.reshape(dims) for name, (dims, data) in tensors.items()}
-    for name, t in state.items():
+    for name, t in model.state_tensors().items():
         t.data = values[name]
     scaler = Scaler(values["scaler.mean"], values["scaler.std"])
     return Checkpoint(model=model, scaler=scaler)

@@ -114,6 +114,9 @@ def load_csv(path) -> SeriesDataset:
             raise ParseError(f"{path}: empty file") from None
         except csv.Error as exc:  # an over-long field; before Python 3.11 also a NUL byte
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: cannot decode byte "
+                             f"0x{exc.object[exc.start]:02x} ({exc.reason})") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return SeriesDataset(np.array(rows))

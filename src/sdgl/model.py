@@ -14,6 +14,7 @@ import ctypes
 import math
 import numbers
 from dataclasses import dataclass, asdict
+from typing import Iterator
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .static_graph import (
     graph_regularization_loss,
     momentum_update,
 )
-from .temporal import GatedTemporalLayer, MAX_KERNEL, layer_dilation
+from .temporal import KERNEL_SIZES, GatedTemporalLayer, MAX_KERNEL, layer_dilation
 
 ABLATION_FLAGS = ("no_gloss", "no_dyadj", "no_ifm", "ifm_plus")
 
@@ -141,6 +142,50 @@ class ModelConfig:
         d = dict(d)
         d["ablation"] = tuple(d.get("ablation", ()))
         return cls(**d)
+
+
+def state_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each tensor of ``SDGLModel(config).state_tensors()``.
+
+    Computed from a validated config without building the model, one tensor
+    at a time, so ``checkpoint.load`` can check a file's records against it
+    before anything the file does not back is allocated.
+    """
+    n, d, c, hd = config.n_nodes, config.embed_dim, config.channels, config.resolved_head_dim()
+    yield "embeddings.m_static", (n, d)
+    yield "embeddings.m_dynamic", (n, d)
+    yield "dynamic.fusion.w_in", (config.window, d)
+    for name in ("b_in", "b_r", "b_z"):
+        yield f"dynamic.fusion.{name}", (d,)
+    for name in ("w_r", "u_r", "w_z", "u_z", "w_h", "u_h"):
+        yield f"dynamic.fusion.{name}", (d, d)
+    yield "dynamic.heads.ln_gain", (d,)
+    yield "dynamic.heads.ln_bias", (d,)
+    yield "dynamic.heads.w_res", (d, hd)
+    for name in ("w_1", "w_2"):
+        yield f"dynamic.heads.{name}", (n, n)
+    for name in ("b_1", "b_2"):
+        yield f"dynamic.heads.{name}", (n,)
+    for i in range(config.heads):
+        yield f"dynamic.heads.w_q{i}", (d, hd)
+        yield f"dynamic.heads.w_k{i}", (d, hd)
+        yield f"dynamic.heads.head_mix{i}", ()
+    yield "start_w", (c, 1)
+    yield "start_b", (c,)
+    for j in range(config.layers):
+        for bank in ("filter", "gate"):
+            for k in KERNEL_SIZES:
+                yield f"tcn{j}.{bank}.f{k}", (c // len(KERNEL_SIZES), c, k)
+            yield f"tcn{j}.{bank}.bias", (c,)
+        yield f"residual{j}.w", (c, c)
+        yield f"skip{j}.w", (c, c)
+        for branch in ("gcn_static", "gcn_dynamic"):
+            yield f"{branch}{j}.w_select", (c, c * (config.depth + 1))
+            yield f"{branch}{j}.bias", (c,)
+    yield "out_w1", (c, c)
+    yield "out_b1", (c,)
+    yield "out_w2", (config.horizon, c)
+    yield "out_b2", (config.horizon,)
 
 
 @dataclass
@@ -380,7 +425,16 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
                 momentum_update(model.embeddings)
             model.step_count += 1
             losses.append(value)
-        val = evaluate(model, scaler, splits.val)["average"]
+        # the loss check above sees each update only at the next step, so the
+        # epoch's last update is checked by the validation forecast it gives
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            val = evaluate(model, scaler, splits.val)["average"]
+        if not math.isfinite(val["MAE"]):
+            raise DivergenceError(
+                f"validation forecast became non-finite after the last step of epoch "
+                f"{epoch + 1}; that step's loss was {last_finite}, its gradient norm "
+                f"before clipping was {last_norm}"
+            )
         record = {
             "epoch": epoch + 1,
             "train_loss": float(np.mean(losses)) if losses else None,

@@ -363,3 +363,75 @@ class TestStructuredOracles:
             ad.channel_map(rand((1, 2, 3, 5)), rand((2, 3)))
         with pytest.raises(ad.ShapeError, match="propagate: batch matrix"):
             ad.propagate(rand((2, 2, 3, 5)), rand((3, 3, 3)))
+
+
+# primitive -> (call on the inputs, input shapes, indices of the inputs whose
+# arrays its backward rule does not read). Fixed operands are constants that
+# need no gradient, so the other operand's array is not read either.
+FIXED = np.random.default_rng(11)
+RETENTION_CASES = {
+    "add": (ad.add, [(3, 4), (4,)], (0, 1)),
+    "sub": (ad.sub, [(3, 4), (3, 4)], (0, 1)),
+    "mul by a fixed operand": (lambda a: ad.mul(a, Tensor(FIXED.normal(size=(3, 4)))),
+                               [(3, 4)], (0,)),
+    "divide by a fixed operand": (lambda a: ad.divide(a, Tensor(FIXED.uniform(1, 2, (3, 4)))),
+                                  [(3, 4)], (0,)),
+    "scale": (lambda a: ad.scale(a, -2.0), [(3, 4)], (0,)),
+    "matmul by a fixed operand": (lambda a: ad.matmul(a, Tensor(FIXED.normal(size=(4, 2)))),
+                                  [(3, 4)], (0,)),
+    "transpose": (ad.transpose, [(2, 3, 4)], (0,)),
+    "relu": (ad.relu, [(3, 4)], (0,)),
+    "tanh": (ad.tanh, [(3, 4)], (0,)),
+    "sigmoid": (ad.sigmoid, [(3, 4)], (0,)),
+    "absolute": (ad.absolute, [(3, 4)], (0,)),
+    "row_softmax": (ad.row_softmax, [(3, 4)], (0,)),
+    # the gain's gradient reads the normalized input, the input's reads the gain
+    "layer_norm": (ad.layer_norm, [(3, 4), (4,), (4,)], (0, 2)),
+    "dropout": (lambda a: ad.dropout(a, 0.5, RngState(0), True), [(3, 4)], (0,)),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1), [(3, 4), (3, 2)], (0, 1)),
+    "reduce_sum": (lambda a: ad.reduce_sum(a, axis=0), [(3, 4)], (0,)),
+    "mean_all": (ad.mean_all, [(3, 4)], (0,)),
+    "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)], (0,)),
+    "narrow": (lambda a: ad.narrow(a, 1, 1, 2), [(3, 4)], (0,)),
+    "conv1d_dilated with a fixed kernel": (
+        lambda x: ad.conv1d_dilated(x, Tensor(FIXED.normal(size=(5, 3, 3))), 2),
+        [(2, 3, 4, 9)], (0,)),
+    "channel_map": (ad.channel_map, [(2, 3, 4, 5), (6, 3), (6,)], (2,)),
+    "channel_map with a fixed weight": (
+        lambda x: ad.channel_map(x, Tensor(FIXED.normal(size=(6, 3)))), [(2, 3, 4, 5)], (0,)),
+    "propagate with a fixed matrix": (
+        lambda x: ad.propagate(x, Tensor(FIXED.uniform(size=(4, 4)))), [(2, 3, 4, 5)], (0,)),
+}
+
+
+class TestTapeRetention:
+    @pytest.mark.parametrize("case", sorted(RETENTION_CASES))
+    def test_unread_input_is_freed_before_backward(self, case):
+        fn, shapes, unread = RETENTION_CASES[case]
+        leaves = [rand_p(shape, seed=i) for i, shape in enumerate(shapes)]
+        t = Tape()
+        with t:
+            # each input is a recorded intermediate that owns a fresh array
+            inputs = [ad.scale(leaf, 1.0) for leaf in leaves]
+            arrays = [weakref.ref(x.data) for x in inputs]
+            out = fn(*inputs)
+            loss = ad.reduce_sum(ad.mul(out, Tensor(np.random.default_rng(1).normal(size=out.shape))))
+            del inputs, out
+        for i in unread:
+            assert arrays[i]() is None, f"{case}: input {i} is still alive"
+        t.backward(loss)
+        for leaf in leaves:
+            assert leaf.grad.shape == leaf.shape and np.isfinite(leaf.grad).all()
+
+    def test_grad_is_shared_with_the_tape(self):
+        # .grad reads the slot the tape fills, also for an intermediate
+        x = rand_p((3,))
+        t = Tape()
+        with t:
+            h = ad.scale(x, 2.0)
+            loss = ad.reduce_sum(ad.mul(h, h))
+        t.backward(loss)
+        np.testing.assert_array_equal(h.grad, 2 * h.data)
+        np.testing.assert_array_equal(x.grad, 4 * h.data)
+        x.grad = None
+        assert x.grad is None

@@ -17,6 +17,15 @@ def error_lines(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
 
 
+def run_sdgl(*args) -> subprocess.CompletedProcess:
+    """``sdgl`` in a fresh process, so its whole stderr is what a user sees."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "sdgl.cli", *map(str, args)], env=env,
+                          capture_output=True, text=True)
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("synth")
@@ -167,17 +176,27 @@ class TestTrain:
         cfg.write_text(json.dumps({"learning_rate": 1e160, "epochs": 3, "embed_dim": 8,
                                    "heads": 2, "channels": 8, "batch_size": 16}))
         out = tmp_path / "run"
-        # a fresh process, so its whole stderr is what a user sees
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(Path(__file__).resolve().parents[1] / "src"),
-                        os.environ.get("PYTHONPATH")) if p))
-        run = subprocess.run([sys.executable, "-m", "sdgl.cli", "train",
-                              "--data", str(synth_dir / "data.csv"), "--config", str(cfg),
-                              "--out-dir", str(out)], env=env, capture_output=True, text=True)
+        run = run_sdgl("train", "--data", synth_dir / "data.csv", "--config", cfg,
+                       "--out-dir", out)
         assert run.returncode == EXIT_RUNTIME
         [line] = run.stderr.splitlines()
         assert line.startswith("ERROR sdgl: loss became non-finite") \
             and "last finite loss" in line, run.stderr
+        assert not out.exists()
+
+    def test_divergence_in_the_last_step_writes_nothing(self, tmp_path):
+        # one step in all, so no loss check sees its update; on this series
+        # that update makes the validation forecast overflow
+        assert main(["synth", "--nodes", "5", "--steps", "200", "--seed", "1",
+                     "--out-dir", str(tmp_path / "synth")]) == EXIT_OK
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({"learning_rate": 1e308, "epochs": 1, "batch_size": 100000}))
+        out = tmp_path / "run"
+        run = run_sdgl("train", "--data", tmp_path / "synth" / "data.csv", "--config", cfg,
+                       "--out-dir", out)
+        assert run.returncode == EXIT_RUNTIME
+        [line] = run.stderr.splitlines()
+        assert line.startswith("ERROR sdgl: validation forecast became non-finite"), run.stderr
         assert not out.exists()
 
     def test_failing_writer_leaves_nothing(self, synth_dir, small_config, tmp_path,
@@ -219,6 +238,16 @@ class TestTrain:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n3,oops\n")
         assert main(["train", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+
+    def test_csv_not_utf8_is_usage_error(self, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("a,b\n1,2\n3,4é\n".encode("latin-1"))
+        out = tmp_path / "run"
+        run = run_sdgl("train", "--data", bad, "--out-dir", out)
+        assert run.returncode == EXIT_USAGE
+        assert run.stderr.splitlines() == [
+            f"ERROR sdgl: {bad}: not UTF-8 text: cannot decode byte 0xe9 (invalid continuation byte)"]
+        assert not out.exists()
 
 
 class TestEval:
@@ -294,6 +323,9 @@ class TestEval:
         ("tensor_count", None, "header field 'tensor_count'"),
         ("step", "3", "header field 'step'"),
         ("config", {"heads": "4"}, "header field 'config'"),
+        # checked against the records before a 3000-node model is built
+        ("config", {"n_nodes": 3000},
+         "tensor 'embeddings.m_static' has shape (5, 8), expected (3000, 8)"),
     ])
     def test_checkpoint_header_schema_error(self, synth_dir, train_dir, tmp_path, caplog,
                                             field, value, named):

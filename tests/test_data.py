@@ -73,6 +73,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="line 2: field larger than field limit"):
             load_csv(p)
 
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("a,b\n1,2\n3,é\n".encode("latin-1"))
+        with pytest.raises(ParseError) as exc:
+            load_csv(p)
+        assert str(exc.value) == f"{p}: not UTF-8 text: cannot decode byte 0xe9 (invalid continuation byte)"
+
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=st.text())
     def test_garbage_text_loads_or_is_parse_error(self, tmp_path, text):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,8 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sdgl import autodiff as ad
-from sdgl import checkpoint
-from sdgl.autodiff import Tensor
+from sdgl import checkpoint, temporal
+from sdgl import model as sdgl_model
+from sdgl.autodiff import Tape, Tensor
 from sdgl.data import (
     PlantedGraphSpec,
     Scaler,
@@ -36,6 +40,7 @@ from sdgl.model import (
     evaluate,
     hybrid_loss,
     predict,
+    state_shapes,
     train,
 )
 from sdgl.static_graph import ConfigError
@@ -189,6 +194,83 @@ class TestForward:
         assert "embeddings.m_dynamic" in model.state_tensors()
 
 
+def closure_lines() -> set[int]:
+    """Lines of autodiff.py where a top-level function builds a nested
+    function or a lambda."""
+    tree = ast.parse(inspect.getsource(ad))
+    return {node.lineno for top in tree.body if isinstance(top, ast.FunctionDef)
+            for node in ast.walk(top)
+            if node is not top and isinstance(node, (ast.FunctionDef, ast.Lambda))}
+
+
+def autodiff_lines_run(fn) -> set[int]:
+    """Lines of autodiff.py executed while ``fn()`` runs."""
+    hit: set[int] = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != ad.__file__:
+            return None
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return hit
+
+
+class TestTapeMemory:
+    def test_forward_keeps_only_what_backward_reads(self, monkeypatch):
+        seen: dict[str, list] = {}
+
+        def spy(key, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen.setdefault(key, []).append(weakref.ref(out.data))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(ad, "conv1d_dilated", spy("conv", ad.conv1d_dilated))
+        # conv plus bias: the gated layers' pre-activations, outputs of add
+        monkeypatch.setattr(temporal, "_packed_inception",
+                            spy("pre-activation", temporal._packed_inception))
+        monkeypatch.setattr(sdgl_model, "fuse_branches", spy("fused", sdgl_model.fuse_branches))
+        monkeypatch.setattr(ad, "tanh", spy("tanh", ad.tanh))
+        monkeypatch.setattr(ad, "sigmoid", spy("sigmoid", ad.sigmoid))
+        model = SDGLModel(tiny_config(dropout_keep=0.8))
+        rng = np.random.default_rng(0)
+        t = Tape()
+        with t:
+            res = model.forward(Tensor(rng.normal(size=(3, 4, 19))), training=True)
+            loss = hybrid_loss(res.prediction, Tensor(rng.normal(size=(3, 4, 3))),
+                               res.reg_loss, 0.5)
+        for key in ("conv", "pre-activation", "fused"):
+            assert len(seen[key]) >= 2 and all(r() is None for r in seen[key]), key
+        # their rules read tanh's and sigmoid's outputs
+        for key in ("tanh", "sigmoid"):
+            assert len(seen[key]) >= 2 and all(r() is not None for r in seen[key]), key
+        t.backward(loss)
+        assert all(r() is None for key in ("tanh", "sigmoid") for r in seen[key])
+
+    def test_no_closure_without_a_tape(self):
+        model = SDGLModel(tiny_config(dropout_keep=0.8))
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 4, 19)))
+        built = closure_lines()
+        untaped = autodiff_lines_run(lambda: model.forward(x, training=True)) & built
+        assert not untaped, f"autodiff.py lines {sorted(untaped)} built a closure"
+
+        def taped():
+            with Tape():
+                model.forward(x, training=True)
+
+        # the check sees closures where they are built
+        assert autodiff_lines_run(taped) & built
+
+
 class TestHybridLoss:
     def test_perfect_prediction_leaves_regularizer(self):
         p = Tensor(np.ones((2, 3, 4)))
@@ -276,6 +358,18 @@ class TestTraining:
         epoch, batch = int(found[1]), int(found[2])
         assert epoch >= 1 and 1 <= batch <= 8  # 8 batches of 8 in the 59 training windows
         assert math.isfinite(float(found[3])) and float(found[4]) > 0
+
+    def test_divergence_in_the_last_step(self):
+        # one step in all, so no loss check sees its update; on this series
+        # that update makes the validation forecast overflow
+        series = synth_generate(PlantedGraphSpec(n_nodes=4), 120, seed=3).dataset
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(DivergenceError) as exc:
+            warnings.simplefilter("always")
+            train(series, tiny_config(learning_rate=1e308, epochs=1, batch_size=100000))
+        assert str(exc.value).startswith(
+            "validation forecast became non-finite after the last step of epoch 1;")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_history_records_validation_metrics(self):
         out = train(tiny_dataset(seed=6), tiny_config(epochs=2))
@@ -622,6 +716,34 @@ class TestCheckpoint:
             checkpoint.load(p)
         except checkpoint.CheckpointError:
             pass
+
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(layers=1), dict(layers=3, window=43), dict(depth=3),
+        dict(heads=3, head_dim=5), dict(channels=12, horizon=5), dict(ablation=("no_dyadj",)),
+    ])
+    def test_state_shapes_match_the_model(self, overrides):
+        cfg = tiny_config(**overrides)
+        want = {name: t.shape for name, t in SDGLModel(cfg).state_tensors().items()}
+        assert dict(state_shapes(cfg)) == want
+
+    def test_config_beyond_the_records_fails_before_building(self, tmp_path):
+        # a header claiming 3000 nodes would ask for two 3000 x 3000 weights
+        p = tmp_path / "m.sdgl"
+        self.save_fresh(p)
+        raw = p.read_bytes()
+        header, records = self.split_records(raw)
+        header["config"]["n_nodes"] = 3000
+        p.write_bytes(self.join_records(raw, header, records))
+        tracemalloc.start()
+        try:
+            with pytest.raises(checkpoint.CheckpointError) as exc:
+                checkpoint.load(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (f"{p}: tensor 'embeddings.m_static' has shape (4, 8), "
+                                  "expected (3000, 8)")
+        assert peak < 10 * len(raw)
 
     def test_unsupported_version(self, tmp_path):
         out = train(tiny_dataset(seed=9), tiny_config(epochs=0))
