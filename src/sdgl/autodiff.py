@@ -12,13 +12,12 @@ its output's slot, the output's shape and a backward closure. The closure
 holds the slot of each input that needs a gradient and exactly the arrays its
 rule reads: the other operand of ``mul``, ``divide``, ``matmul``,
 ``conv1d_dilated``, ``channel_map`` and ``propagate``, the output of
-``tanh``, ``sigmoid`` and ``row_softmax``, the masks of ``relu``,
-``dropout`` (one byte per entry) and ``absolute``'s sign, ``layer_norm``'s
-normalized input. It never holds a ``Tensor``. So an activation no rule reads,
-such as the output of ``add``, ``scale``, ``reshape``, ``narrow`` or
-``concat``, is freed as soon as the forward pass drops it, and the rest is
-freed as ``backward`` releases each node. With no active tape, no closure and
-no slot is built.
+``tanh``, ``sigmoid`` and ``row_softmax``, the masks of ``relu`` and
+``dropout`` (one byte per entry), ``layer_norm``'s normalized input. It never
+holds a ``Tensor``. So an activation no rule reads, such as the output of
+``add``, ``scale``, ``reshape``, ``narrow`` or ``concat``, is freed as soon as
+the forward pass drops it, and the rest is freed as ``backward`` releases each
+node. With no active tape, no closure and no slot is built.
 
 Each gradient is written once: ``sub`` is ``add`` of ``scale(b, -1)``,
 ``mean_all`` is ``scale`` of ``reduce_sum``, and ``layer_norm`` applies its
@@ -50,7 +49,6 @@ __all__ = [
     "relu",
     "tanh",
     "sigmoid",
-    "absolute",
     "row_softmax",
     "layer_norm",
     "dropout",
@@ -293,14 +291,6 @@ def sigmoid(a: Tensor) -> Tensor:
     if _recording(a):
         ga = _slot(a)
         _record(out, lambda g: _accum(ga, g * y * (1.0 - y)))
-    return out
-
-
-def absolute(a: Tensor) -> Tensor:
-    out = Tensor(np.abs(a.data))
-    if _recording(a):
-        ga, sign = _slot(a), np.sign(a.data)
-        _record(out, lambda g: _accum(ga, g * sign))
     return out
 
 

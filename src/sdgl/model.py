@@ -105,14 +105,20 @@ class ModelConfig:
                 raise SettingTypeError(f"{name}: need a finite number, got {value!r}")
         if self.growth <= 1:
             raise ConfigError(f"growth: dilation rate must exceed 1, got {self.growth}")
-        # each layer shortens time by its dilation * (MAX_KERNEL - 1); one step must remain
-        rf = 1 + (MAX_KERNEL - 1) * sum(layer_dilation(self.growth, j)
-                                        for j in range(1, self.layers + 1))
-        if self.window < rf:
-            raise ConfigError(
-                f"window: input length {self.window} shorter than receptive field {rf} "
-                f"(c={MAX_KERNEL}, q={self.growth}, k={self.layers})"
-            )
+        # each layer shortens time by its dilation * (MAX_KERNEL - 1); one step must
+        # remain. The sum stops at the first layer the window cannot feed, so a huge
+        # layer count costs a few terms; a dilation past float range cannot be fed.
+        rf = 1
+        for j in range(1, self.layers + 1):
+            try:
+                rf += (MAX_KERNEL - 1) * layer_dilation(self.growth, j)
+            except OverflowError:
+                rf = math.inf
+            if self.window < rf:
+                raise ConfigError(
+                    f"window: input length {self.window} shorter than receptive field {rf} "
+                    f"(c={MAX_KERNEL}, q={self.growth}, k={j} of {self.layers} layers)"
+                )
         if self.channels % 4 != 0:
             raise ConfigError(f"channels: must be divisible by 4, got {self.channels}")
         if not 0.0 <= self.momentum < 1.0:
@@ -320,7 +326,8 @@ def hybrid_loss(pred: Tensor, target: Tensor, reg_loss: Tensor, lambda_reg: floa
     """Mean absolute prediction error plus weighted graph regularization."""
     if pred.shape != target.shape:
         raise ad.ShapeError(f"hybrid_loss: shape mismatch {pred.shape} vs {target.shape}")
-    mae = ad.mean_all(ad.absolute(ad.sub(pred, target)))
+    err = ad.sub(pred, target)
+    mae = ad.mean_all(ad.mul(err, Tensor(np.sign(err.data))))  # |err|, gradient sign(err)
     return ad.add(mae, ad.scale(reg_loss, lambda_reg))
 
 

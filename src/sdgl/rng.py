@@ -25,9 +25,6 @@ class RngState:
     def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
         return self._gen.uniform(low, high, shape)
 
-    def integers(self, low: int, high: int, shape=None) -> np.ndarray:
-        return self._gen.integers(low, high, shape)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

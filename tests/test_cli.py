@@ -97,13 +97,25 @@ class TestSynth:
         # bounded trajectory, or any series at all) are runtime errors, not
         # usage errors
         out = tmp_path / "synth"
-        for flags in (["--alpha", "1.5"], ["--steps", "0"], ["--period", "0"],
-                      ["--noise", "-1"], ["--switch", "5:3"]):
+        for flags, named in ((["--alpha", "1.5"], "alpha"), (["--steps", "0"], "time step"),
+                             (["--period", "0"], "seasonal period"),
+                             (["--noise", "-1"], "noise std"), (["--noise", "nan"], "noise std"),
+                             (["--switch", "5:3"], "5:3"),
+                             (["--switch", "5:9", "--switch-fraction", "nan"], "switch fraction"),
+                             (["--switch-fraction", "-3"], "switch fraction")):
             caplog.clear()
             assert main(["synth", *flags, "--out-dir", str(out)]) == EXIT_RUNTIME, flags
             [line] = error_lines(caplog)
-            assert "\n" not in line
+            assert named in line and "\n" not in line, line
             assert not out.exists()
+
+    def test_overflowing_noise_is_one_line(self, tmp_path):
+        out = tmp_path / "synth"
+        run = run_sdgl("synth", "--noise", "1e308", "--steps", 50, "--out-dir", out)
+        assert run.returncode == EXIT_RUNTIME
+        assert run.stderr.splitlines() == [
+            "ERROR sdgl: trajectory became non-finite with noise std 1e+308"]
+        assert not out.exists()
 
 
 class TestTrain:
@@ -215,6 +227,16 @@ class TestTrain:
             assert error_lines(caplog) == ["disk full"]
         assert not fresh.parent.exists()
         assert list(existing.iterdir()) == []
+
+    def test_huge_layer_count_writes_nothing(self, synth_dir, tmp_path):
+        # 2.0 ** 1999 overflows a float; the window check stops at layer 3
+        out = tmp_path / "run"
+        run = run_sdgl("train", "--data", synth_dir / "data.csv", "--layers", 2000,
+                       "--out-dir", out)
+        assert run.returncode == EXIT_USAGE
+        [line] = run.stderr.splitlines()
+        assert line.startswith("ERROR sdgl: window: "), run.stderr
+        assert not out.exists()
 
     def test_invalid_hyperparameter(self, synth_dir, tmp_path):
         assert main(["train", "--data", str(synth_dir / "data.csv"),

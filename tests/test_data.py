@@ -284,7 +284,65 @@ class TestMetrics:
             metrics(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+# synth_generate's output, frozen: (spec, steps, seed, the i < j pairs of the
+# adjacency, those of the secondary adjacency, the series' L2 norm and its
+# projection on a fixed random unit vector). The series goes through BLAS, so
+# it is compared within SYNTH_RTOL of its norm, as in test_reference_outputs.py.
+FROZEN_SYNTH = {
+    "default": (
+        {}, 80, 0,
+        [(0, 1), (0, 4), (0, 8), (0, 9), (1, 2), (1, 7), (1, 8), (2, 4), (2, 5), (2, 7),
+         (3, 6), (3, 7), (4, 6), (5, 8)],
+        None, (32.317432543422726, 1.6794892601659654)),
+    "switching": (
+        dict(n_nodes=8, edge_prob=0.3, switch_intervals=((10, 20), (40, 55))), 80, 5,
+        [(0, 4), (0, 7), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4), (3, 6), (3, 7),
+         (4, 6)],
+        [(0, 2), (0, 6), (0, 7), (1, 6), (2, 3), (2, 6), (3, 4), (3, 7), (4, 7), (5, 6),
+         (6, 7)],
+        (68.3086841831506, 2.668063303102712)),
+    # no pair drawn: the pair (0, 1) is forced
+    "edge_prob_0": (
+        dict(n_nodes=6, edge_prob=0.0, switch_intervals=((5, 15),)), 40, 1,
+        [(0, 1)], [(0, 2)], (21.237063351749786, 0.7877428070899316)),
+    # every pair drawn: the switch drops edges and has none to add
+    "edge_prob_1": (
+        dict(n_nodes=5, edge_prob=1.0, switch_intervals=((5, 15),), switch_fraction=0.3), 40, 7,
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4)],
+        (27.898627751653027, -0.4671231107246755)),
+    "two_nodes": (
+        dict(n_nodes=2, switch_intervals=((3, 9),)), 30, 2,
+        [(0, 1)], [], (18.903968540031364, 1.6741156767795016)),
+}
+SYNTH_RTOL = 1e-11
+
+
+def adjacency_of(n: int, pairs) -> np.ndarray:
+    a = np.zeros((n, n))
+    for i, j in pairs:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
 class TestSynthGenerator:
+    @pytest.mark.parametrize("case", sorted(FROZEN_SYNTH))
+    def test_output_is_frozen(self, case):
+        spec, steps, seed, pairs, secondary, (norm, probe) = FROZEN_SYNTH[case]
+        spec = PlantedGraphSpec(**spec)
+        res = synth_generate(spec, steps, seed)
+        np.testing.assert_array_equal(res.adjacency, adjacency_of(spec.n_nodes, pairs))
+        if secondary is None:
+            assert res.secondary_adjacency is None
+        else:
+            np.testing.assert_array_equal(res.secondary_adjacency,
+                                          adjacency_of(spec.n_nodes, secondary))
+        values = res.dataset.values.reshape(-1)
+        unit = np.random.default_rng(12345).standard_normal(values.size)
+        unit /= np.linalg.norm(unit)
+        assert abs(np.linalg.norm(values) - norm) <= SYNTH_RTOL * norm
+        assert abs(values @ unit - probe) <= SYNTH_RTOL * norm
+
     def test_deterministic_for_seed(self):
         spec = PlantedGraphSpec(n_nodes=6, noise_std=0.2)
         a = synth_generate(spec, 100, seed=9)
@@ -339,8 +397,15 @@ class TestSynthGenerator:
             synth_generate(PlantedGraphSpec(edge_prob=1.5), 50, seed=0)
         with pytest.raises(GenerationError, match="seasonal period"):
             synth_generate(PlantedGraphSpec(seasonal_period=0), 50, seed=0)
-        with pytest.raises(GenerationError, match="noise"):
-            synth_generate(PlantedGraphSpec(noise_std=-1.0), 50, seed=0)
+        for noise in (-1.0, float("nan")):
+            with pytest.raises(GenerationError, match="noise std must be"):
+                synth_generate(PlantedGraphSpec(noise_std=noise), 50, seed=0)
+        with pytest.raises(GenerationError, match="non-finite with noise std 1e"):
+            synth_generate(PlantedGraphSpec(noise_std=1e308), 50, seed=0)
+        for fraction in (float("nan"), -3.0, 1.5):
+            with pytest.raises(GenerationError, match="switch fraction"):
+                synth_generate(PlantedGraphSpec(switch_intervals=((5, 9),),
+                                                switch_fraction=fraction), 50, seed=0)
         with pytest.raises(GenerationError, match="5:3"):
             synth_generate(PlantedGraphSpec(switch_intervals=((10, 20), (5, 3))), 50, seed=0)
         with pytest.raises(GenerationError, match="time step"):

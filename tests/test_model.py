@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -140,6 +141,20 @@ class TestModelConfig:
         tiny_config(layers=layers, window=bound).validate()
         with pytest.raises(ConfigError, match="window"):
             tiny_config(layers=layers, window=bound - 1).validate()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(layers=2000),  # 2.0 ** 1999 overflows a float
+        dict(layers=10**12),
+        dict(layers=10**12, window=10**400),  # the sum passes float range first
+        dict(growth=1e300, layers=3, window=10**400),
+    ])
+    def test_huge_stack_is_rejected_at_once(self, overrides):
+        # the receptive-field sum stops at the first layer the window cannot feed
+        cfg = tiny_config(**overrides)
+        started = time.perf_counter()
+        with pytest.raises(ConfigError, match="^window: "):
+            cfg.validate()
+        assert time.perf_counter() - started < 1.0
 
     def test_head_dim_divisibility(self):
         with pytest.raises(ConfigError, match="divisible"):
@@ -282,6 +297,16 @@ class TestHybridLoss:
         p, t = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
         loss = hybrid_loss(Tensor(p), Tensor(t), Tensor(np.asarray(9.0)), 0.0)
         assert loss.item() == pytest.approx(np.abs(p - t).mean(), abs=1e-15)
+
+    def test_prediction_gradient_is_sign_over_size(self):
+        rng = np.random.default_rng(1)
+        p = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        t = rng.normal(size=(2, 3, 4))
+        tape = Tape()
+        with tape:
+            loss = hybrid_loss(p, Tensor(t), Tensor(np.asarray(0.0)), 0.5)
+        tape.backward(loss)
+        np.testing.assert_array_equal(p.grad, np.sign(p.data - t) / p.data.size)
 
     def test_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
@@ -632,6 +657,8 @@ class TestCheckpoint:
             h["config"]["heads"] = "4"
         elif mutation == "config invalid":
             h["config"]["heads"] = 0
+        elif mutation == "config too many layers":
+            h["config"]["layers"] = 2000  # 2.0 ** 1999 overflows a float
         elif mutation == "step a string":
             h["step"] = "3"
         elif mutation == "step a float":
@@ -670,6 +697,7 @@ class TestCheckpoint:
         "config field unknown": "'config'.*foo",
         "config field mistyped": "'config'",
         "config invalid": "'config'.*heads",
+        "config too many layers": "'config': window: ",
         "step a string": "'step'",
         "step a float": "'step'",
         "rng a string": "'rng'",
