@@ -19,11 +19,18 @@ holds a ``Tensor``. So an activation no rule reads, such as the output of
 the forward pass drops it, and the rest is freed as ``backward`` releases each
 node. With no active tape, no closure and no slot is built.
 
-Each gradient is written once: ``sub`` is ``add`` of ``scale(b, -1)``,
-``mean_all`` is ``scale`` of ``reduce_sum``, and ``layer_norm`` applies its
-gain and bias with ``mul`` and ``add``. Primitives do not check operands for
-non-finite values; ``train`` raises ``DivergenceError`` on a non-finite loss
-and ``build_static_graph`` raises ``NumericError`` on non-finite embeddings.
+Each rule is written once. An op that other primitives express is a composite
+with no rule of its own: ``sub`` is ``add`` of ``scale(b, -1)``, ``scale`` is
+``mul`` by a constant, ``mean_all`` is ``scale`` of ``reduce_sum``,
+``layer_norm`` applies its gain and bias with ``mul`` and ``add``, and
+``channel_map`` is the one-tap case of ``conv1d_dilated``'s rule. Some keep
+their own rule: the masks of ``relu`` and ``dropout`` take one byte per entry
+where ``mul`` would keep eight, ``propagate``'s folded matrix gradient forms no
+(B, C, N, N) temporary, and ``layer_norm``, ``row_softmax`` and ``divide`` need
+ops the engine lacks (an axis mean, ``exp``, a reciprocal). Primitives do not
+check operands for non-finite values; ``train`` raises ``DivergenceError`` on a
+non-finite loss and ``build_static_graph`` raises ``NumericError`` on
+non-finite embeddings.
 """
 
 from __future__ import annotations
@@ -256,12 +263,7 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor(a.data * s)
-    if _recording(a):
-        ga = _slot(a)
-        _record(out, lambda g: _accum(ga, g * s))
-    return out
+    return mul(a, Tensor(s))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -472,6 +474,51 @@ def _tap(x: np.ndarray, offset: int, t_out: int) -> np.ndarray:
     return x[..., offset : offset + t_out].reshape(b, c, n * t_out)
 
 
+def _conv(x: Tensor, w: Tensor, dilation: int, bias: Tensor | None) -> Tensor:
+    """The rule of both convolutions. A (C_out, C_in) w is read as one tap."""
+    taps = w.data.reshape(*w.data.shape[:2], -1)
+    b, c_in, n, t_in = x.data.shape
+    c_out, _, k = taps.shape
+    t_out = t_in - dilation * (k - 1)
+    # Tap s reads input positions offset + [0, t_out), offset = d*(k-1-s); it
+    # is one (C_out, C_in) matmul on that slice, flattened to (B, C_in, N*t_out).
+    offsets = [dilation * (k - 1 - s) for s in range(k)]
+    acc = taps[:, :, 0] @ _tap(x.data, offsets[0], t_out)
+    for s in range(1, k):
+        acc += taps[:, :, s] @ _tap(x.data, offsets[s], t_out)
+    if bias is not None:
+        acc += bias.data.reshape(1, -1, 1)
+    out = Tensor(acc.reshape(b, c_out, n, t_out))
+    inputs = (x, w) if bias is None else (x, w, bias)
+    if _recording(*inputs):
+        gx, gw, w_shape = _slot(x), _slot(w), w.shape
+        gbias = None if bias is None else _slot(bias)
+        # x is re-tapped in backward, so a strided x is not kept as a copy
+        x_data, w_data = (x.data if gw else None), (taps if gx else None)
+
+        def backward(g):
+            g = g.reshape(b, c_out, n * t_out)
+            if gx:
+                if k == 1:  # the one tap covers every position
+                    dx = (w_data[:, :, 0].T @ g).reshape(b, c_in, n, t_in)
+                else:
+                    dx = np.zeros((b, c_in, n, t_in))
+                    for s, off in enumerate(offsets):
+                        dx[..., off : off + t_out] += (w_data[:, :, s].T @ g).reshape(
+                            b, c_in, n, t_out)
+                _accum(gx, dx)
+            if gw:
+                dw = np.empty((c_out, c_in, k))
+                for s, off in enumerate(offsets):
+                    dw[:, :, s] = (g @ _tap(x_data, off, t_out).transpose(0, 2, 1)).sum(axis=0)
+                _accum(gw, dw.reshape(w_shape))
+            if gbias:
+                _accum(gbias, g.sum(axis=(0, 2)))
+
+        _record(out, backward)
+    return out
+
+
 def conv1d_dilated(x: Tensor, w: Tensor, dilation: int) -> Tensor:
     """Dilated 1-D convolution along the trailing (time) axis.
 
@@ -481,71 +528,20 @@ def conv1d_dilated(x: Tensor, w: Tensor, dilation: int) -> Tensor:
     """
     if x.data.ndim != 4 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv1d_dilated: incompatible shapes {x.shape}, {w.shape}")
-    b, c_in, n, t_in = x.data.shape
-    c_out, _, k = w.data.shape
-    t_out = t_in - dilation * (k - 1)
-    if t_out < 1:
+    t_in, k = x.data.shape[3], w.data.shape[2]
+    if t_in - dilation * (k - 1) < 1:
         raise ShapeError(
             f"conv1d_dilated: time axis {t_in} shorter than required minimum "
             f"{dilation * (k - 1) + 1} (kernel {k}, dilation {dilation})"
         )
-    # Tap s reads input positions offset + [0, t_out), offset = d*(k-1-s); it
-    # is one (C_out, C_in) matmul on that slice, flattened to (B, C_in, N*t_out).
-    offsets = [dilation * (k - 1 - s) for s in range(k)]
-    acc = w.data[:, :, 0] @ _tap(x.data, offsets[0], t_out)
-    for s in range(1, k):
-        acc += w.data[:, :, s] @ _tap(x.data, offsets[s], t_out)
-    out = Tensor(acc.reshape(b, c_out, n, t_out))
-    if _recording(x, w):
-        gx, gw = _slot(x), _slot(w)
-        x_data, w_data = (x.data if gw else None), (w.data if gx else None)
-
-        def backward(g):
-            g = g.reshape(b, c_out, n * t_out)
-            if gx:
-                dx = np.zeros((b, c_in, n, t_in))
-                for s, off in enumerate(offsets):
-                    dx[..., off : off + t_out] += (w_data[:, :, s].T @ g).reshape(b, c_in, n, t_out)
-                _accum(gx, dx)
-            if gw:
-                dw = np.empty((c_out, c_in, k))
-                for s, off in enumerate(offsets):
-                    dw[:, :, s] = (g @ _tap(x_data, off, t_out).transpose(0, 2, 1)).sum(axis=0)
-                _accum(gw, dw)
-
-        _record(out, backward)
-    return out
+    return _conv(x, w, dilation, None)
 
 
 def channel_map(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """1x1 convolution: linear map over the channel axis of (B, C, N, T)."""
+    """1x1 convolution over the channel axis of (B, C, N, T): a one-tap conv1d_dilated."""
     if x.data.ndim != 4 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"channel_map: incompatible shapes {x.shape}, {w.shape}")
-    b, c_in, n, t = x.data.shape
-    c_out = w.data.shape[0]
-    y = w.data @ x.data.reshape(b, c_in, n * t)
-    if bias is not None:
-        y += bias.data.reshape(1, -1, 1)
-    out = Tensor(y.reshape(b, c_out, n, t))
-    inputs = (x, w) if bias is None else (x, w, bias)
-    if _recording(*inputs):
-        gx, gw = _slot(x), _slot(w)
-        gbias = None if bias is None else _slot(bias)
-        x_data, w_data = (x.data if gw else None), (w.data if gx else None)
-
-        def backward(g):
-            g = g.reshape(b, c_out, n * t)
-            if gx:
-                _accum(gx, (w_data.T @ g).reshape(b, c_in, n, t))
-            if gw:
-                # re-flattened here, so a strided x is not kept as a copy on the tape
-                x3 = x_data.reshape(b, c_in, n * t)
-                _accum(gw, (g @ x3.transpose(0, 2, 1)).sum(axis=0))
-            if gbias:
-                _accum(gbias, g.sum(axis=(0, 2)))
-
-        _record(out, backward)
-    return out
+    return _conv(x, w, 1, bias)
 
 
 def _node_rows(a: np.ndarray, p_shape: tuple[int, ...]) -> np.ndarray:

@@ -229,6 +229,7 @@ class PlantedGraphSpec:
     # (start, end) step intervals during which the secondary edges drive
     # the dynamics instead of the switched-out primary subset
     switch_intervals: tuple[tuple[int, int], ...] = ()
+    # share of primary edges a switch swaps; at least one pair, even at 0
     switch_fraction: float = 0.5
 
     def validate(self) -> None:
@@ -280,10 +281,11 @@ def _dynamics_matrix(edges: np.ndarray, alpha: float) -> np.ndarray:
 def synth_generate(spec: PlantedGraphSpec, t_total: int, seed: int) -> SynthResult:
     """Simulate x[t+1] = alpha*P*x[t] + seasonal(t) + noise over a planted graph.
 
-    During ``switch_intervals`` a secondary edge set replaces a random
-    ``switch_fraction`` of the primary edges (plus replacement edges drawn
-    over previously unconnected pairs), giving a short-term pattern distinct
-    from the long-term one.
+    During ``switch_intervals`` a secondary edge set replaces
+    ``max(1, round(switch_fraction * edges))`` random primary edges with up
+    to as many over previously unconnected pairs, giving a short-term pattern
+    distinct from the long-term one. So a switch swaps at least one pair,
+    even at a fraction of 0.
     """
     spec.validate()
     if t_total < 1:

@@ -287,12 +287,12 @@ class SDGLModel:
         """x: (B, N, h) normalized windows."""
         if isinstance(x, np.ndarray):
             x = Tensor(x)
-        b, n, h = x.shape
         cfg = self.config
-        if n != cfg.n_nodes or h != cfg.window:
+        if x.data.ndim != 3 or x.shape[1:] != (cfg.n_nodes, cfg.window):
             raise ad.ShapeError(
                 f"forward: expected (B, {cfg.n_nodes}, {cfg.window}) input, got {x.shape}"
             )
+        b, n, h = x.shape
 
         static = build_static_graph(self.embeddings.m_static)
         reg = graph_regularization_loss(x, static, cfg.gamma)
@@ -476,13 +476,13 @@ def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch) -> dict:
 def predict(model: SDGLModel, scaler: Scaler, x: np.ndarray) -> np.ndarray:
     """Forecast from a raw-unit (N, h) or (B, N, h) window, in raw units."""
     x = np.asarray(x, dtype=np.float64)
+    n, h = model.config.n_nodes, model.config.window
+    if x.ndim not in (2, 3) or x.shape[-2:] != (n, h):
+        raise ad.ShapeError(f"predict: the checkpoint's {n} nodes need a ({n}, {h}) or "
+                            f"(B, {n}, {h}) window, got shape {x.shape}")
     single = x.ndim == 2
     if single:
         x = x[None]
-    if x.shape[1] != model.config.n_nodes:
-        raise ad.ShapeError(
-            f"predict: checkpoint has {model.config.n_nodes} nodes, input has {x.shape[1]}"
-        )
     out = model.forward(Tensor(scaler.transform_windows(x)), training=False)
     y = scaler.inverse_windows(out.prediction.data)
     return y[0] if single else y

@@ -129,6 +129,13 @@ def abs_by_sign(x):
     return ad.mul(x, Tensor(np.sign(x.data)))
 
 
+def squared_sum(y):
+    return ad.reduce_sum(ad.mul(y, y))
+
+
+ONE_TAP_W = Tensor(np.linspace(-1, 2, 12).reshape(3, 4, 1))
+ONE_TAP_X = Tensor(np.linspace(-2, 1, 120).reshape(2, 5, 3, 4))
+
 # Inputs are kept clear of 0, where |x| has its kink; the others are smooth
 # everywhere.
 PRIMITIVE_LOSSES = {
@@ -148,6 +155,11 @@ PRIMITIVE_LOSSES = {
     "narrow": lambda x: ad.reduce_sum(ad.mul(ad.narrow(x, 1, 1, 2), ad.narrow(x, 1, 0, 2))),
     "reshape": lambda x: ad.reduce_sum(ad.mul(ad.reshape(x, (-1,)), ad.reshape(x, (-1,)))),
     "mean_all": lambda x: ad.mean_all(ad.mul(x, x)),
+    # the one-tap convolution channel_map runs, through x and through the weight
+    "conv1d_dilated one tap": lambda x: squared_sum(
+        ad.conv1d_dilated(ad.reshape(x, (1, 4, 1, 5)), ONE_TAP_W, 2)),
+    "conv1d_dilated one-tap weight": lambda x: squared_sum(
+        ad.conv1d_dilated(ONE_TAP_X, ad.reshape(x, (4, 5, 1)), 2)),
 }
 
 
@@ -347,6 +359,30 @@ class TestStructuredOracles:
         want_gh[:, :, :, 5:] = want_gv
         assert_close(gh, want_gh)
         assert_close(gw, want_gw)
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_channel_map_is_one_tap_conv1d_dilated(self, strided):
+        # bit for bit: both run one convolution rule, channel_map with one tap
+        rng = np.random.default_rng(8)
+        hidden, w, b = rng.normal(size=(3, 4, 5, 9)), rng.normal(size=(6, 4)), rng.normal(size=(6,))
+        g = rng.normal(size=(3, 6, 5, 6 if strided else 9))
+
+        def view(h):
+            if not strided:
+                return h
+            v = ad.narrow(h, 3, 3, 6)
+            assert not v.data.flags.c_contiguous
+            return v
+
+        y, (gh, gw, gb) = vjp(lambda h, m, c: ad.channel_map(view(h), m, c),
+                              [Tensor(hidden), Tensor(w), Tensor(b)], g)
+        y_conv, (gh_conv, gw_conv) = vjp(lambda h, m: ad.conv1d_dilated(view(h), m, 1),
+                                         [Tensor(hidden), Tensor(w[:, :, None])], g)
+        np.testing.assert_array_equal(y, y_conv + b.reshape(1, -1, 1, 1))
+        np.testing.assert_array_equal(gh, gh_conv)
+        assert gw.shape == w.shape
+        np.testing.assert_array_equal(gw, gw_conv[:, :, 0])
+        assert_close(gb, g.sum(axis=(0, 2, 3)))
 
     @pytest.mark.parametrize("per_sample", [False, True])
     @pytest.mark.parametrize("seed", range(3))

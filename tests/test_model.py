@@ -182,6 +182,10 @@ class TestForward:
         model = SDGLModel(tiny_config())
         with pytest.raises(ad.ShapeError, match="forward"):
             model.forward(np.zeros((2, 4, 7)))
+        # a wrong rank names the expected shape, not an unpacking error
+        for shape in [(4, 19), (1, 1, 4, 19)]:
+            with pytest.raises(ad.ShapeError, match=r"forward: expected \(B, 4, 19\) input"):
+                model.forward(np.zeros(shape))
 
     def test_same_seed_same_outputs(self):
         x = np.random.default_rng(1).normal(size=(3, 4, 19))
@@ -471,6 +475,10 @@ class TestEvaluatePredict:
         out = self.make_trained(seed=2)
         with pytest.raises(ad.ShapeError, match="nodes"):
             predict(out.model, out.scaler, np.zeros((5, 19)))
+        # a wrong rank or length names the expected shape, not an IndexError or a node count
+        for shape in [(19,), (1, 1, 4, 19), (4, 7)]:
+            with pytest.raises(ad.ShapeError, match=r"\(4, 19\) or \(B, 4, 19\) window"):
+                predict(out.model, out.scaler, np.zeros(shape))
 
     def test_evaluate_scores_predict(self):
         # more windows than one evaluate batch of 128
