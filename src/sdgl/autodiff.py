@@ -27,10 +27,18 @@ with no rule of its own: ``sub`` is ``add`` of ``scale(b, -1)``, ``scale`` is
 their own rule: the masks of ``relu`` and ``dropout`` take one byte per entry
 where ``mul`` would keep eight, ``propagate``'s folded matrix gradient forms no
 (B, C, N, N) temporary, and ``layer_norm``, ``row_softmax`` and ``divide`` need
-ops the engine lacks (an axis mean, ``exp``, a reciprocal). Primitives do not
-check operands for non-finite values; ``train`` raises ``DivergenceError`` on a
-non-finite loss and ``build_static_graph`` raises ``NumericError`` on
-non-finite embeddings.
+ops the engine lacks (an axis mean, ``exp``, a reciprocal).
+
+The convolution's forward pass gathers the k shifted tap slices of a batch
+chunk into one buffer and runs one matmul with K = k*C_in, in place of k
+matmuls and k-1 accumulating passes over the output; a one-tap map from one
+input channel (the model's start map) is a broadcast multiply. Its backward
+stays one matmul per tap: a gathered backward was measured and was no
+faster.
+
+Primitives do not check operands for non-finite values; ``train`` raises
+``DivergenceError`` on a non-finite loss and ``build_static_graph`` raises
+``NumericError`` on non-finite embeddings.
 """
 
 from __future__ import annotations
@@ -285,10 +293,14 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # piecewise form avoids exp overflow for large negative inputs
-    pos = a.data >= 0
-    e = np.exp(np.where(pos, -a.data, a.data))
-    y = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    # 1 / (1 + e) for a >= 0 and e / (1 + e) below, e = exp(-|a|) <= 1: exp
+    # never overflows, and both branches share the one division
+    e = np.abs(a.data)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.where(a.data >= 0, 1.0, e)
+    e += 1.0
+    y /= e
     out = Tensor(y)
     if _recording(a):
         ga = _slot(a)
@@ -474,18 +486,44 @@ def _tap(x: np.ndarray, offset: int, t_out: int) -> np.ndarray:
     return x[..., offset : offset + t_out].reshape(b, c, n * t_out)
 
 
+# Bytes of the gathered-tap buffer of one batch chunk in the convolution's
+# forward pass. A whole-batch buffer (37 MB at train_wide's shapes) goes past
+# the 32 MB mmap threshold that ``model.retain_freed_heap`` sets, and there the
+# convolution got slower than per tap (16.7 -> 20.6 ms).
+_GATHER_BYTES = 1 << 20
+
+
 def _conv(x: Tensor, w: Tensor, dilation: int, bias: Tensor | None) -> Tensor:
     """The rule of both convolutions. A (C_out, C_in) w is read as one tap."""
     taps = w.data.reshape(*w.data.shape[:2], -1)
     b, c_in, n, t_in = x.data.shape
     c_out, _, k = taps.shape
     t_out = t_in - dilation * (k - 1)
-    # Tap s reads input positions offset + [0, t_out), offset = d*(k-1-s); it
-    # is one (C_out, C_in) matmul on that slice, flattened to (B, C_in, N*t_out).
+    # Tap s reads input positions offset + [0, t_out), offset = d*(k-1-s).
     offsets = [dilation * (k - 1 - s) for s in range(k)]
-    acc = taps[:, :, 0] @ _tap(x.data, offsets[0], t_out)
-    for s in range(1, k):
-        acc += taps[:, :, s] @ _tap(x.data, offsets[s], t_out)
+    if k == 1 and c_in == 1:  # a K = 1 product: the broadcast is the same single multiply
+        acc = taps[:, :, 0] * _tap(x.data, 0, t_out)
+    elif k == 1:
+        acc = taps[:, :, 0] @ _tap(x.data, 0, t_out)
+    else:
+        # Copy the k tap slices of a chunk of m samples into one
+        # (m, k*C_in, N*t_out) buffer and run one matmul with the
+        # (C_out, k*C_in) weight into the chunk's output rows. The buffer and
+        # the output share one allocation, the buffer first, freed together:
+        # as two arrays the heap placed them so that peak RSS rose by up to
+        # 2 MB on some seeds (train_small 67.0 -> 69.1 MB).
+        m = max(1, min(b, _GATHER_BYTES // (8 * k * c_in * n * t_out)))
+        size = m * k * c_in * n * t_out
+        block = np.empty(size + b * c_out * n * t_out)
+        gathered = block[:size].reshape(m, k, c_in, n, t_out)
+        acc = block[size:].reshape(b, c_out, n * t_out)
+        w_flat = taps.transpose(0, 2, 1).reshape(c_out, k * c_in)
+        for lo in range(0, b, m):
+            rows = min(m, b - lo)
+            buf = gathered[:rows]
+            for s, off in enumerate(offsets):
+                buf[:, s] = x.data[lo : lo + rows, :, :, off : off + t_out]
+            np.matmul(w_flat, buf.reshape(rows, k * c_in, n * t_out), out=acc[lo : lo + rows])
     if bias is not None:
         acc += bias.data.reshape(1, -1, 1)
     out = Tensor(acc.reshape(b, c_out, n, t_out))

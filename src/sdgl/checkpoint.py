@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .data import Scaler
+from .data import Scaler, _replacing
 from .model import ModelConfig, SDGLModel, state_shapes
 
 MAGIC = b"SDGL"
@@ -55,7 +55,7 @@ def save(path, model: SDGLModel, scaler: Scaler) -> None:
     # the Philox state holds ndarrays besides plain JSON values
     blob = json.dumps(header, sort_keys=True, default=lambda a: {
         "__ndarray__": a.tolist(), "dtype": str(a.dtype)}).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(blob)))

@@ -9,7 +9,10 @@ recovery can be scored against ground truth.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -122,12 +125,31 @@ def load_csv(path) -> SeriesDataset:
     return SeriesDataset(np.array(rows))
 
 
+@contextmanager
+def _replacing(path, mode: str, **open_args):
+    """Open a temporary file next to ``path`` that replaces it on success.
+
+    The temporary is ``.<name>.tmp`` in the same directory, so ``os.replace``
+    swaps it in whole. A write that raises leaves ``path`` as it was and
+    removes the temporary.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_csv(path, values: np.ndarray, header: list[str] | None = None) -> None:
     """Write a matrix with 17 significant digits so parsing round-trips."""
     values = np.asarray(values, dtype=np.float64)
     if header is None:
         header = [f"node_{i}" for i in range(values.shape[1])]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in values:

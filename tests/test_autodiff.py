@@ -16,6 +16,12 @@ def rand_p(shape, seed=0):
     return Tensor(np.random.default_rng(seed).normal(size=shape), requires_grad=True)
 
 
+def sigmoid_two_branch(a):
+    pos = a >= 0
+    e = np.exp(np.where(pos, -a, a))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 class TestForwardValues:
     def test_matmul_identity(self):
         m = rand((3, 5), seed=1)
@@ -29,6 +35,20 @@ class TestForwardValues:
     def test_relu_definition(self):
         out = ad.relu(Tensor([[-2.0, 5.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 5.0]])
+
+    def test_sigmoid_bit_identical_to_the_two_branch_form(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [0.0, -0.0, 710.0, -710.0, np.inf, -np.inf, np.nan, tiny, -tiny,
+                   1e-310, -1e-310, 36.8, -36.8, 745.2, -745.2]
+        a = np.concatenate([special, np.random.default_rng(4).normal(scale=20.0, size=500)])
+        # exp(-710) is subnormal and sets the underflow flag in both forms, so
+        # underflow stays at numpy's default "ignore"
+        with np.errstate(all="raise", under="ignore"):
+            y = ad.sigmoid(Tensor(a)).data
+            want = sigmoid_two_branch(a)
+        nan = np.isnan(a)
+        assert np.isnan(y[nan]).all()
+        np.testing.assert_array_equal(y[~nan].view(np.int64), want[~nan].view(np.int64))
 
     def test_shape_error_names_primitive(self):
         with pytest.raises(ad.ShapeError, match="matmul"):
@@ -324,6 +344,34 @@ class TestStructuredOracles:
         assert_close(gx, want_gx)
         assert_close(gw, want_gw)
 
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    @pytest.mark.parametrize("d, t_in", [(1, 17), (2, 17), (2, 5)])
+    @pytest.mark.parametrize("narrowed", [False, True])
+    def test_conv1d_dilated_in_batch_chunks(self, monkeypatch, per_chunk, d, t_in, narrowed):
+        # the forward gathers the taps of per_chunk samples at a time: 5 samples
+        # in chunks of 1, of 2 (the last has one) and of 3; (2, 5) gives t_out = 1
+        c_in, n, k, b = 4, 3, 3, 5
+        t_out = t_in - d * (k - 1)
+        monkeypatch.setattr(ad, "_GATHER_BYTES", per_chunk * 8 * k * c_in * n * t_out)
+        rng = np.random.default_rng(per_chunk)
+        lead = 2 if narrowed else 0
+        hidden = Tensor(rng.normal(size=(b, c_in, n, lead + t_in)))
+        w = Tensor(rng.normal(size=(6, c_in, k)))
+        g = rng.normal(size=(b, 6, n, t_out))
+
+        def f(h, m):
+            x = ad.narrow(h, 3, lead, t_in) if narrowed else h
+            return ad.conv1d_dilated(x, m, d)
+
+        y, (gh, gw) = vjp(f, [hidden, w], g)
+        x = hidden.data[..., lead:]
+        assert_close(y, conv_oracle(x, w.data, d))
+        want_gx, want_gw = conv_vjp_oracle(x, w.data, d, g)
+        want_gh = np.zeros_like(hidden.data)
+        want_gh[..., lead:] = want_gx
+        assert_close(gh, want_gh)
+        assert_close(gw, want_gw)
+
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("seed", range(3))
     def test_channel_map(self, with_bias, seed):
@@ -383,6 +431,24 @@ class TestStructuredOracles:
         assert gw.shape == w.shape
         np.testing.assert_array_equal(gw, gw_conv[:, :, 0])
         assert_close(gb, g.sum(axis=(0, 2, 3)))
+
+    def test_channel_map_one_input_channel(self):
+        # the start map: a (C, 1) weight runs as a broadcast multiply, bit for
+        # bit the K = 1 matmul
+        rng = np.random.default_rng(9)
+        x, w, b = rng.normal(size=(3, 1, 5, 7)), rng.normal(size=(6, 1)), rng.normal(size=(6,))
+        y = ad.channel_map(Tensor(x), Tensor(w), Tensor(b)).data
+        want = w @ x.reshape(3, 1, 35) + b.reshape(1, -1, 1)
+        np.testing.assert_array_equal(y, want.reshape(3, 6, 5, 7))
+        g = Tensor(rng.normal(size=(3, 6, 5, 7)))
+        args = [Tensor(x), Tensor(w), Tensor(b)]
+        for i in range(3):
+            def f(z):
+                inputs = args[:i] + [z] + args[i + 1:]
+                return ad.reduce_sum(ad.mul(ad.channel_map(*inputs), g))
+
+            report = grad_check(f, Tensor(args[i].data.copy()))
+            assert report.passed, (i, report)
 
     @pytest.mark.parametrize("per_sample", [False, True])
     @pytest.mark.parametrize("seed", range(3))

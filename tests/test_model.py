@@ -30,8 +30,10 @@ from sdgl.data import (
     SeriesDataset,
     make_windows,
     metrics,
+    save_csv,
     synth_generate,
 )
+from sdgl import data as sdgl_data
 from sdgl.model import (
     ABLATION_FLAGS,
     DivergenceError,
@@ -565,6 +567,42 @@ class TestCheckpoint:
         a = out.model.forward(x, training=True).prediction.data
         b = back.model.forward(x, training=True).prediction.data
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("saver", ["checkpoint", "save_csv"])
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch, saver):
+        # the second save raises after its first write, as on a full disk
+        def save(path, seed):
+            if saver == "checkpoint":
+                model = SDGLModel(tiny_config(seed=seed))
+                checkpoint.save(path, model, Scaler(np.zeros(4), np.ones(4)))
+            else:
+                save_csv(path, np.random.default_rng(seed).normal(size=(6, 3)))
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        p = tmp_path / "out"
+        save(p, seed=0)
+        before = p.read_bytes()
+        monkeypatch.setattr(sdgl_data, "open", lambda *a, **k: FullDisk(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save(p, seed=1)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["out"]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.sdgl"
