@@ -127,7 +127,7 @@ def _build_config(args, n_nodes: int) -> ModelConfig:
              if getattr(args, f.name, None) is not None}
     from_file = settings.keys() - flags.keys() - {"n_nodes"}
     try:
-        # only the file can hold an unknown field, or an ablation list of the wrong type
+        # only the file can hold an unknown field
         config = ModelConfig.from_dict({**settings, **flags, "n_nodes": n_nodes})
     except TypeError as exc:
         raise ConfigError(f"config file {args.config}: {exc}") from exc
@@ -227,15 +227,14 @@ def cmd_export_graphs(args) -> tuple[dict, Path | None, dict]:
             "no dynamic matrices to export"
         )
 
-    header = [f"node_{i}" for i in range(model.config.n_nodes)]
     static = build_static_graph(model.embeddings.m_static).values.data
-    files = {"static": ("static_adjacency.csv", partial(save_csv, values=static, header=header))}
+    files = {"static": ("static_adjacency.csv", partial(save_csv, values=static))}
     if indices:
         batch = scaler.transform_windows(windows.inputs[indices])
         dynamic = model.forward(batch, training=False).dynamic_graphs.values.data
         for idx, matrix in zip(indices, dynamic):
             files[f"dynamic_{idx}"] = (f"dynamic_adjacency_{idx:06d}.csv",
-                                       partial(save_csv, values=matrix, header=header))
+                                       partial(save_csv, values=matrix))
     if args.threshold is not None:
         edges = [f"{i},{j},{_fmt(static[i, j])}\n"
                  for i, j in zip(*(static > args.threshold).nonzero())]

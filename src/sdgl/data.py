@@ -144,14 +144,15 @@ def _replacing(path, mode: str, **open_args):
         raise
 
 
-def save_csv(path, values: np.ndarray, header: list[str] | None = None) -> None:
-    """Write a matrix with 17 significant digits so parsing round-trips."""
+def save_csv(path, values: np.ndarray) -> None:
+    """Write a matrix under a ``node_0 .. node_{N-1}`` header.
+
+    Values get 17 significant digits, so parsing round-trips.
+    """
     values = np.asarray(values, dtype=np.float64)
-    if header is None:
-        header = [f"node_{i}" for i in range(values.shape[1])]
     with _replacing(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow([f"node_{i}" for i in range(values.shape[1])])
         for row in values:
             writer.writerow([f"{v:.17g}" for v in row])
 

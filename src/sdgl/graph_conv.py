@@ -54,13 +54,3 @@ class MixHopConv:
         stacked = ad.concat(hops + [x], axis=1)
         return ad.channel_map(stacked, self.w_select, self.bias)
 
-
-def fuse_branches(z_static: Tensor, z_dynamic: Tensor | None) -> Tensor:
-    """Sum of the static and dynamic branch outputs; static-only if ablated."""
-    if z_dynamic is None:
-        return z_static
-    if z_static.shape != z_dynamic.shape:
-        raise ad.ShapeError(
-            f"fuse_branches: shape mismatch {z_static.shape} vs {z_dynamic.shape}"
-        )
-    return ad.add(z_static, z_dynamic)

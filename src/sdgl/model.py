@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, Tape
 from .data import Scaler, SeriesDataset, SplitWindows, WindowBatch, metrics, window_split
 from .dynamic_graph import DynamicGraphLearner
-from .graph_conv import MixHopConv, fuse_branches
+from .graph_conv import MixHopConv
 from .params import weight, zeros
 from .rng import RngState
 from .static_graph import (
@@ -43,7 +43,7 @@ class DivergenceError(RuntimeError):
 
 
 class SettingTypeError(ConfigError, TypeError):
-    """A setting is not of its field's type: an integer, or a finite real number."""
+    """A setting is not of its field's type: an integer, a finite real or a list of flags."""
 
 
 # the least value of each integer setting (head_dim may also be None), and the
@@ -131,6 +131,9 @@ class ModelConfig:
             raise ConfigError(f"gamma: must be >= 0, got {self.gamma}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate: must be > 0, got {self.learning_rate}")
+        if not isinstance(self.ablation, (tuple, list)) \
+                or not all(isinstance(flag, str) for flag in self.ablation):
+            raise SettingTypeError(f"ablation: need a list of flag names, got {self.ablation!r}")
         for flag in self.ablation:
             if flag not in ABLATION_FLAGS:
                 raise ConfigError(f"ablation: unknown flag {flag!r} (choices: {ABLATION_FLAGS})")
@@ -146,7 +149,8 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
-        d["ablation"] = tuple(d.get("ablation", ()))
+        if isinstance(d.get("ablation"), list):
+            d["ablation"] = tuple(d["ablation"])
         return cls(**d)
 
 
@@ -309,9 +313,9 @@ class SDGLModel:
             skip = ad.channel_map(ad.narrow(temporal, 3, t_out - 1, 1), self.skip_w[j])
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
 
-            z_static = self.gcn_static[j](temporal, static)
-            z_dynamic = self.gcn_dynamic[j](temporal, dynamic) if dynamic is not None else None
-            fused = fuse_branches(z_static, z_dynamic)
+            fused = self.gcn_static[j](temporal, static)
+            if dynamic is not None:
+                fused = ad.add(fused, self.gcn_dynamic[j](temporal, dynamic))
 
             res_in = ad.narrow(hidden, 3, hidden.shape[3] - t_out, t_out)
             hidden = ad.add(fused, ad.channel_map(res_in, self.residual_w[j]))

@@ -56,14 +56,9 @@ def _packed_inception(x: Tensor, banks: Sequence[DilatedInception]) -> Tensor:
 
     Output channels follow bank order, then kernel order within a bank.
     """
-    first = banks[0]
-    if x.shape[3] < first.min_length():
-        raise ad.ShapeError(
-            f"dilated inception needs time length >= {first.min_length()}, got {x.shape[3]}"
-        )
     w = ad.concat([_pad_taps(f) for bank in banks for f in bank.filters], axis=0)
     bias = ad.concat([bank.bias for bank in banks], axis=0)
-    y = ad.conv1d_dilated(x, w, first.dilation)
+    y = ad.conv1d_dilated(x, w, banks[0].dilation)
     return ad.add(y, ad.reshape(bias, (1, -1, 1, 1)))
 
 

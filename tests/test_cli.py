@@ -173,6 +173,20 @@ class TestTrain:
             assert line.startswith(prefix), line
             assert not out.exists()
 
+    def test_mistyped_ablation_in_config_file(self, synth_dir, tmp_path, caplog):
+        # a string is not split into letters, and an object is not read as its keys
+        bad = tmp_path / "bad.json"
+        out = tmp_path / "run"
+        for value in ('"no_gloss"', "null", "5", '{"no_gloss": 1}'):
+            caplog.clear()
+            bad.write_text(f'{{"ablation": {value}}}')
+            assert main(["train", "--data", str(synth_dir / "data.csv"),
+                         "--config", str(bad), "--out-dir", str(out)]) == EXIT_USAGE, value
+            [line] = error_lines(caplog)
+            assert line.startswith(f"config file {bad}: ablation: need a list"), line
+            assert "\n" not in line, line
+            assert not out.exists()
+
     def test_data_too_short_writes_nothing(self, tmp_path, caplog):
         assert main(["synth", "--nodes", "4", "--steps", "30",
                      "--out-dir", str(tmp_path / "synth")]) == EXIT_OK
@@ -227,6 +241,35 @@ class TestTrain:
             assert error_lines(caplog) == ["disk full"]
         assert not fresh.parent.exists()
         assert list(existing.iterdir()) == []
+
+    def test_failed_rename_leaves_nothing(self, synth_dir, small_config, tmp_path,
+                                          monkeypatch, caplog):
+        # the renames of outputs into place, not checkpoint.save's rename of its
+        # own temporary; the first, of the checkpoint, succeeds
+        real_replace, renames = os.replace, []
+
+        def replace(src, dst):
+            if not Path(dst).name.endswith(".tmp"):
+                renames.append(dst)
+                if len(renames) == 2:
+                    raise OSError(28, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        fresh, existing = tmp_path / "new" / "run", tmp_path / "existing"
+        existing.mkdir()
+        for name in ("epochs.csv", "manifest.json"):
+            (existing / name).write_text(f"earlier {name}\n")
+        for out in (fresh, existing):
+            caplog.clear()
+            renames.clear()
+            assert main(["train", "--data", str(synth_dir / "data.csv"),
+                         "--config", str(small_config), "--out-dir", str(out)]) == EXIT_RUNTIME
+            assert error_lines(caplog) == ["[Errno 28] No space left on device"]
+            assert Path(renames[1]).name == "epochs.csv"
+        assert not fresh.parent.exists()
+        assert {p.name: p.read_text() for p in existing.iterdir()} == {
+            name: f"earlier {name}\n" for name in ("epochs.csv", "manifest.json")}
 
     def test_huge_layer_count_writes_nothing(self, synth_dir, tmp_path):
         # 2.0 ** 1999 overflows a float; the window check stops at layer 3
@@ -418,3 +461,14 @@ class TestExportGraphs:
         ])
         assert code == EXIT_USAGE
         assert not (tmp_path / "graphs").exists()
+
+
+def test_success_leaves_no_temporary(synth_dir, train_dir, tmp_path):
+    loaded = ["--checkpoint", str(train_dir / "checkpoint.sdgl"),
+              "--data", str(synth_dir / "data.csv")]
+    assert main(["eval", *loaded, "--out-dir", str(tmp_path / "eval")]) == EXIT_OK
+    assert main(["export-graphs", *loaded, "--windows", "0", "3", "--threshold", "0.1",
+                 "--out-dir", str(tmp_path / "graphs")]) == EXIT_OK
+    for d in (synth_dir, train_dir, tmp_path / "eval", tmp_path / "graphs"):
+        assert (d / "manifest.json").is_file()
+        assert not list(d.glob(".*.tmp")), d

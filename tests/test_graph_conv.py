@@ -3,7 +3,7 @@ import pytest
 
 from sdgl import autodiff as ad
 from sdgl.autodiff import Tensor, grad_check
-from sdgl.graph_conv import DegenerateGraphError, MixHopConv, fuse_branches, transition_matrix
+from sdgl.graph_conv import DegenerateGraphError, MixHopConv, transition_matrix
 from sdgl.rng import RngState
 from sdgl.static_graph import AdjacencyMatrix
 
@@ -111,18 +111,3 @@ class TestMixHopConv:
             assert grad_check(f, p, tol=1e-4).passed, name
         assert grad_check(lambda z: (lambda o: ad.reduce_sum(ad.mul(o, o)))(conv(z, a)), x, tol=1e-4).passed
         assert grad_check(lambda z: (lambda o: ad.reduce_sum(ad.mul(o, o)))(conv(x, z)), a, tol=1e-4).passed
-
-
-class TestFuseBranches:
-    def test_sum_of_branches(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 4, 5))
-        np.testing.assert_array_equal(fuse_branches(Tensor(a), Tensor(b)).data, a + b)
-
-    def test_static_only_passthrough(self):
-        z = Tensor(np.ones((1, 2, 3, 4)))
-        assert fuse_branches(z, None) is z
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ad.ShapeError):
-            fuse_branches(Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.zeros((1, 2, 3, 5))))

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from sdgl import autodiff as ad
 from sdgl import checkpoint, temporal
-from sdgl import model as sdgl_model
 from sdgl.autodiff import Tape, Tensor
 from sdgl.data import (
     PlantedGraphSpec,
@@ -34,6 +33,7 @@ from sdgl.data import (
     synth_generate,
 )
 from sdgl import data as sdgl_data
+from sdgl.graph_conv import MixHopConv
 from sdgl.model import (
     ABLATION_FLAGS,
     DivergenceError,
@@ -101,6 +101,10 @@ class TestModelConfig:
             (dict(growth="2"), "growth"),
             (dict(dropout_keep=False), "dropout_keep"),
             (dict(learning_rate=float("inf")), "learning_rate"),
+            (dict(ablation="no_gloss"), "ablation: need a list"),
+            (dict(ablation=None), "ablation"),
+            (dict(ablation={"no_gloss": 1}), "ablation"),
+            (dict(ablation=("no_gloss", 5)), "ablation"),
         ],
     )
     def test_rejections_name_the_field(self, overrides, field):
@@ -259,7 +263,7 @@ class TestTapeMemory:
         # conv plus bias: the gated layers' pre-activations, outputs of add
         monkeypatch.setattr(temporal, "_packed_inception",
                             spy("pre-activation", temporal._packed_inception))
-        monkeypatch.setattr(sdgl_model, "fuse_branches", spy("fused", sdgl_model.fuse_branches))
+        monkeypatch.setattr(MixHopConv, "__call__", spy("mix-hop", MixHopConv.__call__))
         monkeypatch.setattr(ad, "tanh", spy("tanh", ad.tanh))
         monkeypatch.setattr(ad, "sigmoid", spy("sigmoid", ad.sigmoid))
         model = SDGLModel(tiny_config(dropout_keep=0.8))
@@ -269,7 +273,7 @@ class TestTapeMemory:
             res = model.forward(Tensor(rng.normal(size=(3, 4, 19))), training=True)
             loss = hybrid_loss(res.prediction, Tensor(rng.normal(size=(3, 4, 3))),
                                res.reg_loss, 0.5)
-        for key in ("conv", "pre-activation", "fused"):
+        for key in ("conv", "pre-activation", "mix-hop"):
             assert len(seen[key]) >= 2 and all(r() is None for r in seen[key]), key
         # their rules read tanh's and sigmoid's outputs
         for key in ("tanh", "sigmoid"):
@@ -703,6 +707,10 @@ class TestCheckpoint:
             h["config"]["heads"] = "4"
         elif mutation == "config invalid":
             h["config"]["heads"] = 0
+        elif mutation == "ablation a string":
+            h["config"]["ablation"] = "no_gloss"
+        elif mutation == "ablation an object":
+            h["config"]["ablation"] = {"no_gloss": 1}
         elif mutation == "config too many layers":
             h["config"]["layers"] = 2000  # 2.0 ** 1999 overflows a float
         elif mutation == "step a string":
@@ -744,6 +752,8 @@ class TestCheckpoint:
         "config field mistyped": "'config'",
         "config invalid": "'config'.*heads",
         "config too many layers": "'config': window: ",
+        "ablation a string": "'config': ablation: need a list",
+        "ablation an object": "'config': ablation: need a list",
         "step a string": "'step'",
         "step a float": "'step'",
         "rng a string": "'rng'",

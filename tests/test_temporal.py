@@ -87,7 +87,7 @@ class TestDilatedInception:
 
     def test_too_short_input_rejected(self):
         layer = self.make(d=3)
-        with pytest.raises(ad.ShapeError, match="time length"):
+        with pytest.raises(ad.ShapeError, match=f"minimum {layer.min_length()} "):
             layer(Tensor(np.zeros((1, 2, 2, layer.min_length() - 1))))
 
     @pytest.mark.parametrize("seed", range(5))
