@@ -39,7 +39,9 @@ faster.
 Primitives check nothing for non-finite values, and every rule passes NaN
 on (``relu`` is ``max(a, 0)``, not a mask that would zero it), so a NaN
 anywhere the forecast reads reaches the loss, and ``train`` raises
-``DivergenceError`` there.
+``DivergenceError`` there. An infinite weight can still vanish where ``tanh``
+or ``sigmoid`` saturates, so ``train`` also checks the whole state at the end
+of each epoch.
 """
 
 from __future__ import annotations

@@ -14,20 +14,18 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .params import weight, zeros
 from .rng import RngState
-from .static_graph import AdjacencyMatrix
 
 
 class DegenerateGraphError(ValueError):
     """Adjacency has a zero row and cannot be row-normalized."""
 
 
-def transition_matrix(a: Tensor | AdjacencyMatrix) -> Tensor:
+def transition_matrix(a: Tensor) -> Tensor:
     """P = A / rowsum(A); the identity for already row-stochastic input."""
-    t = a.values if isinstance(a, AdjacencyMatrix) else a
-    row_sums = ad.reduce_sum(t, axis=-1, keepdims=True)
+    row_sums = ad.reduce_sum(a, axis=-1, keepdims=True)
     if np.any(row_sums.data <= 0):
         raise DegenerateGraphError("adjacency has a row with nonpositive sum")
-    return ad.divide(t, row_sums)
+    return ad.divide(a, row_sums)
 
 
 class MixHopConv:
@@ -41,7 +39,7 @@ class MixHopConv:
     def parameters(self) -> dict[str, Tensor]:
         return {"w_select": self.w_select, "bias": self.bias}
 
-    def __call__(self, x: Tensor, adj: Tensor | AdjacencyMatrix) -> Tensor:
+    def __call__(self, x: Tensor, adj: Tensor) -> Tensor:
         """x: (B, C, N, T); adj: (N, N) shared or (B, N, N) per sample."""
         p = transition_matrix(adj)
         hops = []

@@ -39,7 +39,7 @@ ABLATION_FLAGS = ("no_gloss", "no_dyadj", "no_ifm", "ifm_plus")
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss, validation forecast or model state became non-finite."""
 
 
 class SettingTypeError(ConfigError, TypeError):
@@ -201,7 +201,6 @@ def state_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
 @dataclass
 class ForwardResult:
     prediction: Tensor  # (B, N, L), normalized units
-    static_graph: AdjacencyMatrix
     dynamic_graphs: AdjacencyMatrix | None  # values (B, N, N)
     reg_loss: Tensor  # scalar graph-regularization term
 
@@ -298,7 +297,7 @@ class SDGLModel:
             )
         b, n, h = x.shape
 
-        static = build_static_graph(self.embeddings.m_static)
+        static = build_static_graph(self.embeddings.m_static).values
         reg = graph_regularization_loss(x, static, cfg.gamma)
         dynamic = None
         if "no_dyadj" not in cfg.ablation:
@@ -315,7 +314,7 @@ class SDGLModel:
 
             fused = self.gcn_static[j](temporal, static)
             if dynamic is not None:
-                fused = ad.add(fused, self.gcn_dynamic[j](temporal, dynamic))
+                fused = ad.add(fused, self.gcn_dynamic[j](temporal, dynamic.values))
 
             res_in = ad.narrow(hidden, 3, hidden.shape[3] - t_out, t_out)
             hidden = ad.add(fused, ad.channel_map(res_in, self.residual_w[j]))
@@ -323,7 +322,7 @@ class SDGLModel:
         h1 = ad.relu(ad.channel_map(skip_total, self.out_w1, self.out_b1))
         y = ad.channel_map(h1, self.out_w2, self.out_b2)  # (B, L, N, 1)
         y = ad.transpose(ad.reshape(y, (b, cfg.horizon, n)))  # (B, N, L)
-        return ForwardResult(prediction=y, static_graph=static, dynamic_graphs=dynamic, reg_loss=reg)
+        return ForwardResult(prediction=y, dynamic_graphs=dynamic, reg_loss=reg)
 
 
 def hybrid_loss(pred: Tensor, target: Tensor, reg_loss: Tensor, lambda_reg: float) -> Tensor:
@@ -446,6 +445,11 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
                 f"{epoch + 1}; that step's loss was {last_finite}, its gradient norm "
                 f"before clipping was {last_norm}"
             )
+        # tanh and sigmoid saturate, so an infinite weight can leave both checks finite
+        bad = next((name for name, tns in model.state_tensors().items()
+                    if not np.isfinite(tns.data).all()), None)
+        if bad is not None:
+            raise DivergenceError(f"state tensor '{bad}' became non-finite in epoch {epoch + 1}")
         record = {
             "epoch": epoch + 1,
             "train_loss": float(np.mean(losses)) if losses else None,

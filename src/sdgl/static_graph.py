@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
 from .params import embedding
@@ -28,14 +26,6 @@ class AdjacencyMatrix:
 
     values: Tensor
     kind: str  # "static" | "dynamic"
-
-    def validate(self) -> None:
-        data = self.values.data
-        rows = data.sum(axis=-1)
-        if not np.all(data > 0):
-            raise ValueError(f"{self.kind} adjacency has non-positive entries")
-        if not np.allclose(rows, 1.0, atol=1e-9):
-            raise ValueError(f"{self.kind} adjacency rows do not sum to 1")
 
 
 @dataclass
@@ -61,14 +51,13 @@ def build_static_graph(m_s: Tensor) -> AdjacencyMatrix:
     return AdjacencyMatrix(values=ad.row_softmax(logits), kind="static")
 
 
-def graph_regularization_loss(x: Tensor, adj: AdjacencyMatrix | Tensor, gamma: float) -> Tensor:
+def graph_regularization_loss(x: Tensor, a: Tensor, gamma: float) -> Tensor:
     """Smoothness + sparsity penalty, averaged over the batch.
 
     x: (B, N, h) normalized windows. Per sample the smoothness term is
     sum_ij ||x_i - x_j||^2 * A_ij, expanded as s_i + s_j - 2 x_i . x_j with
     s the squared row norms; gamma weights the Frobenius penalty on A.
     """
-    a = adj.values if isinstance(adj, AdjacencyMatrix) else adj
     if x.shape[1] != a.shape[-1]:
         raise ad.ShapeError(
             f"graph_regularization_loss: {x.shape[1]} nodes in X vs adjacency {a.shape}"

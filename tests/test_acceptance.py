@@ -77,7 +77,7 @@ def test_gradient_suite_20_seeds_under_2_minutes():
         xs = Tensor(np.random.default_rng(seed + 100).normal(size=(2, 4, 5)))
         m = Tensor(np.random.default_rng(seed + 200).normal(size=(4, 3)))
         rep = grad_check(
-            lambda z: graph_regularization_loss(xs, build_static_graph(z), gamma=0.2),
+            lambda z: graph_regularization_loss(xs, build_static_graph(z).values, gamma=0.2),
             m, h=1e-5, tol=1e-4)
         ok &= rep.passed
         worst = max(worst, rep.max_rel_err)

@@ -11,6 +11,8 @@ import pytest
 from sdgl import checkpoint
 from sdgl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from sdgl.data import load_csv
+from sdgl.model import SGD
+from test_model import poison_after_third_step
 
 
 def error_lines(caplog) -> list[str]:
@@ -242,6 +244,16 @@ class TestTrain:
         [line] = run.stderr.splitlines()
         assert line.startswith("ERROR sdgl: loss became non-finite at epoch 1, batch 2"), \
             run.stderr
+        assert not out.exists()
+
+    def test_infinite_weight_is_a_divergence(self, synth_dir, small_config, tmp_path,
+                                             monkeypatch, caplog):
+        # the gate's sigmoid saturates, so only the end-of-epoch state check sees the inf
+        monkeypatch.setattr(SGD, "step", poison_after_third_step("tcn1.gate.bias"))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(synth_dir / "data.csv"),
+                     "--config", str(small_config), "--out-dir", str(out)]) == EXIT_RUNTIME
+        assert error_lines(caplog) == ["state tensor 'tcn1.gate.bias' became non-finite in epoch 1"]
         assert not out.exists()
 
     def test_failing_writer_leaves_nothing(self, synth_dir, small_config, tmp_path,

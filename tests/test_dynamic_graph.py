@@ -194,8 +194,9 @@ class TestDynamicGraphPipeline:
         learner, emb = self.make(seed=5)
         batch = Tensor(np.random.default_rng(6).normal(size=(3, 4, 5)))
         adj = learner(batch, emb, RngState(0), training=False)
-        assert adj.values.shape == (3, 4, 4)
-        adj.validate()
+        a = adj.values.data
+        assert a.shape == (3, 4, 4)
+        assert np.all(a > 0) and np.allclose(a.sum(axis=-1), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_full_pipeline_matches_composition(self, seed):

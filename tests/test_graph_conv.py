@@ -5,7 +5,6 @@ from sdgl import autodiff as ad
 from sdgl.autodiff import Tensor, grad_check
 from sdgl.graph_conv import DegenerateGraphError, MixHopConv, transition_matrix
 from sdgl.rng import RngState
-from sdgl.static_graph import AdjacencyMatrix
 
 
 class TestTransitionMatrix:
@@ -23,11 +22,6 @@ class TestTransitionMatrix:
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateGraphError):
             transition_matrix(Tensor(a))
-
-    def test_accepts_adjacency_wrapper(self):
-        vals = Tensor(np.full((3, 3), 1.0 / 3))
-        p = transition_matrix(AdjacencyMatrix(vals, kind="static"))
-        np.testing.assert_allclose(p.data, 1.0 / 3, atol=1e-15)
 
     def test_batched_rows_normalized_independently(self):
         a = np.random.default_rng(1).random((4, 3, 3)) + 0.1

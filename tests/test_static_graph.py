@@ -7,7 +7,6 @@ from sdgl import autodiff as ad
 from sdgl.autodiff import Tape, Tensor, grad_check
 from sdgl.rng import RngState
 from sdgl.static_graph import (
-    AdjacencyMatrix,
     ConfigError,
     NodeEmbeddings,
     build_static_graph,
@@ -40,7 +39,6 @@ class TestBuildStaticGraph:
     def test_random_embeddings_row_stochastic(self, seed):
         m = Tensor(np.random.default_rng(seed).normal(size=(5, 3)))
         adj = build_static_graph(m)
-        adj.validate()
         np.testing.assert_allclose(adj.values.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(adj.values.data > 0)
 
@@ -56,8 +54,8 @@ class TestBuildStaticGraph:
     @settings(max_examples=25, deadline=None)
     def test_adjacency_invariants_hold_for_arbitrary_embeddings(self, seed):
         m = Tensor(np.random.default_rng(seed).normal(size=(6, 4)) * 3.0)
-        adj = build_static_graph(m)
-        adj.validate()
+        a = build_static_graph(m).values.data
+        assert np.all(a > 0) and np.allclose(a.sum(axis=-1), 1.0, atol=1e-9)
 
 
 class TestRegularizationLoss:
@@ -85,7 +83,7 @@ class TestRegularizationLoss:
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(4, 5, 6)))
         adj = build_static_graph(Tensor(rng.normal(size=(5, 3))))
-        assert graph_regularization_loss(x, adj, gamma=0.1).item() >= 0
+        assert graph_regularization_loss(x, adj.values, gamma=0.1).item() >= 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_permutation_equivariance(self, seed):
@@ -105,7 +103,7 @@ class TestRegularizationLoss:
         m = Tensor(rng.normal(size=(4, 3)))
 
         def f(z):
-            return graph_regularization_loss(x, build_static_graph(z), gamma=0.2)
+            return graph_regularization_loss(x, build_static_graph(z).values, gamma=0.2)
 
         assert grad_check(f, m, tol=1e-4).passed
 
