@@ -49,7 +49,7 @@ def save(path, model: SDGLModel, scaler: Scaler) -> None:
     header = {
         "config": model.config.to_dict(),
         "step": model.step_count,
-        "rng": model.dropout_rng.get_state(),
+        "rng": model.dropout_rng.bit_generator.state,
         "tensor_count": len(tensors),
     }
     # the Philox state holds ndarrays besides plain JSON values
@@ -153,7 +153,7 @@ def load(path) -> Checkpoint:
     # a damaged state fails in numpy's dtype parser (SyntaxError, TypeError), array
     # conversion (OverflowError, ValueError) or Philox state setter (IndexError, ...)
     try:
-        model.dropout_rng.set_state(_decode_rng_state(rng))
+        model.dropout_rng.bit_generator.state = _decode_rng_state(rng)
     except (ArithmeticError, LookupError, SyntaxError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: header field 'rng': {exc!r}") from None
     values = {name: data.reshape(dims) for name, (dims, data) in tensors.items()}

@@ -44,8 +44,8 @@ EXIT_USAGE = 2
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("SDGL_LOG", "INFO").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.INFO),
+    level = logging.getLevelName(os.environ.get("SDGL_LOG", "INFO").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -140,10 +140,10 @@ def _build_config(args, n_nodes: int) -> ModelConfig:
     return config
 
 
-def _require_file(path) -> Path:
+def _require_file(path, what: str = "data") -> Path:
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"data file not found: {p}")
+        raise ConfigError(f"{what} file not found: {p}")
     return p
 
 
@@ -151,7 +151,7 @@ def _load_checkpoint_and_data(args):
     """Data path, dataset, model and scaler; the node counts must agree."""
     data_path = _require_file(args.data)
     dataset = load_csv(data_path)
-    loaded = ckpt.load(args.checkpoint)
+    loaded = ckpt.load(_require_file(args.checkpoint, "checkpoint"))
     model = loaded.model
     if dataset.n_nodes != model.config.n_nodes:
         raise ConfigError(

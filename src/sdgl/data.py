@@ -336,13 +336,13 @@ def synth_generate(spec: PlantedGraphSpec, t_total: int, seed: int) -> SynthResu
         return any(a <= t < b for a, b in spec.switch_intervals)
 
     x = np.zeros((t_total, n))
-    x[0] = rng.normal(n)
+    x[0] = rng.normal(size=n)
     # a huge noise std overflows; the check below reports it in one line, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(t_total - 1):
             m = m_secondary if (m_secondary is not None and in_switch(t)) else m_primary
             seasonal = amp * np.sin(omega * (t + 1) + phase)
-            noise = rng.normal(n, spec.noise_std) if spec.noise_std > 0 else 0.0
+            noise = rng.normal(0.0, spec.noise_std, n) if spec.noise_std > 0 else 0.0
             x[t + 1] = m @ x[t] + seasonal + noise
     if not np.all(np.isfinite(x)):
         raise GenerationError(f"trajectory became non-finite with noise std {spec.noise_std}")

@@ -211,7 +211,7 @@ class SDGLModel:
         retain_freed_heap()
         self.config = config
         rng = RngState(config.seed)
-        self.dropout_rng = rng.spawn(1)
+        self.dropout_rng = rng.substream(1)
         c = config.channels
         n, h = config.n_nodes, config.window
 
@@ -291,9 +291,10 @@ class SDGLModel:
         if isinstance(x, np.ndarray):
             x = Tensor(x)
         cfg = self.config
-        if x.data.ndim != 3 or x.shape[1:] != (cfg.n_nodes, cfg.window):
+        if x.data.ndim != 3 or x.shape[0] < 1 or x.shape[1:] != (cfg.n_nodes, cfg.window):
             raise ad.ShapeError(
-                f"forward: expected (B, {cfg.n_nodes}, {cfg.window}) input, got {x.shape}"
+                f"forward: expected (B, {cfg.n_nodes}, {cfg.window}) input with B >= 1, "
+                f"got {x.shape}"
             )
         b, n, h = x.shape
 
@@ -404,7 +405,7 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
     splits = window_split(dataset, config.window, config.horizon)
     scaler = splits.scaler
     opt = SGD(model.parameters(), config.learning_rate)
-    shuffle_rng = RngState(config.seed).spawn(2)
+    shuffle_rng = RngState(config.seed).substream(2)
 
     history: list[dict] = []
     last_finite = last_norm = None

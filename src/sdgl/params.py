@@ -28,4 +28,4 @@ def ones(shape) -> Tensor:
 
 def embedding(rng: RngState, shape) -> Tensor:
     """Node embedding dictionary: standard normal scaled by 0.1."""
-    return Tensor(rng.normal(shape) * 0.1, requires_grad=True)
+    return Tensor(rng.normal(size=shape) * 0.1, requires_grad=True)

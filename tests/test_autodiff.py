@@ -268,9 +268,25 @@ class TestInvariants:
             ad.dropout(rand((2, 2)), 0.0, RngState(0), training=True)
 
     def test_rng_replay_bit_identical(self):
-        a = RngState(42).normal((100,))
-        b = RngState(42).normal((100,))
+        a = RngState(42).normal(size=(100,))
+        b = RngState(42).normal(size=(100,))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**62 + 7])
+    def test_rng_is_a_philox_generator(self, seed):
+        rng, ref = RngState(seed), np.random.Generator(np.random.Philox(seed))
+        assert isinstance(rng, np.random.Generator) and rng.seed == seed
+        np.testing.assert_array_equal(rng.random((3, 4)), ref.random((3, 4)))
+        np.testing.assert_array_equal(rng.normal(0.0, 0.5, 7), ref.normal(0.0, 0.5, 7))
+        np.testing.assert_array_equal(rng.uniform(-1.0, 2.0, (2, 5)), ref.uniform(-1.0, 2.0, (2, 5)))
+        np.testing.assert_array_equal(rng.permutation(9), ref.permutation(9))
+
+    @pytest.mark.parametrize("seed,key", [(0, 1), (7, 2), (2**62 + 7, 1)])
+    def test_rng_substream_seed(self, seed, key):
+        sub = RngState(seed).substream(key)
+        want = (seed * 0x9E3779B97F4A7C15 + key + 1) % 2**63
+        assert isinstance(sub, RngState) and sub.seed == want
+        np.testing.assert_array_equal(sub.random(8), RngState(want).random(8))
 
     def test_grad_check_linear_function_near_zero(self):
         rep = grad_check(lambda z: ad.reduce_sum(z), rand((3, 3), seed=5))

@@ -19,9 +19,9 @@ def error_lines(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
 
 
-def run_sdgl(*args) -> subprocess.CompletedProcess:
+def run_sdgl(*args, env=None) -> subprocess.CompletedProcess:
     """``sdgl`` in a fresh process, so its whole stderr is what a user sees."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                     os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "sdgl.cli", *map(str, args)], env=env,
@@ -503,3 +503,23 @@ def test_success_leaves_no_temporary(synth_dir, train_dir, tmp_path):
     for d in (synth_dir, train_dir, tmp_path / "eval", tmp_path / "graphs"):
         assert (d / "manifest.json").is_file()
         assert not list(d.glob(".*.tmp")), d
+
+
+@pytest.mark.parametrize("command", ["eval", "export-graphs"])
+def test_missing_checkpoint_is_a_usage_error(synth_dir, tmp_path, caplog, command):
+    missing, out = tmp_path / "nope.sdgl", tmp_path / "out"
+    code = main([command, "--checkpoint", str(missing), "--data", str(synth_dir / "data.csv"),
+                 "--out-dir", str(out)])
+    assert code == EXIT_USAGE
+    assert error_lines(caplog) == [f"checkpoint file not found: {missing}"]
+    assert not out.exists()
+
+
+def test_sdgl_log_level(tmp_path):
+    synth = ("synth", "--nodes", 3, "--steps", 40)
+    # not a level name: the default INFO, not a format string handed to basicConfig
+    run = run_sdgl(*synth, "--out-dir", tmp_path / "a", env={"SDGL_LOG": "BASIC_FORMAT"})
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stderr.startswith("INFO sdgl: synth: wrote"), run.stderr
+    run = run_sdgl(*synth, "--out-dir", tmp_path / "b", env={"SDGL_LOG": "warning"})
+    assert run.returncode == EXIT_OK and run.stderr == ""

@@ -192,6 +192,16 @@ class TestForward:
             with pytest.raises(ad.ShapeError, match=r"forward: expected \(B, 4, 19\) input"):
                 model.forward(np.zeros(shape))
 
+    def test_empty_batch(self):
+        # B = 0 would divide by zero in the graph regularizer's batch mean
+        model = SDGLModel(tiny_config())
+        scaler = Scaler(np.zeros(4), np.ones(4))
+        for run in (lambda x: model.forward(x, training=True), model.forward,
+                    lambda x: predict(model, scaler, x)):
+            with pytest.raises(ad.ShapeError, match=r"forward: expected \(B, 4, 19\) input "
+                                                    r"with B >= 1, got \(0, 4, 19\)"):
+                run(np.zeros((0, 4, 19)))
+
     def test_same_seed_same_outputs(self):
         x = np.random.default_rng(1).normal(size=(3, 4, 19))
         a = SDGLModel(tiny_config()).forward(x).prediction.data
