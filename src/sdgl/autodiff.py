@@ -11,30 +11,37 @@ under an active tape with an input that requires a gradient records one node:
 its output's slot, the output's shape and a backward closure. The closure
 holds the slot of each input that needs a gradient and exactly the arrays its
 rule reads: the other operand of ``mul``, ``divide``, ``matmul``,
-``conv1d_dilated``, ``channel_map`` and ``propagate``, the output of
-``tanh``, ``sigmoid`` and ``row_softmax``, the masks of ``relu`` and
-``dropout`` (one byte per entry), ``layer_norm``'s normalized input. It never
-holds a ``Tensor``. So an activation no rule reads, such as the output of
-``add``, ``scale``, ``reshape``, ``narrow`` or ``concat``, is freed as soon as
-the forward pass drops it, and the rest is freed as ``backward`` releases each
-node. With no active tape, no closure and no slot is built.
+``conv1d_dilated``, ``channel_map``, ``channel_map_concat`` (each part, as
+it is) and ``propagate``, the output of ``tanh``, ``sigmoid`` and
+``row_softmax``, the masks of ``relu`` and ``dropout`` (one byte per entry),
+``layer_norm``'s normalized input. It never holds a ``Tensor``. So an
+activation no rule reads, such as the output of ``add``, ``scale``,
+``reshape``, ``narrow`` or ``concat``, is freed as soon as the forward pass
+drops it, and the rest is freed as ``backward`` releases each node. With no
+active tape, no closure and no slot is built.
 
 Each rule is written once. An op that other primitives express is a composite
 with no rule of its own: ``sub`` is ``add`` of ``scale(b, -1)``, ``scale`` is
 ``mul`` by a constant, ``mean_all`` is ``scale`` of ``reduce_sum``,
 ``layer_norm`` applies its gain and bias with ``mul`` and ``add``, and
-``channel_map`` is the one-tap case of ``conv1d_dilated``'s rule. Some keep
-their own rule: the masks of ``relu`` and ``dropout`` take one byte per entry
-where ``mul`` would keep eight, ``propagate``'s folded matrix gradient forms no
-(B, C, N, N) temporary, and ``layer_norm``, ``row_softmax`` and ``divide`` need
-ops the engine lacks (an axis mean, ``exp``, a reciprocal).
+``channel_map`` is the one-tap case of ``conv1d_dilated``'s rule. That rule
+reads its input as a list of channel blocks, weight columns [lo, lo + c)
+against the block of c channels at lo: the two convolutions pass one block.
+Some keep their own rule: the masks of ``relu`` and ``dropout`` take one byte
+per entry where ``mul`` would keep eight, ``propagate``'s folded matrix
+gradient forms no (B, C, N, N) temporary, ``channel_map_concat`` (the
+convolution rule on the parts of a channel concatenation, one block each)
+forms no (B, sum C, N, T) concatenation, so the mix-hop selection map keeps
+each hop once, and ``layer_norm``, ``row_softmax`` and ``divide`` need ops the
+engine lacks (an axis mean, ``exp``, a reciprocal).
 
 The convolution's forward pass gathers the k shifted tap slices of a batch
 chunk into one buffer and runs one matmul with K = k*C_in, in place of k
 matmuls and k-1 accumulating passes over the output; a one-tap map from one
-input channel (the model's start map) is a broadcast multiply. Its backward
-stays one matmul per tap: a gathered backward was measured and was no
-faster.
+input channel (the model's start map) is a broadcast multiply. A one-tap
+map over several blocks runs one product per block: the first writes the
+output and each later one adds into it. The backward pass stays one matmul
+per tap and block: a gathered backward was measured and was no faster.
 
 Primitives check nothing for non-finite values, and every rule passes NaN
 on (``relu`` is ``max(a, 0)``, not a mask that would zero it), so a NaN
@@ -76,6 +83,7 @@ __all__ = [
     "narrow",
     "conv1d_dilated",
     "channel_map",
+    "channel_map_concat",
     "propagate",
 ]
 
@@ -295,7 +303,7 @@ def sigmoid(a: Tensor) -> Tensor:
     e = np.abs(a.data)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    y = np.where(a.data >= 0, 1.0, e)
+    y = np.maximum(e, a.data >= 0)  # the numerator, as e <= 1; NaN stays NaN
     e += 1.0
     y /= e
     out = Tensor(y)
@@ -490,18 +498,37 @@ def _tap(x: np.ndarray, offset: int, t_out: int) -> np.ndarray:
 _GATHER_BYTES = 1 << 20
 
 
-def _conv(x: Tensor, w: Tensor, dilation: int, bias: Tensor | None) -> Tensor:
-    """The rule of both convolutions. A (C_out, C_in) w is read as one tap."""
+def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None) -> Tensor:
+    """The rule of the convolutions, on the channel concatenation of ``parts``.
+
+    Weight columns [lo, lo + c) read the part with c channels that starts at
+    channel lo of the concatenation, which is never formed. A (C_out, C_in) w
+    is read as one tap.
+    """
     taps = w.data.reshape(*w.data.shape[:2], -1)
-    b, c_in, n, t_in = x.data.shape
-    c_out, _, k = taps.shape
+    b, _, n, t_in = parts[0].data.shape
+    c_out, c_in, k = taps.shape
     t_out = t_in - dilation * (k - 1)
     # Tap s reads input positions offset + [0, t_out), offset = d*(k-1-s).
     offsets = [dilation * (k - 1 - s) for s in range(k)]
-    if k == 1 and c_in == 1:  # a K = 1 product: the broadcast is the same single multiply
-        acc = taps[:, :, 0] * _tap(x.data, 0, t_out)
-    elif k == 1:
-        acc = taps[:, :, 0] @ _tap(x.data, 0, t_out)
+    # (lo, hi) channels of each part, by a plain loop: per call np.cumsum took
+    # 8 us and itertools.accumulate 2 us, against 10 us for a whole one-window
+    # channel_map
+    blocks, hi = [], 0
+    for part in parts:
+        lo, hi = hi, hi + part.data.shape[1]
+        blocks.append((lo, hi))
+    if k == 1:
+        # the first part's product is the output, each later one adds into it
+        acc = None
+        for (lo, hi), part in zip(blocks, parts):
+            x_tap = _tap(part.data, 0, t_out)
+            # a K = 1 product: the broadcast is the same single multiply
+            y = taps[:, lo:hi, 0] * x_tap if hi - lo == 1 else taps[:, lo:hi, 0] @ x_tap
+            if acc is None:
+                acc = y
+            else:
+                acc += y
     else:
         # Copy the k tap slices of a chunk of m samples into one
         # (m, k*C_in, N*t_out) buffer and run one matmul with the
@@ -515,37 +542,44 @@ def _conv(x: Tensor, w: Tensor, dilation: int, bias: Tensor | None) -> Tensor:
         gathered = block[:size].reshape(m, k, c_in, n, t_out)
         acc = block[size:].reshape(b, c_out, n * t_out)
         w_flat = taps.transpose(0, 2, 1).reshape(c_out, k * c_in)
-        for lo in range(0, b, m):
-            rows = min(m, b - lo)
-            buf = gathered[:rows]
-            for s, off in enumerate(offsets):
-                buf[:, s] = x.data[lo : lo + rows, :, :, off : off + t_out]
-            np.matmul(w_flat, buf.reshape(rows, k * c_in, n * t_out), out=acc[lo : lo + rows])
+        for start in range(0, b, m):
+            rows = min(m, b - start)
+            for (lo, hi), part in zip(blocks, parts):
+                buf = gathered[:rows, :, lo:hi]
+                for s, off in enumerate(offsets):
+                    buf[:, s] = part.data[start : start + rows, :, :, off : off + t_out]
+            np.matmul(w_flat, gathered[:rows].reshape(rows, k * c_in, n * t_out),
+                      out=acc[start : start + rows])
     if bias is not None:
         acc += bias.data.reshape(1, -1, 1)
     out = Tensor(acc.reshape(b, c_out, n, t_out))
-    inputs = (x, w) if bias is None else (x, w, bias)
+    inputs = (*parts, w) if bias is None else (*parts, w, bias)
     if _recording(*inputs):
-        gx, gw, w_shape = _slot(x), _slot(w), w.shape
+        gxs, gw, w_shape = [_slot(p) for p in parts], _slot(w), w.shape
         gbias = None if bias is None else _slot(bias)
-        # x is re-tapped in backward, so a strided x is not kept as a copy
-        x_data, w_data = (x.data if gw else None), (taps if gx else None)
+        # each part is re-tapped in backward, so a strided part is not kept as a copy
+        x_datas = [p.data if gw else None for p in parts]
+        w_data = taps if any(gxs) else None
 
         def backward(g):
             g = g.reshape(b, c_out, n * t_out)
-            if gx:
+            for (lo, hi), gx in zip(blocks, gxs):
+                if not gx:
+                    continue
                 if k == 1:  # the one tap covers every position
-                    dx = (w_data[:, :, 0].T @ g).reshape(b, c_in, n, t_in)
+                    dx = (w_data[:, lo:hi, 0].T @ g).reshape(b, hi - lo, n, t_in)
                 else:
-                    dx = np.zeros((b, c_in, n, t_in))
+                    dx = np.zeros((b, hi - lo, n, t_in))
                     for s, off in enumerate(offsets):
-                        dx[..., off : off + t_out] += (w_data[:, :, s].T @ g).reshape(
-                            b, c_in, n, t_out)
+                        dx[..., off : off + t_out] += (w_data[:, lo:hi, s].T @ g).reshape(
+                            b, hi - lo, n, t_out)
                 _accum(gx, dx)
             if gw:
                 dw = np.empty((c_out, c_in, k))
-                for s, off in enumerate(offsets):
-                    dw[:, :, s] = (g @ _tap(x_data, off, t_out).transpose(0, 2, 1)).sum(axis=0)
+                for (lo, hi), x_data in zip(blocks, x_datas):
+                    for s, off in enumerate(offsets):
+                        dw[:, lo:hi, s] = (g @ _tap(x_data, off, t_out).transpose(0, 2, 1)).sum(
+                            axis=0)
                 _accum(gw, dw.reshape(w_shape))
             if gbias:
                 _accum(gbias, g.sum(axis=(0, 2)))
@@ -569,14 +603,27 @@ def conv1d_dilated(x: Tensor, w: Tensor, dilation: int) -> Tensor:
             f"conv1d_dilated: time axis {t_in} shorter than required minimum "
             f"{dilation * (k - 1) + 1} (kernel {k}, dilation {dilation})"
         )
-    return _conv(x, w, dilation, None)
+    return _conv([x], w, dilation, None)
 
 
 def channel_map(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     """1x1 convolution over the channel axis of (B, C, N, T): a one-tap conv1d_dilated."""
     if x.data.ndim != 4 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"channel_map: incompatible shapes {x.shape}, {w.shape}")
-    return _conv(x, w, 1, bias)
+    return _conv([x], w, 1, bias)
+
+
+def channel_map_concat(parts: Sequence[Tensor], w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``channel_map(concat(parts, axis=1), w, bias)``, without forming the concatenation.
+
+    Each part is (B, C_i, N, T) with the same B, N and T; w is (C_out, sum C_i).
+    """
+    shapes = [p.shape for p in parts]
+    if (not parts or w.data.ndim != 2 or any(len(s) != 4 for s in shapes)
+            or any(s[0] != shapes[0][0] or s[2:] != shapes[0][2:] for s in shapes)
+            or sum(s[1] for s in shapes) != w.data.shape[1]):
+        raise ShapeError(f"channel_map_concat: incompatible shapes {shapes}, {w.shape}")
+    return _conv(parts, w, 1, bias)
 
 
 def _node_rows(a: np.ndarray, p_shape: tuple[int, ...]) -> np.ndarray:

@@ -16,11 +16,14 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from . import checkpoint as ckpt
 from .data import (
@@ -66,6 +69,25 @@ def _text(content: str):
     return lambda path: path.write_text(content, encoding="utf-8")
 
 
+def _environment() -> dict:
+    """The numpy and BLAS build, the cores and the thread settings of this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy < 1.25 has no ``mode``
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpu_count": os.cpu_count(),
+        "usable_cores": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                         else None),
+        **{var: os.environ.get(var)
+           for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def _write_outputs(out_dir: Path, command: str, config: dict, data_path, files: dict,
                    seconds: float) -> None:
     """Put ``files`` ({output key: (file name, writer)}) and the manifest in ``out_dir``.
@@ -83,6 +105,7 @@ def _write_outputs(out_dir: Path, command: str, config: dict, data_path, files: 
             "path": str(data_path),
             "sha256": _sha256(data_path),
         },
+        "environment": _environment(),
         "outputs": {key: str(out_dir / name) for key, (name, _) in files.items()},
         "wall_clock_seconds": seconds,
     }, indent=2, sort_keys=True)

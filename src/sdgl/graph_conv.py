@@ -1,9 +1,10 @@
 """Diffusion-style graph convolution with decoupled information selection.
 
 Features are propagated s steps along the row-normalized transition matrix;
-the hop outputs plus the untouched input are concatenated over channels and a
-1x1 selection map picks what to keep, so each node can always fall back on
-its own signal.
+a 1x1 selection map over the channel concatenation of the hop outputs and the
+untouched input picks what to keep, so each node can always fall back on its
+own signal. The map reads each hop where it is (``channel_map_concat``): no
+stacked copy is formed, in the forward pass or on the tape.
 """
 
 from __future__ import annotations
@@ -47,6 +48,5 @@ class MixHopConv:
         for _ in range(self.depth):
             cur = ad.propagate(cur, p)
             hops.append(cur)
-        stacked = ad.concat(hops + [x], axis=1)
-        return ad.channel_map(stacked, self.w_select, self.bias)
+        return ad.channel_map_concat(hops + [x], self.w_select, self.bias)
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import weakref
 
 import numpy as np
@@ -165,6 +167,7 @@ def squared_sum(y):
 
 ONE_TAP_W = Tensor(np.linspace(-1, 2, 12).reshape(3, 4, 1))
 ONE_TAP_X = Tensor(np.linspace(-2, 1, 120).reshape(2, 5, 3, 4))
+CONCAT_X = Tensor(np.linspace(-2, 1, 30).reshape(2, 3, 1, 5))
 
 # Inputs are kept clear of 0, where |x| has its kink; the others are smooth
 # everywhere.
@@ -190,6 +193,12 @@ PRIMITIVE_LOSSES = {
         ad.conv1d_dilated(ad.reshape(x, (1, 4, 1, 5)), ONE_TAP_W, 2)),
     "conv1d_dilated one-tap weight": lambda x: squared_sum(
         ad.conv1d_dilated(ONE_TAP_X, ad.reshape(x, (4, 5, 1)), 2)),
+    # the mix-hop selection map, through its middle part and through its weight
+    "channel_map_concat part": lambda x: squared_sum(ad.channel_map_concat(
+        [CONCAT_X, ad.reshape(x, (2, 2, 1, 5)), ad.narrow(CONCAT_X, 1, 0, 1)],
+        Tensor(np.linspace(-1, 1, 18).reshape(3, 6)))),
+    "channel_map_concat weight": lambda x: squared_sum(
+        ad.channel_map_concat([CONCAT_X, ad.narrow(CONCAT_X, 1, 1, 2)], x)),
 }
 
 
@@ -287,6 +296,19 @@ class TestInvariants:
         want = (seed * 0x9E3779B97F4A7C15 + key + 1) % 2**63
         assert isinstance(sub, RngState) and sub.seed == want
         np.testing.assert_array_equal(sub.random(8), RngState(want).random(8))
+
+    @pytest.mark.parametrize("duplicate", [lambda r: pickle.loads(pickle.dumps(r)),
+                                           copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_rng_copy_keeps_seed_and_stream(self, duplicate):
+        rng = RngState(3)
+        rng.random(5)  # the copy continues from the stream's current position
+        dup = duplicate(rng)
+        assert type(dup) is RngState and dup.seed == 3
+        np.testing.assert_array_equal(dup.random(8), rng.random(8))
+        sub = dup.substream(2)
+        assert sub.seed == rng.substream(2).seed
+        np.testing.assert_array_equal(sub.random(8), rng.substream(2).random(8))
 
     def test_grad_check_linear_function_near_zero(self):
         rep = grad_check(lambda z: ad.reduce_sum(z), rand((3, 3), seed=5))
@@ -476,6 +498,63 @@ class TestStructuredOracles:
             report = grad_check(f, Tensor(args[i].data.copy()))
             assert report.passed, (i, report)
 
+    @pytest.mark.parametrize("widths", [(4,), (3, 1), (2, 1, 3)])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_channel_map_concat_is_channel_map_of_concat(self, widths, with_bias, strided):
+        # the mix-hop selection map; the first part may be a narrowed view
+        rng = np.random.default_rng(len(widths))
+        lead = 3 if strided else 0
+        hidden = rng.normal(size=(3, widths[0], 5, lead + 6))
+        rest = [rng.normal(size=(3, c, 5, 6)) for c in widths[1:]]
+        w, b = rng.normal(size=(7, sum(widths))), rng.normal(size=(7,))
+        g = rng.normal(size=(3, 7, 5, 6))
+
+        def run(select):
+            inputs = [Tensor(a) for a in (hidden, *rest, w, *([b] if with_bias else []))]
+
+            def f(h, *others):
+                first = ad.narrow(h, 3, lead, 6) if strided else h
+                return select([first, *others[:len(rest)]], *others[len(rest):])
+
+            return vjp(f, inputs, g)
+
+        y, grads = run(ad.channel_map_concat)
+        want_y, want_grads = run(lambda parts, *wb: ad.channel_map(ad.concat(parts, axis=1), *wb))
+        assert_close(y, want_y)
+        assert len(grads) == len(want_grads)
+        for got, want in zip(grads, want_grads):
+            assert_close(got, want)
+
+    def test_conv_rule_reads_channel_blocks_with_taps(self):
+        # the rule reads its parts at their weight columns for every tap too
+        rng = np.random.default_rng(12)
+        parts = [rng.normal(size=(2, c, 3, 11)) for c in (2, 1, 3)]
+        w = rng.normal(size=(4, 6, 3))
+        g = rng.normal(size=(2, 4, 3, 7))
+
+        def run(f):
+            return vjp(lambda *t: f(list(t[:3]), t[3]), [Tensor(a) for a in (*parts, w)], g)
+
+        y, grads = run(lambda ps, m: ad._conv(ps, m, 2, None))
+        want_y, want_grads = run(lambda ps, m: ad.conv1d_dilated(ad.concat(ps, axis=1), m, 2))
+        assert_close(y, want_y)
+        for got, want in zip(grads, want_grads):
+            assert_close(got, want)
+
+    @pytest.mark.parametrize("shapes, w_shape", [
+        ([], (2, 0)),
+        ([(1, 2, 3, 5), (1, 2, 3, 4)], (2, 4)),  # time lengths differ
+        ([(1, 2, 3, 5), (2, 2, 3, 5)], (2, 4)),  # batch sizes differ
+        ([(1, 2, 3, 5), (1, 2, 4, 5)], (2, 4)),  # node counts differ
+        ([(1, 2, 3, 5), (1, 2, 3, 5)], (2, 5)),  # 4 channels against 5 weight columns
+        ([(1, 2, 3), (1, 2, 3)], (2, 4)),
+        ([(1, 2, 3, 5)], (2, 2, 1)),
+    ])
+    def test_channel_map_concat_shape_errors(self, shapes, w_shape):
+        with pytest.raises(ad.ShapeError, match="channel_map_concat: incompatible shapes"):
+            ad.channel_map_concat([rand(s) for s in shapes], rand(w_shape))
+
     @pytest.mark.parametrize("per_sample", [False, True])
     @pytest.mark.parametrize("seed", range(3))
     def test_propagate(self, per_sample, seed):
@@ -532,6 +611,12 @@ RETENTION_CASES = {
     "channel_map": (ad.channel_map, [(2, 3, 4, 5), (6, 3), (6,)], (2,)),
     "channel_map with a fixed weight": (
         lambda x: ad.channel_map(x, Tensor(FIXED.normal(size=(6, 3)))), [(2, 3, 4, 5)], (0,)),
+    # with a trained weight, each part is read for the weight's gradient
+    "channel_map_concat": (lambda a, b, w, c: ad.channel_map_concat([a, b], w, c),
+                           [(2, 3, 4, 5), (2, 2, 4, 5), (6, 5), (6,)], (3,)),
+    "channel_map_concat with a fixed weight": (
+        lambda a, b: ad.channel_map_concat([a, b], Tensor(FIXED.normal(size=(6, 5)))),
+        [(2, 3, 4, 5), (2, 2, 4, 5)], (0, 1)),
     "propagate with a fixed matrix": (
         lambda x: ad.propagate(x, Tensor(FIXED.uniform(size=(4, 4)))), [(2, 3, 4, 5)], (0,)),
 }

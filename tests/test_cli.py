@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +119,35 @@ class TestSynth:
         assert run.stderr.splitlines() == [
             "ERROR sdgl: trajectory became non-finite with noise std 1e+308"]
         assert not out.exists()
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestManifestEnvironment:
+    @pytest.mark.parametrize("command_dir", ["synth_dir", "train_dir"])
+    def test_keys_and_types(self, request, command_dir):
+        manifest = json.loads((request.getfixturevalue(command_dir) / "manifest.json").read_text())
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "blas", "cpu_count", "usable_cores", *THREAD_VARS}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        # numpy < 1.25 cannot report its BLAS build
+        if env["blas"] is not None:
+            assert set(env["blas"]) == {"name", "version"}
+            assert all(v is None or isinstance(v, str) for v in env["blas"].values())
+        assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
+        assert env["usable_cores"] is None or (
+            isinstance(env["usable_cores"], int) and 1 <= env["usable_cores"] <= env["cpu_count"])
+        for var in THREAD_VARS:
+            assert env[var] == os.environ.get(var)
+
+    def test_thread_settings_as_set(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(["synth", "--nodes", "3", "--steps", "40", "--out-dir", str(tmp_path)]) == EXIT_OK
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["OMP_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
 
 
 class TestTrain:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sdgl import autodiff as ad
-from sdgl.autodiff import Tensor, grad_check
+from sdgl.autodiff import Tape, Tensor, grad_check
 from sdgl.graph_conv import DegenerateGraphError, MixHopConv, transition_matrix
 from sdgl.rng import RngState
 
@@ -101,3 +103,27 @@ class TestMixHopConv:
             assert grad_check(f, p, tol=1e-4).passed, name
         assert grad_check(lambda z: (lambda o: ad.reduce_sum(ad.mul(o, o)))(conv(z, a)), x, tol=1e-4).passed
         assert grad_check(lambda z: (lambda o: ad.reduce_sum(ad.mul(o, o)))(conv(x, z)), a, tol=1e-4).passed
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("per_sample", [False, True])
+    def test_forward_keeps_no_stacked_copy(self, depth, per_sample):
+        # Under a tape the forward pass leaves the depth hops (the selection
+        # map's weight gradient reads them and x) and the output: (depth+1)|x|,
+        # plus the transition matrix. A (B, (depth+1)C, N, T) stack of the
+        # hops and x, kept for that gradient, would make it (2 depth + 1)|x|.
+        conv = self.make(channels=16, depth=depth, seed=depth)
+        rng = np.random.default_rng(depth)
+        x = Tensor(rng.normal(size=(8, 16, 50, 13)), requires_grad=True)
+        adj = Tensor(rng.random((8, 50, 50) if per_sample else (50, 50)) + 0.1,
+                     requires_grad=True)
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with tape:
+                out = conv(x, adj)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert grown <= (depth + 1) * x.data.nbytes + 2 * adj.data.nbytes + 64 * 1024
