@@ -31,9 +31,17 @@ Some keep their own rule: the masks of ``relu`` and ``dropout`` take one byte
 per entry where ``mul`` would keep eight, ``propagate``'s folded matrix
 gradient forms no (B, C, N, N) temporary, ``channel_map_concat`` (the
 convolution rule on the parts of a channel concatenation, one block each)
-forms no (B, sum C, N, T) concatenation, so the mix-hop selection map keeps
+forms no (B, sum C, T, N) concatenation, so the mix-hop selection map keeps
 each hop once, and ``layer_norm``, ``row_softmax`` and ``divide`` need ops the
 engine lacks (an axis mean, ``exp``, a reciprocal).
+
+Feature maps are time-major, (B, C, T, N): time is axis 2 and the nodes are
+the last axis. So the steps a convolution tap reads are one contiguous run
+per channel, and the tap of a contiguous map is a view. ``propagate`` reads
+each (channel, step) as a row of N node values: its forward pass is
+rows @ p^T, one GEMM over all B*C*T rows for a shared p and one per sample
+otherwise, and its backward pass is g_rows @ p and g_rows^T @ x_rows. No
+axis is moved and nothing is copied.
 
 The convolution's forward pass gathers the k shifted tap slices of a batch
 chunk into one buffer and runs one matmul with K = k*C_in, in place of k
@@ -41,7 +49,21 @@ matmuls and k-1 accumulating passes over the output; a one-tap map from one
 input channel (the model's start map) is a broadcast multiply. A one-tap
 map over several blocks runs one product per block: the first writes the
 output and each later one adds into it. The backward pass stays one matmul
-per tap and block: a gathered backward was measured and was no faster.
+per tap and block, adding into a view of the input gradient: a gathered
+backward was measured and was no faster.
+
+Backward adds a gradient in place only into a buffer it owns: one that this
+backward pass allocated for that one slot and that nothing else references.
+A rule hands on the array it has just computed as fresh (``mul``,
+``divide``, ``matmul``, ``relu``, ``tanh``, ``sigmoid``, ``row_softmax``,
+``layer_norm``, ``dropout``, ``reduce_sum``, the convolution, ``propagate``),
+and the slot keeps it as its own. A view of the incoming gradient (``add``,
+``transpose``, ``reshape``, ``concat``) is never fresh, so a slot that holds
+one, or a gradient of an earlier pass, gets a new sum. ``narrow`` adds into
+its slice of the input's owned buffer, so the two halves of the gated
+layer's split fill one buffer. Ownership ends when ``backward`` returns, and
+assigning ``Tensor.grad`` clears it: a later pass never changes a ``.grad``
+array the caller kept or assigned.
 
 Primitives check nothing for non-finite values, and every rule passes NaN
 on (``relu`` is ``max(a, 0)``, not a mask that would zero it), so a NaN
@@ -97,12 +119,14 @@ class TapeError(RuntimeError):
 
 
 class _Slot:
-    """Where one tensor's gradient accumulates; backward closures hold this."""
+    """Where one tensor's gradient accumulates; backward closures hold this.
+    ``owner`` is the backward pass that owns ``grad`` (0 for none)."""
 
-    __slots__ = ("grad",)
+    __slots__ = ("grad", "owner")
 
     def __init__(self):
         self.grad: np.ndarray | None = None
+        self.owner = 0
 
 
 class Tensor:
@@ -123,7 +147,7 @@ class Tensor:
     def grad(self, value: np.ndarray | None) -> None:
         if self._slot is None:
             self._slot = _Slot()
-        self._slot.grad = value
+        self._slot.grad, self._slot.owner = value, 0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -167,11 +191,13 @@ class Tape:
         are freed during backward rather than when the tape is dropped. A
         node whose output got no gradient passes on zeros.
         """
+        global _GENERATION
         if self._consumed:
             raise TapeError("tape already consumed by a previous backward()")
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
         self._consumed = True
+        _GENERATION += 1  # what earlier passes owned is read-only from here on
         loss.grad = np.ones_like(loss.data)
         while self._nodes:
             slot, shape, backward_fn = self._nodes.pop()
@@ -180,6 +206,7 @@ class Tape:
 
 
 _ACTIVE_TAPE: Tape | None = None
+_GENERATION = 0  # number of the latest backward pass
 
 
 def _recording(*inputs: Tensor) -> bool:
@@ -203,9 +230,22 @@ def _record(out: Tensor, backward_fn: Callable) -> None:
     _ACTIVE_TAPE._nodes.append((out._slot, out.data.shape, backward_fn))
 
 
-def _accum(slot: _Slot | None, g: np.ndarray) -> None:
-    if slot is not None:
-        slot.grad = g if slot.grad is None else slot.grad + g
+def _accum(slot: _Slot | None, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g to a slot's gradient. ``fresh``: the rule has just computed g and
+    nothing else holds it, so the slot may own it (see the module docstring)."""
+    if slot is None:
+        return
+    if slot.grad is None:
+        slot.grad = g
+    elif slot.owner == _GENERATION:
+        slot.grad += g
+        return
+    elif fresh:
+        g += slot.grad  # addition commutes: bit for bit slot.grad + g
+        slot.grad = g
+    else:
+        slot.grad, fresh = slot.grad + g, True
+    slot.owner = _GENERATION if fresh else 0
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -252,9 +292,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward(g):
             if ga:
-                _accum(ga, _unbroadcast(g * b_data, a_shape))
+                _accum(ga, _unbroadcast(g * b_data, a_shape), True)
             if gb:
-                _accum(gb, _unbroadcast(g * a_data, b_shape))
+                _accum(gb, _unbroadcast(g * a_data, b_shape), True)
 
         _record(out, backward)
     return out
@@ -268,9 +308,9 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
 
         def backward(g):
             if ga:
-                _accum(ga, _unbroadcast(g / b_data, a_shape))
+                _accum(ga, _unbroadcast(g / b_data, a_shape), True)
             if gb:
-                _accum(gb, _unbroadcast(-g * a_data / (b_data * b_data), b_shape))
+                _accum(gb, _unbroadcast(-g * a_data / (b_data * b_data), b_shape), True)
 
         _record(out, backward)
     return out
@@ -284,7 +324,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))  # NaN stays NaN
     if _recording(a):
         ga, mask = _slot(a), a.data > 0
-        _record(out, lambda g: _accum(ga, g * mask))
+        _record(out, lambda g: _accum(ga, g * mask, True))
     return out
 
 
@@ -293,7 +333,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(y)
     if _recording(a):
         ga = _slot(a)
-        _record(out, lambda g: _accum(ga, g * (1.0 - y * y)))
+        _record(out, lambda g: _accum(ga, g * (1.0 - y * y), True))
     return out
 
 
@@ -309,7 +349,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(y)
     if _recording(a):
         ga = _slot(a)
-        _record(out, lambda g: _accum(ga, g * y * (1.0 - y)))
+        _record(out, lambda g: _accum(ga, g * y * (1.0 - y), True))
     return out
 
 
@@ -326,9 +366,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward(g):
             if ga:
-                _accum(ga, _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
+                _accum(ga, _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape), True)
             if gb:
-                _accum(gb, _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
+                _accum(gb, _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape), True)
 
         _record(out, backward)
     return out
@@ -359,7 +399,7 @@ def row_softmax(a: Tensor) -> Tensor:
 
         def backward(g):
             dot = (g * y).sum(axis=-1, keepdims=True)
-            _accum(ga, y * (g - dot))
+            _accum(ga, y * (g - dot), True)
 
         _record(out, backward)
     return out
@@ -386,7 +426,7 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
             m2 = (g * xhat).mean(axis=-1, keepdims=True)
             # guarded rows treat the scale as constant: no variance gradient
             m2 = np.where(guarded, 0.0, m2)
-            _accum(ga, inv * (g - m1 - xhat * m2))
+            _accum(ga, inv * (g - m1 - xhat * m2), True)
 
         _record(y, backward)
     if gain is not None:
@@ -409,7 +449,7 @@ def dropout(a: Tensor, keep_prob: float, rng, training: bool) -> Tensor:
     out = Tensor(a.data * keep * inv)
     if _recording(a):
         ga = _slot(a)
-        _record(out, lambda g: _accum(ga, g * keep * inv))
+        _record(out, lambda g: _accum(ga, g * keep * inv, True))
     return out
 
 
@@ -440,7 +480,7 @@ def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(ga, np.broadcast_to(g, a_shape).copy())
+            _accum(ga, np.broadcast_to(g, a_shape).copy(), True)
 
         _record(out, backward)
     return out
@@ -474,9 +514,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         ga, a_shape = _slot(a), a.shape
 
         def backward(g):
-            full = np.zeros(a_shape)
-            full[idx] = g
-            _accum(ga, full)
+            # the slices of one input fill one buffer of this pass
+            if ga.owner != _GENERATION:
+                _accum(ga, np.zeros(a_shape), True)
+            ga.grad[idx] += g
 
         _record(out, backward)
     return out
@@ -486,9 +527,13 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def _tap(x: np.ndarray, offset: int, t_out: int) -> np.ndarray:
-    """Positions offset + [0, t_out) of a (B, C, N, T) array as (B, C, N*t_out)."""
-    b, c, n, _ = x.shape
-    return x[..., offset : offset + t_out].reshape(b, c, n * t_out)
+    """Steps offset + [0, t_out) of a (B, C, T, N) array as (B, C, t_out*N).
+
+    The steps of one channel lie back to back, so for a contiguous x (and for
+    a slice of one along time) this is a view, not a copy.
+    """
+    b, c, _, n = x.shape
+    return x[:, :, offset : offset + t_out].reshape(b, c, t_out * n)
 
 
 # Bytes of the gathered-tap buffer of one batch chunk in the convolution's
@@ -506,10 +551,10 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
     is read as one tap.
     """
     taps = w.data.reshape(*w.data.shape[:2], -1)
-    b, _, n, t_in = parts[0].data.shape
+    b, _, t_in, n = parts[0].data.shape
     c_out, c_in, k = taps.shape
     t_out = t_in - dilation * (k - 1)
-    # Tap s reads input positions offset + [0, t_out), offset = d*(k-1-s).
+    # Tap s reads input steps offset + [0, t_out), offset = d*(k-1-s).
     offsets = [dilation * (k - 1 - s) for s in range(k)]
     # (lo, hi) channels of each part, by a plain loop: per call np.cumsum took
     # 8 us and itertools.accumulate 2 us, against 10 us for a whole one-window
@@ -531,28 +576,28 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
                 acc += y
     else:
         # Copy the k tap slices of a chunk of m samples into one
-        # (m, k*C_in, N*t_out) buffer and run one matmul with the
+        # (m, k*C_in, t_out*N) buffer and run one matmul with the
         # (C_out, k*C_in) weight into the chunk's output rows. The buffer and
         # the output share one allocation, the buffer first, freed together:
         # as two arrays the heap placed them so that peak RSS rose by up to
         # 2 MB on some seeds (train_small 67.0 -> 69.1 MB).
-        m = max(1, min(b, _GATHER_BYTES // (8 * k * c_in * n * t_out)))
-        size = m * k * c_in * n * t_out
-        block = np.empty(size + b * c_out * n * t_out)
-        gathered = block[:size].reshape(m, k, c_in, n, t_out)
-        acc = block[size:].reshape(b, c_out, n * t_out)
+        m = max(1, min(b, _GATHER_BYTES // (8 * k * c_in * t_out * n)))
+        size = m * k * c_in * t_out * n
+        block = np.empty(size + b * c_out * t_out * n)
+        gathered = block[:size].reshape(m, k, c_in, t_out, n)
+        acc = block[size:].reshape(b, c_out, t_out * n)
         w_flat = taps.transpose(0, 2, 1).reshape(c_out, k * c_in)
         for start in range(0, b, m):
             rows = min(m, b - start)
             for (lo, hi), part in zip(blocks, parts):
                 buf = gathered[:rows, :, lo:hi]
                 for s, off in enumerate(offsets):
-                    buf[:, s] = part.data[start : start + rows, :, :, off : off + t_out]
-            np.matmul(w_flat, gathered[:rows].reshape(rows, k * c_in, n * t_out),
+                    buf[:, s] = part.data[start : start + rows, :, off : off + t_out]
+            np.matmul(w_flat, gathered[:rows].reshape(rows, k * c_in, t_out * n),
                       out=acc[start : start + rows])
     if bias is not None:
         acc += bias.data.reshape(1, -1, 1)
-    out = Tensor(acc.reshape(b, c_out, n, t_out))
+    out = Tensor(acc.reshape(b, c_out, t_out, n))
     inputs = (*parts, w) if bias is None else (*parts, w, bias)
     if _recording(*inputs):
         gxs, gw, w_shape = [_slot(p) for p in parts], _slot(w), w.shape
@@ -562,52 +607,51 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
         w_data = taps if any(gxs) else None
 
         def backward(g):
-            g = g.reshape(b, c_out, n * t_out)
+            g = g.reshape(b, c_out, t_out * n)
             for (lo, hi), gx in zip(blocks, gxs):
                 if not gx:
                     continue
-                if k == 1:  # the one tap covers every position
-                    dx = (w_data[:, lo:hi, 0].T @ g).reshape(b, hi - lo, n, t_in)
+                if k == 1:  # the one tap covers every step
+                    dx = (w_data[:, lo:hi, 0].T @ g).reshape(b, hi - lo, t_in, n)
                 else:
-                    dx = np.zeros((b, hi - lo, n, t_in))
+                    dx = np.zeros((b, hi - lo, t_in, n))
                     for s, off in enumerate(offsets):
-                        dx[..., off : off + t_out] += (w_data[:, lo:hi, s].T @ g).reshape(
-                            b, hi - lo, n, t_out)
-                _accum(gx, dx)
+                        _tap(dx, off, t_out)[...] += w_data[:, lo:hi, s].T @ g
+                _accum(gx, dx, True)
             if gw:
                 dw = np.empty((c_out, c_in, k))
                 for (lo, hi), x_data in zip(blocks, x_datas):
                     for s, off in enumerate(offsets):
                         dw[:, lo:hi, s] = (g @ _tap(x_data, off, t_out).transpose(0, 2, 1)).sum(
                             axis=0)
-                _accum(gw, dw.reshape(w_shape))
+                _accum(gw, dw.reshape(w_shape), True)
             if gbias:
-                _accum(gbias, g.sum(axis=(0, 2)))
+                _accum(gbias, g.sum(axis=(0, 2)), True)
 
         _record(out, backward)
     return out
 
 
 def conv1d_dilated(x: Tensor, w: Tensor, dilation: int) -> Tensor:
-    """Dilated 1-D convolution along the trailing (time) axis.
+    """Dilated 1-D convolution along the time axis (axis 2).
 
-    x: (B, C_in, N, T), w: (C_out, C_in, k). Causal by truncation: the output
-    keeps only positions with a full set of taps, out(t) = sum_s w(s) x(t - d*s),
+    x: (B, C_in, T, N), w: (C_out, C_in, k). Causal by truncation: the output
+    keeps only steps with a full set of taps, out(t) = sum_s w(s) x(t - d*s),
     so the time length shrinks to T - d*(k-1).
     """
     if x.data.ndim != 4 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv1d_dilated: incompatible shapes {x.shape}, {w.shape}")
-    t_in, k = x.data.shape[3], w.data.shape[2]
+    t_in, k = x.data.shape[2], w.data.shape[2]
     if t_in - dilation * (k - 1) < 1:
         raise ShapeError(
             f"conv1d_dilated: time axis {t_in} shorter than required minimum "
-            f"{dilation * (k - 1) + 1} (kernel {k}, dilation {dilation})"
+            f"{dilation * (k - 1) + 1} (axis 2 of {x.shape}; kernel {k}, dilation {dilation})"
         )
     return _conv([x], w, dilation, None)
 
 
 def channel_map(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """1x1 convolution over the channel axis of (B, C, N, T): a one-tap conv1d_dilated."""
+    """1x1 convolution over the channel axis of (B, C, T, N): a one-tap conv1d_dilated."""
     if x.data.ndim != 4 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"channel_map: incompatible shapes {x.shape}, {w.shape}")
     return _conv([x], w, 1, bias)
@@ -616,7 +660,7 @@ def channel_map(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
 def channel_map_concat(parts: Sequence[Tensor], w: Tensor, bias: Tensor | None = None) -> Tensor:
     """``channel_map(concat(parts, axis=1), w, bias)``, without forming the concatenation.
 
-    Each part is (B, C_i, N, T) with the same B, N and T; w is (C_out, sum C_i).
+    Each part is (B, C_i, T, N) with the same B, T and N; w is (C_out, sum C_i).
     """
     shapes = [p.shape for p in parts]
     if (not parts or w.data.ndim != 2 or any(len(s) != 4 for s in shapes)
@@ -626,42 +670,36 @@ def channel_map_concat(parts: Sequence[Tensor], w: Tensor, bias: Tensor | None =
     return _conv(parts, w, 1, bias)
 
 
-def _node_rows(a: np.ndarray, p_shape: tuple[int, ...]) -> np.ndarray:
-    """(B, C, N, T) with the node axis first, the rest flattened behind it:
-    (N, B*C*T) for a shared p, (B, N, C*T) for one p per sample."""
-    return np.moveaxis(a, 2, len(p_shape) - 2).reshape(p_shape[:-1] + (-1,))
-
-
 def propagate(x: Tensor, p: Tensor) -> Tensor:
-    """Apply a transition matrix along the node axis of (B, C, N, T).
+    """Apply a transition matrix along the node axis of (B, C, T, N), the last one.
 
     p is either (N, N), shared across the batch, or (B, N, N) with one matrix
-    per sample.
+    per sample. The product is rows @ p^T over x's rows of N node values.
     """
-    n = x.data.shape[2]
+    x_shape = x.data.shape
+    b, n = x_shape[0], x_shape[-1]
+    # the ndarray methods, not np.swapaxes: at one window a call costs microseconds
     if p.data.ndim == 2:
         if p.data.shape != (n, n):
             raise ShapeError(f"propagate: matrix {p.shape} does not match node axis {n}")
-        pb = p.data
+        rows, p_t = (-1, n), p.data.T
     elif p.data.ndim == 3:
-        if p.data.shape[1:] != (n, n) or p.data.shape[0] != x.data.shape[0]:
+        if p.data.shape[1:] != (n, n) or p.data.shape[0] != b:
             raise ShapeError(f"propagate: batch matrix {p.shape} does not match {x.shape}")
-        pb = p.data[:, None]  # (B, 1, N, N): one matrix per sample, shared by channels
+        rows, p_t = (b, -1, n), p.data.transpose(0, 2, 1)
     else:
         raise ShapeError(f"propagate: matrix rank must be 2 or 3, got shape {p.shape}")
-    out = Tensor(pb @ x.data)
+    out = Tensor((x.data.reshape(rows) @ p_t).reshape(x_shape))
     if _recording(x, p):
-        gx, gp, p_shape = _slot(x), _slot(p), p.shape
-        x_data, p_data = (x.data if gp else None), (pb if gx else None)
+        gx, gp = _slot(x), _slot(p)
+        x_data, p_data = (x.data if gp else None), (p.data if gx else None)
 
         def backward(g):
+            g_rows = g.reshape(rows)
             if gx:
-                _accum(gx, np.swapaxes(p_data, -1, -2) @ g)
+                _accum(gx, (g_rows @ p_data).reshape(x_shape), True)
             if gp:
-                # g @ x^T summed over batch and channel (shared p) or over channel
-                # (per-sample p). The summed axes join time in the inner dimension
-                # of one matmul, so no (B, C, N, N) intermediate is formed.
-                _accum(gp, _node_rows(g, p_shape) @ np.swapaxes(_node_rows(x_data, p_shape), -1, -2))
+                _accum(gp, g_rows.swapaxes(-1, -2) @ x_data.reshape(rows), True)
 
         _record(out, backward)
     return out

@@ -36,7 +36,8 @@ from .data import (
     synth_generate,
     window_split,
 )
-from .model import ABLATION_FLAGS, DivergenceError, ModelConfig, evaluate, train
+from .autodiff import Tensor
+from .model import ABLATION_FLAGS, EVAL_BATCH, DivergenceError, ModelConfig, evaluate, train
 from .static_graph import ConfigError, build_static_graph
 
 log = logging.getLogger("sdgl")
@@ -252,10 +253,13 @@ def cmd_export_graphs(args) -> tuple[dict, Path | None, dict]:
 
     static = build_static_graph(model.embeddings.m_static).values.data
     files = {"static": ("static_adjacency.csv", partial(save_csv, values=static))}
-    if indices:
-        batch = scaler.transform_windows(windows.inputs[indices])
-        dynamic = model.forward(batch, training=False).dynamic_graphs.values.data
-        for idx, matrix in zip(indices, dynamic):
+    # the dynamic learner alone, at inference as ``forward`` runs it, on
+    # EVAL_BATCH windows at a time: the rest of the network is not needed
+    for start in range(0, len(indices), EVAL_BATCH):
+        chunk = indices[start : start + EVAL_BATCH]
+        batch = Tensor(scaler.transform_windows(windows.inputs[chunk]))
+        dynamic = model.dynamic(batch, model.embeddings, model.dropout_rng, training=False)
+        for idx, matrix in zip(chunk, dynamic.values.data):
             files[f"dynamic_{idx}"] = (f"dynamic_adjacency_{idx:06d}.csv",
                                        partial(save_csv, values=matrix))
     if args.threshold is not None:

@@ -41,7 +41,7 @@ class MixHopConv:
         return {"w_select": self.w_select, "bias": self.bias}
 
     def __call__(self, x: Tensor, adj: Tensor) -> Tensor:
-        """x: (B, C, N, T); adj: (N, N) shared or (B, N, N) per sample."""
+        """x: (B, C, T, N); adj: (N, N) shared or (B, N, N) per sample."""
         p = transition_matrix(adj)
         hops = []
         cur = x

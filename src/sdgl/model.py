@@ -304,24 +304,26 @@ class SDGLModel:
         if "no_dyadj" not in cfg.ablation:
             dynamic = self.dynamic(x, self.embeddings, self.dropout_rng, training)
 
-        hidden = ad.channel_map(ad.reshape(x, (b, 1, n, h)), self.start_w, self.start_b)
+        # feature maps are time-major, (B, C, T, N): time is axis 2 and nodes the last axis
+        hidden = ad.channel_map(ad.reshape(ad.transpose(x), (b, 1, h, n)), self.start_w,
+                                self.start_b)
         skip_total: Tensor | None = None
         for j, layer in enumerate(self.tcn_layers):
             temporal = layer(hidden)
-            t_out = temporal.shape[3]
+            t_out = temporal.shape[2]
             # the output head reads only the last step, so each skip maps only that step
-            skip = ad.channel_map(ad.narrow(temporal, 3, t_out - 1, 1), self.skip_w[j])
+            skip = ad.channel_map(ad.narrow(temporal, 2, t_out - 1, 1), self.skip_w[j])
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
 
             fused = self.gcn_static[j](temporal, static)
             if dynamic is not None:
                 fused = ad.add(fused, self.gcn_dynamic[j](temporal, dynamic.values))
 
-            res_in = ad.narrow(hidden, 3, hidden.shape[3] - t_out, t_out)
+            res_in = ad.narrow(hidden, 2, hidden.shape[2] - t_out, t_out)
             hidden = ad.add(fused, ad.channel_map(res_in, self.residual_w[j]))
 
         h1 = ad.relu(ad.channel_map(skip_total, self.out_w1, self.out_b1))
-        y = ad.channel_map(h1, self.out_w2, self.out_b2)  # (B, L, N, 1)
+        y = ad.channel_map(h1, self.out_w2, self.out_b2)  # (B, L, 1, N)
         y = ad.transpose(ad.reshape(y, (b, cfg.horizon, n)))  # (B, N, L)
         return ForwardResult(prediction=y, dynamic_graphs=dynamic, reg_loss=reg)
 

@@ -86,7 +86,7 @@ class DilatedInception:
         return self.dilation * (MAX_KERNEL - 1) + 1
 
     def __call__(self, x: Tensor) -> Tensor:
-        """x: (B, C_in, N, T) -> (B, C_out, N, T - dilation*(7-1))."""
+        """x: (B, C_in, T, N) -> (B, C_out, T - dilation*(7-1), N)."""
         return _packed_inception(x, [self])
 
 

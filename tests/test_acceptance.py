@@ -86,7 +86,8 @@ def test_gradient_suite_20_seeds_under_2_minutes():
         tcn = GatedTemporalLayer(2, 4, 1, RngState(seed))
         gcn = MixHopConv(4, 2, RngState(seed + 1))
         adj = Tensor(np.random.default_rng(seed).random((3, 3)) + 0.1)
-        xt = Tensor(np.random.default_rng(seed + 2).normal(size=(1, 2, 3, 12)))
+        xt = Tensor(np.ascontiguousarray(  # (B, C, T, N): grad_check perturbs it in place
+            np.random.default_rng(seed + 2).normal(size=(1, 2, 3, 12)).swapaxes(2, 3)))
         rep = grad_check(
             lambda z: ad.mean_all(ad.mul(gcn(tcn(z), adj), gcn(tcn(z), adj))),
             xt, h=1e-5, tol=1e-4)
@@ -180,10 +181,10 @@ def test_receptive_field_law_exact():
         base = np.random.default_rng(k).normal(size=(1, 2, 1, t_in))
 
         def last(xv):
-            h = Tensor(xv)
+            h = Tensor(np.swapaxes(xv, 2, 3))  # the layers take (B, C, T, N)
             for layer in layers:
                 h = layer(h)
-            return h.data[0, :, 0, -1]
+            return h.data[0, :, -1, 0]
 
         ref = last(base)
         reach = 0
@@ -226,7 +227,7 @@ def test_oracle_equivalences():
     stacked = np.concatenate(hops + [xc], axis=1)
     want_c = np.einsum("oc,bcnt->bont", conv.w_select.data, stacked) \
         + conv.bias.data.reshape(1, -1, 1, 1)
-    got_c = conv(Tensor(xc), Tensor(ac)).data
+    got_c = conv(Tensor(xc.swapaxes(2, 3)), Tensor(ac)).data.swapaxes(2, 3)
     ok &= np.abs(got_c - want_c).max() <= 1e-10
 
     # dynamic-graph pipeline vs a raw-numpy recomposition

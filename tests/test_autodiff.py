@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,6 +17,12 @@ def rand(shape, seed=0):
 
 def rand_p(shape, seed=0):
     return Tensor(np.random.default_rng(seed).normal(size=shape), requires_grad=True)
+
+
+def swap_tn(a):
+    """(B, C, N, T) <-> (B, C, T, N), contiguous: the feature maps are
+    time-major, and the oracles and fixtures of these tests are node-major."""
+    return np.ascontiguousarray(np.swapaxes(a, 2, 3))
 
 
 def sigmoid_two_branch(a):
@@ -221,7 +228,7 @@ def test_relu_gradient_away_from_kink(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_conv1d_dilated_gradient(seed):
-    x = rand((2, 3, 2, 12), seed=seed)
+    x = Tensor(swap_tn(rand((2, 3, 2, 12), seed=seed).data))
     w = Tensor(np.random.default_rng(seed + 100).normal(size=(4, 3, 3)))
     assert grad_check(lambda z: ad.reduce_sum(ad.mul(ad.conv1d_dilated(z, w, 2), ad.conv1d_dilated(z, w, 2))), x).passed
     assert grad_check(lambda z: ad.reduce_sum(ad.mul(ad.conv1d_dilated(x, z, 2), ad.conv1d_dilated(x, z, 2))), w).passed
@@ -230,7 +237,7 @@ def test_conv1d_dilated_gradient(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_channel_map_and_propagate_gradients(seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    x = Tensor(swap_tn(rng.normal(size=(2, 3, 4, 5))))
     w = Tensor(rng.normal(size=(6, 3)))
     b = Tensor(rng.normal(size=(6,)))
     assert grad_check(lambda z: ad.reduce_sum(ad.mul(ad.channel_map(z, w, b), ad.channel_map(z, w, b))), x).passed
@@ -386,10 +393,11 @@ class TestStructuredOracles:
         x = Tensor(rng.normal(size=(3, 4, 5, 17)))
         w = Tensor(rng.normal(size=(6, 4, 3)))
         g = rng.normal(size=(3, 6, 5, 17 - d * 2))
-        y, (gx, gw) = vjp(lambda a, b: ad.conv1d_dilated(a, b, d), [x, w], g)
-        assert_close(y, conv_oracle(x.data, w.data, d))
+        y, (gx, gw) = vjp(lambda a, b: ad.conv1d_dilated(a, b, d), [Tensor(swap_tn(x.data)), w],
+                          swap_tn(g))
+        assert_close(swap_tn(y), conv_oracle(x.data, w.data, d))
         want_gx, want_gw = conv_vjp_oracle(x.data, w.data, d, g)
-        assert_close(gx, want_gx)
+        assert_close(swap_tn(gx), want_gx)
         assert_close(gw, want_gw)
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
@@ -408,16 +416,16 @@ class TestStructuredOracles:
         g = rng.normal(size=(b, 6, n, t_out))
 
         def f(h, m):
-            x = ad.narrow(h, 3, lead, t_in) if narrowed else h
+            x = ad.narrow(h, 2, lead, t_in) if narrowed else h
             return ad.conv1d_dilated(x, m, d)
 
-        y, (gh, gw) = vjp(f, [hidden, w], g)
+        y, (gh, gw) = vjp(f, [Tensor(swap_tn(hidden.data)), w], swap_tn(g))
         x = hidden.data[..., lead:]
-        assert_close(y, conv_oracle(x, w.data, d))
+        assert_close(swap_tn(y), conv_oracle(x, w.data, d))
         want_gx, want_gw = conv_vjp_oracle(x, w.data, d, g)
         want_gh = np.zeros_like(hidden.data)
         want_gh[..., lead:] = want_gx
-        assert_close(gh, want_gh)
+        assert_close(swap_tn(gh), want_gh)
         assert_close(gw, want_gw)
 
     @pytest.mark.parametrize("with_bias", [False, True])
@@ -534,7 +542,8 @@ class TestStructuredOracles:
         g = rng.normal(size=(2, 4, 3, 7))
 
         def run(f):
-            return vjp(lambda *t: f(list(t[:3]), t[3]), [Tensor(a) for a in (*parts, w)], g)
+            return vjp(lambda *t: f(list(t[:3]), t[3]),
+                       [Tensor(swap_tn(a)) for a in parts] + [Tensor(w)], swap_tn(g))
 
         y, grads = run(lambda ps, m: ad._conv(ps, m, 2, None))
         want_y, want_grads = run(lambda ps, m: ad.conv1d_dilated(ad.concat(ps, axis=1), m, 2))
@@ -562,19 +571,19 @@ class TestStructuredOracles:
         x = Tensor(rng.normal(size=(3, 4, 6, 5)))
         p = Tensor(rng.normal(size=(3, 6, 6) if per_sample else (6, 6)))
         g = rng.normal(size=x.shape)
-        y, (gx, gp) = vjp(ad.propagate, [x, p], g)
-        assert_close(y, propagate_oracle(x.data, p.data))
+        y, (gx, gp) = vjp(ad.propagate, [Tensor(swap_tn(x.data)), p], swap_tn(g))
+        assert_close(swap_tn(y), propagate_oracle(x.data, p.data))
         want_gx, want_gp = propagate_vjp_oracle(x.data, p.data, g)
-        assert_close(gx, want_gx)
+        assert_close(swap_tn(gx), want_gx)
         assert_close(gp, want_gp)
 
     def test_shape_errors_unchanged(self):
         with pytest.raises(ad.ShapeError, match="conv1d_dilated: time axis 5"):
-            ad.conv1d_dilated(rand((1, 2, 3, 5)), rand((2, 2, 4)), 2)
+            ad.conv1d_dilated(rand((1, 2, 5, 3)), rand((2, 2, 4)), 2)
         with pytest.raises(ad.ShapeError, match="channel_map: incompatible"):
             ad.channel_map(rand((1, 2, 3, 5)), rand((2, 3)))
         with pytest.raises(ad.ShapeError, match="propagate: batch matrix"):
-            ad.propagate(rand((2, 2, 3, 5)), rand((3, 3, 3)))
+            ad.propagate(rand((2, 2, 5, 3)), rand((3, 3, 3)))
 
 
 # primitive -> (call on the inputs, input shapes, indices of the inputs whose
@@ -607,7 +616,7 @@ RETENTION_CASES = {
     "narrow": (lambda a: ad.narrow(a, 1, 1, 2), [(3, 4)], (0,)),
     "conv1d_dilated with a fixed kernel": (
         lambda x: ad.conv1d_dilated(x, Tensor(FIXED.normal(size=(5, 3, 3))), 2),
-        [(2, 3, 4, 9)], (0,)),
+        [(2, 3, 9, 4)], (0,)),
     "channel_map": (ad.channel_map, [(2, 3, 4, 5), (6, 3), (6,)], (2,)),
     "channel_map with a fixed weight": (
         lambda x: ad.channel_map(x, Tensor(FIXED.normal(size=(6, 3)))), [(2, 3, 4, 5)], (0,)),
@@ -618,7 +627,7 @@ RETENTION_CASES = {
         lambda a, b: ad.channel_map_concat([a, b], Tensor(FIXED.normal(size=(6, 5)))),
         [(2, 3, 4, 5), (2, 2, 4, 5)], (0, 1)),
     "propagate with a fixed matrix": (
-        lambda x: ad.propagate(x, Tensor(FIXED.uniform(size=(4, 4)))), [(2, 3, 4, 5)], (0,)),
+        lambda x: ad.propagate(x, Tensor(FIXED.uniform(size=(4, 4)))), [(2, 3, 5, 4)], (0,)),
 }
 
 
@@ -641,6 +650,30 @@ class TestTapeRetention:
         for leaf in leaves:
             assert leaf.grad.shape == leaf.shape and np.isfinite(leaf.grad).all()
 
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
+    def test_propagate_forms_no_node_row_copies(self, per_sample):
+        # nodes are the last axis, so the rule reads x and g as rows where they
+        # are: its backward allocates the two gradients and nothing of x's size
+        # besides. Moving the node axis first took two more copies, 3|x| in all.
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(8, 16, 13, 50)), requires_grad=True)
+        p = Tensor(rng.random((8, 50, 50) if per_sample else (50, 50)), requires_grad=True)
+        g = rng.normal(size=x.shape)
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with tape:
+                out = ad.propagate(x, p)
+            del out  # the tape keeps no activation of its own
+            [(_, _, backward)] = tape._nodes
+            backward(g)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and p.grad.shape == p.shape
+        assert grown <= 1.5 * x.data.nbytes + 2 * p.data.nbytes + 64 * 1024, grown
+
     def test_grad_is_shared_with_the_tape(self):
         # .grad reads the slot the tape fills, also for an intermediate
         x = rand_p((3,))
@@ -653,3 +686,97 @@ class TestTapeRetention:
         np.testing.assert_array_equal(x.grad, 4 * h.data)
         x.grad = None
         assert x.grad is None
+
+
+class TestInPlaceAccumulation:
+    """A backward pass adds into a gradient in place only where it allocated
+    the buffer for that slot alone."""
+
+    @staticmethod
+    def backward(build, *leaves):
+        tape = Tape()
+        with tape:
+            loss = build(*leaves)
+        tape.backward(loss)
+
+    @staticmethod
+    def two_uses(x):
+        # two contributions to x's slot in one pass
+        return ad.reduce_sum(ad.add(ad.tanh(x), ad.mul(x, x)))
+
+    def test_kept_grad_is_not_changed_by_a_later_backward(self):
+        x = rand_p((3, 4))
+        self.backward(self.two_uses, x)
+        kept = x.grad
+        first = kept.copy()
+        # no zero_grad: the second pass accumulates onto the first
+        self.backward(self.two_uses, x)
+        np.testing.assert_array_equal(kept, first)
+        np.testing.assert_allclose(x.grad, 2 * first, rtol=1e-12)
+
+    def test_assigned_grad_is_not_mutated(self):
+        x = rand_p((3, 4))
+        self.backward(self.two_uses, x)
+        once = x.grad.copy()
+        start = np.full((3, 4), 0.5)
+        x.grad = start
+        self.backward(self.two_uses, x)
+        np.testing.assert_array_equal(start, 0.5)
+        np.testing.assert_allclose(x.grad, once + 0.5, rtol=1e-12)
+
+    def test_add_shares_one_gradient_between_two_inputs(self):
+        # add hands the same view of g to a and b; both get another
+        # contribution after it, and the sum's own gradient stays as it was
+        a, b = rand_p((3, 4), seed=1), rand_p((3, 4), seed=2)
+        c1, c2, c3 = (np.random.default_rng(s).normal(size=(3, 4)) for s in (3, 4, 5))
+        kept = {}
+
+        def build(a, b):
+            # recorded before the add, so their rules run after its rule
+            ua = ad.mul(a, Tensor(c2))
+            ub = ad.mul(ad.mul(b, Tensor(c3)), Tensor(2.0))
+            s = ad.add(a, b)
+            kept["s"] = s
+            return ad.reduce_sum(ad.add(ad.add(ad.mul(s, Tensor(c1)), ua), ub))
+
+        self.backward(build, a, b)
+        # the copy-based sums each gradient is made of
+        assert_close(kept["s"].grad, c1)
+        assert_close(a.grad, c1 + c2)
+        assert_close(b.grad, c1 + c3 * 2.0)
+
+    @pytest.mark.parametrize("before", [None, "fresh", "view"])
+    def test_narrow_pair_fills_one_buffer(self, before):
+        # the gated layer's tanh / sigmoid split of one (B, 2C, T, N) map;
+        # x may already hold a gradient of this pass, its own or a view
+        x, other = rand_p((2, 6, 3, 4)), rand_p((2, 6, 3, 4), seed=1)
+        c = np.random.default_rng(9).normal(size=x.shape)
+        halves = {}
+
+        def build(x, other):
+            lo, hi = ad.narrow(x, 1, 0, 3), ad.narrow(x, 1, 3, 3)
+            halves.update(lo=lo, hi=hi)
+            loss = ad.reduce_sum(ad.mul(ad.tanh(lo), ad.sigmoid(hi)))
+            # recorded after the narrows, so its rule runs before theirs
+            if before == "fresh":
+                loss = ad.add(loss, ad.reduce_sum(ad.mul(x, Tensor(c))))
+            elif before == "view":  # x and other get one view of the same g
+                loss = ad.add(loss, ad.reduce_sum(ad.add(x, other)))
+            return loss
+
+        self.backward(build, x, other)
+        want = np.concatenate([halves["lo"].grad, halves["hi"].grad], axis=1)
+        if before == "fresh":
+            want = want + c
+        elif before == "view":
+            want = want + 1.0
+        assert_close(x.grad, want)
+        if before == "view":
+            np.testing.assert_array_equal(other.grad, 1.0)
+        assert not np.shares_memory(x.grad, halves["lo"].grad)
+        assert not np.shares_memory(x.grad, halves["hi"].grad)
+
+    def test_square_is_twice_x(self):
+        x = rand_p((3, 4))
+        self.backward(lambda z: ad.reduce_sum(ad.mul(z, z)), x)
+        np.testing.assert_array_equal(x.grad, 2 * x.data)

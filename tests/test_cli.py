@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,31 @@ class TestExportGraphs:
         ])
         assert code == EXIT_USAGE
         assert not (tmp_path / "graphs").exists()
+
+
+    def test_many_windows_match_single_exports_in_bounded_memory(self, train_dir, tmp_path):
+        # 900 windows of a longer 5-node series: the dynamic learner runs on
+        # slices of EVAL_BATCH windows, not the whole model on all of them at once
+        assert main(["synth", "--nodes", "5", "--steps", "1000", "--seed", "4",
+                     "--out-dir", str(tmp_path / "long")]) == EXIT_OK
+        loaded = ["--checkpoint", str(train_dir / "checkpoint.sdgl"),
+                  "--data", str(tmp_path / "long" / "data.csv")]
+        tracemalloc.start()
+        try:
+            code = main(["export-graphs", *loaded, "--windows", *map(str, range(900)),
+                         "--out-dir", str(tmp_path / "many")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        # 2.0 MB here; the whole model on all 900 windows at once peaked at 33 MB
+        assert peak <= 8 * 2**20, peak
+        for idx in (0, 127, 128, 899):
+            name = f"dynamic_adjacency_{idx:06d}.csv"
+            assert main(["export-graphs", *loaded, "--windows", str(idx),
+                         "--out-dir", str(tmp_path / f"one{idx}")]) == EXIT_OK
+            assert (tmp_path / "many" / name).read_bytes() == \
+                (tmp_path / f"one{idx}" / name).read_bytes(), idx
 
 
 def test_success_leaves_no_temporary(synth_dir, train_dir, tmp_path):

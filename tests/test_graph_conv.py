@@ -7,6 +7,7 @@ from sdgl import autodiff as ad
 from sdgl.autodiff import Tape, Tensor, grad_check
 from sdgl.graph_conv import DegenerateGraphError, MixHopConv, transition_matrix
 from sdgl.rng import RngState
+from test_autodiff import swap_tn
 
 
 class TestTransitionMatrix:
@@ -37,9 +38,9 @@ class TestMixHopConv:
 
     def test_output_shape_preserved(self):
         conv = self.make()
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 6)))
+        x = Tensor(swap_tn(np.random.default_rng(0).normal(size=(2, 3, 4, 6))))
         a = Tensor(np.full((4, 4), 0.25))
-        assert conv(x, a).shape == (2, 3, 4, 6)
+        assert conv(x, a).shape == (2, 3, 6, 4)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_matrix_power_oracle(self, seed):
@@ -48,7 +49,7 @@ class TestMixHopConv:
         x = rng.normal(size=(2, 3, 4, 5))
         a = rng.random((4, 4)) + 0.05
         p = a / a.sum(axis=1, keepdims=True)
-        got = conv(Tensor(x), Tensor(a)).data
+        got = swap_tn(conv(Tensor(swap_tn(x)), Tensor(a)).data)
         hops = [np.einsum("nm,bcmt->bcnt", np.linalg.matrix_power(p, s), x) for s in (1, 2, 3)]
         stacked = np.concatenate(hops + [x], axis=1)
         want = np.einsum("oc,bcnt->bont", conv.w_select.data, stacked)
@@ -63,7 +64,7 @@ class TestMixHopConv:
             np.random.default_rng(3).normal(size=(1, 3, 1, 4)), (1, 3, 5, 4)
         ).copy()
         a = np.random.default_rng(4).random((5, 5)) + 0.1
-        out = conv(Tensor(x), Tensor(a)).data
+        out = swap_tn(conv(Tensor(swap_tn(x)), Tensor(a)).data)
         np.testing.assert_allclose(out - out[:, :, :1], 0.0, atol=1e-12)
 
     def test_per_sample_adjacency_isolated(self):
@@ -72,10 +73,10 @@ class TestMixHopConv:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 3, 4, 5))
         a = rng.random((2, 4, 4)) + 0.1
-        base = conv(Tensor(x), Tensor(a)).data
+        base = swap_tn(conv(Tensor(swap_tn(x)), Tensor(a)).data)
         a2 = a.copy()
         a2[1] = rng.random((4, 4)) + 0.1
-        alt = conv(Tensor(x), Tensor(a2)).data
+        alt = swap_tn(conv(Tensor(swap_tn(x)), Tensor(a2)).data)
         np.testing.assert_array_equal(base[0], alt[0])
         assert np.abs(base[1] - alt[1]).max() > 0
 
@@ -86,8 +87,8 @@ class TestMixHopConv:
         x = rng.normal(size=(1, 3, 6, 4))
         a = rng.random((6, 6)) + 0.1
         perm = rng.permutation(6)
-        base = conv(Tensor(x), Tensor(a)).data
-        permuted = conv(Tensor(x[:, :, perm]), Tensor(a[np.ix_(perm, perm)])).data
+        base = swap_tn(conv(Tensor(swap_tn(x)), Tensor(a)).data)
+        permuted = swap_tn(conv(Tensor(swap_tn(x[:, :, perm])), Tensor(a[np.ix_(perm, perm)])).data)
         np.testing.assert_allclose(permuted, base[:, :, perm], atol=1e-12)
 
     def test_gradients(self):
@@ -109,11 +110,11 @@ class TestMixHopConv:
     def test_forward_keeps_no_stacked_copy(self, depth, per_sample):
         # Under a tape the forward pass leaves the depth hops (the selection
         # map's weight gradient reads them and x) and the output: (depth+1)|x|,
-        # plus the transition matrix. A (B, (depth+1)C, N, T) stack of the
+        # plus the transition matrix. A (B, (depth+1)C, T, N) stack of the
         # hops and x, kept for that gradient, would make it (2 depth + 1)|x|.
         conv = self.make(channels=16, depth=depth, seed=depth)
         rng = np.random.default_rng(depth)
-        x = Tensor(rng.normal(size=(8, 16, 50, 13)), requires_grad=True)
+        x = Tensor(swap_tn(rng.normal(size=(8, 16, 50, 13))), requires_grad=True)
         adj = Tensor(rng.random((8, 50, 50) if per_sample else (50, 50)) + 0.1,
                      requires_grad=True)
         tape = Tape()

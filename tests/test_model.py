@@ -121,7 +121,7 @@ class TestModelConfig:
         def recording(layer):
             def run(hidden):
                 out = layer(hidden)
-                lengths.append(out.shape[3])
+                lengths.append(out.shape[2])
                 return out
             return run
 
@@ -536,6 +536,21 @@ class TestEvaluatePredict:
         batch = predict(out.model, out.scaler, x[None])
         assert single.shape == (4, 3)
         np.testing.assert_array_equal(single, batch[0])
+
+    @pytest.mark.parametrize("n_nodes", [10, 100])
+    def test_single_window_predict_is_its_row_of_a_full_batch(self, n_nodes):
+        # the benchmark's predict_matches_evaluate check: a shared-matrix
+        # propagate is one GEMM over B*C*T rows, so BLAS may block a batch of
+        # 128 windows differently from one
+        model = SDGLModel(ModelConfig(n_nodes=n_nodes, channels=16, seed=1))
+        rng = np.random.default_rng(n_nodes)
+        scaler = Scaler(rng.normal(size=n_nodes), rng.uniform(0.5, 2.0, size=n_nodes))
+        windows = rng.normal(size=(128, n_nodes, 19)) * 3 + 5
+        batched = predict(model, scaler, windows)
+        scale = max(1.0, float(np.abs(batched).max()))
+        for i in rng.choice(128, size=8, replace=False):
+            single = predict(model, scaler, windows[i])
+            assert np.abs(single - batched[i]).max() / scale <= 1e-9, i
 
     def test_predict_rejects_node_mismatch(self):
         out = self.make_trained(seed=2)

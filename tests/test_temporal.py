@@ -13,6 +13,7 @@ from sdgl.temporal import (
     layer_dilation,
     receptive_field,
 )
+from test_autodiff import swap_tn
 
 
 def conv_loop_oracle(x, w, d):
@@ -78,19 +79,19 @@ class TestDilatedInception:
     def test_output_length_tracks_longest_kernel(self, d):
         layer = self.make(d=d)
         t_in = 32
-        out = layer(Tensor(np.random.default_rng(0).normal(size=(2, 2, 3, t_in))))
-        assert out.shape == (2, 8, 3, t_in - d * (MAX_KERNEL - 1))
+        out = layer(Tensor(swap_tn(np.random.default_rng(0).normal(size=(2, 2, 3, t_in)))))
+        assert out.shape == (2, 8, t_in - d * (MAX_KERNEL - 1), 3)
 
     def test_too_short_input_rejected(self):
         layer = self.make(d=3)
         with pytest.raises(ad.ShapeError, match=f"minimum {layer.min_length()} "):
-            layer(Tensor(np.zeros((1, 2, 2, layer.min_length() - 1))))
+            layer(Tensor(swap_tn(np.zeros((1, 2, 2, layer.min_length() - 1)))))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_branch_loop_oracle(self, seed):
         layer = self.make(d=2, seed=seed)
         x = np.random.default_rng(seed + 40).normal(size=(2, 2, 3, 20))
-        got = layer(Tensor(x)).data
+        got = swap_tn(layer(Tensor(swap_tn(x))).data)
         t_out = 20 - 2 * (MAX_KERNEL - 1)
         parts = []
         for k, f in zip(KERNEL_SIZES, layer.filters):
@@ -106,7 +107,7 @@ class TestDilatedInception:
         layer.bias.data[:] = 0.0
         x = np.zeros((1, 1, 1, 16))
         x[0, 0, 0, -1] = 1.0
-        out = layer(Tensor(x)).data[0, :, 0, -1]
+        out = swap_tn(layer(Tensor(swap_tn(x))).data)[0, :, 0, -1]
         want = np.concatenate([f.data[:, 0, 0] for f in layer.filters])
         np.testing.assert_allclose(out, want, atol=1e-14)
 
@@ -117,8 +118,8 @@ class TestDilatedInception:
         bumped = base.copy()
         # last output step looks back 2*(7-1)=12 steps; earlier ones are unseen by it
         bumped[0, 0, 0, 0] = 5.0
-        a = layer(Tensor(base)).data[:, :, :, -1]
-        b = layer(Tensor(bumped)).data[:, :, :, -1]
+        a = swap_tn(layer(Tensor(swap_tn(base))).data)[:, :, :, -1]
+        b = swap_tn(layer(Tensor(swap_tn(bumped))).data)[:, :, :, -1]
         np.testing.assert_array_equal(a, b)
 
 
@@ -129,20 +130,20 @@ class TestGatedTemporalLayer:
     def test_saturated_closed_gate_silences_output(self):
         layer = self.make(seed=1)
         layer.gate_bank.bias.data[:] = -1e4
-        out = layer(Tensor(np.random.default_rng(2).normal(size=(1, 2, 3, 16))))
+        out = layer(Tensor(swap_tn(np.random.default_rng(2).normal(size=(1, 2, 3, 16)))))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_saturated_open_gate_passes_tanh(self):
         layer = self.make(seed=3)
         layer.gate_bank.bias.data[:] = 1e4
-        x = Tensor(np.random.default_rng(4).normal(size=(1, 2, 3, 16)))
+        x = Tensor(swap_tn(np.random.default_rng(4).normal(size=(1, 2, 3, 16))))
         got = layer(x).data
         want = np.tanh(layer.filter_bank(x).data)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_output_bounded_by_one(self):
         layer = self.make(seed=5)
-        x = Tensor(np.random.default_rng(6).normal(size=(2, 2, 4, 20)) * 10)
+        x = Tensor(swap_tn(np.random.default_rng(6).normal(size=(2, 2, 4, 20)) * 10))
         assert np.all(np.abs(layer(x).data) < 1.0)
 
     def test_two_layer_stack_empirical_receptive_field(self):
@@ -156,7 +157,7 @@ class TestGatedTemporalLayer:
         base = rng.normal(size=(1, 2, 1, t_in))
 
         def last_step(x):
-            return l2(l1(Tensor(x))).data[0, :, 0, -1]
+            return swap_tn(l2(l1(Tensor(swap_tn(x)))).data)[0, :, 0, -1]
 
         ref = last_step(base)
         inside = base.copy()
@@ -170,7 +171,7 @@ class TestGatedTemporalLayer:
     def test_stack_gradient(self, seed):
         l1 = GatedTemporalLayer(2, 4, 1, RngState(seed))
         l2 = GatedTemporalLayer(4, 4, 2, RngState(seed + 10))
-        x = Tensor(np.random.default_rng(seed + 20).normal(size=(1, 2, 2, 20)))
+        x = Tensor(swap_tn(np.random.default_rng(seed + 20).normal(size=(1, 2, 2, 20))))
 
         def f(z):
             return ad.mean_all(ad.mul(l2(l1(z)), l2(l1(z))))
@@ -189,7 +190,7 @@ class TestGatedTemporalLayer:
         layer.filter_bank.bias.data[:] = rng.normal(size=8)
         layer.gate_bank.bias.data[:] = rng.normal(size=8)
         x = rng.normal(size=(2, 3, 4, 21))
-        got = layer(Tensor(x)).data
+        got = swap_tn(layer(Tensor(swap_tn(x))).data)
         a = bank_oracle(layer.filter_bank, x)
         b = bank_oracle(layer.gate_bank, x)
         want = np.tanh(a) / (1.0 + np.exp(-b))
@@ -198,8 +199,8 @@ class TestGatedTemporalLayer:
     @pytest.mark.parametrize("name", ["filter.f2", "gate.f6"])
     def test_gradient_through_packed_weight(self, name):
         layer = GatedTemporalLayer(2, 8, 2, RngState(11))
-        x = Tensor(np.random.default_rng(12).normal(size=(2, 2, 3, 16)))
-        probe = Tensor(np.random.default_rng(13).normal(size=(2, 8, 3, 4)))
+        x = Tensor(swap_tn(np.random.default_rng(12).normal(size=(2, 2, 3, 16))))
+        probe = Tensor(swap_tn(np.random.default_rng(13).normal(size=(2, 8, 3, 4))))
 
         def loss(_):
             return ad.reduce_sum(ad.mul(layer(x), probe))
@@ -209,7 +210,7 @@ class TestGatedTemporalLayer:
 
     def test_per_kernel_gradients_keep_their_shape(self):
         layer = GatedTemporalLayer(3, 8, 1, RngState(14))
-        x = Tensor(np.random.default_rng(15).normal(size=(2, 3, 2, 12)))
+        x = Tensor(swap_tn(np.random.default_rng(15).normal(size=(2, 3, 2, 12))))
         params = layer.parameters()
         t = ad.Tape()
         with t:
