@@ -4,6 +4,10 @@ Pipeline per window: gate-fuse the window with the static embeddings, build a
 multi-head scaled dot-product correlation matrix, refine it with a Gram-matrix
 skip connection and a row-wise MLP, then add the momentum embeddings' logits
 as inductive bias before the final relu + row softmax.
+
+Each head scales its query, not its (N, N) product, by its mixing weight and
+1/sqrt(d_k): the scalar's gradient then reads the small query and key, and
+the tape holds no per-window N x N array for it.
 """
 
 from __future__ import annotations
@@ -92,16 +96,18 @@ class AdjacencyHeads:
         return out
 
     def correlate(self, h_t: Tensor, rng: RngState, training: bool) -> Tensor:
-        """Sum of per-head dropout(Q K^T / sqrt(d_k)) scaled by mixing weights."""
+        """Sum over heads of dropout((mix_i / sqrt(d_k)) Q_i K_i^T).
+
+        The two factors scale the (B, N, d_k) query, not the product (see the
+        module docstring).
+        """
         h_norm = ad.layer_norm(h_t, self.ln_gain, self.ln_bias)
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
         total: Tensor | None = None
         for i in range(self.n_heads):
-            q = ad.matmul(h_norm, self.w_q[i])
+            q = ad.mul(ad.matmul(h_norm, self.w_q[i]), ad.scale(self.head_mix[i], inv_sqrt))
             k = ad.matmul(h_norm, self.w_k[i])
-            adj = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt)
-            adj = ad.dropout(adj, self.dropout_keep, rng, training)
-            head = ad.mul(adj, self.head_mix[i])
+            head = ad.dropout(ad.matmul(q, ad.transpose(k)), self.dropout_keep, rng, training)
             total = head if total is None else ad.add(total, head)
         return total
 

@@ -54,21 +54,27 @@ def build_static_graph(m_s: Tensor) -> AdjacencyMatrix:
 def graph_regularization_loss(x: Tensor, a: Tensor, gamma: float) -> Tensor:
     """Smoothness + sparsity penalty, averaged over the batch.
 
-    x: (B, N, h) normalized windows. Per sample the smoothness term is
-    sum_ij ||x_i - x_j||^2 * A_ij, expanded as s_i + s_j - 2 x_i . x_j with
-    s the squared row norms; gamma weights the Frobenius penalty on A.
+    x: (B, N, h) normalized windows; a: one (N, N) adjacency shared by the
+    batch. Per sample the smoothness term is sum_ij ||x_i - x_j||^2 * A_ij,
+    expanded as s_i + s_j - 2 x_i . x_j with s the squared row norms; gamma
+    weights the Frobenius penalty on A. Because A is shared, the batch is
+    summed first: with the windows laid out as (B*h, N) rows, sum_b X_b X_b^T
+    is one (N, N) product and sum_b s is one column sum, so no (B, N, N)
+    array is formed or kept for backward.
     """
-    if x.shape[1] != a.shape[-1]:
+    if x.data.ndim != 3 or a.shape != (x.shape[1], x.shape[1]):
         raise ad.ShapeError(
-            f"graph_regularization_loss: {x.shape[1]} nodes in X vs adjacency {a.shape}"
+            f"graph_regularization_loss: expected (B, N, h) windows and an (N, N) "
+            f"adjacency, got {x.shape} and {a.shape}"
         )
     if gamma < 0:
         raise ConfigError(f"gamma must be nonnegative, got {gamma}")
-    b, n, _ = x.shape
-    gram = ad.matmul(x, ad.transpose(x))  # (B, N, N)
-    sq = ad.reduce_sum(ad.mul(x, x), axis=-1)  # (B, N)
+    b, n, h = x.shape
+    rows = ad.reshape(ad.transpose(x), (b * h, n))
+    gram = ad.matmul(ad.transpose(rows), rows)  # (N, N), summed over the batch
+    sq = ad.reduce_sum(ad.mul(rows, rows), axis=0)  # (N,)
     pair = ad.sub(
-        ad.add(ad.reshape(sq, (b, n, 1)), ad.reshape(sq, (b, 1, n))),
+        ad.add(ad.reshape(sq, (n, 1)), ad.reshape(sq, (1, n))),
         ad.scale(gram, 2.0),
     )
     smooth = ad.scale(ad.reduce_sum(ad.mul(pair, a)), 1.0 / b)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sdgl import autodiff as ad
-from sdgl.autodiff import Tensor
+from sdgl.autodiff import Tape, Tensor, grad_check
 from sdgl.dynamic_graph import (
     AdjacencyHeads,
     DynamicGraphLearner,
@@ -115,6 +117,40 @@ class TestAdjacencyHeads:
             k = h_norm @ heads.w_k[i].data
             want += float(heads.head_mix[i].data) * (q @ k.T) / np.sqrt(2)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_correlate_gradients_with_dropout(self):
+        # a fresh RngState per evaluation draws the same masks, head by head,
+        # so every finite difference sees the dropout the tape saw
+        heads = self.make(n=4, d=3, dk=2, heads=2, seed=11, keep=0.7)
+        rng = np.random.default_rng(12)
+        h_t = Tensor(rng.normal(size=(2, 4, 3)))
+        c = Tensor(rng.normal(size=(2, 4, 4)))
+
+        def f(_):
+            return ad.reduce_sum(ad.mul(heads.correlate(h_t, RngState(5), training=True), c))
+
+        for i in range(heads.n_heads):
+            for p in (heads.head_mix[i], heads.w_q[i], heads.w_k[i]):
+                assert grad_check(f, p, tol=1e-5).passed
+
+    def test_tape_keeps_no_window_matrix_for_head_mix(self):
+        # Scaling the (B, N, d_k) query leaves Q and K for the mixing weight's
+        # gradient; scaling each head's (B, N, N) product would keep that
+        # product. With dropout each head keeps a one-byte mask per entry.
+        b, n = 8, 60
+        heads = self.make(n=n, d=4, dk=2, heads=2, seed=13, keep=0.9)
+        h_t = Tensor(np.random.default_rng(14).normal(size=(b, n, 4)))
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with tape:
+                out = heads.correlate(h_t, RngState(0), training=True)
+            del out
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < b * n * n * 8, held
 
     def test_zeroed_mlp_yields_zero(self):
         heads = self.make(seed=4)

@@ -8,14 +8,18 @@ projection on a fixed random unit vector; both must match within ``RTOL`` of
 the array's norm. Reordering a float64 sum moves them by about 1e-13; a change
 to the math moves them by far more.
 
-To store new references after a change that is meant to alter the outputs:
+Run as a script, it compares without pytest and exits 1 on a mismatch; only
+``--write`` stores new references, after a change meant to alter the outputs:
 
-    PYTHONPATH=src python3 tests/test_reference_outputs.py
+    PYTHONPATH=src python3 tests/test_reference_outputs.py           # compare
+    PYTHONPATH=src python3 tests/test_reference_outputs.py --write   # store
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +103,29 @@ def test_reference_covers_every_config_and_mode():
     }
 
 
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--write", action="store_true", help="store new references")
+    args = ap.parse_args()
+    if args.write:
+        out = {name: {mode: compute(name, mode) for mode in MODES} for name in sorted(CONFIGS)}
+        REFERENCE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {REFERENCE}")
+        return 0
+    checks = {"coverage": test_reference_covers_every_config_and_mode}
+    for name in sorted(CONFIGS):
+        for mode in MODES:
+            checks[f"{name}/{mode}"] = lambda name=name, mode=mode: test_matches_reference(name, mode)
+    failed = 0
+    for what, check in checks.items():
+        try:
+            check()
+        except (AssertionError, KeyError) as exc:
+            failed += 1
+            print(f"MISMATCH {what}: {exc!r}")
+    print(f"{failed} mismatch(es) against {REFERENCE}" if failed else f"outputs match {REFERENCE}")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
-    out = {name: {mode: compute(name, mode) for mode in MODES} for name in sorted(CONFIGS)}
-    REFERENCE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {REFERENCE}")
+    sys.exit(main())

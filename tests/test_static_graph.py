@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,36 @@ class TestRegularizationLoss:
             graph_regularization_loss(
                 Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((4, 4))), gamma=0.0
             )
+
+    @pytest.mark.parametrize("x_shape, a_shape", [
+        ((2, 3, 2), (2, 3, 3)),  # the batch-summed form needs one adjacency for all windows
+        ((3, 3), (3, 3)),  # one window of 3 nodes and 3 steps, without its batch axis
+        ((1, 4, 2), (3, 4)),
+    ], ids=["per-window-adjacency", "2-D-x", "non-square-adjacency"])
+    def test_needs_windows_and_one_square_adjacency(self, x_shape, a_shape):
+        with pytest.raises(ad.ShapeError):
+            graph_regularization_loss(Tensor(np.zeros(x_shape)), Tensor(np.zeros(a_shape)), gamma=0.0)
+
+    def test_tape_keeps_no_per_window_pair_matrix(self):
+        # A's gradient reads the pair matrix. Summed over the batch first, it
+        # is one (N, N) array; per window it would be a (B, N, N) one, twice
+        # the bound at B = 8.
+        b, n = 8, 60
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(b, n, 5)))
+        a = Tensor(rng.random((n, n)), requires_grad=True)
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with tape:
+                loss = graph_regularization_loss(x, a, gamma=0.1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * n * n * 8, held
+        tape.backward(loss)
+        assert a.grad.shape == (n, n)
 
 
 class TestMomentumUpdate:
