@@ -37,7 +37,12 @@ engine lacks (an axis mean, ``exp``, a reciprocal).
 
 Feature maps are time-major, (B, C, T, N): time is axis 2 and the nodes are
 the last axis. So the steps a convolution tap reads are one contiguous run
-per channel, and the tap of a contiguous map is a view. ``propagate`` reads
+per channel, and the tap of a contiguous map is a view. ``conv1d_dilated``
+may keep only every stride-th output step: its taps then read every
+stride-th input step, a strided view that the forward pass gathers and the
+weight gradient copies, and the input gradient adds each tap's product into a
+strided view of itself. ``narrow`` takes a step for the matching slice of
+the input. ``propagate`` reads
 each (channel, step) as a row of N node values: its forward pass is
 rows @ p^T, one GEMM over all B*C*T rows for a shared p and one per sample
 otherwise, and its backward pass is g_rows @ p and g_rows^T @ x_rows. No
@@ -499,15 +504,18 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return out
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    if start < 0 or start + length > a.data.shape[axis]:
+def narrow(a: Tensor, axis: int, start: int, length: int, step: int = 1) -> Tensor:
+    """``length`` entries along one axis, from ``start`` every ``step``-th one."""
+    if length < 1 or step < 1:
+        raise ShapeError(f"narrow: need length >= 1 and step >= 1, got {length} and {step}")
+    stop = start + step * (length - 1) + 1
+    if start < 0 or stop > a.data.shape[axis]:
         raise ShapeError(
-            f"narrow: slice [{start}, {start + length}) out of range for axis "
+            f"narrow: slice [{start}, {stop}) out of range for axis "
             f"{axis} of shape {a.shape}"
         )
     idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
+    idx[axis] = slice(start, stop, step)
     idx = tuple(idx)
     out = Tensor(a.data[idx])
     if _recording(a):
@@ -526,14 +534,19 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 # --- structured primitives --------------------------------------------------
 
 
-def _tap(x: np.ndarray, offset: int, t_out: int) -> np.ndarray:
-    """Steps offset + [0, t_out) of a (B, C, T, N) array as (B, C, t_out*N).
+def _steps(x: np.ndarray, offset: int, t_out: int, stride: int) -> np.ndarray:
+    """The view of steps offset + stride*[0, t_out) of a (B, C, T, N) array."""
+    return x[:, :, offset : offset + stride * (t_out - 1) + 1 : stride]
 
-    The steps of one channel lie back to back, so for a contiguous x (and for
-    a slice of one along time) this is a view, not a copy.
+
+def _tap(x: np.ndarray, offset: int, t_out: int, stride: int) -> np.ndarray:
+    """Steps offset + stride*[0, t_out) of a (B, C, T, N) array as (B, C, t_out*N).
+
+    At stride 1 the steps of one channel lie back to back, so for a contiguous
+    x (and for a slice of one along time) this is a view; a larger stride copies.
     """
     b, c, _, n = x.shape
-    return x[:, :, offset : offset + t_out].reshape(b, c, t_out * n)
+    return _steps(x, offset, t_out, stride).reshape(b, c, t_out * n)
 
 
 # Bytes of the gathered-tap buffer of one batch chunk in the convolution's
@@ -543,18 +556,19 @@ def _tap(x: np.ndarray, offset: int, t_out: int) -> np.ndarray:
 _GATHER_BYTES = 1 << 20
 
 
-def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None) -> Tensor:
+def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None,
+          stride: int = 1) -> Tensor:
     """The rule of the convolutions, on the channel concatenation of ``parts``.
 
     Weight columns [lo, lo + c) read the part with c channels that starts at
     channel lo of the concatenation, which is never formed. A (C_out, C_in) w
-    is read as one tap.
+    is read as one tap. The output keeps every ``stride``-th step.
     """
     taps = w.data.reshape(*w.data.shape[:2], -1)
     b, _, t_in, n = parts[0].data.shape
     c_out, c_in, k = taps.shape
-    t_out = t_in - dilation * (k - 1)
-    # Tap s reads input steps offset + [0, t_out), offset = d*(k-1-s).
+    t_out = (t_in - dilation * (k - 1) - 1) // stride + 1
+    # Tap s reads input steps offset + stride*[0, t_out), offset = d*(k-1-s).
     offsets = [dilation * (k - 1 - s) for s in range(k)]
     # (lo, hi) channels of each part, by a plain loop: per call np.cumsum took
     # 8 us and itertools.accumulate 2 us, against 10 us for a whole one-window
@@ -567,7 +581,7 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
         # the first part's product is the output, each later one adds into it
         acc = None
         for (lo, hi), part in zip(blocks, parts):
-            x_tap = _tap(part.data, 0, t_out)
+            x_tap = _tap(part.data, 0, t_out, stride)
             # a K = 1 product: the broadcast is the same single multiply
             y = taps[:, lo:hi, 0] * x_tap if hi - lo == 1 else taps[:, lo:hi, 0] @ x_tap
             if acc is None:
@@ -592,7 +606,7 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
             for (lo, hi), part in zip(blocks, parts):
                 buf = gathered[:rows, :, lo:hi]
                 for s, off in enumerate(offsets):
-                    buf[:, s] = part.data[start : start + rows, :, off : off + t_out]
+                    buf[:, s] = _steps(part.data[start : start + rows], off, t_out, stride)
             np.matmul(w_flat, gathered[:rows].reshape(rows, k * c_in, t_out * n),
                       out=acc[start : start + rows])
     if bias is not None:
@@ -611,19 +625,20 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
             for (lo, hi), gx in zip(blocks, gxs):
                 if not gx:
                     continue
-                if k == 1:  # the one tap covers every step
+                if k == stride == 1:  # the one tap covers every step
                     dx = (w_data[:, lo:hi, 0].T @ g).reshape(b, hi - lo, t_in, n)
                 else:
                     dx = np.zeros((b, hi - lo, t_in, n))
                     for s, off in enumerate(offsets):
-                        _tap(dx, off, t_out)[...] += w_data[:, lo:hi, s].T @ g
+                        _steps(dx, off, t_out, stride)[...] += (
+                            w_data[:, lo:hi, s].T @ g).reshape(b, hi - lo, t_out, n)
                 _accum(gx, dx, True)
             if gw:
                 dw = np.empty((c_out, c_in, k))
                 for (lo, hi), x_data in zip(blocks, x_datas):
                     for s, off in enumerate(offsets):
-                        dw[:, lo:hi, s] = (g @ _tap(x_data, off, t_out).transpose(0, 2, 1)).sum(
-                            axis=0)
+                        x_tap = _tap(x_data, off, t_out, stride)
+                        dw[:, lo:hi, s] = (g @ x_tap.transpose(0, 2, 1)).sum(axis=0)
                 _accum(gw, dw.reshape(w_shape), True)
             if gbias:
                 _accum(gbias, g.sum(axis=(0, 2)), True)
@@ -632,22 +647,26 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
     return out
 
 
-def conv1d_dilated(x: Tensor, w: Tensor, dilation: int) -> Tensor:
+def conv1d_dilated(x: Tensor, w: Tensor, dilation: int, stride: int = 1) -> Tensor:
     """Dilated 1-D convolution along the time axis (axis 2).
 
-    x: (B, C_in, T, N), w: (C_out, C_in, k). Causal by truncation: the output
-    keeps only steps with a full set of taps, out(t) = sum_s w(s) x(t - d*s),
-    so the time length shrinks to T - d*(k-1).
+    x: (B, C_in, T, N), w: (C_out, C_in, k). Causal by truncation: the full
+    output keeps only steps with a full set of taps, out(t) = sum_s w(s)
+    x(t - d*s), so its time length shrinks to T - d*(k-1). Of those steps the
+    result keeps the first and every ``stride``-th one after it.
     """
     if x.data.ndim != 4 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv1d_dilated: incompatible shapes {x.shape}, {w.shape}")
+    if dilation < 1 or stride < 1:
+        raise ShapeError(
+            f"conv1d_dilated: need dilation >= 1 and stride >= 1, got {dilation} and {stride}")
     t_in, k = x.data.shape[2], w.data.shape[2]
     if t_in - dilation * (k - 1) < 1:
         raise ShapeError(
             f"conv1d_dilated: time axis {t_in} shorter than required minimum "
             f"{dilation * (k - 1) + 1} (axis 2 of {x.shape}; kernel {k}, dilation {dilation})"
         )
-    return _conv([x], w, dilation, None)
+    return _conv([x], w, dilation, None, stride)
 
 
 def channel_map(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -3,7 +3,10 @@
 Layer stacking per forward pass: build the static adjacency and per-window
 dynamic adjacencies, then run K rounds of gated temporal convolution followed
 by dual graph convolution (static + dynamic branch) with residual connections,
-accumulating skip outputs into the output module. Training minimizes
+accumulating skip outputs into the output module. The head reads only the
+last step of each skip, so each layer, its graph branches and its residual
+run only at the steps that reach it: ``temporal.step_plan``, computed once
+per model from the config, gives them. Training minimizes
 lambda * graph regularization + L1 prediction loss; after every optimizer
 step the dynamic embeddings follow the static ones by momentum only.
 """
@@ -33,7 +36,7 @@ from .static_graph import (
     graph_regularization_loss,
     momentum_update,
 )
-from .temporal import KERNEL_SIZES, GatedTemporalLayer, MAX_KERNEL, layer_dilation
+from .temporal import KERNEL_SIZES, GatedTemporalLayer, MAX_KERNEL, layer_dilation, step_plan
 
 ABLATION_FLAGS = ("no_gloss", "no_dyadj", "no_ifm", "ifm_plus")
 
@@ -239,13 +242,16 @@ class SDGLModel:
         self.skip_w: list[Tensor] = []
         self.gcn_static: list[MixHopConv] = []
         self.gcn_dynamic: list[MixHopConv] = []
-        for j in range(1, config.layers + 1):
-            dil = layer_dilation(config.growth, j)
+        dilations = [layer_dilation(config.growth, j) for j in range(1, config.layers + 1)]
+        for dil in dilations:
             self.tcn_layers.append(GatedTemporalLayer(c, c, dil, rng))
             self.residual_w.append(weight(rng, c, (c, c)))
             self.skip_w.append(weight(rng, c, (c, c)))
             self.gcn_static.append(MixHopConv(c, config.depth, rng))
             self.gcn_dynamic.append(MixHopConv(c, config.depth, rng))
+
+        # the steps of each feature map the forecast reads: see temporal.step_plan
+        self.step_plan = step_plan(dilations)
 
         self.out_w1 = weight(rng, c, (c, c))
         self.out_b1 = zeros((c,))
@@ -304,13 +310,19 @@ class SDGLModel:
         if "no_dyadj" not in cfg.ablation:
             dynamic = self.dynamic(x, self.embeddings, self.dropout_rng, training)
 
-        # feature maps are time-major, (B, C, T, N): time is axis 2 and nodes the last axis
-        hidden = ad.channel_map(ad.reshape(ad.transpose(x), (b, 1, h, n)), self.start_w,
-                                self.start_b)
+        # feature maps are time-major, (B, C, T, N): time is axis 2 and nodes the last
+        # axis. Each keeps only the steps of its step_plan entry, which end at its last
+        # step; the input's have stride 1, as the first layer's dilation is 1.
+        t_in = self.step_plan[0][1]
+        hidden = ad.channel_map(
+            ad.reshape(ad.transpose(ad.narrow(x, 2, h - t_in, t_in)), (b, 1, t_in, n)),
+            self.start_w, self.start_b)
         skip_total: Tensor | None = None
         for j, layer in enumerate(self.tcn_layers):
-            temporal = layer(hidden)
-            t_out = temporal.shape[2]
+            (s_in, t_in), (s_out, t_out) = self.step_plan[j], self.step_plan[j + 1]
+            # in units of the input's kept steps
+            step = s_out // s_in
+            temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, step)
             # the output head reads only the last step, so each skip maps only that step
             skip = ad.channel_map(ad.narrow(temporal, 2, t_out - 1, 1), self.skip_w[j])
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
@@ -319,7 +331,7 @@ class SDGLModel:
             if dynamic is not None:
                 fused = ad.add(fused, self.gcn_dynamic[j](temporal, dynamic.values))
 
-            res_in = ad.narrow(hidden, 2, hidden.shape[2] - t_out, t_out)
+            res_in = ad.narrow(hidden, 2, t_in - 1 - step * (t_out - 1), t_out, step)
             hidden = ad.add(fused, ad.channel_map(res_in, self.residual_w[j]))
 
         h1 = ad.relu(ad.channel_map(skip_total, self.out_w1, self.out_b1))

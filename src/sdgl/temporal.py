@@ -11,10 +11,16 @@ kernel to 7 taps and stacks the branches of both banks into one
 (2*C_out, C_in, 7) weight: a gated layer is a single ``conv1d_dilated``. The
 padding is built on the tape from the per-kernel filters, so gradients land
 on those filters and the padded taps have no trainable slot.
+
+A stack need not compute every step. ``step_plan`` gives, for each feature
+map of a stack, the evenly spaced steps ending at its last one that the
+forecast reads; a gated layer then runs at its dilation counted in its
+input's kept steps and keeps every stride-th output step.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +49,27 @@ def layer_dilation(q: float, layer_index: int) -> int:
     return max(1, int(q ** (layer_index - 1)))
 
 
+def step_plan(dilations: Sequence[int]) -> list[tuple[int, int]]:
+    """(stride, count) of the steps each feature map of a layer stack keeps.
+
+    Entry 0 is the stack's input, entry j the output of layer j (dilation
+    ``dilations[j-1]``). A map keeps ``count`` steps spaced ``stride`` apart,
+    the last of them its last step: the smallest such run that holds every
+    step the forecast reads. The forecast reads the last step of each layer's
+    output. Layer j reads its input at the steps of its own output and at
+    those plus d, 2d, .. 6d before them (a 7-tap kernel of dilation d), and
+    the residual reads the input at the output's steps, so the run of the
+    input has stride gcd(stride, d). The last output keeps one step; it gets
+    its input's stride, so its layer runs at stride 1.
+    """
+    plan = [(dilations[-1], 1)]
+    for d in reversed(dilations):
+        stride, count = plan[0]
+        inner = d if count == 1 else math.gcd(stride, d)
+        plan.insert(0, (inner, (stride * (count - 1) + (MAX_KERNEL - 1) * d) // inner + 1))
+    return plan
+
+
 def _pad_taps(f: Tensor) -> Tensor:
     """Extend a (C, C_in, k) kernel with zero taps s = k .. MAX_KERNEL-1."""
     missing = MAX_KERNEL - f.shape[2]
@@ -51,14 +78,15 @@ def _pad_taps(f: Tensor) -> Tensor:
     return ad.concat([f, Tensor(np.zeros(f.shape[:2] + (missing,)))], axis=2)
 
 
-def _packed_inception(x: Tensor, banks: Sequence[DilatedInception]) -> Tensor:
+def _packed_inception(x: Tensor, banks: Sequence[DilatedInception], dilation: int,
+                      stride: int) -> Tensor:
     """All branches of all banks as one 7-tap convolution plus their biases.
 
     Output channels follow bank order, then kernel order within a bank.
     """
     w = ad.concat([_pad_taps(f) for bank in banks for f in bank.filters], axis=0)
     bias = ad.concat([bank.bias for bank in banks], axis=0)
-    y = ad.conv1d_dilated(x, w, banks[0].dilation)
+    y = ad.conv1d_dilated(x, w, dilation, stride)
     return ad.add(y, ad.reshape(bias, (1, -1, 1, 1)))
 
 
@@ -87,7 +115,7 @@ class DilatedInception:
 
     def __call__(self, x: Tensor) -> Tensor:
         """x: (B, C_in, T, N) -> (B, C_out, T - dilation*(7-1), N)."""
-        return _packed_inception(x, [self])
+        return _packed_inception(x, [self], self.dilation, 1)
 
 
 class GatedTemporalLayer:
@@ -105,7 +133,12 @@ class GatedTemporalLayer:
             out[f"gate.{name}"] = t
         return out
 
-    def __call__(self, x: Tensor) -> Tensor:
-        both = _packed_inception(x, [self.filter_bank, self.gate_bank])
+    def __call__(self, x: Tensor, dilation: int | None = None, stride: int = 1) -> Tensor:
+        """x: (B, C_in, T, N) -> (B, C_out, T_out, N), as ``conv1d_dilated`` with
+        the banks' dilation unless ``dilation`` is given, keeping every
+        ``stride``-th step."""
+        if dilation is None:
+            dilation = self.filter_bank.dilation
+        both = _packed_inception(x, [self.filter_bank, self.gate_bank], dilation, stride)
         c = self.filter_bank.bias.shape[0]
         return ad.mul(ad.tanh(ad.narrow(both, 1, 0, c)), ad.sigmoid(ad.narrow(both, 1, c, c)))

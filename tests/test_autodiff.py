@@ -175,6 +175,8 @@ def squared_sum(y):
 ONE_TAP_W = Tensor(np.linspace(-1, 2, 12).reshape(3, 4, 1))
 ONE_TAP_X = Tensor(np.linspace(-2, 1, 120).reshape(2, 5, 3, 4))
 CONCAT_X = Tensor(np.linspace(-2, 1, 30).reshape(2, 3, 1, 5))
+STRIDED_W = Tensor(np.linspace(-1, 2, 18).reshape(3, 2, 3))
+STRIDED_X = Tensor(np.linspace(-2, 1, 270).reshape(2, 5, 9, 3))
 
 # Inputs are kept clear of 0, where |x| has its kink; the others are smooth
 # everywhere.
@@ -193,6 +195,8 @@ PRIMITIVE_LOSSES = {
     "layer_norm": lambda x: ad.reduce_sum(ad.mul(ad.layer_norm(x), Tensor(np.arange(x.size, dtype=float).reshape(x.shape)))),
     "concat": lambda x: ad.reduce_sum(ad.mul(ad.concat([x, x], axis=0), Tensor(np.arange(2 * x.size, dtype=float).reshape((x.shape[0] * 2,) + x.shape[1:])))),
     "narrow": lambda x: ad.reduce_sum(ad.mul(ad.narrow(x, 1, 1, 2), ad.narrow(x, 1, 0, 2))),
+    "narrow stepped": lambda x: ad.reduce_sum(ad.mul(ad.narrow(x, 1, 0, 2, 2),
+                                                     ad.narrow(x, 1, 1, 2, 3))),
     "reshape": lambda x: ad.reduce_sum(ad.mul(ad.reshape(x, (-1,)), ad.reshape(x, (-1,)))),
     "mean_all": lambda x: ad.mean_all(ad.mul(x, x)),
     # the one-tap convolution channel_map runs, through x and through the weight
@@ -200,6 +204,11 @@ PRIMITIVE_LOSSES = {
         ad.conv1d_dilated(ad.reshape(x, (1, 4, 1, 5)), ONE_TAP_W, 2)),
     "conv1d_dilated one-tap weight": lambda x: squared_sum(
         ad.conv1d_dilated(ONE_TAP_X, ad.reshape(x, (4, 5, 1)), 2)),
+    # a strided convolution, through x and through the weight
+    "conv1d_dilated strided": lambda x: squared_sum(
+        ad.conv1d_dilated(ad.reshape(x, (1, 2, 5, 2)), STRIDED_W, 1, 2)),
+    "conv1d_dilated strided weight": lambda x: squared_sum(
+        ad.conv1d_dilated(STRIDED_X, ad.reshape(x, (2, 5, 2)), 2, 3)),
     # the mix-hop selection map, through its middle part and through its weight
     "channel_map_concat part": lambda x: squared_sum(ad.channel_map_concat(
         [CONCAT_X, ad.reshape(x, (2, 2, 1, 5)), ad.narrow(CONCAT_X, 1, 0, 1)],
@@ -577,6 +586,67 @@ class TestStructuredOracles:
         assert_close(swap_tn(gx), want_gx)
         assert_close(gp, want_gp)
 
+    @pytest.mark.parametrize("k, d, stride", [(3, 1, 2), (3, 2, 3), (7, 1, 2), (7, 2, 4),
+                                              (2, 3, 5), (1, 2, 3)])
+    @pytest.mark.parametrize("per_chunk", [1, 2, 5])
+    def test_strided_conv1d_dilated_keeps_every_stride_th_step(self, monkeypatch, k, d,
+                                                               stride, per_chunk):
+        # the forward gathers strided taps per chunk of samples, backward adds
+        # each tap's product into a strided view of dx and reads strided taps for dw
+        b, c_in, t_in, n = 5, 4, 19, 3
+        t_full = t_in - d * (k - 1)
+        t_out = (t_full - 1) // stride + 1
+        monkeypatch.setattr(ad, "_GATHER_BYTES", per_chunk * 8 * k * c_in * n * t_out)
+        rng = np.random.default_rng(10 * k + stride)
+        x, w = rng.normal(size=(b, c_in, t_in, n)), rng.normal(size=(6, c_in, k))
+        g = rng.normal(size=(b, 6, t_out, n))
+        g_full = np.zeros((b, 6, t_full, n))
+        g_full[:, :, ::stride] = g
+        y, (gx, gw) = vjp(lambda a, m: ad.conv1d_dilated(a, m, d, stride),
+                          [Tensor(x), Tensor(w)], g)
+        want_y, (want_gx, want_gw) = vjp(lambda a, m: ad.conv1d_dilated(a, m, d),
+                                         [Tensor(x), Tensor(w)], g_full)
+        assert y.shape == (b, 6, t_out, n)
+        assert_close(y, want_y[:, :, ::stride])
+        assert_close(gx, want_gx)
+        assert_close(gw, want_gw)
+
+    @pytest.mark.parametrize("axis, start, length, step", [
+        (0, 1, 2, 2), (1, 0, 3, 3), (1, 2, 4, 2), (2, 4, 1, 5), (2, 0, 6, 1)])
+    def test_stepped_narrow_is_a_numpy_slice(self, axis, start, length, step):
+        a = rand((5, 9, 6))
+        idx = [slice(None)] * 3
+        idx[axis] = slice(start, start + step * (length - 1) + 1, step)
+        idx = tuple(idx)
+        g = np.random.default_rng(1).normal(size=a.data[idx].shape)
+        y, (ga,) = vjp(lambda t: ad.narrow(t, axis, start, length, step), [a], g)
+        np.testing.assert_array_equal(y, a.data[idx])
+        assert y.shape[axis] == length
+        want = np.zeros_like(a.data)
+        want[idx] = g
+        np.testing.assert_array_equal(ga, want)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ad.conv1d_dilated(rand((1, 2, 9, 3)), rand((2, 2, 3)), 0),
+         r"conv1d_dilated: need dilation >= 1 and stride >= 1, got 0 and 1"),
+        (lambda: ad.conv1d_dilated(rand((1, 2, 9, 3)), rand((2, 2, 3)), -2),
+         r"conv1d_dilated: need dilation >= 1 and stride >= 1, got -2 and 1"),
+        (lambda: ad.conv1d_dilated(rand((1, 2, 9, 3)), rand((2, 2, 3)), 1, 0),
+         r"conv1d_dilated: need dilation >= 1 and stride >= 1, got 1 and 0"),
+        (lambda: ad.narrow(rand((3, 4)), 1, 2, -1),
+         r"narrow: need length >= 1 and step >= 1, got -1 and 1"),
+        (lambda: ad.narrow(rand((3, 4)), 1, 2, 0),
+         r"narrow: need length >= 1 and step >= 1, got 0 and 1"),
+        (lambda: ad.narrow(rand((3, 4)), 1, 0, 2, 0),
+         r"narrow: need length >= 1 and step >= 1, got 2 and 0"),
+        (lambda: ad.narrow(rand((3, 4)), 1, 1, 2, 3),
+         r"narrow: slice \[1, 5\) out of range for axis 1"),
+    ], ids=["dilation 0", "negative dilation", "stride 0", "negative length", "length 0",
+            "step 0", "step past the end"])
+    def test_bad_dilation_stride_length_or_step_is_named(self, call, message):
+        with pytest.raises(ad.ShapeError, match=message):
+            call()
+
     def test_shape_errors_unchanged(self):
         with pytest.raises(ad.ShapeError, match="conv1d_dilated: time axis 5"):
             ad.conv1d_dilated(rand((1, 2, 5, 3)), rand((2, 2, 4)), 2)
@@ -614,8 +684,12 @@ RETENTION_CASES = {
     "mean_all": (ad.mean_all, [(3, 4)], (0,)),
     "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)], (0,)),
     "narrow": (lambda a: ad.narrow(a, 1, 1, 2), [(3, 4)], (0,)),
+    "narrow stepped": (lambda a: ad.narrow(a, 1, 0, 2, 3), [(3, 4)], (0,)),
     "conv1d_dilated with a fixed kernel": (
         lambda x: ad.conv1d_dilated(x, Tensor(FIXED.normal(size=(5, 3, 3))), 2),
+        [(2, 3, 9, 4)], (0,)),
+    "conv1d_dilated strided with a fixed kernel": (
+        lambda x: ad.conv1d_dilated(x, Tensor(FIXED.normal(size=(5, 3, 3))), 2, 2),
         [(2, 3, 9, 4)], (0,)),
     "channel_map": (ad.channel_map, [(2, 3, 4, 5), (6, 3), (6,)], (2,)),
     "channel_map with a fixed weight": (

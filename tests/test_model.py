@@ -46,7 +46,9 @@ from sdgl.model import (
     state_shapes,
     train,
 )
-from sdgl.static_graph import ConfigError
+from sdgl.static_graph import ConfigError, build_static_graph, graph_regularization_loss
+from sdgl.temporal import layer_dilation
+from test_reference_outputs import BASE as REFERENCE_BASE, CONFIGS as REFERENCE_CONFIGS
 
 
 def tiny_config(**overrides):
@@ -114,20 +116,23 @@ class TestModelConfig:
 
     def test_window_bound_follows_floored_dilations(self):
         # growth 1.5 floors the dilations to 1, 1, 2, so three layers shorten
-        # time by 6 * (1 + 1 + 2) = 24: window 25 leaves exactly one step
+        # time by 6 * (1 + 1 + 2) = 24: window 25 leaves exactly one step. The
+        # layers compute only the steps the forecast reads: 19 of the first
+        # layer's 19, every second one of the second layer's 13, and the last
+        # layer's last step.
         model = SDGLModel(tiny_config(growth=1.5, layers=3, window=25))
         lengths = []
 
         def recording(layer):
-            def run(hidden):
-                out = layer(hidden)
+            def run(hidden, *args):
+                out = layer(hidden, *args)
                 lengths.append(out.shape[2])
                 return out
             return run
 
         model.tcn_layers = [recording(layer) for layer in model.tcn_layers]
         out = model.forward(np.random.default_rng(0).normal(size=(2, 4, 25)))
-        assert lengths == [19, 13, 1]
+        assert lengths == [19, 7, 1]
         assert out.prediction.shape == (2, 4, 3)
         with pytest.raises(ConfigError, match="window"):
             tiny_config(growth=1.5, layers=3, window=24).validate()
@@ -226,6 +231,174 @@ class TestForward:
         model = SDGLModel(tiny_config())
         assert "embeddings.m_dynamic" not in model.parameters()
         assert "embeddings.m_dynamic" in model.state_tensors()
+
+
+PLAN_GRID = [(growth, layers) for growth in (1.5, 2.0, 2.5, 3.0) for layers in (1, 2, 3, 4)]
+
+
+def plan_windows(growth, layers):
+    """The windows from the receptive field of the stack to nine steps past it."""
+    bound = 1 + 6 * sum(layer_dilation(growth, j) for j in range(1, layers + 1))
+    return range(bound, bound + 10)
+
+
+def traced_steps(window, dilations):
+    """Per feature map of the full-step model, the steps the prediction reads.
+
+    Entry 0 is the start map, entry j layer j's output; steps are indices into
+    the full map, which layer j shortens by 6 * d_j. The head reads the last
+    step of every layer output. Layer j's output at step t reads its input at
+    t + d_j * m, m = 0 .. 6 (the 7-tap packed kernel), and the hidden map at t
+    reads the layer output at t (the graph branch acts on each step alone) and
+    the input at t + 6 * d_j (the residual). The last hidden map is never read.
+    """
+    lengths = [window]
+    for d in dilations:
+        lengths.append(lengths[-1] - 6 * d)
+    traced, hidden_read = [None] * (len(dilations) + 1), set()
+    for j in range(len(dilations), 0, -1):
+        d = dilations[j - 1]
+        out_read = hidden_read | {lengths[j] - 1}
+        traced[j] = out_read
+        hidden_read = {t + d * m for t in out_read for m in range(7)} \
+            | {t + 6 * d for t in hidden_read}
+    traced[0] = hidden_read
+    return lengths, traced
+
+
+def full_step_forward(model, x, training, outputs):
+    """``SDGLModel.forward`` composed with every layer on every step of its input.
+
+    Appends each layer's output to ``outputs``; returns (prediction, reg_loss).
+    """
+    cfg = model.config
+    b, n, h = x.shape
+    static = build_static_graph(model.embeddings.m_static).values
+    reg = graph_regularization_loss(x, static, cfg.gamma)
+    dynamic = None
+    if "no_dyadj" not in cfg.ablation:
+        dynamic = model.dynamic(x, model.embeddings, model.dropout_rng, training)
+    hidden = ad.channel_map(ad.reshape(ad.transpose(x), (b, 1, h, n)), model.start_w,
+                            model.start_b)
+    skip_total = None
+    for j, layer in enumerate(model.tcn_layers):
+        temporal = layer(hidden)
+        outputs.append(temporal)
+        t_out = temporal.shape[2]
+        skip = ad.channel_map(ad.narrow(temporal, 2, t_out - 1, 1), model.skip_w[j])
+        skip_total = skip if skip_total is None else ad.add(skip_total, skip)
+        fused = model.gcn_static[j](temporal, static)
+        if dynamic is not None:
+            fused = ad.add(fused, model.gcn_dynamic[j](temporal, dynamic.values))
+        res_in = ad.narrow(hidden, 2, hidden.shape[2] - t_out, t_out)
+        hidden = ad.add(fused, ad.channel_map(res_in, model.residual_w[j]))
+    h1 = ad.relu(ad.channel_map(skip_total, model.out_w1, model.out_b1))
+    y = ad.channel_map(h1, model.out_w2, model.out_b2)
+    return ad.transpose(ad.reshape(y, (b, cfg.horizon, n))), reg
+
+
+def run_step_model(cfg, training, full):
+    """Prediction, loss, parameter gradients and layer outputs of one batch on a
+    fresh model, pruned (``SDGLModel.forward``) or full-step."""
+    model = SDGLModel(cfg)
+    params = model.parameters()
+    rng = np.random.default_rng(cfg.window)
+    x = Tensor(rng.standard_normal((3, cfg.n_nodes, cfg.window)))
+    y = Tensor(rng.standard_normal((3, cfg.n_nodes, cfg.horizon)))
+    outputs = []
+    if not full:
+        def recording(layer):
+            def run(hidden, *args):
+                outputs.append(layer(hidden, *args))
+                return outputs[-1]
+            return run
+        model.tcn_layers = [recording(layer) for layer in model.tcn_layers]
+    tape = Tape()
+    with tape:
+        if full:
+            pred, reg = full_step_forward(model, x, training, outputs)
+        else:
+            res = model.forward(x, training=training)
+            pred, reg = res.prediction, res.reg_loss
+        loss = hybrid_loss(pred, y, reg, cfg.lambda_reg)
+    tape.backward(loss)
+    grads = {k: p.grad for k, p in params.items()}
+    return model, pred.data, loss.item(), grads, [o.data for o in outputs]
+
+
+def close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+# (growth, layers, map) whose traced steps are not evenly spaced: there the
+# plan's run also holds a few steps nothing reads (at growth 2.5 and 4
+# layers, 14 of the 139 steps layer 1 keeps at window 145)
+UNEVEN = {(1.5, 4, 2), (2.5, 4, 1), (2.5, 4, 2)}
+
+
+class TestStepPlan:
+    """Each layer computes only the steps of its output that the forecast reads."""
+
+    @pytest.mark.parametrize("growth, layers", PLAN_GRID)
+    def test_plan_is_the_smallest_run_holding_the_traced_steps(self, growth, layers):
+        dilations = [layer_dilation(growth, j) for j in range(1, layers + 1)]
+        for window in plan_windows(growth, layers):
+            model = SDGLModel(tiny_config(growth=growth, layers=layers, window=window))
+            lengths, traced = traced_steps(window, dilations)
+            for j, ((stride, count), read) in enumerate(zip(model.step_plan, traced)):
+                last = lengths[j] - 1
+                assert max(read) == last
+                # a run of steps ending at the map's last step: the smallest one
+                # that holds them has the gcd of their distances as its stride
+                want = math.gcd(*(last - t for t in read)) or dilations[-1]
+                smallest = set(range(min(read), last + 1, want))
+                assert (stride, count) == (want, len(smallest)), (window, j)
+                assert read <= smallest
+                assert (read == smallest) == ((growth, layers, j) not in UNEVEN), (window, j)
+
+    def test_plans_of_the_reference_configs(self):
+        # window 19 at growth 2: 19, every second of layer 1's 13, 1 step
+        assert SDGLModel(tiny_config()).step_plan == [(1, 19), (2, 7), (2, 1)]
+        # window 40 at growth 3: the input keeps 25 steps, layer 1 every
+        # third of its 34, layer 2 one of its 16
+        model = SDGLModel(tiny_config(growth=3.0, window=40))
+        assert model.step_plan == [(1, 25), (3, 7), (3, 1)]
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("growth, layers", PLAN_GRID)
+    def test_pruned_forward_matches_the_full_step_model(self, growth, layers, mode):
+        for window in plan_windows(growth, layers):
+            self.check(tiny_config(growth=growth, layers=layers, window=window,
+                                   dropout_keep=0.8), mode == "train")
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_pruned_forward_matches_the_full_step_model_on_reference_configs(self, name, mode):
+        self.check(ModelConfig(**{**REFERENCE_BASE, **REFERENCE_CONFIGS[name]}),
+                   mode == "train")
+
+    @staticmethod
+    def check(cfg, training):
+        model, pred, loss, grads, outputs = run_step_model(cfg, training, full=False)
+        _, want_pred, want_loss, want_grads, want_outputs = run_step_model(cfg, training, True)
+        close(pred, want_pred)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert (grads[name] is None) == (want is None), name
+            if want is not None:
+                close(grads[name], want)
+        # the layer outputs are the full ones at the planned steps
+        for (stride, count), got, full in zip(model.step_plan[1:], outputs, want_outputs):
+            last = full.shape[2] - 1
+            close(got, full[:, :, last - stride * (count - 1) :: stride])
+        # the last layer's output reaches nothing but its skip
+        dead = [f"gcn_static{cfg.layers - 1}.", f"gcn_dynamic{cfg.layers - 1}.",
+                f"residual{cfg.layers - 1}."]
+        for name in grads:
+            if name.startswith(tuple(dead)):
+                for g in (grads[name], want_grads[name]):
+                    assert g is None or not g.any(), name
 
 
 def closure_lines() -> set[int]:
