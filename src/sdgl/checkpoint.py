@@ -4,13 +4,14 @@ Little-endian binary layout:
 
     magic bytes  b"SDGL"
     u32          format version (currently 1)
-    u64 + bytes  length-prefixed UTF-8 JSON header: config, step counter,
-                 dropout RNG state, tensor count
+    u64 + bytes  length-prefixed UTF-8 JSON header: config, tensor count
     repeated     per-tensor record: u32 name length, name bytes, u32 rank
                  (at most 32), rank x u64 dims, row-major f64 payload; nothing follows
                  the last record
 
-Save followed by load reproduces forward outputs bit-identically.
+Save followed by load reproduces the eval-mode forward pass bit-identically.
+A checkpoint holds no training state: a loaded model's dropout stream starts
+where a fresh model's does.
 """
 
 from __future__ import annotations
@@ -46,15 +47,8 @@ def save(path, model: SDGLModel, scaler: Scaler) -> None:
     tensors = dict(model.state_tensors())
     tensors["scaler.mean"] = Tensor(scaler.mean)
     tensors["scaler.std"] = Tensor(scaler.std)
-    header = {
-        "config": model.config.to_dict(),
-        "step": model.step_count,
-        "rng": model.dropout_rng.bit_generator.state,
-        "tensor_count": len(tensors),
-    }
-    # the Philox state holds ndarrays besides plain JSON values
-    blob = json.dumps(header, sort_keys=True, default=lambda a: {
-        "__ndarray__": a.tolist(), "dtype": str(a.dtype)}).encode("utf-8")
+    header = {"config": model.config.to_dict(), "tensor_count": len(tensors)}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with _replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -101,7 +95,8 @@ def load(path) -> Checkpoint:
         hlen = _unpack(fh, "<Q", path, "header length")
         try:
             header = json.loads(_read(fh, hlen, path, "header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # a header nested past the parser's depth limit raises RecursionError
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointError(f"{path}: header is not valid JSON: {exc}") from None
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, "
@@ -148,27 +143,8 @@ def load(path) -> Checkpoint:
     if unexpected:
         raise CheckpointError(f"{path}: unexpected tensor record {unexpected[0]!r}")
     model = SDGLModel(config)
-    model.step_count = _field(header, "step", int, path)
-    rng = _field(header, "rng", dict, path)
-    # a damaged state fails in numpy's dtype parser (SyntaxError, TypeError), array
-    # conversion (OverflowError, ValueError) or Philox state setter (IndexError, ...)
-    try:
-        model.dropout_rng.bit_generator.state = _decode_rng_state(rng)
-    except (ArithmeticError, LookupError, SyntaxError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: header field 'rng': {exc!r}") from None
     values = {name: data.reshape(dims) for name, (dims, data) in tensors.items()}
     for name, t in model.state_tensors().items():
         t.data = values[name]
     scaler = Scaler(values["scaler.mean"], values["scaler.std"])
     return Checkpoint(model=model, scaler=scaler)
-
-
-def _decode_rng_state(state: dict):
-    def dec(v):
-        if isinstance(v, dict):
-            if "__ndarray__" in v:
-                return np.array(v["__ndarray__"], dtype=v["dtype"])
-            return {k: dec(x) for k, x in v.items()}
-        return v
-
-    return dec(state)

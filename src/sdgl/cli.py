@@ -141,7 +141,8 @@ def _build_config(args, n_nodes: int) -> ModelConfig:
     if args.config:
         try:
             settings = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        # a file nested past the parser's depth limit raises RecursionError
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config file {args.config}: {exc}") from exc
         if not isinstance(settings, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object, "

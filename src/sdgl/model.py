@@ -257,7 +257,6 @@ class SDGLModel:
         self.out_b1 = zeros((c,))
         self.out_w2 = weight(rng, c, (config.horizon, c))
         self.out_b2 = zeros((config.horizon,))
-        self.step_count = 0
 
     # -- parameter registry ---------------------------------------------------
 
@@ -448,7 +447,6 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
                 t.backward(loss)
                 last_norm = opt.step()
                 momentum_update(model.embeddings)
-            model.step_count += 1
             losses.append(value)
         # the loss check above sees each update only at the next step, so the
         # epoch's last update is checked by the validation forecast it gives

@@ -38,8 +38,6 @@ class NodeEmbeddings:
 
     @classmethod
     def initialize(cls, n_nodes: int, dim: int, momentum: float, rng: RngState) -> "NodeEmbeddings":
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {momentum}")
         m_s = embedding(rng, (n_nodes, dim))
         m_d = Tensor(m_s.data.copy())  # never trained by gradient descent
         return cls(m_static=m_s, m_dynamic=m_d, momentum=momentum)
@@ -67,8 +65,6 @@ def graph_regularization_loss(x: Tensor, a: Tensor, gamma: float) -> Tensor:
             f"graph_regularization_loss: expected (B, N, h) windows and an (N, N) "
             f"adjacency, got {x.shape} and {a.shape}"
         )
-    if gamma < 0:
-        raise ConfigError(f"gamma must be nonnegative, got {gamma}")
     b, n, h = x.shape
     rows = ad.reshape(ad.transpose(x), (b * h, n))
     gram = ad.matmul(ad.transpose(rows), rows)  # (N, N), summed over the batch
@@ -83,8 +79,9 @@ def graph_regularization_loss(x: Tensor, a: Tensor, gamma: float) -> Tensor:
 
 
 def momentum_update(emb: NodeEmbeddings) -> None:
-    """M_d <- p*M_d + (1-p)*M_s, outside the tape: no gradient flows here."""
+    """M_d <- p*M_d + (1-p)*M_s, outside the tape: no gradient flows here.
+
+    ``ModelConfig.validate`` keeps p in [0, 1); it is not checked again here.
+    """
     p = emb.momentum
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"momentum must lie in [0, 1), got {p}")
     emb.m_dynamic.data = p * emb.m_dynamic.data + (1.0 - p) * emb.m_static.data

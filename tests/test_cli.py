@@ -180,7 +180,8 @@ class TestTrain:
     def test_malformed_config_file(self, synth_dir, tmp_path, caplog):
         bad = tmp_path / "bad.json"
         out = tmp_path / "run"
-        for text in ("{not json", '{"foo": 1}', "[1, 2]", '{"heads": "4"}',
+        # "[" * 200_000 nests past the JSON parser's depth limit
+        for text in ("{not json", "[" * 200_000, '{"foo": 1}', "[1, 2]", '{"heads": "4"}',
                      '{"channels": 16.0}', '{"epochs": 1.0}', '{"window": 19.0}',
                      '{"heads": 2.0, "embed_dim": 8}', '{"batch_size": 8.0}',
                      '{"horizon": 3.0}', '{"layers": true}', '{"head_dim": 2.5}',
@@ -448,7 +449,9 @@ class TestEval:
 
     @pytest.mark.parametrize("field,value,named", [
         ("tensor_count", None, "header field 'tensor_count'"),
-        ("step", "3", "header field 'step'"),
+        # the whole header, nested past the JSON parser's depth limit
+        pytest.param(None, b"[" * 200_000, "header is not valid JSON: maximum recursion depth",
+                     id="header-nested"),
         ("config", {"heads": "4"}, "header field 'config'"),
         # checked against the records before a 3000-node model is built
         ("config", {"n_nodes": 3000},
@@ -461,9 +464,9 @@ class TestEval:
         header = json.loads(raw[16 : 16 + hlen])
         if isinstance(value, dict):
             header[field].update(value)
-        else:
+        elif field:
             header[field] = value
-        blob = json.dumps(header).encode()
+        blob = value if isinstance(value, bytes) else json.dumps(header).encode()
         bad = tmp_path / "c.sdgl"
         bad.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
         code = main([

@@ -801,7 +801,6 @@ class TestCheckpoint:
         p = tmp_path / "m.sdgl"
         checkpoint.save(p, out.model, out.scaler)
         back = checkpoint.load(p)
-        assert back.model.step_count == out.model.step_count
         x = np.random.default_rng(2).normal(size=(3, 4, 19))
         np.testing.assert_array_equal(
             back.model.forward(x).prediction.data,
@@ -810,15 +809,32 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.scaler.mean, out.scaler.mean)
         np.testing.assert_array_equal(back.scaler.std, out.scaler.std)
 
-    def test_dropout_stream_resumes(self, tmp_path):
+    def test_header_of_the_earlier_format_loads(self, tmp_path):
+        # Files written before the header lost its step counter and dropout RNG
+        # state still load, without reading either: a counter whose dtype
+        # string asks numpy for a 128 MB array allocates nothing.
         out = train(tiny_dataset(seed=8), tiny_config(epochs=1, dropout_keep=0.8))
         p = tmp_path / "m.sdgl"
         checkpoint.save(p, out.model, out.scaler)
-        back = checkpoint.load(p)
+        raw = p.read_bytes()
+        header, records = self.split_records(raw)
+        rng = json.loads(json.dumps(out.model.dropout_rng.bit_generator.state, default=lambda a: {
+            "__ndarray__": a.tolist(), "dtype": str(a.dtype)}))
+        rng["state"]["counter"]["dtype"] = "(4000000,)u8"
+        header.update(step=3, rng=rng)
+        p.write_bytes(self.join_records(raw, header, records))
+        tracemalloc.start()
+        try:
+            back = checkpoint.load(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
         x = np.random.default_rng(3).normal(size=(2, 4, 19))
-        a = out.model.forward(x, training=True).prediction.data
-        b = back.model.forward(x, training=True).prediction.data
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(predict(back.model, back.scaler, x),
+                                      predict(out.model, out.scaler, x))
+        fresh = SDGLModel(back.model.config).dropout_rng
+        np.testing.assert_array_equal(back.model.dropout_rng.random(8), fresh.random(8))
 
     @pytest.mark.parametrize("saver", ["checkpoint", "save_csv"])
     def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch, saver):
@@ -934,7 +950,8 @@ class TestCheckpoint:
 
     @staticmethod
     def join_records(raw, header, records):
-        blob = json.dumps(header).encode()
+        """``raw`` with ``header`` (a JSON value, or the header's bytes) and ``records``."""
+        blob = header if isinstance(header, bytes) else json.dumps(header).encode()
         return raw[:8] + len(blob).to_bytes(8, "little") + blob + b"".join(records.values())
 
     @staticmethod
@@ -961,20 +978,10 @@ class TestCheckpoint:
             h["config"]["ablation"] = {"no_gloss": 1}
         elif mutation == "config too many layers":
             h["config"]["layers"] = 2000  # 2.0 ** 1999 overflows a float
-        elif mutation == "step a string":
-            h["step"] = "3"
-        elif mutation == "step a float":
-            h["step"] = 3.0
-        elif mutation == "rng a string":
-            h["rng"] = "philox"
-        elif mutation == "rng empty":
-            h["rng"] = {}
-        elif mutation == "rng counter too short":
-            h["rng"]["state"]["counter"]["__ndarray__"] = [0]
-        elif mutation == "rng key too large":
-            h["rng"]["state"]["key"]["__ndarray__"][0] = 2**64
         elif mutation == "header a list":
             return [h]
+        elif mutation == "header nested too deeply":
+            return b"[" * 200_000  # past the JSON parser's depth limit
         elif mutation in ("scaler.mean missing", "scaler.std missing"):
             del records[mutation.split()[0]]
             h["tensor_count"] -= 1
@@ -1002,13 +1009,8 @@ class TestCheckpoint:
         "config too many layers": "'config': window: ",
         "ablation a string": "'config': ablation: need a list",
         "ablation an object": "'config': ablation: need a list",
-        "step a string": "'step'",
-        "step a float": "'step'",
-        "rng a string": "'rng'",
-        "rng empty": "'rng'",
-        "rng counter too short": "'rng'",
-        "rng key too large": "'rng'",
         "header a list": "header is a JSON list",
+        "header nested too deeply": "header is not valid JSON: maximum recursion depth",
         "scaler.mean missing": "missing tensor record 'scaler.mean'",
         "scaler.std missing": "missing tensor record 'scaler.std'",
         "rank 33": "tensor 'dynamic.fusion.b_in' has rank 33",

@@ -9,7 +9,6 @@ from sdgl import autodiff as ad
 from sdgl.autodiff import Tape, Tensor, grad_check
 from sdgl.rng import RngState
 from sdgl.static_graph import (
-    ConfigError,
     NodeEmbeddings,
     build_static_graph,
     graph_regularization_loss,
@@ -172,14 +171,6 @@ class TestMomentumUpdate:
             momentum_update(emb)
             gap = np.abs(emb.m_dynamic.data - emb.m_static.data).max()
             assert gap <= 0.9**n * gap0 + 1e-12
-
-    def test_invalid_momentum_rejected(self):
-        with pytest.raises(ConfigError):
-            NodeEmbeddings.initialize(4, 3, 1.0, RngState(0))
-        emb = self.make(0.5)
-        emb.momentum = -0.1
-        with pytest.raises(ConfigError):
-            momentum_update(emb)
 
     def test_no_gradient_through_update(self):
         emb = self.make(0.5)
