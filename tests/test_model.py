@@ -818,10 +818,8 @@ class TestCheckpoint:
         checkpoint.save(p, out.model, out.scaler)
         raw = p.read_bytes()
         header, records = self.split_records(raw)
-        rng = json.loads(json.dumps(out.model.dropout_rng.bit_generator.state, default=lambda a: {
-            "__ndarray__": a.tolist(), "dtype": str(a.dtype)}))
-        rng["state"]["counter"]["dtype"] = "(4000000,)u8"
-        header.update(step=3, rng=rng)
+        header.update(self.earlier_fields(out.model))
+        header["rng"]["state"]["counter"]["dtype"] = "(4000000,)u8"
         p.write_bytes(self.join_records(raw, header, records))
         tracemalloc.start()
         try:
@@ -833,6 +831,53 @@ class TestCheckpoint:
         x = np.random.default_rng(3).normal(size=(2, 4, 19))
         np.testing.assert_array_equal(predict(back.model, back.scaler, x),
                                       predict(out.model, out.scaler, x))
+        fresh = SDGLModel(back.model.config).dropout_rng
+        np.testing.assert_array_equal(back.model.dropout_rng.random(8), fresh.random(8))
+
+    @staticmethod
+    def earlier_fields(model):
+        """The step counter and dropout RNG state the earlier header format held."""
+        rng = json.loads(json.dumps(model.dropout_rng.bit_generator.state, default=lambda a: {
+            "__ndarray__": a.tolist(), "dtype": str(a.dtype)}))
+        return {"step": 3, "rng": rng}
+
+    @pytest.mark.parametrize("mutation", [
+        "step a string", "step a float", "rng a string", "rng empty",
+        "rng counter too short", "rng key too large", "key unknown",
+    ])
+    def test_unread_header_fields_load_whatever_they_hold(self, tmp_path, mutation):
+        # the values that once failed by name in the step and rng fields are
+        # never decoded now, nor is a key no format wrote: the file loads and
+        # forecasts as it was saved
+        model = SDGLModel(tiny_config(dropout_keep=0.8))
+        rng = np.random.default_rng(4)
+        for t in model.state_tensors().values():
+            t.data = t.data + 0.01 * rng.normal(size=t.data.shape)
+        scaler = Scaler(rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
+        p = tmp_path / "m.sdgl"
+        checkpoint.save(p, model, scaler)
+        raw = p.read_bytes()
+        header, records = self.split_records(raw)
+        header.update(self.earlier_fields(model))
+        if mutation == "step a string":
+            header["step"] = "3"
+        elif mutation == "step a float":
+            header["step"] = 3.0
+        elif mutation == "rng a string":
+            header["rng"] = "philox"
+        elif mutation == "rng empty":
+            header["rng"] = {}
+        elif mutation == "rng counter too short":
+            header["rng"]["state"]["counter"]["__ndarray__"] = [0]
+        elif mutation == "rng key too large":
+            header["rng"]["state"]["key"]["__ndarray__"][0] = 2**64
+        elif mutation == "key unknown":
+            header["note"] = {"__ndarray__": [0], "dtype": "(4000000,)u8"}
+        p.write_bytes(self.join_records(raw, header, records))
+        back = checkpoint.load(p)
+        x = rng.normal(size=(2, 4, 19))
+        np.testing.assert_array_equal(predict(back.model, back.scaler, x),
+                                      predict(model, scaler, x))
         fresh = SDGLModel(back.model.config).dropout_rng
         np.testing.assert_array_equal(back.model.dropout_rng.random(8), fresh.random(8))
 
