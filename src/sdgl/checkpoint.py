@@ -6,8 +6,8 @@ Little-endian binary layout:
     u32          format version (currently 1)
     u64 + bytes  length-prefixed UTF-8 JSON header: config, tensor count
     repeated     per-tensor record: u32 name length, name bytes, u32 rank
-                 (at most 32), rank x u64 dims, row-major f64 payload; nothing follows
-                 the last record
+                 (at most 32), rank x u64 dims, row-major f64 payload; each name
+                 once, and nothing follows the last record
 
 Save followed by load reproduces the eval-mode forward pass bit-identically.
 A checkpoint holds no training state: a loaded model's dropout stream starts
@@ -21,7 +21,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ def save(path, model: SDGLModel, scaler: Scaler) -> None:
     tensors = dict(model.state_tensors())
     tensors["scaler.mean"] = Tensor(scaler.mean)
     tensors["scaler.std"] = Tensor(scaler.std)
-    header = {"config": model.config.to_dict(), "tensor_count": len(tensors)}
+    header = {"config": asdict(model.config), "tensor_count": len(tensors)}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with _replacing(path, "wb") as fh:
         fh.write(MAGIC)
@@ -106,6 +106,8 @@ def load(path) -> Checkpoint:
         for k in range(_field(header, "tensor_count", int, path)):
             nlen = _unpack(fh, "<I", path, f"name length of record {k}")
             name = _read(fh, nlen, path, f"name of record {k}").decode("utf-8", "replace")
+            if name in tensors:
+                raise CheckpointError(f"{path}: duplicate tensor record {name!r}")
             rank = _unpack(fh, "<I", path, f"rank of tensor {name!r}")
             if rank > 32:  # numpy before 2.0 allows at most 32 axes
                 raise CheckpointError(f"{path}: tensor {name!r} has rank {rank}, more than 32")
@@ -121,8 +123,7 @@ def load(path) -> Checkpoint:
 
     settings = _field(header, "config", dict, path)
     try:
-        config = ModelConfig.from_dict(settings)
-        config.validate()
+        config = ModelConfig(**settings)
     except (TypeError, ValueError) as exc:  # an unknown, mistyped or invalid setting
         raise CheckpointError(f"{path}: header field 'config': {exc}") from None
     # Each record is checked against the config before the model is built, so

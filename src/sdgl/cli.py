@@ -19,7 +19,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -152,17 +152,13 @@ def _build_config(args, n_nodes: int) -> ModelConfig:
              if getattr(args, f.name, None) is not None}
     from_file = settings.keys() - flags.keys() - {"n_nodes"}
     try:
-        # only the file can hold an unknown field
-        config = ModelConfig.from_dict({**settings, **flags, "n_nodes": n_nodes})
-    except TypeError as exc:
-        raise ConfigError(f"config file {args.config}: {exc}") from exc
-    try:
-        config.validate()
+        return ModelConfig(**{**settings, **flags, "n_nodes": n_nodes})
     except ConfigError as exc:
         if str(exc).split(":")[0] in from_file:
             raise ConfigError(f"config file {args.config}: {exc}") from exc
         raise
-    return config
+    except TypeError as exc:  # only the file can hold an unknown field
+        raise ConfigError(f"config file {args.config}: {exc}") from exc
 
 
 def _require_file(path, what: str = "data") -> Path:
@@ -203,7 +199,7 @@ def cmd_train(args) -> tuple[dict, Path | None, dict]:
                                         for k in _EPOCH_COLUMNS])
         for row in result.history
     ]
-    return config.to_dict(), data_path, {
+    return asdict(config), data_path, {
         "checkpoint": ("checkpoint.sdgl",
                        lambda path: ckpt.save(path, result.model, result.scaler)),
         "epochs_log": ("epochs.csv", _text("".join(line + "\n" for line in lines))),
@@ -231,7 +227,7 @@ def cmd_eval(args) -> tuple[dict, Path | None, dict]:
     report_json = json.dumps(report, indent=2, sort_keys=True)
     text = "\n".join(_metrics_lines(report))
     print(report_json if args.format == "json" else text)
-    return model.config.to_dict(), data_path, {
+    return asdict(model.config), data_path, {
         "metrics_json": ("metrics.json", _text(report_json)),
         "metrics_text": ("metrics.txt", _text(text + "\n")),
     }
@@ -267,7 +263,7 @@ def cmd_export_graphs(args) -> tuple[dict, Path | None, dict]:
         edges = [f"{i},{j},{_fmt(static[i, j])}\n"
                  for i, j in zip(*(static > args.threshold).nonzero())]
         files["edges"] = ("static_edges.csv", _text("source,target,weight\n" + "".join(edges)))
-    return model.config.to_dict(), data_path, files
+    return asdict(model.config), data_path, files
 
 
 def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:

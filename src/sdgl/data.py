@@ -232,9 +232,9 @@ def metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
     return {"MAE": mae, "RMSE": rmse, "MAPE": mape, "RSE": rse, "CORR": corr}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantedGraphSpec:
-    """Parameters of the synthetic coupled-dynamics generator."""
+    """Parameters of the synthetic coupled-dynamics generator, checked when built."""
 
     n_nodes: int = 10
     edge_prob: float = 0.2
@@ -247,7 +247,7 @@ class PlantedGraphSpec:
     # share of primary edges a switch swaps; at least one pair, even at 0
     switch_fraction: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_nodes < 2:
             raise GenerationError(f"need at least 2 nodes, got {self.n_nodes}")
         if not 0.0 <= self.edge_prob <= 1.0:
@@ -286,7 +286,7 @@ def _dynamics_matrix(edges: np.ndarray, alpha: float) -> np.ndarray:
     """alpha * row-normalized (edges + self loops).
 
     The normalized matrix is row-stochastic, so the spectral radius of the
-    result is alpha, which ``PlantedGraphSpec.validate`` keeps below 1.
+    result is alpha, which ``PlantedGraphSpec`` keeps below 1.
     """
     with_self = edges + np.eye(edges.shape[0])
     p = with_self / with_self.sum(axis=1, keepdims=True)
@@ -302,7 +302,6 @@ def synth_generate(spec: PlantedGraphSpec, t_total: int, seed: int) -> SynthResu
     distinct from the long-term one. So a switch swaps at least one pair,
     even at a fraction of 0.
     """
-    spec.validate()
     if t_total < 1:
         raise GenerationError(f"need at least 1 time step, got {t_total}")
     rng = RngState(seed)

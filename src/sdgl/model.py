@@ -16,7 +16,7 @@ from __future__ import annotations
 import ctypes
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -58,9 +58,9 @@ _INT_LOWER_BOUNDS = {
 _REAL_FIELDS = ("growth", "lambda_reg", "gamma", "momentum", "dropout_keep", "learning_rate")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Every hyperparameter the architecture leaves open."""
+    """Every hyperparameter the architecture leaves open, checked once when built."""
 
     n_nodes: int
     window: int = 19
@@ -81,6 +81,11 @@ class ModelConfig:
     epochs: int = 50
     seed: int = 0
     ablation: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # checked before the conversion, so a string is rejected, not split into letters
+        self.validate()
+        object.__setattr__(self, "ablation", tuple(self.ablation))
 
     def resolved_head_dim(self) -> int:
         if self.head_dim is not None:
@@ -144,23 +149,11 @@ class ModelConfig:
             raise ConfigError("ablation: no_ifm and ifm_plus exclude each other")
         self.resolved_head_dim()
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["ablation"] = list(self.ablation)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if isinstance(d.get("ablation"), list):
-            d["ablation"] = tuple(d["ablation"])
-        return cls(**d)
-
 
 def state_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(name, shape) of each tensor of ``SDGLModel(config).state_tensors()``.
 
-    Computed from a validated config without building the model, one tensor
+    Computed from the config without building the model, one tensor
     at a time, so ``checkpoint.load`` can check a file's records against it
     before anything the file does not back is allocated.
     """
@@ -210,7 +203,6 @@ class ForwardResult:
 
 class SDGLModel:
     def __init__(self, config: ModelConfig):
-        config.validate()
         retain_freed_heap()
         self.config = config
         rng = RngState(config.seed)

@@ -13,7 +13,7 @@ import pytest
 from sdgl import checkpoint
 from sdgl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from sdgl.data import load_csv
-from sdgl.model import SGD
+from sdgl.model import SGD, ModelConfig
 from test_model import poison_after_third_step
 
 
@@ -172,6 +172,23 @@ class TestTrain:
         assert code == EXIT_OK
         assert (tmp_path / "checkpoint.sdgl").read_bytes() == \
             (train_dir / "checkpoint.sdgl").read_bytes()
+
+    def test_config_is_checked_once_per_path(self, synth_dir, small_config, tmp_path,
+                                             monkeypatch):
+        # the config checks itself when built; the model and the loader trust it
+        calls = []
+        check = ModelConfig.validate
+
+        def counting(config):
+            calls.append(config)
+            check(config)
+
+        monkeypatch.setattr(ModelConfig, "validate", counting)
+        assert main(["train", "--data", str(synth_dir / "data.csv"), "--config",
+                     str(small_config), "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 1
+        checkpoint.load(tmp_path / "checkpoint.sdgl")
+        assert len(calls) == 2
 
     def test_missing_data_file(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.csv"),

@@ -12,6 +12,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import FrozenInstanceError, asdict, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -110,9 +111,8 @@ class TestModelConfig:
         ],
     )
     def test_rejections_name_the_field(self, overrides, field):
-        cfg = tiny_config(**overrides)
         with pytest.raises(ConfigError, match=field):
-            cfg.validate()
+            tiny_config(**overrides)
 
     def test_window_bound_follows_floored_dilations(self):
         # growth 1.5 floors the dilations to 1, 1, 2, so three layers shorten
@@ -161,10 +161,9 @@ class TestModelConfig:
     ])
     def test_huge_stack_is_rejected_at_once(self, overrides):
         # the receptive-field sum stops at the first layer the window cannot feed
-        cfg = tiny_config(**overrides)
         started = time.perf_counter()
         with pytest.raises(ConfigError, match="^window: "):
-            cfg.validate()
+            tiny_config(**overrides)
         assert time.perf_counter() - started < 1.0
 
     def test_head_dim_divisibility(self):
@@ -174,7 +173,18 @@ class TestModelConfig:
 
     def test_dict_round_trip(self):
         cfg = tiny_config(ablation=("no_gloss",))
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
+
+    def test_fields_are_frozen(self):
+        cfg = tiny_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.window = 12
+        assert replace(cfg, window=25).window == 25
+        with pytest.raises(ConfigError, match="window"):
+            replace(cfg, window=12)
+
+    def test_ablation_list_is_stored_as_a_tuple(self):
+        assert ModelConfig(n_nodes=4, ablation=["no_gloss"]).ablation == ("no_gloss",)
 
 
 class TestForward:
@@ -1040,6 +1050,9 @@ class TestCheckpoint:
                                    + (1).to_bytes(4, "little") + (2).to_bytes(8, "little")
                                    + np.zeros(2).astype("<f8").tobytes())
             h["tensor_count"] += 1
+        elif mutation == "duplicate record":
+            records["start_b again"] = records["start_b"]  # the same bytes, written again last
+            h["tensor_count"] += 1
         return h
 
     HEADER_MUTATIONS = {
@@ -1060,6 +1073,7 @@ class TestCheckpoint:
         "scaler.std missing": "missing tensor record 'scaler.std'",
         "rank 33": "tensor 'dynamic.fusion.b_in' has rank 33",
         "unexpected record": "unexpected tensor record 'zz.extra'",
+        "duplicate record": "duplicate tensor record 'start_b'",
     }
 
     @pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
