@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,14 @@ from .rng import RngState
 
 class ParseError(ValueError):
     """Malformed input table; message carries the offending coordinates."""
+
+
+class _NonFinite(ParseError):
+    """Rows hold NaN or infinity; ``rows`` are the first ten, counted from 0."""
+
+    def __init__(self, rows: list[int]):
+        super().__init__(f"non-finite values in rows {rows}")
+        self.rows = rows
 
 
 class GenerationError(ValueError):
@@ -38,10 +47,9 @@ class SeriesDataset:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[1] < 2:
             raise ParseError(f"dataset must be T x N with N >= 2, got {self.values.shape}")
-        bad = np.argwhere(~np.isfinite(self.values))
+        bad = np.flatnonzero(~np.isfinite(self.values).all(axis=1))
         if bad.size:
-            rows = sorted(set(bad[:, 0].tolist()))
-            raise ParseError(f"non-finite values in rows {rows[:10]}")
+            raise _NonFinite(bad[:10].tolist())
 
     @property
     def n_steps(self) -> int:
@@ -84,7 +92,74 @@ class Scaler:
 
 
 def load_csv(path) -> SeriesDataset:
-    """Read a UTF-8 CSV with a header row of node names, rows = time steps."""
+    """Read a UTF-8 CSV with a header row of node names, rows = time steps.
+
+    numpy's C reader streams the data rows into the array. A file it rejects,
+    or one with a line ``_plain_lines`` does not pass, is read again by
+    ``_read_rows``, a ``csv`` + ``float`` loop over the cells that names the
+    fault or reads what numpy will not. Either way a file gives the same array,
+    bit for bit, or the same ``ParseError``.
+    """
+    values = _read_plain(path)
+    if values is None:
+        values = _read_rows(path)
+    try:
+        return SeriesDataset(values)
+    except _NonFinite as exc:
+        rows = [row + 1 for row in exc.rows]
+        raise ParseError(f"{path}: non-finite values in rows {rows} "
+                         f"(data rows, counted from 1)") from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+# What a data line may hold for numpy's reader to read it: numerals (with
+# nan and inf or infinity in any case), commas, spaces, tabs and line ends.
+# Both readers then split a line into the same cells and read each with the
+# same C routine, ``PyOS_string_to_double``. Outside this set they can part:
+# numpy reads "2\x1c" as 2.0 where ``float`` rejects it, ``float`` reads
+# "1_000" where numpy does not, and a quote can carry a cell over lines, past
+# csv's field size limit.
+_PLAIN = b"0123456789+-.eE,nNaAiIfFtTyY \t\r\n"
+
+
+class _NotPlain(Exception):
+    """A data line that only ``_read_rows`` reads as ``csv`` does."""
+
+
+def _plain_lines(lines):
+    """Pass ``lines`` on, raising ``_NotPlain`` at the first one numpy may misread.
+
+    A line longer than the field size limit may hold a cell ``csv`` rejects,
+    and a line of only spaces and tabs is one blank cell to ``csv``.
+    """
+    limit = csv.field_size_limit()
+    for line in lines:
+        if (len(line) > limit or line.encode().translate(None, _PLAIN)
+                or (line.isspace() and line.strip("\r\n"))):
+            raise _NotPlain
+        yield line
+
+
+def _read_plain(path) -> np.ndarray | None:
+    """The data rows as numpy's C reader reads them; None where ``_read_rows`` must."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            n_cols = len(next(csv.reader(fh)))
+            with warnings.catch_warnings():  # a file of blank lines: "input contained no data"
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, ndmin=2)
+    except (_NotPlain, ValueError, csv.Error, StopIteration):
+        return None
+    # no rows, or rows of another width than the header: the loop names the fault
+    return values if len(values) and values.shape[1] == n_cols else None
+
+
+def _read_rows(path) -> np.ndarray:
+    """The data rows read cell by cell with ``csv`` and ``float``.
+
+    Raises ``ParseError`` at the first fault, naming the file and the place.
+    """
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -116,7 +191,7 @@ def load_csv(path) -> SeriesDataset:
                              f"0x{exc.object[exc.start]:02x} ({exc.reason})") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return SeriesDataset(np.array(rows))
+    return np.array(rows)
 
 
 @contextmanager

@@ -379,10 +379,18 @@ class TestTrain:
                   "--ablate", "everything", "--out-dir", str(tmp_path)])
         assert exc.value.code == EXIT_USAGE
 
-    def test_malformed_csv_is_usage_error(self, tmp_path):
+    def test_malformed_csv_is_usage_error(self, tmp_path, caplog):
         bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n3,oops\n")
-        assert main(["train", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        out = tmp_path / "run"
+        for text, fault in (
+                ("a,b\n1,2\n3,oops\n", "non-numeric cell at row 2, column 2: 'oops'"),
+                ("a,b\n1,2\n3,nan\n", "non-finite values in rows [2] (data rows, counted from 1)"),
+                ("a\n1\n2\n", "dataset must be T x N with N >= 2, got (2, 1)")):
+            caplog.clear()
+            bad.write_text(text)
+            assert main(["train", "--data", str(bad), "--out-dir", str(out)]) == EXIT_USAGE, text
+            assert error_lines(caplog) == [f"{bad}: {fault}"]
+            assert not out.exists()
 
     def test_csv_not_utf8_is_usage_error(self, tmp_path):
         bad = tmp_path / "latin1.csv"

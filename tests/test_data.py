@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sdgl import data
 from sdgl.data import (
     GenerationError,
     ParseError,
@@ -35,6 +39,30 @@ class TestSeriesDataset:
         assert (ds.n_steps, ds.n_nodes) == (7, 4)
 
 
+# the characters numpy's reader and the csv + float loop could read differently
+CSV_ALPHABET = '0123456789,.eE+-"naif \t\r\n\x0b\x1c\xa0'
+
+# tables under a header of two columns, most of them, whose rows hold mostly
+# plain numerals, so that numpy's reader reads a good share of them and the
+# loop the rest
+_PLAIN_ROWS = st.lists(st.sampled_from(["1", "-2.5", " 3e2", ".5\t", "nan", "-Inf"]),
+                       min_size=2, max_size=2).map(",".join)
+_ANY_ROWS = st.lists(st.text(alphabet=CSV_ALPHABET, max_size=4), min_size=1, max_size=3).map(",".join)
+CSV_TABLES = st.builds(
+    lambda header, rows, end: end.join([header] + rows),
+    st.sampled_from(["a,b", "a,b", "a,b", "a", "a,b,c"]),
+    st.lists(st.sampled_from([_PLAIN_ROWS] * 3 + [_ANY_ROWS]).flatmap(lambda rows: rows),
+             max_size=5),
+    st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+def _outcome(path):
+    try:
+        return load_csv(path).values.tobytes()
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         vals = np.random.default_rng(0).normal(size=(20, 3)) * 1e6
@@ -49,11 +77,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="empty"):
             load_csv(p)
 
-    def test_header_only(self, tmp_path):
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\r\n"], ids=["header", "blank lines"])
+    def test_header_only(self, tmp_path, recwarn, text):
         p = tmp_path / "h.csv"
-        p.write_text("a,b\n")
+        p.write_text(text)
         with pytest.raises(ParseError, match="no data rows"):
             load_csv(p)
+        assert not recwarn.list  # numpy's "input contained no data" stays inside
 
     def test_ragged_row_reports_line(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -89,6 +119,67 @@ class TestCsvRoundTrip:
             load_csv(p)
         except ParseError:
             pass
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\n3,4\n",
+        "a,b\r\n1,2\r\n3,4\r\n",
+        "a,b\n1,2\n3,4",
+        "a,b\n\n1,2\r\n\r\n3,4\n\n",
+        "a,b\n1,2\n\xa03,4\xa0\n",
+    ], ids=["LF", "CRLF", "no final newline", "blank lines", "no-break spaces"])
+    def test_line_endings_blank_lines_and_spaces(self, tmp_path, text):
+        p = tmp_path / "l.csv"
+        p.write_bytes(text.encode("utf-8"))
+        np.testing.assert_array_equal(load_csv(p).values, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("cell, value", [('"1"2', 12.0), ("1_000", 1000.0)])
+    def test_cells_float_reads(self, tmp_path, cell, value):
+        p = tmp_path / "c.csv"
+        p.write_text(f"a,b\n1,{cell}\n")
+        np.testing.assert_array_equal(load_csv(p).values, [[1.0, value]])
+
+    @pytest.mark.parametrize("text, fault", [
+        ("a,b\n1,2\n \n", "ragged row at line 3 (1 cells, expected 2)"),
+        ("a,b\n1,2\x1c\n", "non-numeric cell at row 1, column 2: '2\\x1c'"),
+        ("a,b\n1,2\n3,nan\n", "non-finite values in rows [2] (data rows, counted from 1)"),
+        ("a,b\n1,2\n-inf,4\n5,6\n7,inf\n", "non-finite values in rows [2, 4] (data rows, counted from 1)"),
+        ("a\n1\n2\n", "dataset must be T x N with N >= 2, got (2, 1)"),
+        # no line is over the limit, but the quoted cell is; numpy would read 1.0
+        ('a,b\n"' + " " * 100_000 + "\n" + " " * 100_000 + '1",2\n',
+         "line 3: field larger than field limit (131072)"),
+    ], ids=["whitespace line", "separator control", "nan", "infinities", "one column",
+            "quoted cell over lines"])
+    def test_faults_name_the_file(self, tmp_path, text, fault):
+        p = tmp_path / "f.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as exc:
+            load_csv(p)
+        assert str(exc.value) == f"{p}: {fault}"
+
+    def test_no_python_object_per_cell(self, tmp_path):
+        vals = np.random.default_rng(4).normal(size=(3000, 100))
+        p = tmp_path / "big.csv"
+        save_csv(p, vals)
+        tracemalloc.start()
+        try:
+            back = load_csv(p).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back, vals)
+        # numpy streams the rows into the array (1.1x its bytes); a float and a
+        # list slot for every cell, as the csv loop makes, take 5.3x
+        assert peak < 3 * vals.nbytes
+
+    @settings(deadline=None, max_examples=500,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(st.text(alphabet=CSV_ALPHABET), CSV_TABLES))
+    def test_numpy_reader_matches_the_cell_loop(self, tmp_path, text):
+        p = tmp_path / "x.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        fast = _outcome(p)
+        with mock.patch.object(data, "_read_plain", return_value=None):
+            assert _outcome(p) == fast
 
 
 class TestScaler:
