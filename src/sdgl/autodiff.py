@@ -51,7 +51,8 @@ axis is moved and nothing is copied.
 The convolution's forward pass gathers the k shifted tap slices of a batch
 chunk into one buffer and runs one matmul with K = k*C_in, in place of k
 matmuls and k-1 accumulating passes over the output; a one-tap map from one
-input channel (the model's start map) is a broadcast multiply. A one-tap
+input channel (the model's first residual, which reads the raw series through
+the start map folded into its weight and bias) is a broadcast multiply. A one-tap
 map over several blocks runs one product per block: the first writes the
 output and each later one adds into it. The backward pass stays one matmul
 per tap and block, adding into a view of the input gradient: a gathered

@@ -2,7 +2,10 @@
 
 Configuration precedence is flags > config file > built-in defaults; every
 command writes a manifest with the effective configuration, a dataset
-fingerprint and wall-clock timings, sufficient to reproduce the run.
+fingerprint and wall-clock timings, sufficient to reproduce the run. Its
+``phase_seconds`` gives the time of each phase the command ran (load,
+windowing, train, evaluate or generate, and write, the outputs and the
+manifest's dataset digest), measured on the clock of ``wall_clock_seconds``.
 A command only checks its inputs and computes its results in memory;
 ``_write_outputs`` then puts its files in place, so a failed command leaves
 no output behind.
@@ -19,6 +22,7 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
@@ -89,16 +93,27 @@ def _environment() -> dict:
     }
 
 
+@contextmanager
+def _phase(seconds: dict, name: str):
+    """Store the time the block takes as ``seconds[name]``."""
+    start = time.perf_counter()
+    yield
+    seconds[name] = time.perf_counter() - start
+
+
 def _write_outputs(out_dir: Path, command: str, config: dict, data_path, files: dict,
-                   seconds: float) -> None:
+                   started: float, seconds: dict) -> None:
     """Put ``files`` ({output key: (file name, writer)}) and the manifest in ``out_dir``.
 
     Each writer fills a temporary path in ``out_dir``. Only after all of them
     have succeeded is each temporary renamed over its file name, the manifest
     last. On any failure the temporaries, the files already renamed and the
-    directories this call made are removed, and the error propagates.
+    directories this call made are removed, and the error propagates. The
+    manifest takes ``seconds``, the phase times so far, with the write phase
+    added, and the time since ``started``, both on ``time.perf_counter``.
     """
-    manifest = json.dumps({
+    writing = time.perf_counter()
+    manifest = {
         "command": command,
         "argv": sys.argv[1:],
         "config": config,
@@ -108,10 +123,17 @@ def _write_outputs(out_dir: Path, command: str, config: dict, data_path, files: 
         },
         "environment": _environment(),
         "outputs": {key: str(out_dir / name) for key, (name, _) in files.items()},
-        "wall_clock_seconds": seconds,
-    }, indent=2, sort_keys=True)
+    }
+
+    def write_manifest(path: Path) -> None:
+        # the last writer: every other output is in its temporary by now
+        now = time.perf_counter()
+        manifest["phase_seconds"] = {**seconds, "write": now - writing}
+        manifest["wall_clock_seconds"] = now - started
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+
     jobs = [(out_dir / name, write) for name, write in files.values()]
-    jobs.append((out_dir / "manifest.json", _text(manifest)))
+    jobs.append((out_dir / "manifest.json", write_manifest))
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     on_disk: list[Path] = []  # what this call has put in out_dir so far
@@ -188,12 +210,14 @@ def _load_checkpoint_and_data(args):
 _EPOCH_COLUMNS = ("train_loss", "val_MAE", "val_RMSE", "val_MAPE")
 
 
-def cmd_train(args) -> tuple[dict, Path | None, dict]:
-    data_path = _require_file(args.data)
-    dataset = load_csv(data_path)
+def cmd_train(args, seconds: dict) -> tuple[dict, Path | None, dict]:
+    with _phase(seconds, "load"):
+        data_path = _require_file(args.data)
+        dataset = load_csv(data_path)
     config = _build_config(args, dataset.n_nodes)
     result = train(dataset, config, log=lambda row: log.info(
         "epoch %d: %s", row["epoch"], " ".join(f"{k}={row[k]}" for k in _EPOCH_COLUMNS)))
+    seconds.update(result.seconds)
     lines = ["epoch," + ",".join(_EPOCH_COLUMNS)] + [
         ",".join([str(row["epoch"])] + ["" if row[k] is None else _fmt(row[k])
                                         for k in _EPOCH_COLUMNS])
@@ -216,14 +240,17 @@ def _metrics_lines(report: dict) -> list[str]:
     return lines
 
 
-def cmd_eval(args) -> tuple[dict, Path | None, dict]:
-    data_path, dataset, model, scaler = _load_checkpoint_and_data(args)
-    if args.split == "all":
-        windows = make_windows(dataset.values, model.config.window, model.config.horizon)
-    else:
-        windows = getattr(window_split(dataset, model.config.window, model.config.horizon),
-                          args.split)
-    report = evaluate(model, scaler, windows)
+def cmd_eval(args, seconds: dict) -> tuple[dict, Path | None, dict]:
+    with _phase(seconds, "load"):
+        data_path, dataset, model, scaler = _load_checkpoint_and_data(args)
+    with _phase(seconds, "windowing"):
+        if args.split == "all":
+            windows = make_windows(dataset.values, model.config.window, model.config.horizon)
+        else:
+            windows = getattr(window_split(dataset, model.config.window, model.config.horizon),
+                              args.split)
+    with _phase(seconds, "evaluate"):
+        report = evaluate(model, scaler, windows)
     report_json = json.dumps(report, indent=2, sort_keys=True)
     text = "\n".join(_metrics_lines(report))
     print(report_json if args.format == "json" else text)
@@ -233,9 +260,11 @@ def cmd_eval(args) -> tuple[dict, Path | None, dict]:
     }
 
 
-def cmd_export_graphs(args) -> tuple[dict, Path | None, dict]:
-    data_path, dataset, model, scaler = _load_checkpoint_and_data(args)
-    windows = make_windows(dataset.values, model.config.window, model.config.horizon)
+def cmd_export_graphs(args, seconds: dict) -> tuple[dict, Path | None, dict]:
+    with _phase(seconds, "load"):
+        data_path, dataset, model, scaler = _load_checkpoint_and_data(args)
+    with _phase(seconds, "windowing"):
+        windows = make_windows(dataset.values, model.config.window, model.config.horizon)
     indices = args.windows or []
     for idx in indices:
         if idx < 0 or idx >= len(windows):
@@ -248,17 +277,18 @@ def cmd_export_graphs(args) -> tuple[dict, Path | None, dict]:
             "no dynamic matrices to export"
         )
 
-    static = build_static_graph(model.embeddings.m_static).values.data
-    files = {"static": ("static_adjacency.csv", partial(save_csv, values=static))}
-    # the dynamic learner alone, at inference as ``forward`` runs it, on
-    # EVAL_BATCH windows at a time: the rest of the network is not needed
-    for start in range(0, len(indices), EVAL_BATCH):
-        chunk = indices[start : start + EVAL_BATCH]
-        batch = Tensor(scaler.transform_windows(windows.inputs[chunk]))
-        dynamic = model.dynamic(batch, model.embeddings, model.dropout_rng, training=False)
-        for idx, matrix in zip(chunk, dynamic.values.data):
-            files[f"dynamic_{idx}"] = (f"dynamic_adjacency_{idx:06d}.csv",
-                                       partial(save_csv, values=matrix))
+    with _phase(seconds, "evaluate"):
+        static = build_static_graph(model.embeddings.m_static).values.data
+        files = {"static": ("static_adjacency.csv", partial(save_csv, values=static))}
+        # the dynamic learner alone, at inference as ``forward`` runs it, on
+        # EVAL_BATCH windows at a time: the rest of the network is not needed
+        for start in range(0, len(indices), EVAL_BATCH):
+            chunk = indices[start : start + EVAL_BATCH]
+            batch = Tensor(scaler.transform_windows(windows.inputs[chunk]))
+            dynamic = model.dynamic(batch, model.embeddings, model.dropout_rng, training=False)
+            for idx, matrix in zip(chunk, dynamic.values.data):
+                files[f"dynamic_{idx}"] = (f"dynamic_adjacency_{idx:06d}.csv",
+                                           partial(save_csv, values=matrix))
     if args.threshold is not None:
         edges = [f"{i},{j},{_fmt(static[i, j])}\n"
                  for i, j in zip(*(static > args.threshold).nonzero())]
@@ -279,7 +309,7 @@ def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def cmd_synth(args) -> tuple[dict, Path | None, dict]:
+def cmd_synth(args, seconds: dict) -> tuple[dict, Path | None, dict]:
     spec = PlantedGraphSpec(
         n_nodes=args.nodes,
         edge_prob=args.edge_prob,
@@ -289,7 +319,8 @@ def cmd_synth(args) -> tuple[dict, Path | None, dict]:
         switch_intervals=_parse_intervals(args.switch),
         switch_fraction=args.switch_fraction,
     )
-    result = synth_generate(spec, args.steps, args.seed)
+    with _phase(seconds, "generate"):
+        result = synth_generate(spec, args.steps, args.seed)
     files = {
         "data": ("data.csv", partial(save_csv, values=result.dataset.values)),
         "truth": ("truth_adjacency.csv", partial(save_csv, values=result.adjacency)),
@@ -365,11 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    started = time.time()
+    started, seconds = time.perf_counter(), {}
     try:
-        config, data_path, files = args.fn(args)
+        config, data_path, files = args.fn(args, seconds)
         _write_outputs(Path(args.out_dir), args.command, config, data_path, files,
-                       time.time() - started)
+                       started, seconds)
     except (ConfigError, ParseError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE

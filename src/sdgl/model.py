@@ -3,7 +3,12 @@
 Layer stacking per forward pass: build the static adjacency and per-window
 dynamic adjacencies, then run K rounds of gated temporal convolution followed
 by dual graph convolution (static + dynamic branch) with residual connections,
-accumulating skip outputs into the output module. The head reads only the
+accumulating skip outputs into the output module. The 1x1 start map that
+lifts each node's series to C channels is never formed: it is affine and
+nothing nonlinear follows it before the first layer's convolution and
+residual, which are linear too, so it is folded into their weights and biases
+(``temporal`` says why the convolution's bias term is exact), and the first
+layer reads the raw one-channel series. The head reads only the
 last step of each skip, so each layer, its graph branches and its residual
 run only at the steps that reach it: ``temporal.step_plan``, computed once
 per model from the config, gives them. Training minimizes
@@ -16,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import math
 import numbers
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -303,17 +309,18 @@ class SDGLModel:
 
         # feature maps are time-major, (B, C, T, N): time is axis 2 and nodes the last
         # axis. Each keeps only the steps of its step_plan entry, which end at its last
-        # step; the input's have stride 1, as the first layer's dilation is 1.
+        # step; the input's have stride 1, as the first layer's dilation is 1. The start
+        # map is folded into the first layer and its residual, so the first hidden map
+        # is the raw (B, 1, T, N) series.
         t_in = self.step_plan[0][1]
-        hidden = ad.channel_map(
-            ad.reshape(ad.transpose(ad.narrow(x, 2, h - t_in, t_in)), (b, 1, t_in, n)),
-            self.start_w, self.start_b)
+        hidden = ad.reshape(ad.transpose(ad.narrow(x, 2, h - t_in, t_in)), (b, 1, t_in, n))
         skip_total: Tensor | None = None
         for j, layer in enumerate(self.tcn_layers):
             (s_in, t_in), (s_out, t_out) = self.step_plan[j], self.step_plan[j + 1]
             # in units of the input's kept steps
             step = s_out // s_in
-            temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, step)
+            start = (self.start_w, self.start_b) if j == 0 else ()
+            temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, step, *start)
             # the output head reads only the last step, so each skip maps only that step
             skip = ad.channel_map(ad.narrow(temporal, 2, t_out - 1, 1), self.skip_w[j])
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
@@ -323,7 +330,15 @@ class SDGLModel:
                 fused = ad.add(fused, self.gcn_dynamic[j](temporal, dynamic.values))
 
             res_in = ad.narrow(hidden, 2, t_in - 1 - step * (t_out - 1), t_out, step)
-            hidden = ad.add(fused, ad.channel_map(res_in, self.residual_w[j]))
+            if j == 0:
+                # residual_w (start_w x + start_b) = (residual_w start_w) x + residual_w start_b
+                res_w = ad.matmul(self.residual_w[0], self.start_w)
+                res_b = ad.reshape(ad.matmul(self.residual_w[0],
+                                             ad.reshape(self.start_b, (-1, 1))), (-1,))
+                residual = ad.channel_map(res_in, res_w, res_b)
+            else:
+                residual = ad.channel_map(res_in, self.residual_w[j])
+            hidden = ad.add(fused, residual)
 
         h1 = ad.relu(ad.channel_map(skip_total, self.out_w1, self.out_b1))
         y = ad.channel_map(h1, self.out_w2, self.out_b2)  # (B, L, 1, N)
@@ -374,6 +389,7 @@ class TrainResult:
     scaler: Scaler
     history: list[dict]
     splits: SplitWindows
+    seconds: dict[str, float]  # "windowing" and "train", on time.perf_counter
 
 
 # glibc mallopt parameters, and the largest mmap threshold it accepts on 64-bit
@@ -407,7 +423,9 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
     """Run the joint training loop; deterministic given config.seed."""
     model = SDGLModel(config)
     lam = 0.0 if "no_gloss" in config.ablation else config.lambda_reg
+    started = time.perf_counter()
     splits = window_split(dataset, config.window, config.horizon)
+    windowed = time.perf_counter()
     scaler = splits.scaler
     opt = SGD(model.parameters(), config.learning_rate)
     shuffle_rng = RngState(config.seed).substream(2)
@@ -465,7 +483,9 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
         history.append(record)
         if log is not None:
             log(record)
-    return TrainResult(model=model, scaler=scaler, history=history, splits=splits)
+    seconds = {"windowing": windowed - started, "train": time.perf_counter() - windowed}
+    return TrainResult(model=model, scaler=scaler, history=history, splits=splits,
+                       seconds=seconds)
 
 
 EVAL_BATCH = 128  # windows per ``predict`` call in ``evaluate``

@@ -12,6 +12,17 @@ kernel to 7 taps and stacks the branches of both banks into one
 padding is built on the tape from the per-kernel filters, so gradients land
 on those filters and the padded taps have no trainable slot.
 
+A layer may read a one-channel input through a map x -> w x + b (the
+model's start map, w (C_in, 1), b (C_in,)) that is never formed: nothing
+nonlinear lies between the map and the convolution, so the layer convolves x
+with W'[o, 0, s] = sum_c W[o, c, s] w[c] and adds sum_{c, s} W[o, c, s] b[c]
+to its bias. The convolution keeps only steps with a full set of taps, so
+every kept step gets the whole bias term, and the result is the unfolded one
+up to rounding. The fold is built on the tape from the weights alone, so
+gradients reach w, b and the filters. The model's input needs no gradient,
+so the convolution then runs no input-gradient pass, and its forward product
+sums over 7 taps where it summed over 7 * C_in.
+
 A stack need not compute every step. ``step_plan`` gives, for each feature
 map of a stack, the evenly spaced steps ending at its last one that the
 forecast reads; a gated layer then runs at its dilation counted in its
@@ -84,13 +95,21 @@ def _pad_taps(f: Tensor) -> Tensor:
 
 
 def _packed_inception(x: Tensor, banks: Sequence[DilatedInception], dilation: int,
-                      stride: int) -> Tensor:
+                      stride: int, in_w: Tensor | None = None,
+                      in_b: Tensor | None = None) -> Tensor:
     """All branches of all banks as one 7-tap convolution plus their biases.
 
-    Output channels follow bank order, then kernel order within a bank.
+    Output channels follow bank order, then kernel order within a bank. With
+    ``in_w`` and ``in_b`` the convolution reads ``channel_map(x, in_w, in_b)``,
+    folded into its weight and bias (see the module docstring).
     """
     w = ad.concat([_pad_taps(f) for bank in banks for f in bank.filters], axis=0)
     bias = ad.concat([bank.bias for bank in banks], axis=0)
+    if in_w is not None:
+        # (2C, C) tap sums @ (C, 1) b, then the (1, C) row w^T against every (C, 7) slice of W
+        folded_b = ad.matmul(ad.reduce_sum(w, axis=2), ad.reshape(in_b, (-1, 1)))
+        bias = ad.add(bias, ad.reshape(folded_b, (-1,)))
+        w = ad.matmul(ad.transpose(in_w), w)
     y = ad.conv1d_dilated(x, w, dilation, stride)
     return ad.add(y, ad.reshape(bias, (1, -1, 1, 1)))
 
@@ -138,12 +157,18 @@ class GatedTemporalLayer:
             out[f"gate.{name}"] = t
         return out
 
-    def __call__(self, x: Tensor, dilation: int | None = None, stride: int = 1) -> Tensor:
+    def __call__(self, x: Tensor, dilation: int | None = None, stride: int = 1,
+                 in_w: Tensor | None = None, in_b: Tensor | None = None) -> Tensor:
         """x: (B, C_in, T, N) -> (B, C_out, T_out, N), as ``conv1d_dilated`` with
         the banks' dilation unless ``dilation`` is given, keeping every
-        ``stride``-th step."""
+        ``stride``-th step.
+
+        With ``in_w`` (C_in, 1) and ``in_b`` (C_in,), x is (B, 1, T, N) and the
+        layer reads ``channel_map(x, in_w, in_b)`` without forming it.
+        """
         if dilation is None:
             dilation = self.filter_bank.dilation
-        both = _packed_inception(x, [self.filter_bank, self.gate_bank], dilation, stride)
+        both = _packed_inception(x, [self.filter_bank, self.gate_bank], dilation, stride,
+                                 in_w, in_b)
         c = self.filter_bank.bias.shape[0]
         return ad.mul(ad.tanh(ad.narrow(both, 1, 0, c)), ad.sigmoid(ad.narrow(both, 1, c, c)))

@@ -498,8 +498,8 @@ class TestStructuredOracles:
         assert_close(gb, g.sum(axis=(0, 2, 3)))
 
     def test_channel_map_one_input_channel(self):
-        # the start map: a (C, 1) weight runs as a broadcast multiply, bit for
-        # bit the K = 1 matmul
+        # the first residual, with the start map folded in: a (C, 1) weight runs
+        # as a broadcast multiply, bit for bit the K = 1 matmul
         rng = np.random.default_rng(9)
         x, w, b = rng.normal(size=(3, 1, 5, 7)), rng.normal(size=(6, 1)), rng.normal(size=(6,))
         y = ad.channel_map(Tensor(x), Tensor(w), Tensor(b)).data

@@ -589,6 +589,27 @@ def test_success_leaves_no_temporary(synth_dir, train_dir, tmp_path):
         assert not list(d.glob(".*.tmp")), d
 
 
+def test_manifest_times_each_phase(synth_dir, train_dir, tmp_path):
+    loaded = ["--checkpoint", str(train_dir / "checkpoint.sdgl"),
+              "--data", str(synth_dir / "data.csv")]
+    assert main(["eval", *loaded, "--out-dir", str(tmp_path / "eval")]) == EXIT_OK
+    assert main(["export-graphs", *loaded, "--windows", "0", "--out-dir",
+                 str(tmp_path / "graphs")]) == EXIT_OK
+    runs = {
+        synth_dir: {"generate", "write"},
+        train_dir: {"load", "windowing", "train", "write"},
+        tmp_path / "eval": {"load", "windowing", "evaluate", "write"},
+        tmp_path / "graphs": {"load", "windowing", "evaluate", "write"},
+    }
+    for d, phases in runs.items():
+        manifest = json.loads((d / "manifest.json").read_text())
+        seconds = manifest["phase_seconds"]
+        assert set(seconds) == phases, d
+        # disjoint stretches of the run, on the clock of its wall-clock time
+        assert all(s >= 0 for s in seconds.values()), seconds
+        assert sum(seconds.values()) <= manifest["wall_clock_seconds"], seconds
+
+
 @pytest.mark.parametrize("command", ["eval", "export-graphs"])
 def test_missing_checkpoint_is_a_usage_error(synth_dir, tmp_path, caplog, command):
     missing, out = tmp_path / "nope.sdgl", tmp_path / "out"

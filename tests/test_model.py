@@ -255,7 +255,7 @@ def plan_windows(growth, layers):
 def traced_steps(window, dilations):
     """Per feature map of the full-step model, the steps the prediction reads.
 
-    Entry 0 is the start map, entry j layer j's output; steps are indices into
+    Entry 0 is the stack's input, entry j layer j's output; steps are indices into
     the full map, which layer j shortens by 6 * d_j. The head reads the last
     step of every layer output. Layer j's output at step t reads its input at
     t + d_j * m, m = 0 .. 6 (the 7-tap packed kernel), and the hidden map at t
@@ -409,6 +409,57 @@ class TestStepPlan:
             if name.startswith(tuple(dead)):
                 for g in (grads[name], want_grads[name]):
                     assert g is None or not g.any(), name
+
+
+# one layer (the folded first layer is also the last), dilations 1, 1, 2, a window
+# past the receptive field, no dynamic branch, and the default stack
+FOLD_CONFIGS = {
+    "layers=1": dict(layers=1),
+    "layers=3 growth=1.5": dict(layers=3, growth=1.5, window=30),
+    "window=24": dict(window=24),
+    "no_dyadj": dict(ablation=("no_dyadj",)),
+    "default": {},
+}
+
+
+class TestStartMapFold:
+    """The start map is folded into the first gated layer and its residual."""
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("name", sorted(FOLD_CONFIGS))
+    def test_first_layer_reads_the_raw_series(self, monkeypatch, name, mode):
+        cfg = tiny_config(dropout_keep=0.8, **FOLD_CONFIGS[name])
+        conv_inputs, made = [], set()
+
+        def spy(fn, inputs):
+            def wrapper(*args, **kwargs):
+                if inputs is not None:
+                    inputs.append(args[0].shape)
+                out = fn(*args, **kwargs)
+                made.add(out.shape)
+                return out
+            return wrapper
+
+        for op in ad.__all__:
+            if op not in ("Tensor", "Tape", "ShapeError", "TapeError", "grad_check"):
+                monkeypatch.setattr(ad, op, spy(getattr(ad, op),
+                                                conv_inputs if op == "conv1d_dilated" else None))
+        accum = ad._accum
+
+        def accum_spy(slot, g, fresh=False):
+            made.add(g.shape)
+            accum(slot, g, fresh)
+
+        # every gradient the tape computes, the narrows' buffers too, goes through _accum
+        monkeypatch.setattr(ad, "_accum", accum_spy)
+        model = run_step_model(cfg, mode == "train", full=False)[0]
+        assert conv_inputs[0][1] == 1
+        # run_step_model's batch holds 3 windows
+        start_map = (3, cfg.channels, model.step_plan[0][1], cfg.n_nodes)
+        assert start_map not in made
+        monkeypatch.undo()
+        # full_step_forward forms the start map and runs every layer unfolded
+        TestStepPlan.check(cfg, mode == "train")
 
 
 def closure_lines() -> set[int]:

@@ -196,6 +196,31 @@ class TestGatedTemporalLayer:
         want = np.tanh(a) / (1.0 + np.exp(-b))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("d, stride", [(1, 1), (2, 1), (1, 3), (2, 2)])
+    def test_folded_input_map_matches_the_formed_one(self, d, stride):
+        layer = GatedTemporalLayer(3, 8, d, RngState(d + stride))
+        rng = np.random.default_rng(40 + d)
+        layer.filter_bank.bias.data[:] = rng.normal(size=8)
+        layer.gate_bank.bias.data[:] = rng.normal(size=8)
+        in_w, in_b = Tensor(rng.normal(size=(3, 1))), Tensor(rng.normal(size=(3,)))
+        x = Tensor(rng.normal(size=(2, 1, 22, 4)))
+        probe = rng.normal(size=(2, 8, (22 - 6 * d - 1) // stride + 1, 4))
+        params = {**layer.parameters(), "in_w": in_w, "in_b": in_b}
+        runs = []
+        for folded in (True, False):
+            for p in params.values():
+                p.requires_grad, p.grad = True, None
+            t = ad.Tape()
+            with t:
+                y = layer(x, d, stride, in_w, in_b) if folded else \
+                    layer(ad.channel_map(x, in_w, in_b), d, stride)
+                loss = ad.reduce_sum(ad.mul(y, Tensor(probe)))
+            t.backward(loss)
+            runs.append([y.data] + [p.grad for p in params.values()])
+        for name, got, want in zip(["output", *params], *runs):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(),
+                                       err_msg=name)
+
     @pytest.mark.parametrize("name", ["filter.f2", "gate.f6"])
     def test_gradient_through_packed_weight(self, name):
         layer = GatedTemporalLayer(2, 8, 2, RngState(11))
