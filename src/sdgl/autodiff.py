@@ -8,7 +8,7 @@ finite differences are a meaningful oracle (see ``grad_check``).
 What the tape keeps: a tensor's gradient lives in a slot apart from its
 data, and ``Tensor.grad`` reads and writes that slot. A primitive that runs
 under an active tape with an input that requires a gradient records one node:
-its output's slot, the output's shape and a backward closure. The closure
+its output's slot, the slots of its inputs and a backward closure. The closure
 holds the slot of each input that needs a gradient and exactly the arrays its
 rule reads: the other operand of ``mul``, ``divide``, ``matmul``,
 ``conv1d_dilated``, ``channel_map``, ``channel_map_concat`` (each part, as
@@ -19,6 +19,13 @@ activation no rule reads, such as the output of ``add``, ``scale``,
 ``reshape``, ``narrow`` or ``concat``, is freed as soon as the forward pass
 drops it, and the rest is freed as ``backward`` releases each node. With no
 active tape, no closure and no slot is built.
+
+A node whose output got no gradient, because nothing the loss reads consumed
+it, runs no rule: its inputs would only get zeros. When the pass ends, each
+input slot that such a node would have fed and that still has no gradient
+gets zeros of its shape. So every input of a recorded op that requires a
+gradient ends the pass with a ``.grad``, and where a live path also reaches
+it, that gradient is exactly the live one.
 
 Each rule is written once. An op that other primitives express is a composite
 with no rule of its own: ``sub`` is ``add`` of ``scale(b, -1)``, ``scale`` is
@@ -63,11 +70,11 @@ backward pass allocated for that one slot and that nothing else references.
 A rule hands on the array it has just computed as fresh (``mul``,
 ``divide``, ``matmul``, ``relu``, ``tanh``, ``sigmoid``, ``row_softmax``,
 ``layer_norm``, ``dropout``, ``reduce_sum``, the convolution, ``propagate``),
-and the slot keeps it as its own. A view of the incoming gradient (``add``,
-``transpose``, ``reshape``, ``concat``) is never fresh, so a slot that holds
-one, or a gradient of an earlier pass, gets a new sum. ``narrow`` adds into
-its slice of the input's owned buffer, so the two halves of the gated
-layer's split fill one buffer. Ownership ends when ``backward`` returns, and
+and the slot keeps it as its own. The incoming gradient or a view of it
+(``add``, ``transpose``, ``reshape``, ``concat``) is never fresh, so a slot
+that holds one, or a gradient of an earlier pass, gets a new sum. ``narrow``
+adds into its slice of the input's owned buffer, so the two halves of the
+gated layer's split fill one buffer. Ownership ends when ``backward`` returns, and
 assigning ``Tensor.grad`` clears it: a later pass never changes a ``.grad``
 array the caller kept or assigned.
 
@@ -75,8 +82,9 @@ Primitives check nothing for non-finite values, and every rule passes NaN
 on (``relu`` is ``max(a, 0)``, not a mask that would zero it), so a NaN
 anywhere the forecast reads reaches the loss, and ``train`` raises
 ``DivergenceError`` there. An infinite weight can still vanish where ``tanh``
-or ``sigmoid`` saturates, so ``train`` also checks the whole state at the end
-of each epoch.
+or ``sigmoid`` saturates, and a NaN that only a skipped node reads reaches no
+gradient (no 0 * NaN is formed), so ``train`` also checks the whole state at
+the end of each epoch and names the tensor.
 """
 
 from __future__ import annotations
@@ -126,13 +134,15 @@ class TapeError(RuntimeError):
 
 class _Slot:
     """Where one tensor's gradient accumulates; backward closures hold this.
-    ``owner`` is the backward pass that owns ``grad`` (0 for none)."""
+    ``owner`` is the backward pass that owns ``grad`` (0 for none); ``shape``
+    is the tensor's, for the zeros of a slot that only skipped nodes feed."""
 
-    __slots__ = ("grad", "owner")
+    __slots__ = ("grad", "owner", "shape")
 
-    def __init__(self):
+    def __init__(self, shape: tuple[int, ...]):
         self.grad: np.ndarray | None = None
         self.owner = 0
+        self.shape = shape
 
 
 class Tensor:
@@ -152,7 +162,7 @@ class Tensor:
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
         if self._slot is None:
-            self._slot = _Slot()
+            self._slot = _Slot(self.data.shape)
         self._slot.grad, self._slot.owner = value, 0
 
     @property
@@ -174,8 +184,8 @@ class Tape:
     """Ordered record of executed primitives, consumable exactly once."""
 
     def __init__(self):
-        # (output's gradient slot, output's shape, backward closure)
-        self._nodes: list[tuple[_Slot, tuple[int, ...], Callable]] = []
+        # (output's gradient slot, the input slots its rule adds into, backward closure)
+        self._nodes: list[tuple[_Slot, tuple[_Slot | None, ...], Callable]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -195,7 +205,11 @@ class Tape:
         The tape releases each node once its gradient has been passed on, so
         the arrays its rule kept and the gradients the caller does not hold
         are freed during backward rather than when the tape is dropped. A
-        node whose output got no gradient passes on zeros.
+        node whose output got no gradient runs no rule. When the pass ends,
+        each input slot such a node would have fed that still has no gradient
+        gets zeros of its shape, so every input that requires a gradient gets
+        one. A NaN in a skipped node's saved operands therefore reaches no
+        gradient, where 0 * NaN would have.
         """
         global _GENERATION
         if self._consumed:
@@ -205,10 +219,16 @@ class Tape:
         self._consumed = True
         _GENERATION += 1  # what earlier passes owned is read-only from here on
         loss.grad = np.ones_like(loss.data)
+        skipped = []
         while self._nodes:
-            slot, shape, backward_fn = self._nodes.pop()
-            g = slot.grad
-            backward_fn(np.zeros(shape) if g is None else g)
+            slot, inputs, backward_fn = self._nodes.pop()
+            if slot.grad is None:
+                skipped += inputs
+            else:
+                backward_fn(slot.grad)
+        for s in skipped:
+            if s is not None and s.grad is None:
+                s.grad = np.zeros(s.shape)
 
 
 _ACTIVE_TAPE: Tape | None = None
@@ -218,7 +238,11 @@ _GENERATION = 0  # number of the latest backward pass
 def _recording(*inputs: Tensor) -> bool:
     """Whether a primitive on ``inputs`` goes on the tape: one is active and
     some input requires a gradient. Primitives build their closure only then."""
-    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+    if _ACTIVE_TAPE is not None:
+        for t in inputs:
+            if t.requires_grad:
+                return True
+    return False
 
 
 def _slot(t: Tensor) -> _Slot | None:
@@ -226,14 +250,16 @@ def _slot(t: Tensor) -> _Slot | None:
     if not t.requires_grad:
         return None
     if t._slot is None:
-        t._slot = _Slot()
+        t._slot = _Slot(t.data.shape)
     return t._slot
 
 
-def _record(out: Tensor, backward_fn: Callable) -> None:
+def _record(out: Tensor, backward_fn: Callable, *input_slots: _Slot | None) -> None:
+    """Put ``out``'s node on the tape; ``input_slots`` are the slots its rule
+    adds into (None for an input that needs no gradient)."""
     out.requires_grad = True
-    out._slot = _Slot()
-    _ACTIVE_TAPE._nodes.append((out._slot, out.data.shape, backward_fn))
+    out._slot = _Slot(out.data.shape)
+    _ACTIVE_TAPE._nodes.append((out._slot, input_slots, backward_fn))
 
 
 def _accum(slot: _Slot | None, g: np.ndarray, fresh: bool = False) -> None:
@@ -256,6 +282,8 @@ def _accum(slot: _Slot | None, g: np.ndarray, fresh: bool = False) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -282,7 +310,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accum(ga, _unbroadcast(g, a_shape))
             _accum(gb, _unbroadcast(g, b_shape))
 
-        _record(out, backward)
+        _record(out, backward, ga, gb)
     return out
 
 
@@ -302,7 +330,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             if gb:
                 _accum(gb, _unbroadcast(g * a_data, b_shape), True)
 
-        _record(out, backward)
+        _record(out, backward, ga, gb)
     return out
 
 
@@ -318,7 +346,7 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
             if gb:
                 _accum(gb, _unbroadcast(-g * a_data / (b_data * b_data), b_shape), True)
 
-        _record(out, backward)
+        _record(out, backward, ga, gb)
     return out
 
 
@@ -330,7 +358,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))  # NaN stays NaN
     if _recording(a):
         ga, mask = _slot(a), a.data > 0
-        _record(out, lambda g: _accum(ga, g * mask, True))
+        _record(out, lambda g: _accum(ga, g * mask, True), ga)
     return out
 
 
@@ -339,7 +367,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(y)
     if _recording(a):
         ga = _slot(a)
-        _record(out, lambda g: _accum(ga, g * (1.0 - y * y), True))
+        _record(out, lambda g: _accum(ga, g * (1.0 - y * y), True), ga)
     return out
 
 
@@ -355,7 +383,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(y)
     if _recording(a):
         ga = _slot(a)
-        _record(out, lambda g: _accum(ga, g * y * (1.0 - y), True))
+        _record(out, lambda g: _accum(ga, g * y * (1.0 - y), True), ga)
     return out
 
 
@@ -376,7 +404,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if gb:
                 _accum(gb, _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape), True)
 
-        _record(out, backward)
+        _record(out, backward, ga, gb)
     return out
 
 
@@ -387,7 +415,7 @@ def transpose(a: Tensor) -> Tensor:
     out = Tensor(np.swapaxes(a.data, -1, -2))
     if _recording(a):
         ga = _slot(a)
-        _record(out, lambda g: _accum(ga, np.swapaxes(g, -1, -2)))
+        _record(out, lambda g: _accum(ga, np.swapaxes(g, -1, -2)), ga)
     return out
 
 
@@ -407,7 +435,7 @@ def row_softmax(a: Tensor) -> Tensor:
             dot = (g * y).sum(axis=-1, keepdims=True)
             _accum(ga, y * (g - dot), True)
 
-        _record(out, backward)
+        _record(out, backward, ga)
     return out
 
 
@@ -434,7 +462,7 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
             m2 = np.where(guarded, 0.0, m2)
             _accum(ga, inv * (g - m1 - xhat * m2), True)
 
-        _record(y, backward)
+        _record(y, backward, ga)
     if gain is not None:
         y = mul(y, gain)
     if bias is not None:
@@ -455,7 +483,7 @@ def dropout(a: Tensor, keep_prob: float, rng, training: bool) -> Tensor:
     out = Tensor(a.data * keep * inv)
     if _recording(a):
         ga = _slot(a)
-        _record(out, lambda g: _accum(ga, g * keep * inv, True))
+        _record(out, lambda g: _accum(ga, g * keep * inv, True), ga)
     return out
 
 
@@ -468,13 +496,19 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     if _recording(*parts):
         slots = [_slot(p) for p in parts]
-        splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+        # each part's index into the output, so backward slices g directly
+        pieces, hi = [], 0
+        for p in parts:
+            lo, hi = hi, hi + p.data.shape[axis]
+            idx = [slice(None)] * out.data.ndim
+            idx[axis] = slice(lo, hi)
+            pieces.append(tuple(idx))
 
         def backward(g):
-            for slot, piece in zip(slots, np.split(g, splits, axis=axis)):
-                _accum(slot, piece)
+            for slot, idx in zip(slots, pieces):
+                _accum(slot, g[idx])
 
-        _record(out, backward)
+        _record(out, backward, *slots)
     return out
 
 
@@ -488,7 +522,7 @@ def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
                 g = np.expand_dims(g, axis)
             _accum(ga, np.broadcast_to(g, a_shape).copy(), True)
 
-        _record(out, backward)
+        _record(out, backward, ga)
     return out
 
 
@@ -501,7 +535,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     if _recording(a):
         ga, a_shape = _slot(a), a.shape
-        _record(out, lambda g: _accum(ga, g.reshape(a_shape)))
+        _record(out, lambda g: _accum(ga, g.reshape(a_shape)), ga)
     return out
 
 
@@ -528,7 +562,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int, step: int = 1) -> Tens
                 _accum(ga, np.zeros(a_shape), True)
             ga.grad[idx] += g
 
-        _record(out, backward)
+        _record(out, backward, ga)
     return out
 
 
@@ -644,7 +678,7 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
             if gbias:
                 _accum(gbias, g.sum(axis=(0, 2)), True)
 
-        _record(out, backward)
+        _record(out, backward, *gxs, gw, gbias)
     return out
 
 
@@ -721,7 +755,7 @@ def propagate(x: Tensor, p: Tensor) -> Tensor:
             if gp:
                 _accum(gp, g_rows.swapaxes(-1, -2) @ x_data.reshape(rows), True)
 
-        _record(out, backward)
+        _record(out, backward, gx, gp)
     return out
 
 

@@ -5,6 +5,10 @@ a 1x1 selection map over the channel concatenation of the hop outputs and the
 untouched input picks what to keep, so each node can always fall back on its
 own signal. The map reads each hop where it is (``channel_map_concat``): no
 stacked copy is formed, in the forward pass or on the tape.
+
+``MixHopConv.mix_hop`` takes the transition matrix itself, so a caller that
+runs several layers on one graph (``SDGLModel.forward``) normalizes it once;
+calling the layer on a raw adjacency normalizes it first.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ class MixHopConv:
 
     def __call__(self, x: Tensor, adj: Tensor) -> Tensor:
         """x: (B, C, T, N); adj: (N, N) shared or (B, N, N) per sample."""
-        p = transition_matrix(adj)
+        return self.mix_hop(x, transition_matrix(adj))
+
+    def mix_hop(self, x: Tensor, p: Tensor) -> Tensor:
+        """x: (B, C, T, N); p: the transition matrix, (N, N) or (B, N, N)."""
         hops = []
         cur = x
         for _ in range(self.depth):

@@ -1,9 +1,13 @@
 """Full network assembly, joint training under the hybrid loss, forecasting.
 
 Layer stacking per forward pass: build the static adjacency and per-window
-dynamic adjacencies, then run K rounds of gated temporal convolution followed
-by dual graph convolution (static + dynamic branch) with residual connections,
-accumulating skip outputs into the output module. The 1x1 start map that
+dynamic adjacencies and row-normalize each into its transition matrix once,
+then run K rounds of gated temporal convolution followed by dual graph
+convolution (static + dynamic branch, each layer propagating along the shared
+matrices) with residual connections, accumulating skip outputs into the
+output module. Nothing reads the last layer's graph branches and residual,
+so backward runs none of their rules and their parameters get zero
+gradients (``Tape.backward``). The 1x1 start map that
 lifts each node's series to C channels is never formed: it is affine and
 nothing nonlinear follows it before the first layer's convolution and
 residual, which are linear too, so it is folded into their weights and biases
@@ -31,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, Tape
 from .data import Scaler, SeriesDataset, SplitWindows, WindowBatch, metrics, window_split
 from .dynamic_graph import DynamicGraphLearner
-from .graph_conv import MixHopConv
+from .graph_conv import MixHopConv, transition_matrix
 from .params import weight, zeros
 from .rng import RngState
 from .static_graph import (
@@ -303,9 +307,12 @@ class SDGLModel:
 
         static = build_static_graph(self.embeddings.m_static).values
         reg = graph_regularization_loss(x, static, cfg.gamma)
-        dynamic = None
+        # each graph is normalized once; every layer's branch propagates along it
+        p_static = transition_matrix(static)
+        dynamic = p_dynamic = None
         if "no_dyadj" not in cfg.ablation:
             dynamic = self.dynamic(x, self.embeddings, self.dropout_rng, training)
+            p_dynamic = transition_matrix(dynamic.values)
 
         # feature maps are time-major, (B, C, T, N): time is axis 2 and nodes the last
         # axis. Each keeps only the steps of its step_plan entry, which end at its last
@@ -325,9 +332,9 @@ class SDGLModel:
             skip = ad.channel_map(ad.narrow(temporal, 2, t_out - 1, 1), self.skip_w[j])
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
 
-            fused = self.gcn_static[j](temporal, static)
-            if dynamic is not None:
-                fused = ad.add(fused, self.gcn_dynamic[j](temporal, dynamic.values))
+            fused = self.gcn_static[j].mix_hop(temporal, p_static)
+            if p_dynamic is not None:
+                fused = ad.add(fused, self.gcn_dynamic[j].mix_hop(temporal, p_dynamic))
 
             res_in = ad.narrow(hidden, 2, t_in - 1 - step * (t_out - 1), t_out, step)
             if j == 0:

@@ -854,3 +854,90 @@ class TestInPlaceAccumulation:
         x = rand_p((3, 4))
         self.backward(lambda z: ad.reduce_sum(ad.mul(z, z)), x)
         np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+
+def spy_rules(monkeypatch) -> list[int]:
+    """Wrap the rule of every node recorded from here on; returns the list of
+    ids of the outputs whose rule ran."""
+    ran = []
+    record = ad._record
+
+    def spy(out, rule, *input_slots):
+        key = id(out)
+
+        def spied(g):
+            ran.append(key)
+            rule(g)
+
+        record(out, spied, *input_slots)
+
+    monkeypatch.setattr(ad, "_record", spy)
+    return ran
+
+
+class TestSkippedNodes:
+    """A node whose output got no gradient runs no rule, and the inputs it
+    would have fed end the pass with zeros."""
+
+    def test_unread_output_runs_no_rule(self, monkeypatch):
+        ran = spy_rules(monkeypatch)
+        x = rand_p((3, 4))
+        t = Tape()
+        with t:
+            dead = ad.tanh(x)
+            live = ad.mul(x, x)
+            loss = ad.reduce_sum(live)
+        t.backward(loss)
+        assert id(dead) not in ran
+        assert id(live) in ran and id(loss) in ran
+        assert dead.grad is None
+
+    def test_inputs_of_a_skipped_node_get_zeros(self, monkeypatch):
+        ran = spy_rules(monkeypatch)
+        x, w = rand_p((3, 4)), rand_p((4, 2), seed=1)
+        t = Tape()
+        with t:
+            h = ad.scale(w, 2.0)  # an intermediate the caller holds
+            dead = ad.matmul(x, h)
+            loss = ad.reduce_sum(ad.mul(x, x))
+        t.backward(loss)
+        # h's own node got no gradient either, so it ran no rule
+        assert id(dead) not in ran and id(h) not in ran
+        for tns in (w, h):
+            assert tns.grad.shape == tns.shape and tns.grad.dtype == np.float64
+            np.testing.assert_array_equal(tns.grad, np.zeros(tns.shape))
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    @pytest.mark.parametrize("other", ["finite", "nan"])
+    def test_leaf_on_a_dead_and_a_live_path_gets_the_live_gradient(self, other):
+        # the dead path is recorded before and after the live one; a NaN operand
+        # of a skipped rule reaches no gradient, where 0 * NaN would have
+        c = np.random.default_rng(4).normal(size=(3, 4))
+        if other == "nan":
+            c[:] = np.nan
+
+        def grad(with_dead):
+            x = rand_p((3, 4))
+            t = Tape()
+            with t:
+                if with_dead:
+                    ad.mul(ad.tanh(x), Tensor(c))
+                live = ad.sigmoid(x)
+                if with_dead:
+                    ad.add(ad.mul(x, Tensor(c)), live)
+                loss = ad.reduce_sum(ad.mul(live, live))
+            t.backward(loss)
+            return x.grad
+
+        want = grad(False)
+        assert np.isfinite(want).all()
+        np.testing.assert_array_equal(grad(True), want)
+
+    def test_leaf_reached_through_no_node_keeps_no_grad(self):
+        x, unused, untaped = rand_p((3,)), rand_p((2,), seed=1), rand_p((2,), seed=2)
+        ad.tanh(untaped)  # no tape is active: nothing is recorded
+        t = Tape()
+        with t:
+            loss = ad.reduce_sum(ad.mul(x, x))
+        t.backward(loss)
+        assert unused.grad is None and untaped.grad is None

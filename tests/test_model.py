@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sdgl import autodiff as ad
-from sdgl import checkpoint, temporal
+from sdgl import checkpoint, graph_conv, temporal
 from sdgl.autodiff import Tape, Tensor
 from sdgl.data import (
     PlantedGraphSpec,
@@ -34,6 +34,7 @@ from sdgl.data import (
     synth_generate,
 )
 from sdgl import data as sdgl_data
+from sdgl import model as sdgl_model
 from sdgl.graph_conv import MixHopConv
 from sdgl.model import (
     ABLATION_FLAGS,
@@ -506,7 +507,7 @@ class TestTapeMemory:
         # conv plus bias: the gated layers' pre-activations, outputs of add
         monkeypatch.setattr(temporal, "_packed_inception",
                             spy("pre-activation", temporal._packed_inception))
-        monkeypatch.setattr(MixHopConv, "__call__", spy("mix-hop", MixHopConv.__call__))
+        monkeypatch.setattr(MixHopConv, "mix_hop", spy("mix-hop", MixHopConv.mix_hop))
         monkeypatch.setattr(ad, "tanh", spy("tanh", ad.tanh))
         monkeypatch.setattr(ad, "sigmoid", spy("sigmoid", ad.sigmoid))
         model = SDGLModel(tiny_config(dropout_keep=0.8))
@@ -537,6 +538,150 @@ class TestTapeMemory:
 
         # the check sees closures where they are built
         assert autodiff_lines_run(taped) & built
+
+
+def zeros_running_backward(tape, loss):
+    """``Tape.backward`` as it was before skipped nodes: a node whose output got
+    no gradient runs its rule on zeros of the output's shape."""
+    tape._consumed = True
+    ad._GENERATION += 1
+    loss.grad = np.ones_like(loss.data)
+    while tape._nodes:
+        slot, _, rule = tape._nodes.pop()
+        rule(np.zeros(slot.shape) if slot.grad is None else slot.grad)
+
+
+def one_step(model, training, backward=Tape.backward):
+    """Prediction and parameter gradients of one fixed batch, ``backward`` run
+    on the tape and the loss."""
+    cfg = model.config
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.standard_normal((3, cfg.n_nodes, cfg.window)))
+    y = Tensor(rng.standard_normal((3, cfg.n_nodes, cfg.horizon)))
+    tape = Tape()
+    with tape:
+        res = model.forward(x, training=training)
+        loss = hybrid_loss(res.prediction, y, res.reg_loss, cfg.lambda_reg)
+    backward(tape, loss)
+    return res.prediction.data, {k: p.grad for k, p in model.parameters().items()}
+
+
+def tag_rules(monkeypatch, model) -> tuple[list, list]:
+    """Spy on the rules of ``model``'s forward pass. Returns the tags of the
+    nodes recorded and of the rules run: a node recorded by a graph branch or
+    by a residual map of layer 1 or later is tagged with its parameter prefix
+    (``gcn_static1``, ``residual1``), any other node with None."""
+    tags = {id(conv): f"{branch}{j}" for branch in ("gcn_static", "gcn_dynamic")
+            for j, conv in enumerate(getattr(model, branch))}
+    tags.update({id(w): f"residual{j}" for j, w in enumerate(model.residual_w)})
+    current, recorded, ran = [None], [], []
+
+    def tagged(fn, owner_of):
+        def wrapper(*args):
+            current[0] = tags.get(id(owner_of(*args)))
+            try:
+                return fn(*args)
+            finally:
+                current[0] = None
+        return wrapper
+
+    record = ad._record
+
+    def spy(out, rule, *input_slots):
+        tag = current[0]
+        recorded.append(tag)
+
+        def spied(g):
+            ran.append(tag)
+            rule(g)
+
+        record(out, spied, *input_slots)
+
+    monkeypatch.setattr(ad, "_record", spy)
+    monkeypatch.setattr(MixHopConv, "mix_hop", tagged(MixHopConv.mix_hop, lambda s, x, p: s))
+    # the first layer's residual weight is folded with the start map, so its map
+    # gets no tag; a later layer's map reads residual_w[j] itself
+    monkeypatch.setattr(ad, "channel_map", tagged(ad.channel_map, lambda x, w, *b: w))
+    return recorded, ran
+
+
+class TestSkippedBranches:
+    """Backward runs no rule of the last layer's graph branches and residual,
+    and each learned graph is normalized once per forward pass."""
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_last_layer_branches_run_no_rule(self, monkeypatch, mode):
+        cfg = tiny_config(dropout_keep=0.8)
+        last = cfg.layers - 1
+        dead = {f"gcn_static{last}", f"gcn_dynamic{last}", f"residual{last}"}
+        model = SDGLModel(cfg)
+        recorded, ran = tag_rules(monkeypatch, model)
+        _, grads = one_step(model, mode == "train")
+        monkeypatch.undo()
+        # the spy saw every branch recorded, and the live ones run
+        assert dead | {"gcn_static0", "gcn_dynamic0"} <= set(recorded)
+        assert {"gcn_static0", "gcn_dynamic0"} <= set(ran)
+        assert not dead & set(ran)
+        params = model.parameters()
+        for name, g in grads.items():
+            if name.startswith(tuple(d + "." for d in dead)):
+                assert g is not None, name
+                np.testing.assert_array_equal(g, np.zeros(params[name].shape))
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_gradients_are_those_of_a_zeros_running_backward(self, mode, layers):
+        cfg = tiny_config(dropout_keep=0.8, layers=layers)
+        pred, grads = one_step(SDGLModel(cfg), mode == "train")
+        want_pred, want = one_step(SDGLModel(cfg), mode == "train", zeros_running_backward)
+        np.testing.assert_array_equal(pred, want_pred)
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert (g is None) == (want[name] is None), name
+            np.testing.assert_array_equal(g, want[name], err_msg=name)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_one_layer_dynamic_gradients_are_present_zeros(self, mode):
+        # at one layer no graph reaches the prediction
+        _, grads = one_step(SDGLModel(tiny_config(layers=1)), mode == "train")
+        dynamic = {k: g for k, g in grads.items() if k.startswith("dynamic.")}
+        assert dynamic
+        for name, g in dynamic.items():
+            assert g is not None and not g.any(), name
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_each_graph_is_normalized_once(self, monkeypatch, layers):
+        calls = []
+        transition_matrix = graph_conv.transition_matrix
+
+        def counting(a):
+            calls.append(a.data.ndim)
+            return transition_matrix(a)
+
+        monkeypatch.setattr(graph_conv, "transition_matrix", counting)
+        monkeypatch.setattr(sdgl_model, "transition_matrix", counting)
+        one_step(SDGLModel(tiny_config(layers=layers, growth=1.5, window=30)), True)
+        # the static (N, N) graph and the batch of dynamic (B, N, N) ones
+        assert sorted(calls) == [2, 3]
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_shared_matrix_matches_per_layer_normalization(self, monkeypatch, mode):
+        cfg = tiny_config(layers=3, growth=1.5, window=30, dropout_keep=0.8)
+        pred, grads = one_step(SDGLModel(cfg), mode == "train")
+        # each layer's branch normalizes the raw adjacency itself
+        mix_hop, calls = MixHopConv.mix_hop, []
+
+        def per_layer(self, x, adj):
+            calls.append(adj)
+            return mix_hop(self, x, graph_conv.transition_matrix(adj))
+
+        monkeypatch.setattr(sdgl_model, "transition_matrix", lambda a: a)
+        monkeypatch.setattr(MixHopConv, "mix_hop", per_layer)
+        want_pred, want = one_step(SDGLModel(cfg), mode == "train")
+        assert len(calls) == 2 * cfg.layers
+        close(pred, want_pred)
+        for name, g in grads.items():
+            close(g, want[name])
 
 
 class TestHybridLoss:
