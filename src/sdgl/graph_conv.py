@@ -6,9 +6,9 @@ untouched input picks what to keep, so each node can always fall back on its
 own signal. The map reads each hop where it is (``channel_map_concat``): no
 stacked copy is formed, in the forward pass or on the tape.
 
-``MixHopConv.mix_hop`` takes the transition matrix itself, so a caller that
-runs several layers on one graph (``SDGLModel.forward``) normalizes it once;
-calling the layer on a raw adjacency normalizes it first.
+``mix_hop`` takes the transition matrix: ``SDGLModel.forward`` hands it the
+learned graphs as built, row softmaxes whose rows sum to 1, which normalizing
+again would change only by rounding. ``__call__`` normalizes a raw adjacency.
 """
 
 from __future__ import annotations

@@ -1,23 +1,23 @@
 """Full network assembly, joint training under the hybrid loss, forecasting.
 
 Layer stacking per forward pass: build the static adjacency and per-window
-dynamic adjacencies and row-normalize each into its transition matrix once,
-then run K rounds of gated temporal convolution followed by dual graph
-convolution (static + dynamic branch, each layer propagating along the shared
-matrices) with residual connections, accumulating skip outputs into the
-output module. Nothing reads the last layer's graph branches and residual,
-so backward runs none of their rules and their parameters get zero
-gradients (``Tape.backward``). The 1x1 start map that
-lifts each node's series to C channels is never formed: it is affine and
-nothing nonlinear follows it before the first layer's convolution and
-residual, which are linear too, so it is folded into their weights and biases
-(``temporal`` says why the convolution's bias term is exact), and the first
-layer reads the raw one-channel series. The head reads only the
-last step of each skip, so each layer, its graph branches and its residual
-run only at the steps that reach it: ``temporal.step_plan``, computed once
-per model from the config, gives them. Training minimizes
-lambda * graph regularization + L1 prediction loss; after every optimizer
-step the dynamic embeddings follow the static ones by momentum only.
+dynamic adjacencies, then run K rounds of gated temporal convolution followed
+by dual graph convolution (static + dynamic branch, each layer propagating
+along the shared graphs) with residual connections, accumulating skip outputs
+into the output module. Each graph is a row softmax, so it reaches mix-hop as
+built: its rows sum to 1, and normalizing it again would change only rounding.
+Nothing reads the last layer's graph branches and residual, so backward runs
+none of their rules and their parameters get zero gradients
+(``Tape.backward``). The 1x1 start map that lifts each node's series to C
+channels is never formed: it is affine and nothing nonlinear follows it before
+the first layer's convolution and residual, which are linear too, so it is
+folded into their weights and biases (``temporal`` says why the convolution's
+bias term is exact), and the first layer reads the raw one-channel series. The
+head reads only the last step of each skip, so each layer, its graph branches
+and its residual run only at the steps that reach it: ``temporal.step_plan``,
+computed once per model from the config, gives them. Training minimizes
+lambda * graph regularization + L1 prediction loss; after every optimizer step
+the dynamic embeddings follow the static ones by momentum only.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, Tape
 from .data import Scaler, SeriesDataset, SplitWindows, WindowBatch, metrics, window_split
 from .dynamic_graph import DynamicGraphLearner
-from .graph_conv import MixHopConv, transition_matrix
+from .graph_conv import MixHopConv
 from .params import weight, zeros
 from .rng import RngState
 from .static_graph import (
@@ -93,9 +93,15 @@ class ModelConfig:
     ablation: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # checked before the conversion, so a string is rejected, not split into letters
+        # checked before the conversions, so a string is rejected, not split into letters,
+        # and a numpy scalar is stored as the Python int or float a checkpoint header takes
         self.validate()
         object.__setattr__(self, "ablation", tuple(self.ablation))
+        for name in _INT_LOWER_BOUNDS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int(getattr(self, name)))
+        for name in _REAL_FIELDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def resolved_head_dim(self) -> int:
         if self.head_dim is not None:
@@ -307,12 +313,10 @@ class SDGLModel:
 
         static = build_static_graph(self.embeddings.m_static).values
         reg = graph_regularization_loss(x, static, cfg.gamma)
-        # each graph is normalized once; every layer's branch propagates along it
-        p_static = transition_matrix(static)
-        dynamic = p_dynamic = None
+        # every layer's branches propagate along both softmax graphs as built
+        dynamic = None
         if "no_dyadj" not in cfg.ablation:
             dynamic = self.dynamic(x, self.embeddings, self.dropout_rng, training)
-            p_dynamic = transition_matrix(dynamic.values)
 
         # feature maps are time-major, (B, C, T, N): time is axis 2 and nodes the last
         # axis. Each keeps only the steps of its step_plan entry, which end at its last
@@ -332,9 +336,9 @@ class SDGLModel:
             skip = ad.channel_map(ad.narrow(temporal, 2, t_out - 1, 1), self.skip_w[j])
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
 
-            fused = self.gcn_static[j].mix_hop(temporal, p_static)
-            if p_dynamic is not None:
-                fused = ad.add(fused, self.gcn_dynamic[j].mix_hop(temporal, p_dynamic))
+            fused = self.gcn_static[j].mix_hop(temporal, static)
+            if dynamic is not None:
+                fused = ad.add(fused, self.gcn_dynamic[j].mix_hop(temporal, dynamic.values))
 
             res_in = ad.narrow(hidden, 2, t_in - 1 - step * (t_out - 1), t_out, step)
             if j == 0:

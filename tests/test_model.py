@@ -607,7 +607,7 @@ def tag_rules(monkeypatch, model) -> tuple[list, list]:
 
 class TestSkippedBranches:
     """Backward runs no rule of the last layer's graph branches and residual,
-    and each learned graph is normalized once per forward pass."""
+    and each learned graph reaches mix-hop as built."""
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     def test_last_layer_branches_run_no_rule(self, monkeypatch, mode):
@@ -650,38 +650,62 @@ class TestSkippedBranches:
             assert g is not None and not g.any(), name
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_each_graph_is_normalized_once(self, monkeypatch, layers):
-        calls = []
+    def test_each_graph_reaches_mix_hop_as_built(self, monkeypatch, layers):
+        model = SDGLModel(tiny_config(layers=layers, growth=1.5, window=30))
+        built, received, normalized = [], [], []
+        build, mix_hop = sdgl_model.build_static_graph, MixHopConv.mix_hop
         transition_matrix = graph_conv.transition_matrix
 
-        def counting(a):
-            calls.append(a.data.ndim)
+        def building(m_s):
+            graph = build(m_s)
+            built.append(graph.values)
+            return graph
+
+        def receiving(self, x, p):
+            received.append((self, p))
+            return mix_hop(self, x, p)
+
+        def normalizing(a):
+            normalized.append(a)
             return transition_matrix(a)
 
-        monkeypatch.setattr(graph_conv, "transition_matrix", counting)
-        monkeypatch.setattr(sdgl_model, "transition_matrix", counting)
-        one_step(SDGLModel(tiny_config(layers=layers, growth=1.5, window=30)), True)
-        # the static (N, N) graph and the batch of dynamic (B, N, N) ones
-        assert sorted(calls) == [2, 3]
+        monkeypatch.setattr(sdgl_model, "build_static_graph", building)
+        monkeypatch.setattr(MixHopConv, "mix_hop", receiving)
+        monkeypatch.setattr(graph_conv, "transition_matrix", normalizing)
+        x = np.random.default_rng(2).standard_normal((3, 4, 30))
+        res = model.forward(Tensor(x), training=True)
+        assert len(built) == 1 and not normalized
+        # each branch gets the very softmax output its graph's builder returned
+        want = {id(conv): built[0] for conv in model.gcn_static}
+        want.update({id(conv): res.dynamic_graphs.values for conv in model.gcn_dynamic})
+        assert sorted(id(conv) for conv, _ in received) == sorted(want)
+        for conv, p in received:
+            assert p is want[id(conv)]
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
-    def test_shared_matrix_matches_per_layer_normalization(self, monkeypatch, mode):
-        cfg = tiny_config(layers=3, growth=1.5, window=30, dropout_keep=0.8)
+    @pytest.mark.parametrize("overrides", [
+        dict(layers=3, growth=1.5, window=30), dict(layers=1), dict(ablation=("no_dyadj",)),
+        dict(ablation=("no_ifm",)), dict(ablation=("ifm_plus",)),
+    ], ids=["3-layers", "1-layer", "no_dyadj", "no_ifm", "ifm_plus"])
+    def test_shared_matrix_matches_per_layer_normalization(self, monkeypatch, overrides, mode):
+        cfg = tiny_config(dropout_keep=0.8, **overrides)
         pred, grads = one_step(SDGLModel(cfg), mode == "train")
-        # each layer's branch normalizes the raw adjacency itself
+        # each layer's branch normalizes the graph itself
         mix_hop, calls = MixHopConv.mix_hop, []
 
         def per_layer(self, x, adj):
             calls.append(adj)
             return mix_hop(self, x, graph_conv.transition_matrix(adj))
 
-        monkeypatch.setattr(sdgl_model, "transition_matrix", lambda a: a)
         monkeypatch.setattr(MixHopConv, "mix_hop", per_layer)
         want_pred, want = one_step(SDGLModel(cfg), mode == "train")
-        assert len(calls) == 2 * cfg.layers
+        branches = 1 if "no_dyadj" in cfg.ablation else 2
+        assert len(calls) == branches * cfg.layers
         close(pred, want_pred)
         for name, g in grads.items():
-            close(g, want[name])
+            assert (g is None) == (want[name] is None), name
+            if g is not None:
+                close(g, want[name])
 
 
 class TestHybridLoss:
@@ -1039,6 +1063,21 @@ class TestCheckpoint:
                                       predict(out.model, out.scaler, x))
         fresh = SDGLModel(back.model.config).dropout_rng
         np.testing.assert_array_equal(back.model.dropout_rng.random(8), fresh.random(8))
+
+    def test_numpy_typed_settings_save_and_load(self, tmp_path):
+        cfg = tiny_config(seed=np.int64(4), window=np.int32(19), embed_dim=np.uint8(8),
+                          learning_rate=np.float32(0.05), growth=np.float64(2.0))
+        settings = asdict(cfg)
+        assert all(type(v) in (int, float, tuple) for k, v in settings.items()
+                   if k != "head_dim"), settings
+        model = SDGLModel(cfg)
+        p = tmp_path / "m.sdgl"
+        checkpoint.save(p, model, Scaler(np.zeros(4), np.ones(4)))
+        back = checkpoint.load(p)
+        assert back.model.config == cfg
+        x = np.random.default_rng(4).normal(size=(2, 4, 19))
+        np.testing.assert_array_equal(back.model.forward(x).prediction.data,
+                                      model.forward(x).prediction.data)
 
     @staticmethod
     def earlier_fields(model):
