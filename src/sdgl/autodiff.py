@@ -63,7 +63,23 @@ the start map folded into its weight and bias) is a broadcast multiply. A one-ta
 map over several blocks runs one product per block: the first writes the
 output and each later one adds into it. The backward pass stays one matmul
 per tap and block, adding into a view of the input gradient: a gathered
-backward was measured and was no faster.
+backward was measured and was no faster, and a gathered weight gradient of a
+16-channel block was slower (1.8 -> 2.7 ms at (64, 16, 19, 10), 13 output
+steps). Two shapes are the exceptions, because there the per-tap loop batches
+nothing. When one output step reads all k input steps (the last gated layer),
+the input is (B, C_in*k, N) rows, a view of a contiguous map, against the
+weight with its taps reversed: the forward pass, the input gradient and the
+weight gradient are one product each, with no gather, zero fill or strided
+add, and the backward pass took 0.81 -> 0.49 ms at train_small's (64, 16, 7,
+10) and 2.8 -> 1.3 ms at train_wide's (32, 16, 7, 100). A block of one input
+channel (the folded first layer) gathers its k taps as the forward pass does
+and forms its weight gradient in one product: 0.25 -> 0.11 ms at (64, 1, 19,
+10) and 2.2 -> 0.6 ms at (32, 1, 19, 100), both at stride 2.
+
+``layer_norm`` and ``row_softmax`` take row sums as a product with a ones
+vector and row dot products with ``einsum``, never ``np.var`` or a last-axis
+mean, and normalize in place: ``np.var`` over (32, 100, 100) took 1.0 ms,
+where the centered rows' dot with themselves took 0.17 ms.
 
 Backward adds a gradient in place only into a buffer it owns: one that this
 backward pass allocated for that one slot and that nothing else references.
@@ -422,18 +438,31 @@ def transpose(a: Tensor) -> Tensor:
 # --- normalization ----------------------------------------------------------
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, keeping it: a product with a ones vector, where
+    numpy's last-axis mean took 1.5 times as long (25 against 14 us at (64, 10,
+    10), 169 against 113 us at (32, 100, 100))."""
+    return (a @ np.ones(a.shape[-1]))[..., None]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products over the last axis, keeping it."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
+
+
 def row_softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis; rows sum to one, entries stay positive."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= _row_sums(y)
     out = Tensor(y)
     if _recording(a):
         ga = _slot(a)
 
         def backward(g):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            _accum(ga, y * (g - dot), True)
+            d = g - _row_dots(g, y)
+            d *= y
+            _accum(ga, d, True)
 
         _record(out, backward, ga)
     return out
@@ -442,25 +471,33 @@ def row_softmax(a: Tensor) -> Tensor:
 def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     """Normalize over the last axis; optional learnable per-feature affine.
 
-    The variance is floored at eps^2 (eps = 1e-5) so output rows have exactly
-    unit variance whenever the input row varies at all, while a constant (or
-    all-zero) row maps to zero instead of dividing by zero.
+    The variance is floored at eps^2 (eps = 1e-5). A row whose variance
+    reaches the floor maps to zero mean and unit variance, up to rounding; a
+    row below it is divided by eps, not by its spread, and gets no variance
+    gradient. So a constant row maps to its deviation from its computed mean
+    over eps. That is exactly zero only where the mean rounds back to the
+    row's value, as it does for an all-zero row; otherwise it is of order 1e-10
+    of the value (ten 3.7s map to 4.4e-11 with numpy's mean, to zero with this
+    one).
     """
     floor = 1e-5 * 1e-5
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    n = a.data.shape[-1]
+    xhat = a.data - _row_sums(a.data) / n
+    var = _row_dots(xhat, xhat) / n
     inv = 1.0 / np.sqrt(np.maximum(var, floor))
-    xhat = (a.data - mu) * inv
+    xhat *= inv
     y = Tensor(xhat)
     if _recording(a):
         ga, guarded = _slot(a), var <= floor
 
         def backward(g):
-            m1 = g.mean(axis=-1, keepdims=True)
-            m2 = (g * xhat).mean(axis=-1, keepdims=True)
+            m2 = _row_dots(g, xhat) / n
             # guarded rows treat the scale as constant: no variance gradient
-            m2 = np.where(guarded, 0.0, m2)
-            _accum(ga, inv * (g - m1 - xhat * m2), True)
+            m2[guarded] = 0.0
+            out = g - _row_sums(g) / n
+            out -= xhat * m2
+            out *= inv
+            _accum(ga, out, True)
 
         _record(y, backward, ga)
     if gain is not None:
@@ -584,6 +621,22 @@ def _tap(x: np.ndarray, offset: int, t_out: int, stride: int) -> np.ndarray:
     return _steps(x, offset, t_out, stride).reshape(b, c, t_out * n)
 
 
+def _rows(x: np.ndarray, k: int, t_out: int, stride: int) -> np.ndarray:
+    """A (B, C, T, N) array as the (B, C*k, t_out*N) rows that a convolution
+    reads in one product: its kept steps for one tap, or its k steps, all of
+    them, for one output step."""
+    b, _, _, n = x.shape
+    return _tap(x, 0, t_out, stride) if k == 1 else x.reshape(b, -1, n)
+
+
+def _gather(x: np.ndarray, offsets: Sequence[int], t_out: int, stride: int,
+            out: np.ndarray) -> None:
+    """Copy tap s of a (m, C, T, N) array, steps offsets[s] + stride*[0, t_out),
+    into out[:, s] of a (m, k, C, t_out, N) buffer."""
+    for s, off in enumerate(offsets):
+        out[:, s] = _steps(x, off, t_out, stride)
+
+
 # Bytes of the gathered-tap buffer of one batch chunk in the convolution's
 # forward pass. A whole-batch buffer (37 MB at train_wide's shapes) goes past
 # the 32 MB mmap threshold that ``model.retain_freed_heap`` sets, and there the
@@ -612,13 +665,19 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
     for part in parts:
         lo, hi = hi, hi + part.data.shape[1]
         blocks.append((lo, hi))
-    if k == 1:
+    # Where each output step reads one input step (k = 1), or one output step
+    # reads every input step (the last gated layer), each block is one product:
+    # its ``_rows`` against its (C_out, c*k) weight columns with the taps
+    # reversed, so that tap s meets step k-1-s.
+    whole = t_out == 1 and t_in == k
+    if k == 1 or whole:
         # the first part's product is the output, each later one adds into it
         acc = None
         for (lo, hi), part in zip(blocks, parts):
-            x_tap = _tap(part.data, 0, t_out, stride)
+            w_blk = taps[:, lo:hi, ::-1].reshape(c_out, -1)
+            x_rows = _rows(part.data, k, t_out, stride)
             # a K = 1 product: the broadcast is the same single multiply
-            y = taps[:, lo:hi, 0] * x_tap if hi - lo == 1 else taps[:, lo:hi, 0] @ x_tap
+            y = w_blk * x_rows if w_blk.shape[1] == 1 else w_blk @ x_rows
             if acc is None:
                 acc = y
             else:
@@ -639,9 +698,8 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
         for start in range(0, b, m):
             rows = min(m, b - start)
             for (lo, hi), part in zip(blocks, parts):
-                buf = gathered[:rows, :, lo:hi]
-                for s, off in enumerate(offsets):
-                    buf[:, s] = _steps(part.data[start : start + rows], off, t_out, stride)
+                _gather(part.data[start : start + rows], offsets, t_out, stride,
+                        gathered[:rows, :, lo:hi])
             np.matmul(w_flat, gathered[:rows].reshape(rows, k * c_in, t_out * n),
                       out=acc[start : start + rows])
     if bias is not None:
@@ -660,8 +718,9 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
             for (lo, hi), gx in zip(blocks, gxs):
                 if not gx:
                     continue
-                if k == stride == 1:  # the one tap covers every step
-                    dx = (w_data[:, lo:hi, 0].T @ g).reshape(b, hi - lo, t_in, n)
+                if whole or k == stride == 1:  # the rows cover every input step
+                    w_blk = w_data[:, lo:hi, ::-1].reshape(c_out, -1)
+                    dx = (w_blk.T @ g).reshape(b, hi - lo, t_in, n)
                 else:
                     dx = np.zeros((b, hi - lo, t_in, n))
                     for s, off in enumerate(offsets):
@@ -671,9 +730,20 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
             if gw:
                 dw = np.empty((c_out, c_in, k))
                 for (lo, hi), x_data in zip(blocks, x_datas):
-                    for s, off in enumerate(offsets):
-                        x_tap = _tap(x_data, off, t_out, stride)
-                        dw[:, lo:hi, s] = (g @ x_tap.transpose(0, 2, 1)).sum(axis=0)
+                    if k == 1 or whole:
+                        x_rows = _rows(x_data, k, t_out, stride)
+                        dw[:, lo:hi, ::-1] = (g @ x_rows.transpose(0, 2, 1)).sum(
+                            axis=0).reshape(c_out, hi - lo, k)
+                    elif hi - lo == 1:
+                        # one channel (the folded first layer): its k taps as
+                        # (B, k, t_out*N) rows, as the forward pass gathers them
+                        x_taps = np.empty((b, k, 1, t_out, n))
+                        _gather(x_data, offsets, t_out, stride, x_taps)
+                        dw[:, lo] = (g @ x_taps.reshape(b, k, -1).transpose(0, 2, 1)).sum(axis=0)
+                    else:
+                        for s, off in enumerate(offsets):
+                            x_tap = _tap(x_data, off, t_out, stride)
+                            dw[:, lo:hi, s] = (g @ x_tap.transpose(0, 2, 1)).sum(axis=0)
                 _accum(gw, dw.reshape(w_shape), True)
             if gbias:
                 _accum(gbias, g.sum(axis=(0, 2)), True)

@@ -93,10 +93,12 @@ def load(path) -> Checkpoint:
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
         hlen = _unpack(fh, "<Q", path, "header length")
+        blob = _read(fh, hlen, path, "header")
         try:
-            header = json.loads(_read(fh, hlen, path, "header").decode("utf-8"))
-        # a header nested past the parser's depth limit raises RecursionError
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            header = json.loads(blob.decode("utf-8"))
+        # a header nested past the parser's depth limit raises RecursionError, and
+        # an integer past Python's int-to-str limit a plain ValueError
+        except (ValueError, RecursionError) as exc:
             raise CheckpointError(f"{path}: header is not valid JSON: {exc}") from None
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, "

@@ -163,8 +163,9 @@ def _build_config(args, n_nodes: int) -> ModelConfig:
     if args.config:
         try:
             settings = json.loads(Path(args.config).read_text())
-        # a file nested past the parser's depth limit raises RecursionError
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # a file nested past the parser's depth limit raises RecursionError, and
+        # an integer past Python's int-to-str limit a plain ValueError
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"config file {args.config}: {exc}") from exc
         if not isinstance(settings, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object, "
@@ -406,6 +407,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (DivergenceError, GenerationError, OSError, ValueError) as exc:
         log.error("%s", exc)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # a setting too large to allocate
+        log.error("out of memory: %s", exc)
         return EXIT_RUNTIME
     return EXIT_OK
 

@@ -124,8 +124,13 @@ class ModelConfig:
                 raise ConfigError(f"{name}: need >= {least}, got {value}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
+            try:
+                finite = not isinstance(value, bool) and isinstance(value, numbers.Real) \
+                    and math.isfinite(value)
+            except OverflowError:  # its repr may be past Python's int-to-str limit
+                raise SettingTypeError(f"{name}: need a finite number, got one past "
+                                       "float range") from None
+            if not finite:
                 raise SettingTypeError(f"{name}: need a finite number, got {value!r}")
         if self.growth <= 1:
             raise ConfigError(f"growth: dilation rate must exceed 1, got {self.growth}")

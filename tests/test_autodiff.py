@@ -124,6 +124,46 @@ class TestBackward:
         rep = grad_check(lambda z: ad.reduce_sum(ad.mul(ad.layer_norm(z), w)), Tensor(x.data), tol=1e-4)
         assert rep.passed, rep
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 5, 7), (2, 10, 10)])
+    def test_layer_norm_matches_finite_differences_at_any_rank(self, shape):
+        rng = np.random.default_rng(len(shape))
+        w = Tensor(rng.normal(size=shape))
+        rep = grad_check(lambda z: ad.reduce_sum(ad.mul(ad.layer_norm(z), w)),
+                         Tensor(rng.normal(scale=3.0, size=shape) + 2.0), tol=1e-6)
+        assert rep.passed, rep
+
+    def test_layer_norm_row_under_the_floor_gets_no_variance_gradient(self):
+        # row 0 varies by about 1e-7, a variance under the 1e-10 floor: it is
+        # divided by eps = 1e-5 and its gradient is g minus its mean, over eps
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 8))
+        x[0] = 3.7 + 1e-7 * rng.normal(size=8)
+        x[1] = 0.0
+        g = rng.normal(size=(3, 8))
+        y, (gx,) = vjp(ad.layer_norm, [Tensor(x)], g)
+        assert_close(y[0], (x[0] - x[0].mean()) / 1e-5)
+        np.testing.assert_array_equal(y[1], 0.0)
+        for row in (0, 1):
+            assert_close(gx[row], (g[row] - g[row].mean()) / 1e-5)
+        xhat = (x[2] - x[2].mean()) / x[2].std()
+        assert_close(gx[2], (g[2] - g[2].mean() - xhat * (g[2] * xhat).mean()) / x[2].std())
+
+    def test_layer_norm_passes_nan_on(self):
+        x = np.random.default_rng(7).normal(size=(3, 5))
+        x[1, 2] = np.nan
+        y, (gx,) = vjp(ad.layer_norm, [Tensor(x)], np.ones((3, 5)))
+        assert np.isnan(y[1]).all() and np.isnan(gx[1]).all()
+        assert np.isfinite(y[[0, 2]]).all() and np.isfinite(gx[[0, 2]]).all()
+
+    def test_row_softmax_of_huge_logits_warns_nothing(self):
+        # pyproject.toml makes a RuntimeWarning (overflow, invalid value) a test error
+        a = np.array([[1e300, -1e300, 0.0], [-1e300, -1e300, 1e300], [1e300, 1e300, -1e300]])
+        g = np.random.default_rng(8).normal(size=a.shape)
+        y, (ga,) = vjp(ad.row_softmax, [Tensor(a)], g)
+        np.testing.assert_array_equal(y, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+        np.testing.assert_array_equal(ga[:2], 0.0)
+        assert_close(ga[2], [(g[2, 0] - g[2, 1]) / 4, (g[2, 1] - g[2, 0]) / 4, 0.0])
+
     @pytest.mark.parametrize("seed", range(5))
     def test_layer_norm_affine_gradients(self, seed):
         rng = np.random.default_rng(seed)
@@ -410,11 +450,13 @@ class TestStructuredOracles:
         assert_close(gw, want_gw)
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
-    @pytest.mark.parametrize("d, t_in", [(1, 17), (2, 17), (2, 5)])
+    @pytest.mark.parametrize("d, t_in", [(1, 17), (2, 17), (2, 5), (1, 3)])
     @pytest.mark.parametrize("narrowed", [False, True])
     def test_conv1d_dilated_in_batch_chunks(self, monkeypatch, per_chunk, d, t_in, narrowed):
         # the forward gathers the taps of per_chunk samples at a time: 5 samples
-        # in chunks of 1, of 2 (the last has one) and of 3; (2, 5) gives t_out = 1
+        # in chunks of 1, of 2 (the last has one) and of 3; (2, 5) gives t_out = 1;
+        # (1, 3) reads all k = 3 steps for its one output step, which is one
+        # product against the input as (B, C_in*k, N) and needs no gather
         c_in, n, k, b = 4, 3, 3, 5
         t_out = t_in - d * (k - 1)
         monkeypatch.setattr(ad, "_GATHER_BYTES", per_chunk * 8 * k * c_in * n * t_out)
@@ -609,6 +651,33 @@ class TestStructuredOracles:
         assert y.shape == (b, 6, t_out, n)
         assert_close(y, want_y[:, :, ::stride])
         assert_close(gx, want_gx)
+        assert_close(gw, want_gw)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("narrowed", [False, True])
+    def test_one_channel_conv1d_dilated_at_stride_two(self, d, narrowed):
+        # the folded first layer: one input channel, 7 taps, every second step kept;
+        # its weight gradient gathers the taps as (B, 7, t_out*N) rows
+        b, k, t_in, n, stride = 5, 7, 19 + 2 * d, 3, 2
+        t_full = t_in - d * (k - 1)
+        rng = np.random.default_rng(d)
+        lead = 2 if narrowed else 0
+        hidden, w = rng.normal(size=(b, 1, n, lead + t_in)), rng.normal(size=(6, 1, k))
+        g = rng.normal(size=(b, 6, n, (t_full - 1) // stride + 1))
+
+        def f(h, m):
+            x = ad.narrow(h, 2, lead, t_in) if narrowed else h
+            return ad.conv1d_dilated(x, m, d, stride)
+
+        y, (gh, gw) = vjp(f, [Tensor(swap_tn(hidden)), Tensor(w)], swap_tn(g))
+        x = hidden[..., lead:]
+        assert_close(swap_tn(y), conv_oracle(x, w, d)[..., ::stride])
+        g_full = np.zeros((b, 6, n, t_full))
+        g_full[..., ::stride] = g
+        want_gx, want_gw = conv_vjp_oracle(x, w, d, g_full)
+        want_gh = np.zeros_like(hidden)
+        want_gh[..., lead:] = want_gx
+        assert_close(swap_tn(gh), want_gh)
         assert_close(gw, want_gw)
 
     @pytest.mark.parametrize("axis, start, length, step", [

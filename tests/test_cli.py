@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sdgl import checkpoint
+from sdgl import model as sdgl_model
 from sdgl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from sdgl.data import load_csv
 from sdgl.model import SGD, ModelConfig
@@ -237,6 +238,37 @@ class TestTrain:
             assert line.startswith(f"config file {bad}: ablation: need a list"), line
             assert "\n" not in line, line
             assert not out.exists()
+
+    @pytest.mark.parametrize("text, fault", [
+        ('{"learning_rate": 1%s}' % ("0" * 400), "learning_rate: need a finite number"),
+        ('{"seed": 1%s}' % ("0" * 5000), "Exceeds the limit (4300 digits)"),
+    ], ids=["401 digits", "5001 digits"])
+    def test_number_past_float_or_str_range_in_config_file(self, synth_dir, tmp_path,
+                                                           caplog, text, fault):
+        # past float range, a real setting is a type error; past Python's 4300-digit
+        # int-to-str limit, the parser's ValueError is the file's error
+        bad = tmp_path / "big.json"
+        bad.write_text(text)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(synth_dir / "data.csv"),
+                     "--config", str(bad), "--out-dir", str(out)]) == EXIT_USAGE
+        [line] = error_lines(caplog)
+        assert line.startswith(f"config file {bad}: ") and fault in line, line
+        assert len(line) < 300 and not out.exists()
+
+    def test_setting_too_large_to_allocate(self, synth_dir, tmp_path, monkeypatch, caplog):
+        # numpy raises a MemoryError subclass; the model is patched, so nothing is allocated
+        def too_large(config):
+            raise MemoryError("Unable to allocate 119. GiB for an array")
+
+        monkeypatch.setattr(sdgl_model, "SDGLModel", too_large)
+        cfg = tmp_path / "huge.json"
+        cfg.write_text('{"embed_dim": 4000000000, "heads": 1}')
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(synth_dir / "data.csv"),
+                     "--config", str(cfg), "--out-dir", str(out)]) == EXIT_RUNTIME
+        assert error_lines(caplog) == ["out of memory: Unable to allocate 119. GiB for an array"]
+        assert not out.exists()
 
     def test_data_too_short_writes_nothing(self, tmp_path, caplog):
         assert main(["synth", "--nodes", "4", "--steps", "30",

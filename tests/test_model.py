@@ -42,6 +42,7 @@ from sdgl.model import (
     ModelConfig,
     SDGLModel,
     SGD,
+    SettingTypeError,
     evaluate,
     hybrid_loss,
     predict,
@@ -166,6 +167,15 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="^window: "):
             tiny_config(**overrides)
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("field", ["learning_rate", "growth"])
+    @pytest.mark.parametrize("digits", [401, 5001])
+    def test_number_past_float_range_is_a_type_error(self, field, digits):
+        # math.isfinite overflows on it, and str() of a 5001-digit int raises
+        # ValueError, so the message names the field and not the value
+        with pytest.raises(SettingTypeError, match=f"^{field}: need a finite number, "
+                                                   "got one past float range$"):
+            tiny_config(**{field: 10 ** (digits - 1)})
 
     def test_head_dim_divisibility(self):
         with pytest.raises(ConfigError, match="divisible"):
@@ -1266,6 +1276,11 @@ class TestCheckpoint:
             h["config"]["ablation"] = "no_gloss"
         elif mutation == "ablation an object":
             h["config"]["ablation"] = {"no_gloss": 1}
+        elif mutation == "config number past float range":
+            h["config"]["learning_rate"] = 10**400
+        elif mutation == "config integer past the int-to-str limit":
+            h["config"]["seed"] = "SEED"  # json.dumps cannot write the int itself
+            return json.dumps(h).replace('"SEED"', "1" + "0" * 5000).encode()
         elif mutation == "config too many layers":
             h["config"]["layers"] = 2000  # 2.0 ** 1999 overflows a float
         elif mutation == "header a list":
@@ -1300,6 +1315,8 @@ class TestCheckpoint:
         "config field mistyped": "'config'",
         "config invalid": "'config'.*heads",
         "config too many layers": "'config': window: ",
+        "config number past float range": "'config': learning_rate: need a finite number",
+        "config integer past the int-to-str limit": "header is not valid JSON: .*4300 digits",
         "ablation a string": "'config': ablation: need a list",
         "ablation an object": "'config': ablation: need a list",
         "header a list": "header is a JSON list",
