@@ -25,7 +25,10 @@ it, runs no rule: its inputs would only get zeros. When the pass ends, each
 input slot that such a node would have fed and that still has no gradient
 gets zeros of its shape. So every input of a recorded op that requires a
 gradient ends the pass with a ``.grad``, and where a live path also reaches
-it, that gradient is exactly the live one.
+it, that gradient is exactly the live one. A caller that knows which of its
+ops nothing reads can skip them outright while no tape records
+(``tape_active``): ``SDGLModel.forward`` does so for the last layer's graph
+branches and residual.
 
 Each rule is written once. An op that other primitives express is a composite
 with no rule of its own: ``sub`` is ``add`` of ``scale(b, -1)``, ``scale`` is
@@ -249,6 +252,13 @@ class Tape:
 
 _ACTIVE_TAPE: Tape | None = None
 _GENERATION = 0  # number of the latest backward pass
+
+
+def tape_active() -> bool:
+    """Whether a ``Tape`` is recording: ``SDGLModel.forward`` runs the ops
+    nothing downstream reads only then, so ``backward`` zero-fills their
+    parameters' gradients."""
+    return _ACTIVE_TAPE is not None
 
 
 def _recording(*inputs: Tensor) -> bool:

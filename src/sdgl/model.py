@@ -6,18 +6,20 @@ by dual graph convolution (static + dynamic branch, each layer propagating
 along the shared graphs) with residual connections, accumulating skip outputs
 into the output module. Each graph is a row softmax, so it reaches mix-hop as
 built: its rows sum to 1, and normalizing it again would change only rounding.
-Nothing reads the last layer's graph branches and residual, so backward runs
-none of their rules and their parameters get zero gradients
-(``Tape.backward``). The 1x1 start map that lifts each node's series to C
-channels is never formed: it is affine and nothing nonlinear follows it before
-the first layer's convolution and residual, which are linear too, so it is
-folded into their weights and biases (``temporal`` says why the convolution's
-bias term is exact), and the first layer reads the raw one-channel series. The
-head reads only the last step of each skip, so each layer, its graph branches
-and its residual run only at the steps that reach it: ``temporal.step_plan``,
-computed once per model from the config, gives them. Training minimizes
-lambda * graph regularization + L1 prediction loss; after every optimizer step
-the dynamic embeddings follow the static ones by momentum only.
+Nothing reads the last layer's graph branches and residual. Without an active
+tape (``predict``, ``evaluate``) they do not run. Under a tape they run and are
+recorded, and backward runs none of their rules, so their parameters get zero
+gradients (``Tape.backward``). The 1x1 start map that lifts each node's series
+to C channels is never formed: it is affine and nothing nonlinear follows it
+before the first layer's convolution and residual, which are linear too, so it
+is folded into their weights and biases (``temporal`` says why the
+convolution's bias term is exact), and the first layer reads the raw
+one-channel series. The head reads only the last step of each skip, so each
+layer, its graph branches and its residual run only at the steps that reach
+it: ``temporal.step_plan``, computed once per model from the config, gives
+them. Training minimizes lambda * graph regularization + L1 prediction loss;
+after every optimizer step the dynamic embeddings follow the static ones by
+momentum only.
 """
 
 from __future__ import annotations
@@ -68,6 +70,15 @@ _INT_LOWER_BOUNDS = {
 _REAL_FIELDS = ("growth", "lambda_reg", "gamma", "momentum", "dropout_keep", "learning_rate")
 
 
+def _shown(value: int) -> str:
+    """An integer setting as text, or a placeholder where Python's int-to-str
+    limit refuses to format it."""
+    try:
+        return str(value)
+    except ValueError:
+        return "(too many digits to print)"
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Every hyperparameter the architecture leaves open, checked once when built."""
@@ -108,8 +119,8 @@ class ModelConfig:
             return self.head_dim
         if self.embed_dim % self.heads != 0:
             raise ConfigError(
-                f"heads: embed_dim ({self.embed_dim}) must be divisible by heads "
-                f"({self.heads}) when head_dim is left unset"
+                f"heads: embed_dim ({_shown(self.embed_dim)}) must be divisible by heads "
+                f"({_shown(self.heads)}) when head_dim is left unset"
             )
         return self.embed_dim // self.heads
 
@@ -121,7 +132,7 @@ class ModelConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise SettingTypeError(f"{name}: need an integer, got {value!r}")
             if value < least:
-                raise ConfigError(f"{name}: need >= {least}, got {value}")
+                raise ConfigError(f"{name}: need >= {least}, got {_shown(value)}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
             try:
@@ -146,10 +157,10 @@ class ModelConfig:
             if self.window < rf:
                 raise ConfigError(
                     f"window: input length {self.window} shorter than receptive field {rf} "
-                    f"(c={MAX_KERNEL}, q={self.growth}, k={j} of {self.layers} layers)"
+                    f"(c={MAX_KERNEL}, q={self.growth}, k={j} of {_shown(self.layers)} layers)"
                 )
         if self.channels % 4 != 0:
-            raise ConfigError(f"channels: must be divisible by 4, got {self.channels}")
+            raise ConfigError(f"channels: must be divisible by 4, got {_shown(self.channels)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum: must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.dropout_keep <= 1.0:
@@ -305,7 +316,13 @@ class SDGLModel:
     # -- forward ---------------------------------------------------------------
 
     def forward(self, x: Tensor | np.ndarray, training: bool = False) -> ForwardResult:
-        """x: (B, N, h) normalized windows."""
+        """x: (B, N, h) normalized windows.
+
+        Without an active ``Tape`` the last layer stops after its skip map:
+        its graph branches and residual feed nothing the result holds. Under
+        a tape they run, so backward gives their parameters zero gradients.
+        The result is the same bit for bit either way.
+        """
         if isinstance(x, np.ndarray):
             x = Tensor(x)
         cfg = self.config
@@ -340,6 +357,10 @@ class SDGLModel:
             # the output head reads only the last step, so each skip maps only that step
             skip = ad.channel_map(ad.narrow(temporal, 2, t_out - 1, 1), self.skip_w[j])
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
+            # nothing reads the last layer's graph branches and residual: they run
+            # only under a tape, whose backward gives their parameters zero gradients
+            if j == cfg.layers - 1 and not ad.tape_active():
+                break
 
             fused = self.gcn_static[j].mix_hop(temporal, static)
             if dynamic is not None:
@@ -514,8 +535,9 @@ def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch) -> dict:
     one slice is ever normalized at a time. CORR correlates each node over the
     windows, at step k for ``per_horizon[k]`` and over all steps for ``average``.
     """
+    # no windows still make one (empty) slice, which ``forward`` rejects by name
     pred = np.concatenate([predict(model, scaler, windows.inputs[i : i + EVAL_BATCH])
-                           for i in range(0, len(windows), EVAL_BATCH)], axis=0)
+                           for i in range(0, max(len(windows), 1), EVAL_BATCH)], axis=0)
     truth = windows.targets
     per_horizon = [metrics(pred[:, :, k:k + 1], truth[:, :, k:k + 1]) for k in range(pred.shape[2])]
     average = metrics(pred, truth)
@@ -523,7 +545,11 @@ def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch) -> dict:
 
 
 def predict(model: SDGLModel, scaler: Scaler, x: np.ndarray) -> np.ndarray:
-    """Forecast from a raw-unit (N, h) or (B, N, h) window, in raw units."""
+    """Forecast from a raw-unit (N, h) or (B, N, h) window, in raw units.
+
+    Called outside a ``Tape``, as ``evaluate`` calls it, ``SDGLModel.forward``
+    skips the last layer's graph branches and residual, which feed nothing.
+    """
     x = np.asarray(x, dtype=np.float64)
     n, h = model.config.n_nodes, model.config.window
     if x.ndim not in (2, 3) or x.shape[-2:] != (n, h):

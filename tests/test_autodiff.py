@@ -194,6 +194,18 @@ class TestBackward:
         with pytest.raises(ad.TapeError, match="consumed"):
             t.backward(y)
 
+    def test_tape_active_only_while_a_tape_records(self):
+        assert not ad.tape_active()
+        t = Tape()
+        with t:
+            assert ad.tape_active()
+        assert not ad.tape_active()
+        with pytest.raises(ValueError):
+            with Tape():
+                assert ad.tape_active()
+                raise ValueError
+        assert not ad.tape_active()
+
     def test_gradient_accumulates_on_reuse(self):
         x = Tensor([3.0], requires_grad=True)
         t = Tape()

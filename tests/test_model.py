@@ -28,6 +28,7 @@ from sdgl.data import (
     PlantedGraphSpec,
     Scaler,
     SeriesDataset,
+    WindowBatch,
     make_windows,
     metrics,
     save_csv,
@@ -176,6 +177,19 @@ class TestModelConfig:
         with pytest.raises(SettingTypeError, match=f"^{field}: need a finite number, "
                                                    "got one past float range$"):
             tiny_config(**{field: 10 ** (digits - 1)})
+
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(epochs=-10**5000), "epochs"),
+        (dict(seed=-10**5000), "seed"),
+        (dict(layers=10**5000), "window"),
+        (dict(channels=10**5000 + 2), "channels"),
+        (dict(heads=10**5000), "heads"),
+    ], ids=["epochs", "seed", "layers", "channels", "heads"])
+    def test_integer_past_str_limit_names_the_field(self, overrides, field):
+        # str() of a 5001-digit int raises ValueError, so the message names the
+        # field and does not print the value
+        with pytest.raises(ConfigError, match=f"^{field}: .*\\(too many digits to print\\)"):
+            tiny_config(**overrides)
 
     def test_head_dim_divisibility(self):
         with pytest.raises(ConfigError, match="divisible"):
@@ -659,8 +673,11 @@ class TestSkippedBranches:
         for name, g in dynamic.items():
             assert g is not None and not g.any(), name
 
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_each_graph_reaches_mix_hop_as_built(self, monkeypatch, layers):
+    @staticmethod
+    def graphs_received(monkeypatch, layers, taped):
+        """Run a training-mode forward pass, under a ``Tape`` if ``taped``, and
+        check that each conv that runs gets the very softmax output its graph's
+        builder returned. Returns the convs that got a graph."""
         model = SDGLModel(tiny_config(layers=layers, growth=1.5, window=30))
         built, received, normalized = [], [], []
         build, mix_hop = sdgl_model.build_static_graph, MixHopConv.mix_hop
@@ -682,15 +699,32 @@ class TestSkippedBranches:
         monkeypatch.setattr(sdgl_model, "build_static_graph", building)
         monkeypatch.setattr(MixHopConv, "mix_hop", receiving)
         monkeypatch.setattr(graph_conv, "transition_matrix", normalizing)
-        x = np.random.default_rng(2).standard_normal((3, 4, 30))
-        res = model.forward(Tensor(x), training=True)
+        x = Tensor(np.random.default_rng(2).standard_normal((3, 4, 30)))
+        if taped:
+            with Tape():
+                res = model.forward(x, training=True)
+        else:
+            res = model.forward(x, training=True)
         assert len(built) == 1 and not normalized
-        # each branch gets the very softmax output its graph's builder returned
         want = {id(conv): built[0] for conv in model.gcn_static}
         want.update({id(conv): res.dynamic_graphs.values for conv in model.gcn_dynamic})
-        assert sorted(id(conv) for conv, _ in received) == sorted(want)
         for conv, p in received:
             assert p is want[id(conv)]
+        return model, [conv for conv, _ in received]
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_each_graph_reaches_mix_hop_as_built(self, monkeypatch, layers):
+        # under a tape every layer's branches run, the last one's too
+        model, reached = self.graphs_received(monkeypatch, layers, taped=True)
+        assert sorted(map(id, reached)) == sorted(map(id, model.gcn_static + model.gcn_dynamic))
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_untaped_forward_runs_no_last_layer_branch(self, monkeypatch, layers):
+        # without a tape only the layers before the last reach mix-hop, still
+        # with the graphs as built; at one layer no conv runs at all
+        model, reached = self.graphs_received(monkeypatch, layers, taped=False)
+        live = model.gcn_static[:-1] + model.gcn_dynamic[:-1]
+        assert sorted(map(id, reached)) == sorted(map(id, live))
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     @pytest.mark.parametrize("overrides", [
@@ -716,6 +750,77 @@ class TestSkippedBranches:
             assert (g is None) == (want[name] is None), name
             if g is not None:
                 close(g, want[name])
+
+
+UNTAPED_CONFIGS = {**REFERENCE_CONFIGS, "1-layer": dict(window=19, layers=1),
+                   "no_gloss": dict(window=19, layers=2, ablation=("no_gloss",))}
+
+
+class TestUntapedForward:
+    """Without a tape ``forward`` skips the last layer's graph branches and
+    residual, which nothing it returns reads: its outputs are the taped
+    pass's bit for bit."""
+
+    @staticmethod
+    def config(name):
+        return ModelConfig(**{**REFERENCE_BASE, **UNTAPED_CONFIGS[name]})
+
+    @staticmethod
+    def taped(model, x, training):
+        with Tape():
+            return model.forward(Tensor(x), training=training)
+
+    @staticmethod
+    def assert_same(got, want):
+        np.testing.assert_array_equal(got.prediction.data, want.prediction.data)
+        np.testing.assert_array_equal(got.reg_loss.data, want.reg_loss.data)
+        assert (got.dynamic_graphs is None) == (want.dynamic_graphs is None)
+        if got.dynamic_graphs is not None:
+            np.testing.assert_array_equal(got.dynamic_graphs.values.data,
+                                          want.dynamic_graphs.values.data)
+
+    @pytest.mark.parametrize("name", sorted(UNTAPED_CONFIGS))
+    def test_eval_forward_and_predict_match_the_taped_pass(self, name):
+        cfg = self.config(name)
+        rng = np.random.default_rng(7)
+        raw = rng.normal(size=(6, cfg.n_nodes, cfg.window)) * 3 + 5
+        scaler = Scaler(rng.normal(size=cfg.n_nodes), rng.uniform(0.5, 2.0, size=cfg.n_nodes))
+        x = scaler.transform_windows(raw)
+        model = SDGLModel(cfg)
+        want = self.taped(model, x, training=False)
+        self.assert_same(model.forward(Tensor(x)), want)
+        np.testing.assert_array_equal(predict(model, scaler, raw),
+                                      scaler.inverse_windows(want.prediction.data))
+
+    @pytest.mark.parametrize("name", sorted(UNTAPED_CONFIGS))
+    def test_training_forward_matches_the_taped_pass(self, name):
+        # two fresh models of one seed draw the same dropout masks, and the
+        # skipped ops draw none: both streams end at the same position
+        cfg = self.config(name)
+        x = np.random.default_rng(8).standard_normal((6, cfg.n_nodes, cfg.window))
+        taped_model, model = SDGLModel(cfg), SDGLModel(cfg)
+        want = self.taped(taped_model, x, training=True)
+        self.assert_same(model.forward(Tensor(x), training=True), want)
+        assert model.dropout_rng.random() == taped_model.dropout_rng.random()
+
+    @pytest.mark.parametrize("name", sorted(UNTAPED_CONFIGS))
+    def test_last_layer_mix_hops_run_only_under_a_tape(self, monkeypatch, name):
+        cfg = self.config(name)
+        model = SDGLModel(cfg)
+        mix_hop, calls = MixHopConv.mix_hop, []
+
+        def counting(self, x, p):
+            calls.append(self)
+            return mix_hop(self, x, p)
+
+        monkeypatch.setattr(MixHopConv, "mix_hop", counting)
+        x = np.random.default_rng(9).standard_normal((2, cfg.n_nodes, cfg.window))
+        branches = 1 if "no_dyadj" in cfg.ablation else 2
+        model.forward(Tensor(x))
+        assert len(calls) == branches * (cfg.layers - 1)
+        calls.clear()
+        self.taped(model, x, training=False)
+        assert len(calls) == branches * cfg.layers
 
 
 class TestHybridLoss:
@@ -973,6 +1078,14 @@ class TestEvaluatePredict:
         for shape in [(19,), (1, 1, 4, 19), (4, 7)]:
             with pytest.raises(ad.ShapeError, match=r"\(4, 19\) or \(B, 4, 19\) window"):
                 predict(out.model, out.scaler, np.zeros(shape))
+
+    def test_evaluate_rejects_no_windows(self):
+        # the error predict gives for B = 0, not numpy's empty-concatenate one
+        model = SDGLModel(tiny_config())
+        empty = WindowBatch(np.zeros((0, 4, 19)), np.zeros((0, 4, 3)), np.zeros(0, dtype=int))
+        with pytest.raises(ad.ShapeError, match=r"forward: expected \(B, 4, 19\) input "
+                                                r"with B >= 1, got \(0, 4, 19\)"):
+            evaluate(model, Scaler(np.zeros(4), np.ones(4)), empty)
 
     def test_evaluate_scores_predict(self):
         # more windows than one evaluate batch of 128
