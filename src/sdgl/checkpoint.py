@@ -21,6 +21,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -96,10 +97,14 @@ def load(path) -> Checkpoint:
         blob = _read(fh, hlen, path, "header")
         try:
             header = json.loads(blob.decode("utf-8"))
-        # a header nested past the parser's depth limit raises RecursionError, and
-        # an integer past Python's int-to-str limit a plain ValueError
-        except (ValueError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointError(f"{path}: header is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise CheckpointError(f"{path}: header is nested past the JSON parser's "
+                                  "recursion depth limit") from None
+        except ValueError:  # the parser's one other error: its syntax is valid
+            raise CheckpointError(f"{path}: header holds an integer past Python's int-to-str "
+                                  f"limit of {sys.get_int_max_str_digits()} digits") from None
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, "
                                   "not an object")

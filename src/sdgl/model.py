@@ -17,7 +17,18 @@ convolution's bias term is exact), and the first layer reads the raw
 one-channel series. The head reads only the last step of each skip, so each
 layer, its graph branches and its residual run only at the steps that reach
 it: ``temporal.step_plan``, computed once per model from the config, gives
-them. Training minimizes lambda * graph regularization + L1 prediction loss;
+them. Consecutive stride-1 windows of one series (``predict`` and ``evaluate``
+score them) overlap in all but one step, and the first layer's gated
+convolution, static mix-hop and residual do not depend on the window: a
+convolution, a fixed graph and a per-step map give the same value at a series
+step whichever window reads it. So without a tape such a batch runs them once
+over the span of the series the windows slide over, and each window reads its
+kept steps of that span as a strided view; the dynamic branch, whose graph is
+per window, the graph learners, the later layers and the head run per window
+as before. The check is on the values, so a NaN fails it. A taped pass, any
+other batch, and a batch whose span would compute no fewer first-layer steps
+than its windows (B <= 2 at the defaults, and any one-layer model) run per
+window. Training minimizes lambda * graph regularization + L1 prediction loss;
 after every optimizer step the dynamic embeddings follow the static ones by
 momentum only.
 """
@@ -226,6 +237,19 @@ def state_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     yield "out_b2", (config.horizon,)
 
 
+def _windows(span: Tensor, b: int, count: int, step: int) -> Tensor:
+    """The (B, C, count, N) steps of b consecutive windows in a (1, C, T, N) map
+    of the span they slide over: window i's step j is the span's step i + step*j.
+
+    A read-only strided view with no tape record, so only untaped passes use it.
+    """
+    data = span.data[0]
+    c_stride, t_stride, n_stride = data.strides
+    return Tensor(np.lib.stride_tricks.as_strided(
+        data, (b, data.shape[0], count, data.shape[2]),
+        (t_stride, c_stride, step * t_stride, n_stride), writeable=False))
+
+
 @dataclass
 class ForwardResult:
     prediction: Tensor  # (B, N, L), normalized units
@@ -321,7 +345,10 @@ class SDGLModel:
         Without an active ``Tape`` the last layer stops after its skip map:
         its graph branches and residual feed nothing the result holds. Under
         a tape they run, so backward gives their parameters zero gradients.
-        The result is the same bit for bit either way.
+        The result is the same bit for bit either way. Without a tape, windows
+        that slide over one series by one step each also share the first
+        layer's window-independent work (see the module docstring); their
+        forecast then differs from the per-window one only by rounding.
         """
         if isinstance(x, np.ndarray):
             x = Tensor(x)
@@ -346,16 +373,32 @@ class SDGLModel:
         # map is folded into the first layer and its residual, so the first hidden map
         # is the raw (B, 1, T, N) series.
         t_in = self.step_plan[0][1]
-        hidden = ad.reshape(ad.transpose(ad.narrow(x, 2, h - t_in, t_in)), (b, 1, t_in, n))
+        s_out, t_out = self.step_plan[1]
+        # Windows that slide over one series by one step each share the first
+        # layer's window-independent work: without a tape it runs once over the
+        # (1, 1, B + t_in - 1, N) span they read, where that computes fewer steps.
+        shared = (not ad.tape_active() and b + s_out * (t_out - 1) < b * t_out
+                  and np.array_equal(x.data[1:, :, :-1], x.data[:-1, :, 1:]))
+        if shared:
+            # series step i is window i's first step, then come the last window's others;
+            # the span starts at the first step the first layer reads
+            span = np.concatenate([x.data[:, :, 0], x.data[-1, :, 1:].T])[h - t_in:]
+            hidden = Tensor(span.reshape(1, 1, -1, n))
+        else:
+            hidden = ad.reshape(ad.transpose(ad.narrow(x, 2, h - t_in, t_in)), (b, 1, t_in, n))
         skip_total: Tensor | None = None
         for j, layer in enumerate(self.tcn_layers):
             (s_in, t_in), (s_out, t_out) = self.step_plan[j], self.step_plan[j + 1]
             # in units of the input's kept steps
             step = s_out // s_in
+            on_span = shared and j == 0
+            # on the span every output step is some window's kept step
+            stride = 1 if on_span else step
             start = (self.start_w, self.start_b) if j == 0 else ()
-            temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, step, *start)
+            temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, stride, *start)
+            windows = _windows(temporal, b, t_out, step) if on_span else temporal
             # the output head reads only the last step, so each skip maps only that step
-            skip = ad.channel_map(ad.narrow(temporal, 2, t_out - 1, 1), self.skip_w[j])
+            skip = ad.channel_map(ad.narrow(windows, 2, t_out - 1, 1), self.skip_w[j])
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
             # nothing reads the last layer's graph branches and residual: they run
             # only under a tape, whose backward gives their parameters zero gradients
@@ -363,10 +406,15 @@ class SDGLModel:
                 break
 
             fused = self.gcn_static[j].mix_hop(temporal, static)
+            if on_span:
+                fused = _windows(fused, b, t_out, step)
             if dynamic is not None:
-                fused = ad.add(fused, self.gcn_dynamic[j].mix_hop(temporal, dynamic.values))
+                if on_span:  # each window's graph reads that window's steps as its own rows
+                    windows = Tensor(np.ascontiguousarray(windows.data))
+                fused = ad.add(fused, self.gcn_dynamic[j].mix_hop(windows, dynamic.values))
 
-            res_in = ad.narrow(hidden, 2, t_in - 1 - step * (t_out - 1), t_out, step)
+            res_in = ad.narrow(hidden, 2, t_in - 1 - step * (t_out - 1), temporal.shape[2],
+                               stride)
             if j == 0:
                 # residual_w (start_w x + start_b) = (residual_w start_w) x + residual_w start_b
                 res_w = ad.matmul(self.residual_w[0], self.start_w)
@@ -375,6 +423,8 @@ class SDGLModel:
                 residual = ad.channel_map(res_in, res_w, res_b)
             else:
                 residual = ad.channel_map(res_in, self.residual_w[j])
+            if on_span:
+                residual = _windows(residual, b, t_out, step)
             hidden = ad.add(fused, residual)
 
         h1 = ad.relu(ad.channel_map(skip_total, self.out_w1, self.out_b1))
@@ -525,19 +575,16 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
                        seconds=seconds)
 
 
-EVAL_BATCH = 128  # windows per ``predict`` call in ``evaluate``
+EVAL_BATCH = 128  # windows per ``forward`` call in ``predict``
 
 
 def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch) -> dict:
     """Per-horizon and horizon-averaged metrics of ``predict``, in original units.
 
-    Scores ``predict`` on consecutive slices of EVAL_BATCH windows, so only
-    one slice is ever normalized at a time. CORR correlates each node over the
-    windows, at step k for ``per_horizon[k]`` and over all steps for ``average``.
+    CORR correlates each node over the windows, at step k for
+    ``per_horizon[k]`` and over all steps for ``average``.
     """
-    # no windows still make one (empty) slice, which ``forward`` rejects by name
-    pred = np.concatenate([predict(model, scaler, windows.inputs[i : i + EVAL_BATCH])
-                           for i in range(0, max(len(windows), 1), EVAL_BATCH)], axis=0)
+    pred = predict(model, scaler, windows.inputs)
     truth = windows.targets
     per_horizon = [metrics(pred[:, :, k:k + 1], truth[:, :, k:k + 1]) for k in range(pred.shape[2])]
     average = metrics(pred, truth)
@@ -547,8 +594,11 @@ def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch) -> dict:
 def predict(model: SDGLModel, scaler: Scaler, x: np.ndarray) -> np.ndarray:
     """Forecast from a raw-unit (N, h) or (B, N, h) window, in raw units.
 
-    Called outside a ``Tape``, as ``evaluate`` calls it, ``SDGLModel.forward``
-    skips the last layer's graph branches and residual, which feed nothing.
+    Runs ``SDGLModel.forward`` on consecutive slices of EVAL_BATCH windows,
+    so only one slice is ever normalized at a time. Called outside a ``Tape``,
+    ``forward`` skips the last layer's graph branches and residual, which feed
+    nothing, and a slice of consecutive windows shares its first layer's
+    window-independent work.
     """
     x = np.asarray(x, dtype=np.float64)
     n, h = model.config.n_nodes, model.config.window
@@ -558,6 +608,10 @@ def predict(model: SDGLModel, scaler: Scaler, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 2
     if single:
         x = x[None]
-    out = model.forward(Tensor(scaler.transform_windows(x)), training=False)
-    y = scaler.inverse_windows(out.prediction.data)
+    slices = []
+    # no windows still make one (empty) slice, which ``forward`` rejects by name
+    for i in range(0, max(len(x), 1), EVAL_BATCH):
+        out = model.forward(Tensor(scaler.transform_windows(x[i : i + EVAL_BATCH])))
+        slices.append(scaler.inverse_windows(out.prediction.data))
+    y = np.concatenate(slices)
     return y[0] if single else y

@@ -823,6 +823,119 @@ class TestUntapedForward:
         assert len(calls) == branches * cfg.layers
 
 
+SPAN_CONFIGS = {
+    "default": dict(), "1-layer": dict(layers=1),
+    "3-layers-growth1.5": dict(layers=3, growth=1.5, window=30), "window24": dict(window=24),
+    "growth3": dict(growth=3.0, window=40), "depth3": dict(depth=3),
+    **{flag: dict(ablation=(flag,)) for flag in ("no_dyadj", "no_ifm", "ifm_plus")},
+}
+
+
+class TestSharedSpan:
+    """Without a tape, consecutive windows of one series run the first layer's
+    convolution, static mix-hop and residual once over the span they slide
+    over; any other batch runs per window, bit for bit as the taped pass."""
+
+    @staticmethod
+    def config(name):
+        return ModelConfig(**{**REFERENCE_BASE, "window": 19, **SPAN_CONFIGS[name]})
+
+    @staticmethod
+    def windows(cfg, b):
+        series = np.random.default_rng(11).normal(size=(b + cfg.window + cfg.horizon, cfg.n_nodes))
+        return np.ascontiguousarray(make_windows(series, cfg.window, cfg.horizon).inputs[:b])
+
+    @staticmethod
+    def spans(monkeypatch):
+        """The list each forward pass that takes the span path appends to."""
+        shared, calls = sdgl_model._windows, []
+
+        def counting(span, b, count, step):
+            calls.append(b)
+            return shared(span, b, count, step)
+
+        monkeypatch.setattr(sdgl_model, "_windows", counting)
+        return calls
+
+    @staticmethod
+    def taped(model, x, training=False):
+        with Tape():
+            return model.forward(Tensor(x), training=training)
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 128, 129, 300])
+    @pytest.mark.parametrize("name", sorted(SPAN_CONFIGS))
+    def test_span_matches_the_per_window_pass(self, monkeypatch, name, b):
+        cfg = self.config(name)
+        model, x = SDGLModel(cfg), self.windows(cfg, b)
+        want = self.taped(model, x)
+        calls = self.spans(monkeypatch)
+        got = model.forward(Tensor(x))
+        step, t_out = model.step_plan[1]
+        # the span path runs only where it computes fewer first-layer steps
+        assert bool(calls) == (b + step * (t_out - 1) < b * t_out)
+        scale = np.abs(want.prediction.data).max()
+        assert np.abs(got.prediction.data - want.prediction.data).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(got.reg_loss.data, want.reg_loss.data)
+        if got.dynamic_graphs is not None:
+            np.testing.assert_array_equal(got.dynamic_graphs.values.data,
+                                          want.dynamic_graphs.values.data)
+
+    def test_training_span_matches_the_taped_pass(self, monkeypatch):
+        # the dynamic learner still runs per window, drawing the same dropout masks
+        cfg = self.config("default")
+        x = self.windows(cfg, 40)
+        taped_model, model = SDGLModel(cfg), SDGLModel(cfg)
+        want = self.taped(taped_model, x, training=True)
+        calls = self.spans(monkeypatch)
+        got = model.forward(Tensor(x), training=True)
+        assert calls
+        scale = np.abs(want.prediction.data).max()
+        assert np.abs(got.prediction.data - want.prediction.data).max() <= 1e-12 * scale
+        assert model.dropout_rng.random() == taped_model.dropout_rng.random()
+
+    @pytest.mark.parametrize("fault", ["perturbed window", "shuffled", "nan cell"])
+    def test_other_batches_run_per_window(self, monkeypatch, fault):
+        cfg = self.config("default")
+        x = self.windows(cfg, 128)
+        if fault == "perturbed window":
+            x[60, 2, 5] += 1e-12
+        elif fault == "shuffled":
+            x = x[np.random.default_rng(3).permutation(len(x))]
+        else:
+            # one series cell, so every window that holds it holds NaN at the same place
+            series = np.random.default_rng(11).normal(size=(150, cfg.n_nodes))
+            series[70, 3] = np.nan
+            x = np.ascontiguousarray(make_windows(series, cfg.window, cfg.horizon).inputs[:128])
+        model = SDGLModel(cfg)
+        want = self.taped(model, x)
+        calls = self.spans(monkeypatch)
+        got = model.forward(Tensor(x))
+        assert not calls
+        np.testing.assert_array_equal(got.prediction.data, want.prediction.data)
+        if fault == "nan cell":
+            assert np.isnan(got.prediction.data).any()
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_taped_forward_never_shares(self, monkeypatch, training):
+        cfg = self.config("default")
+        calls = self.spans(monkeypatch)
+        self.taped(SDGLModel(cfg), self.windows(cfg, 128), training)
+        assert not calls
+
+    def test_predict_shares_within_each_slice(self, monkeypatch):
+        # 300 windows are slices of 128, 128 and 44, each its own span
+        cfg = self.config("default")
+        model, x = SDGLModel(cfg), self.windows(cfg, 300)
+        scaler = Scaler(np.zeros(cfg.n_nodes), np.ones(cfg.n_nodes))
+        calls = self.spans(monkeypatch)
+        got = predict(model, scaler, x)
+        # three views of each span: the skip's, the static branch's and the residual's
+        assert calls == [128] * 6 + [44] * 3
+        want = np.concatenate([self.taped(model, x[i : i + 128]).prediction.data
+                               for i in range(0, 300, 128)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestHybridLoss:
     def test_perfect_prediction_leaves_regularizer(self):
         p = Tensor(np.ones((2, 3, 4)))
@@ -1111,10 +1224,13 @@ class TestEvaluatePredict:
         pooled = [np.corrcoef(pred[:, i].ravel(), truth[:, i].ravel())[0, 1] for i in range(4)]
         assert rep["average"]["CORR"] == pytest.approx(np.mean(pooled), abs=1e-12)
 
-    def test_evaluate_memory_does_not_grow_with_window_copies(self):
-        # evaluate normalizes one batch at a time: from T = 2048 to T = 8192
-        # its peak grows by less than half of what the extra windows would
-        # take as one normalized copy (4.7 MB for 10 nodes at h = 19)
+    @pytest.mark.parametrize("run", [
+        evaluate, lambda model, scaler, windows: predict(model, scaler, windows.inputs),
+    ], ids=["evaluate", "predict"])
+    def test_evaluate_memory_does_not_grow_with_window_copies(self, run):
+        # predict, and evaluate through it, normalizes one slice at a time: from
+        # T = 2048 to T = 8192 the peak grows by less than half of what the
+        # extra windows would take as one normalized copy (4.7 MB for 10 nodes at h = 19)
         model = SDGLModel(ModelConfig(n_nodes=10))
 
         def peak(t):
@@ -1122,7 +1238,7 @@ class TestEvaluatePredict:
             windows = make_windows(values, 19, 3)
             tracemalloc.start()
             try:
-                evaluate(model, Scaler.fit(values), windows)
+                run(model, Scaler.fit(values), windows)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1400,6 +1516,10 @@ class TestCheckpoint:
             return [h]
         elif mutation == "header nested too deeply":
             return b"[" * 200_000  # past the JSON parser's depth limit
+        elif mutation == "header cut short":
+            return json.dumps(h).encode()[:-1]
+        elif mutation == "header not UTF-8":
+            return json.dumps(h).encode().replace(b'"config"', b'"conf\xe9g"')
         elif mutation in ("scaler.mean missing", "scaler.std missing"):
             del records[mutation.split()[0]]
             h["tensor_count"] -= 1
@@ -1429,11 +1549,14 @@ class TestCheckpoint:
         "config invalid": "'config'.*heads",
         "config too many layers": "'config': window: ",
         "config number past float range": "'config': learning_rate: need a finite number",
-        "config integer past the int-to-str limit": "header is not valid JSON: .*4300 digits",
+        "config integer past the int-to-str limit":
+            "header holds an integer past Python's int-to-str limit of 4300 digits",
         "ablation a string": "'config': ablation: need a list",
         "ablation an object": "'config': ablation: need a list",
         "header a list": "header is a JSON list",
-        "header nested too deeply": "header is not valid JSON: maximum recursion depth",
+        "header nested too deeply": "header is nested past the JSON parser's recursion depth limit",
+        "header cut short": "header is not valid JSON: Expecting ',' delimiter",
+        "header not UTF-8": "header is not valid JSON: 'utf-8' codec can't decode byte 0xe9",
         "scaler.mean missing": "missing tensor record 'scaler.mean'",
         "scaler.std missing": "missing tensor record 'scaler.std'",
         "rank 33": "tensor 'dynamic.fusion.b_in' has rank 33",
