@@ -56,7 +56,14 @@ the input. ``propagate`` reads
 each (channel, step) as a row of N node values: its forward pass is
 rows @ p^T, one GEMM over all B*C*T rows for a shared p and one per sample
 otherwise, and its backward pass is g_rows @ p and g_rows^T @ x_rows. No
-axis is moved and nothing is copied.
+axis is moved and nothing is copied. At train_wide's shapes (B = 32, C = 16,
+T = 13, N = 100; a 2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS 0.3.31 on 1 thread)
+this layout took ``propagate``'s forward plus backward from about 33 to 22 ms
+with a shared matrix and from 31 to 23 ms with one per sample, and the 7-tap
+convolution's backward from 37 to 26 ms (medians of 25 calls, interleaved in
+one process). Under ``tracemalloc`` one training step at those shapes peaked
+at 112.2 MB, against 120.0 MB before the layout switch and the in-place
+accumulation below.
 
 The convolution's forward pass gathers the k shifted tap slices of a batch
 chunk into one buffer and runs one matmul with K = k*C_in, in place of k

@@ -22,15 +22,17 @@ score them) overlap in all but one step, and the first layer's gated
 convolution, static mix-hop and residual do not depend on the window: a
 convolution, a fixed graph and a per-step map give the same value at a series
 step whichever window reads it. So without a tape such a batch runs them once
-over the span of the series the windows slide over, and each window reads its
-kept steps of that span as a strided view; the dynamic branch, whose graph is
-per window, the graph learners, the later layers and the head run per window
-as before. The check is on the values, so a NaN fails it. A taped pass, any
-other batch, and a batch whose span would compute no fewer first-layer steps
-than its windows (B <= 2 at the defaults, and any one-layer model) run per
-window. Training minimizes lambda * graph regularization + L1 prediction loss;
-after every optimizer step the dynamic embeddings follow the static ones by
-momentum only.
+over the span of the series the windows slide over. Every layer's output is
+(static mix-hop + residual) + dynamic mix-hop, in that order on every path, so
+on the span that first sum runs once too, and each window reads its kept steps
+of the gated output and of the sum as two read-only views. The dynamic branch,
+whose graph is per window, the graph learners, the later layers and the head
+run per window. The check is on the values, so a NaN fails it. A taped pass,
+any other batch, and a batch whose span would compute no fewer first-layer
+steps than its windows (B <= 2 at the defaults, and any one-layer model) run
+per window. Training minimizes lambda * graph regularization + L1 prediction
+loss; after every optimizer step the dynamic embeddings follow the static ones
+by momentum only.
 """
 
 from __future__ import annotations
@@ -241,13 +243,10 @@ def _windows(span: Tensor, b: int, count: int, step: int) -> Tensor:
     """The (B, C, count, N) steps of b consecutive windows in a (1, C, T, N) map
     of the span they slide over: window i's step j is the span's step i + step*j.
 
-    A read-only strided view with no tape record, so only untaped passes use it.
+    A read-only view with no copy and no tape record, so only untaped passes use it.
     """
-    data = span.data[0]
-    c_stride, t_stride, n_stride = data.strides
-    return Tensor(np.lib.stride_tricks.as_strided(
-        data, (b, data.shape[0], count, data.shape[2]),
-        (t_stride, c_stride, step * t_stride, n_stride), writeable=False))
+    return Tensor(np.lib.stride_tricks.sliding_window_view(
+        span.data[0], step * (count - 1) + 1, axis=1)[:, :b, :, ::step].transpose(1, 0, 3, 2))
 
 
 @dataclass
@@ -345,10 +344,9 @@ class SDGLModel:
         Without an active ``Tape`` the last layer stops after its skip map:
         its graph branches and residual feed nothing the result holds. Under
         a tape they run, so backward gives their parameters zero gradients.
-        The result is the same bit for bit either way. Without a tape, windows
-        that slide over one series by one step each also share the first
-        layer's window-independent work (see the module docstring); their
-        forecast then differs from the per-window one only by rounding.
+        The result is the same bit for bit either way. Without a tape, a batch
+        of consecutive windows of one series takes the module docstring's span
+        path, and its forecast differs from the per-window one only by rounding.
         """
         if isinstance(x, np.ndarray):
             x = Tensor(x)
@@ -374,10 +372,9 @@ class SDGLModel:
         # is the raw (B, 1, T, N) series.
         t_in = self.step_plan[0][1]
         s_out, t_out = self.step_plan[1]
-        # Windows that slide over one series by one step each share the first
-        # layer's window-independent work: without a tape it runs once over the
-        # (1, 1, B + t_in - 1, N) span they read, where that computes fewer steps.
-        shared = (not ad.tape_active() and b + s_out * (t_out - 1) < b * t_out
+        # the span path of the module docstring, where it computes fewer first-layer steps
+        taped = ad.tape_active()
+        shared = (not taped and b + s_out * (t_out - 1) < b * t_out
                   and np.array_equal(x.data[1:, :, :-1], x.data[:-1, :, 1:]))
         if shared:
             # series step i is window i's first step, then come the last window's others;
@@ -402,30 +399,28 @@ class SDGLModel:
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
             # nothing reads the last layer's graph branches and residual: they run
             # only under a tape, whose backward gives their parameters zero gradients
-            if j == cfg.layers - 1 and not ad.tape_active():
+            if j == cfg.layers - 1 and not taped:
                 break
 
-            fused = self.gcn_static[j].mix_hop(temporal, static)
-            if on_span:
-                fused = _windows(fused, b, t_out, step)
-            if dynamic is not None:
-                if on_span:  # each window's graph reads that window's steps as its own rows
-                    windows = Tensor(np.ascontiguousarray(windows.data))
-                fused = ad.add(fused, self.gcn_dynamic[j].mix_hop(windows, dynamic.values))
-
-            res_in = ad.narrow(hidden, 2, t_in - 1 - step * (t_out - 1), temporal.shape[2],
-                               stride)
             if j == 0:
                 # residual_w (start_w x + start_b) = (residual_w start_w) x + residual_w start_b
                 res_w = ad.matmul(self.residual_w[0], self.start_w)
                 res_b = ad.reshape(ad.matmul(self.residual_w[0],
                                              ad.reshape(self.start_b, (-1, 1))), (-1,))
-                residual = ad.channel_map(res_in, res_w, res_b)
             else:
-                residual = ad.channel_map(res_in, self.residual_w[j])
+                res_w, res_b = self.residual_w[j], None
+            res_in = ad.narrow(hidden, 2, t_in - 1 - step * (t_out - 1), temporal.shape[2],
+                               stride)
+            # (static mix-hop + residual) + dynamic mix-hop on every path; no name holds
+            # the two terms, so neither outlives their sum
+            hidden = ad.add(self.gcn_static[j].mix_hop(temporal, static),
+                            ad.channel_map(res_in, res_w, res_b))
             if on_span:
-                residual = _windows(residual, b, t_out, step)
-            hidden = ad.add(fused, residual)
+                hidden = _windows(hidden, b, t_out, step)
+            if dynamic is not None:
+                if on_span:  # each window's graph reads that window's steps as its own rows
+                    windows = Tensor(np.ascontiguousarray(windows.data))
+                hidden = ad.add(hidden, self.gcn_dynamic[j].mix_hop(windows, dynamic.values))
 
         h1 = ad.relu(ad.channel_map(skip_total, self.out_w1, self.out_b1))
         y = ad.channel_map(h1, self.out_w2, self.out_b2)  # (B, L, 1, N)
@@ -595,10 +590,8 @@ def predict(model: SDGLModel, scaler: Scaler, x: np.ndarray) -> np.ndarray:
     """Forecast from a raw-unit (N, h) or (B, N, h) window, in raw units.
 
     Runs ``SDGLModel.forward`` on consecutive slices of EVAL_BATCH windows,
-    so only one slice is ever normalized at a time. Called outside a ``Tape``,
-    ``forward`` skips the last layer's graph branches and residual, which feed
-    nothing, and a slice of consecutive windows shares its first layer's
-    window-independent work.
+    so only one slice is ever normalized at a time, and a slice of consecutive
+    windows takes the span path of the module docstring.
     """
     x = np.asarray(x, dtype=np.float64)
     n, h = model.config.n_nodes, model.config.window

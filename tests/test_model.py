@@ -862,6 +862,22 @@ class TestSharedSpan:
         with Tape():
             return model.forward(Tensor(x), training=training)
 
+    # (C, b, count, step, N, span steps past the last window's first)
+    @pytest.mark.parametrize("c, b, count, step, n, extra", [
+        (1, 1, 1, 1, 1, 0), (16, 128, 7, 2, 10, 0), (16, 5, 19, 1, 4, 3),
+        (3, 4, 3, 3, 2, 0), (2, 6, 1, 2, 5, 2), (4, 3, 4, 3, 3, 5),
+    ])
+    def test_windows_match_an_index_oracle(self, c, b, count, step, n, extra):
+        t = b + step * (count - 1) + extra
+        span = np.arange(c * t * n, dtype=np.float64).reshape(1, c, t, n)
+        got = sdgl_model._windows(Tensor(span), b, count, step).data
+        # window i's step j is the span's step i + step*j
+        want = np.stack([span[0][:, i + step * np.arange(count)] for i in range(b)])
+        np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(got, span)
+        with pytest.raises(ValueError):
+            got[...] = 0.0
+
     @pytest.mark.parametrize("b", [1, 2, 3, 128, 129, 300])
     @pytest.mark.parametrize("name", sorted(SPAN_CONFIGS))
     def test_span_matches_the_per_window_pass(self, monkeypatch, name, b):
@@ -929,8 +945,9 @@ class TestSharedSpan:
         scaler = Scaler(np.zeros(cfg.n_nodes), np.ones(cfg.n_nodes))
         calls = self.spans(monkeypatch)
         got = predict(model, scaler, x)
-        # three views of each span: the skip's, the static branch's and the residual's
-        assert calls == [128] * 6 + [44] * 3
+        # two views of each span: the gated output's (skip and dynamic branch) and
+        # the static branch plus residual's
+        assert calls == [128] * 4 + [44] * 2
         want = np.concatenate([self.taped(model, x[i : i + 128]).prediction.data
                                for i in range(0, 300, 128)])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
