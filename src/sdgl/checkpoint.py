@@ -150,9 +150,14 @@ def load(path) -> Checkpoint:
     unexpected = sorted(tensors.keys() - seen)
     if unexpected:
         raise CheckpointError(f"{path}: unexpected tensor record {unexpected[0]!r}")
-    model = SDGLModel(config)
     values = {name: data.reshape(dims) for name, (dims, data) in tensors.items()}
+    # ``save`` writes a scaler's std, which is floored, so a value below the floor is corrupt
+    scaler = Scaler(values["scaler.mean"], values["scaler.std"])
+    low = scaler.std != values["scaler.std"]
+    if low.any():
+        raise CheckpointError(f"{path}: tensor 'scaler.std' holds {values['scaler.std'][low][0]}"
+                              f", below the scaler's floor of {scaler.std[low][0]}")
+    model = SDGLModel(config)
     for name, t in model.state_tensors().items():
         t.data = values[name]
-    scaler = Scaler(values["scaler.mean"], values["scaler.std"])
     return Checkpoint(model=model, scaler=scaler)

@@ -285,24 +285,27 @@ def metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ParseError(f"metric shapes differ: {pred.shape} vs {truth.shape}")
+    # err's buffer holds |err|, |err / truth| and the centred truth in turn
     err = pred - truth
-    mae = float(np.abs(err).mean())
-    rmse = float(np.sqrt((err**2).mean()))
+    sse = float(np.vdot(err, err))
+    rmse = float(np.sqrt(sse / err.size))
+    mae = float(np.abs(err, out=err).mean())
     nz = truth != 0
-    mape = float((np.abs(err[nz]) / np.abs(truth[nz])).mean()) if nz.any() else None
-    denom = np.sqrt(((truth - truth.mean()) ** 2).sum())
-    rse = float(np.sqrt((err**2).sum()) / denom) if denom > 0 else None
+    np.divide(err, truth, out=err, where=nz)
+    mape = float(np.abs(err, out=err).mean(where=nz)) if nz.any() else None
+    np.subtract(truth, truth.mean(), out=err)
+    denom = np.sqrt(np.vdot(err, err))
+    rse = float(np.sqrt(sse) / denom) if denom > 0 else None
 
-    rows = pred.shape[-2] if pred.ndim >= 2 else 1
-    p2 = np.moveaxis(np.atleast_2d(pred), -2, 0).reshape(rows, -1)
-    t2 = np.moveaxis(np.atleast_2d(truth), -2, 0).reshape(rows, -1)
-    pc = p2 - p2.mean(axis=1, keepdims=True)
-    tc = t2 - t2.mean(axis=1, keepdims=True)
-    sp, st = (pc * pc).sum(axis=1), (tc * tc).sum(axis=1)
+    # (entries, nodes, entries): the node axis (-2) in the middle
+    p3, t3 = (a.reshape(-1, *a.shape[-2:]) for a in map(np.atleast_2d, (pred, truth)))
+    pc = p3 - p3.mean(axis=(0, 2), keepdims=True)
+    tc = np.subtract(t3, t3.mean(axis=(0, 2), keepdims=True), out=err.reshape(t3.shape))
+    sp, st = np.einsum("anl,anl->n", pc, pc), np.einsum("anl,anl->n", tc, tc)
     # a constant row can center to tiny nonzero values when its mean does not
     # round back to the constant, so test the range rather than the variance
-    keep = (np.ptp(p2, axis=1) > 0) & (np.ptp(t2, axis=1) > 0)
-    r = (pc * tc).sum(axis=1)[keep] / (np.sqrt(sp[keep]) * np.sqrt(st[keep]))
+    keep = (np.ptp(p3, axis=(0, 2)) > 0) & (np.ptp(t3, axis=(0, 2)) > 0)
+    r = np.einsum("anl,anl->n", pc, tc)[keep] / (np.sqrt(sp[keep]) * np.sqrt(st[keep]))
     corr = float(np.clip(r, -1.0, 1.0).mean()) if keep.any() else None
     return {"MAE": mae, "RMSE": rmse, "MAPE": mape, "RSE": rse, "CORR": corr}
 

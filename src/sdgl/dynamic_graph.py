@@ -7,7 +7,12 @@ as inductive bias before the final relu + row softmax.
 
 Each head scales its query, not its (N, N) product, by its mixing weight and
 1/sqrt(d_k): the scalar's gradient then reads the small query and key, and
-the tape holds no per-window N x N array for it.
+the tape holds no per-window N x N array for it. Where dropout draws no mask
+(eval, or keep probability 1), the heads' sum is one bilinear form of the
+normalized features, H A H^T with the (d, d) A = sum_i (mix_i/sqrt(d_k))
+W_q,i W_k,i^T built on the tape, so a window runs two products, not three per
+head. A mask drops entries of each head's product on its own, so with one the
+heads stay apart and draw the masks they drew.
 """
 
 from __future__ import annotations
@@ -98,12 +103,17 @@ class AdjacencyHeads:
     def correlate(self, h_t: Tensor, rng: RngState, training: bool) -> Tensor:
         """Sum over heads of dropout((mix_i / sqrt(d_k)) Q_i K_i^T).
 
-        The two factors scale the (B, N, d_k) query, not the product (see the
-        module docstring).
+        The two factors scale the (B, N, d_k) query, not the product, and
+        without a mask the heads collapse into one form (module docstring).
         """
         h_norm = ad.layer_norm(h_t, self.ln_gain, self.ln_bias)
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
         total: Tensor | None = None
+        if not training or self.dropout_keep == 1.0:
+            for w_q, w_k, mix in zip(self.w_q, self.w_k, self.head_mix):
+                term = ad.matmul(ad.mul(w_q, ad.scale(mix, inv_sqrt)), ad.transpose(w_k))
+                total = term if total is None else ad.add(total, term)
+            return ad.matmul(ad.matmul(h_norm, total), ad.transpose(h_norm))
         for i in range(self.n_heads):
             q = ad.mul(ad.matmul(h_norm, self.w_q[i]), ad.scale(self.head_mix[i], inv_sqrt))
             k = ad.matmul(h_norm, self.w_k[i])

@@ -9,6 +9,12 @@ stacked copy is formed, in the forward pass or on the tape.
 ``mix_hop`` takes the transition matrix: ``SDGLModel.forward`` hands it the
 learned graphs as built, row softmaxes whose rows sum to 1, which normalizing
 again would change only by rounding. ``__call__`` normalizes a raw adjacency.
+
+Selection commutes with propagation: W_k P^k x = P^k W_k x for the (C, C)
+block W_k of ``w_select`` that reads hop k, as W_k mixes channels and P nodes.
+So ``hop_maps`` forms every z_k = W_k x in one channel map, once for any
+number of graphs (``SDGLModel.forward``'s shared span), and ``horner`` sums
+P^k z_k as z_0 + P(z_1 + P(z_2 + ... + P z_d)).
 """
 
 from __future__ import annotations
@@ -56,4 +62,22 @@ class MixHopConv:
             cur = ad.propagate(cur, p)
             hops.append(cur)
         return ad.channel_map_concat(hops + [x], self.w_select, self.bias)
+
+    def hop_maps(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """(z_0 + bias, [z_1, ..., z_d] stacked on the channel axis), z_k = W_k x:
+        one channel map whose weight stacks the blocks of ``w_select``."""
+        c, d = self.bias.shape[0], self.depth
+        blocks = [ad.narrow(self.w_select, 1, c * k, c) for k in (d, *range(d))]
+        bias = ad.concat([self.bias, Tensor(np.zeros(c * d))], axis=0)
+        z = ad.channel_map(x, ad.concat(blocks, axis=0), bias)
+        return ad.narrow(z, 1, 0, c), ad.narrow(z, 1, c, c * d)
+
+    def horner(self, hops: Tensor, p: Tensor) -> Tensor:
+        """P(z_1 + P(z_2 + ... + P z_d)) of ``hop_maps``' stacked hops, so that
+        mix_hop(x, p) = z_0 + bias + horner(hops, p)."""
+        c = self.bias.shape[0]
+        acc = ad.propagate(ad.narrow(hops, 1, c * (self.depth - 1), c), p)
+        for k in range(self.depth - 2, -1, -1):
+            acc = ad.propagate(ad.add(ad.narrow(hops, 1, c * k, c), acc), p)
+        return acc
 

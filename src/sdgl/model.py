@@ -24,15 +24,18 @@ convolution, a fixed graph and a per-step map give the same value at a series
 step whichever window reads it. So without a tape such a batch runs them once
 over the span of the series the windows slide over. Every layer's output is
 (static mix-hop + residual) + dynamic mix-hop, in that order on every path, so
-on the span that first sum runs once too, and each window reads its kept steps
-of the gated output and of the sum as two read-only views. The dynamic branch,
-whose graph is per window, the graph learners, the later layers and the head
-run per window. The check is on the values, so a NaN fails it. A taped pass,
-any other batch, and a batch whose span would compute no fewer first-layer
-steps than its windows (B <= 2 at the defaults, and any one-layer model) run
-per window. Training minimizes lambda * graph regularization + L1 prediction
-loss; after every optimizer step the dynamic embeddings follow the static ones
-by momentum only.
+on the span that first sum runs once too. The dynamic mix-hop's selection
+commutes with its propagation (``graph_conv``), so its hop maps z_k, one
+channel map, also run once over the span, and z_0 + bias joins the sum: the
+span's output is ((static + residual) + (z_0 + bias)) + P(z_1 + P(...)). Each
+window reads its kept steps of the gated output, of that sum and of the hop
+maps as three read-only views and runs only Horner's rule along its own graph
+P. The graph learners, the later layers and the head run per window. The check
+is on the values, so a NaN fails it. A taped pass, any other batch, and a
+batch whose span would compute no fewer first-layer steps than its windows
+(B <= 2 at the defaults, and any one-layer model) run per window. Training
+minimizes lambda * graph regularization + L1 prediction loss; after every
+optimizer step the dynamic embeddings follow the static ones by momentum only.
 """
 
 from __future__ import annotations
@@ -415,11 +418,15 @@ class SDGLModel:
             # the two terms, so neither outlives their sum
             hidden = ad.add(self.gcn_static[j].mix_hop(temporal, static),
                             ad.channel_map(res_in, res_w, res_b))
-            if on_span:
+            if on_span and dynamic is not None:
+                # z_0 + bias joins the span's sum, and each window runs Horner's rule
+                z_0, hops = self.gcn_dynamic[j].hop_maps(temporal)
+                hidden = ad.add(_windows(ad.add(hidden, z_0), b, t_out, step),
+                                self.gcn_dynamic[j].horner(_windows(hops, b, t_out, step),
+                                                           dynamic.values))
+            elif on_span:
                 hidden = _windows(hidden, b, t_out, step)
-            if dynamic is not None:
-                if on_span:  # each window's graph reads that window's steps as its own rows
-                    windows = Tensor(np.ascontiguousarray(windows.data))
+            elif dynamic is not None:
                 hidden = ad.add(hidden, self.gcn_dynamic[j].mix_hop(windows, dynamic.values))
 
         h1 = ad.relu(ad.channel_map(skip_total, self.out_w1, self.out_b1))

@@ -118,6 +118,22 @@ class TestAdjacencyHeads:
             want += float(heads.head_mix[i].data) * (q @ k.T) / np.sqrt(2)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("heads, d, dk", [(1, 4, 4), (2, 4, 2), (4, 8, 2), (4, 6, 5)])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_collapsed_heads_match_loop_oracle(self, heads, d, dk, training):
+        # without a mask the heads sum to one (d, d) form; training at keep 1 draws no
+        # mask either, so no RngState is needed
+        layer = self.make(n=5, d=d, dk=dk, heads=heads, seed=heads + d)
+        rng = np.random.default_rng(dk)
+        for mix in layer.head_mix:
+            mix.data = np.asarray(rng.normal())
+        h_t = rng.normal(size=(3, 5, d))
+        got = layer.correlate(Tensor(h_t), None, training).data
+        h_norm = np_layer_norm(h_t, layer.ln_gain.data, layer.ln_bias.data)
+        want = sum(float(mix.data) * (h_norm @ w_q.data) @ (h_norm @ w_k.data).transpose(0, 2, 1)
+                   for w_q, w_k, mix in zip(layer.w_q, layer.w_k, layer.head_mix)) / np.sqrt(dk)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_correlate_gradients_with_dropout(self):
         # a fresh RngState per evaluation draws the same masks, head by head,
         # so every finite difference sees the dropout the tape saw
@@ -259,6 +275,19 @@ class TestDynamicGraphPipeline:
         m_d = emb.m_dynamic.data
         want = np_softmax(np.maximum(0, np_layer_norm(m_d @ m_d.T) + s_hat))
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_eval_pass_leaves_the_dropout_stream_untouched(self):
+        learner = DynamicGraphLearner(4, 5, 4, head_dim=2, n_heads=2, dropout_keep=0.9,
+                                      rng=RngState(0))
+        emb = NodeEmbeddings.initialize(4, 4, 0.9, RngState(1))
+        x = Tensor(np.random.default_rng(2).normal(size=(3, 4, 5)))
+        # the next draw tells whether a pass drew a mask: a training pass does
+        draws = []
+        for training in (False, True):
+            rng = RngState(7)
+            learner(x, emb, rng, training=training)
+            draws.append(rng.random())
+        assert draws[0] == RngState(7).random() != draws[1]
 
     def test_no_ifm_uses_projected_input(self):
         learner, emb = self.make(seed=7, mode="no_ifm")

@@ -6,6 +6,7 @@ import pytest
 from sdgl import autodiff as ad
 from sdgl.autodiff import Tape, Tensor, grad_check
 from sdgl.graph_conv import DegenerateGraphError, MixHopConv, transition_matrix
+from sdgl.model import _windows
 from sdgl.rng import RngState
 from test_autodiff import swap_tn
 
@@ -104,6 +105,32 @@ class TestMixHopConv:
             assert grad_check(f, p, tol=1e-4).passed, name
         assert grad_check(lambda z: (lambda o: ad.reduce_sum(ad.mul(o, o)))(conv(z, a)), x, tol=1e-4).passed
         assert grad_check(lambda z: (lambda o: ad.reduce_sum(ad.mul(o, o)))(conv(x, z)), a, tol=1e-4).passed
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("per_sample", [False, True])
+    def test_horner_of_the_hop_maps_is_mix_hop(self, depth, per_sample):
+        # W_k P^k x = P^k W_k x, so z_0 + bias + P(z_1 + P(z_2 + ...)) is the mix-hop
+        conv = self.make(channels=4, depth=depth, seed=depth)
+        rng = np.random.default_rng(depth + 20)
+        conv.bias.data = rng.normal(size=4)
+        x = Tensor(rng.normal(size=(3, 4, 5, 6)))
+        a = rng.random((3, 6, 6) if per_sample else (6, 6)) + 0.1
+        p = Tensor(a / a.sum(axis=-1, keepdims=True))
+        z_0, hops = conv.hop_maps(x)
+        assert z_0.shape == x.shape and hops.shape == (3, 4 * depth, 5, 6)
+        got = ad.add(z_0, conv.horner(hops, p)).data
+        np.testing.assert_allclose(got, conv.mix_hop(x, p).data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_windowed_hop_maps_of_a_span_are_those_of_its_windows(self, step):
+        # a per-step channel map gives a span step the same value whichever window reads it
+        conv = self.make(channels=3, depth=2, seed=4)
+        b, count = 5, 4
+        span = np.random.default_rng(step).normal(size=(1, 3, b + step * (count - 1), 6))
+        windows = np.stack([span[0][:, i + step * np.arange(count)] for i in range(b)])
+        for got, want in zip(conv.hop_maps(Tensor(span)), conv.hop_maps(Tensor(windows))):
+            np.testing.assert_allclose(_windows(got, b, count, step).data, want.data,
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("depth", [2, 3])
     @pytest.mark.parametrize("per_sample", [False, True])

@@ -826,7 +826,8 @@ class TestUntapedForward:
 SPAN_CONFIGS = {
     "default": dict(), "1-layer": dict(layers=1),
     "3-layers-growth1.5": dict(layers=3, growth=1.5, window=30), "window24": dict(window=24),
-    "growth3": dict(growth=3.0, window=40), "depth3": dict(depth=3),
+    "growth3": dict(growth=3.0, window=40), "depth1": dict(depth=1), "depth3": dict(depth=3),
+    "depth3-3-layers": dict(depth=3, layers=3, growth=1.5, window=30),
     **{flag: dict(ablation=(flag,)) for flag in ("no_dyadj", "no_ifm", "ifm_plus")},
 }
 
@@ -945,9 +946,9 @@ class TestSharedSpan:
         scaler = Scaler(np.zeros(cfg.n_nodes), np.ones(cfg.n_nodes))
         calls = self.spans(monkeypatch)
         got = predict(model, scaler, x)
-        # two views of each span: the gated output's (skip and dynamic branch) and
-        # the static branch plus residual's
-        assert calls == [128] * 4 + [44] * 2
+        # three views of each span: the gated output's (skip), the static branch plus
+        # residual plus the dynamic branch's z_0's, and the dynamic branch's hop maps'
+        assert calls == [128] * 6 + [44] * 3
         want = np.concatenate([self.taped(model, x[i : i + 128]).prediction.data
                                for i in range(0, 300, 128)])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -1553,6 +1554,10 @@ class TestCheckpoint:
         elif mutation == "duplicate record":
             records["start_b again"] = records["start_b"]  # the same bytes, written again last
             h["tensor_count"] += 1
+        elif mutation == "scaler.std below the floor":
+            rec = records["scaler.std"]
+            at = 4 + len("scaler.std") + 4 + 8  # after the name, the rank and the one dim
+            records["scaler.std"] = rec[:at] + np.array(-2.0, "<f8").tobytes() + rec[at + 8 :]
         return h
 
     HEADER_MUTATIONS = {
@@ -1579,6 +1584,8 @@ class TestCheckpoint:
         "rank 33": "tensor 'dynamic.fusion.b_in' has rank 33",
         "unexpected record": "unexpected tensor record 'zz.extra'",
         "duplicate record": "duplicate tensor record 'start_b'",
+        "scaler.std below the floor":
+            r"tensor 'scaler.std' holds -2.0, below the scaler's floor of 1e-08",
     }
 
     @pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
