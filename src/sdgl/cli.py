@@ -40,7 +40,6 @@ from .data import (
     synth_generate,
     window_split,
 )
-from .autodiff import Tensor
 from .model import ABLATION_FLAGS, EVAL_BATCH, DivergenceError, ModelConfig, evaluate, train
 from .static_graph import ConfigError, build_static_graph
 
@@ -281,12 +280,11 @@ def cmd_export_graphs(args, seconds: dict) -> tuple[dict, Path | None, dict]:
     with _phase(seconds, "evaluate"):
         static = build_static_graph(model.embeddings.m_static).values.data
         files = {"static": ("static_adjacency.csv", partial(save_csv, values=static))}
-        # the dynamic learner alone, at inference as ``forward`` runs it, on
-        # EVAL_BATCH windows at a time: the rest of the network is not needed
+        # the graphs ``forward`` propagates along, as forecasts run it: EVAL_BATCH
+        # windows at a time
         for start in range(0, len(indices), EVAL_BATCH):
             chunk = indices[start : start + EVAL_BATCH]
-            batch = Tensor(scaler.transform_windows(windows.inputs[chunk]))
-            dynamic = model.dynamic(batch, model.embeddings, model.dropout_rng, training=False)
+            dynamic = model.forward(scaler.transform_windows(windows.inputs[chunk])).dynamic_graphs
             for idx, matrix in zip(chunk, dynamic.values.data):
                 files[f"dynamic_{idx}"] = (f"dynamic_adjacency_{idx:06d}.csv",
                                            partial(save_csv, values=matrix))

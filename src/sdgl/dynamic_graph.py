@@ -5,14 +5,15 @@ multi-head scaled dot-product correlation matrix, refine it with a Gram-matrix
 skip connection and a row-wise MLP, then add the momentum embeddings' logits
 as inductive bias before the final relu + row softmax.
 
-Each head scales its query, not its (N, N) product, by its mixing weight and
-1/sqrt(d_k): the scalar's gradient then reads the small query and key, and
-the tape holds no per-window N x N array for it. Where dropout draws no mask
-(eval, or keep probability 1), the heads' sum is one bilinear form of the
-normalized features, H A H^T with the (d, d) A = sum_i (mix_i/sqrt(d_k))
-W_q,i W_k,i^T built on the tape, so a window runs two products, not three per
-head. A mask drops entries of each head's product on its own, so with one the
-heads stay apart and draw the masks they drew.
+Each head's (d, d_k) query weight carries its mixing weight and 1/sqrt(d_k),
+W'_q,i = (mix_i/sqrt(d_k)) W_q,i, formed once per call and read by both paths:
+the scalar's gradient then reads only that weight, and the tape holds no
+per-window array for it. Out of training the heads collapse: their sum is one
+bilinear form of the normalized features, H A H^T with the (d, d)
+A = sum_i W'_q,i W_k,i^T, so a window runs two products, not three per head.
+In training each head is dropout((H W'_q,i)(H W_k,i)^T) on its own, as a mask
+drops entries of each head's product; at keep probability 1 dropout draws no
+mask and returns its input.
 """
 
 from __future__ import annotations
@@ -101,22 +102,22 @@ class AdjacencyHeads:
         return out
 
     def correlate(self, h_t: Tensor, rng: RngState, training: bool) -> Tensor:
-        """Sum over heads of dropout((mix_i / sqrt(d_k)) Q_i K_i^T).
+        """Sum over heads of dropout((H W'_q,i)(H W_k,i)^T), H the normalized h_t.
 
-        The two factors scale the (B, N, d_k) query, not the product, and
-        without a mask the heads collapse into one form (module docstring).
+        W'_q,i is the scaled query weight, and out of training the heads
+        collapse into one bilinear form (module docstring).
         """
         h_norm = ad.layer_norm(h_t, self.ln_gain, self.ln_bias)
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
+        w_q = [ad.mul(w, ad.scale(mix, inv_sqrt)) for w, mix in zip(self.w_q, self.head_mix)]
         total: Tensor | None = None
-        if not training or self.dropout_keep == 1.0:
-            for w_q, w_k, mix in zip(self.w_q, self.w_k, self.head_mix):
-                term = ad.matmul(ad.mul(w_q, ad.scale(mix, inv_sqrt)), ad.transpose(w_k))
+        if not training:
+            for w_q_i, w_k in zip(w_q, self.w_k):
+                term = ad.matmul(w_q_i, ad.transpose(w_k))
                 total = term if total is None else ad.add(total, term)
             return ad.matmul(ad.matmul(h_norm, total), ad.transpose(h_norm))
-        for i in range(self.n_heads):
-            q = ad.mul(ad.matmul(h_norm, self.w_q[i]), ad.scale(self.head_mix[i], inv_sqrt))
-            k = ad.matmul(h_norm, self.w_k[i])
+        for w_q_i, w_k in zip(w_q, self.w_k):
+            q, k = ad.matmul(h_norm, w_q_i), ad.matmul(h_norm, w_k)
             head = ad.dropout(ad.matmul(q, ad.transpose(k)), self.dropout_keep, rng, training)
             total = head if total is None else ad.add(total, head)
         return total

@@ -12,9 +12,9 @@ again would change only by rounding. ``__call__`` normalizes a raw adjacency.
 
 Selection commutes with propagation: W_k P^k x = P^k W_k x for the (C, C)
 block W_k of ``w_select`` that reads hop k, as W_k mixes channels and P nodes.
-So ``hop_maps`` forms every z_k = W_k x in one channel map, once for any
-number of graphs (``SDGLModel.forward``'s shared span), and ``horner`` sums
-P^k z_k as z_0 + P(z_1 + P(z_2 + ... + P z_d)).
+So ``hop_maps`` forms each z_k = W_k x with one channel map per column block,
+once for any number of graphs (``SDGLModel.forward``'s shared span), and
+``horner`` sums P^k z_k over that list as z_0 + P(z_1 + P(z_2 + ... + P z_d)).
 """
 
 from __future__ import annotations
@@ -63,21 +63,17 @@ class MixHopConv:
             hops.append(cur)
         return ad.channel_map_concat(hops + [x], self.w_select, self.bias)
 
-    def hop_maps(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """(z_0 + bias, [z_1, ..., z_d] stacked on the channel axis), z_k = W_k x:
-        one channel map whose weight stacks the blocks of ``w_select``."""
+    def hop_maps(self, x: Tensor) -> tuple[Tensor, list[Tensor]]:
+        """(z_0 + bias, [z_1, ..., z_d]), z_k = W_k x: one channel map per
+        column block W_k of ``w_select``, the block ``mix_hop`` applies to hop k."""
         c, d = self.bias.shape[0], self.depth
-        blocks = [ad.narrow(self.w_select, 1, c * k, c) for k in (d, *range(d))]
-        bias = ad.concat([self.bias, Tensor(np.zeros(c * d))], axis=0)
-        z = ad.channel_map(x, ad.concat(blocks, axis=0), bias)
-        return ad.narrow(z, 1, 0, c), ad.narrow(z, 1, c, c * d)
+        z_0 = ad.channel_map(x, ad.narrow(self.w_select, 1, c * d, c), self.bias)
+        return z_0, [ad.channel_map(x, ad.narrow(self.w_select, 1, c * k, c)) for k in range(d)]
 
-    def horner(self, hops: Tensor, p: Tensor) -> Tensor:
-        """P(z_1 + P(z_2 + ... + P z_d)) of ``hop_maps``' stacked hops, so that
+    def horner(self, hops: list[Tensor], p: Tensor) -> Tensor:
+        """P(z_1 + P(z_2 + ... + P z_d)) of ``hop_maps``' list, so that
         mix_hop(x, p) = z_0 + bias + horner(hops, p)."""
-        c = self.bias.shape[0]
-        acc = ad.propagate(ad.narrow(hops, 1, c * (self.depth - 1), c), p)
-        for k in range(self.depth - 2, -1, -1):
-            acc = ad.propagate(ad.add(ad.narrow(hops, 1, c * k, c), acc), p)
+        acc = ad.propagate(hops[-1], p)
+        for z in reversed(hops[:-1]):
+            acc = ad.propagate(ad.add(z, acc), p)
         return acc
-

@@ -25,13 +25,13 @@ step whichever window reads it. So without a tape such a batch runs them once
 over the span of the series the windows slide over. Every layer's output is
 (static mix-hop + residual) + dynamic mix-hop, in that order on every path, so
 on the span that first sum runs once too. The dynamic mix-hop's selection
-commutes with its propagation (``graph_conv``), so its hop maps z_k, one
-channel map, also run once over the span, and z_0 + bias joins the sum: the
+commutes with its propagation (``graph_conv``), so its hop maps z_k, d + 1
+channel maps, also run once over the span, and z_0 + bias joins the sum: the
 span's output is ((static + residual) + (z_0 + bias)) + P(z_1 + P(...)). Each
-window reads its kept steps of the gated output, of that sum and of the hop
-maps as three read-only views and runs only Horner's rule along its own graph
-P. The graph learners, the later layers and the head run per window. The check
-is on the values, so a NaN fails it. A taped pass, any other batch, and a
+window reads its kept steps of the gated output, of that sum and of each of the
+d hop maps as 2 + d read-only views and runs only Horner's rule along its own
+graph P. The graph learners, the later layers and the head run per window. The
+check is on the values, so a NaN fails it. A taped pass, any other batch, and a
 batch whose span would compute no fewer first-layer steps than its windows
 (B <= 2 at the defaults, and any one-layer model) run per window. Training
 minimizes lambda * graph regularization + L1 prediction loss; after every
@@ -421,9 +421,9 @@ class SDGLModel:
             if on_span and dynamic is not None:
                 # z_0 + bias joins the span's sum, and each window runs Horner's rule
                 z_0, hops = self.gcn_dynamic[j].hop_maps(temporal)
+                hops = [_windows(z, b, t_out, step) for z in hops]
                 hidden = ad.add(_windows(ad.add(hidden, z_0), b, t_out, step),
-                                self.gcn_dynamic[j].horner(_windows(hops, b, t_out, step),
-                                                           dynamic.values))
+                                self.gcn_dynamic[j].horner(hops, dynamic.values))
             elif on_span:
                 hidden = _windows(hidden, b, t_out, step)
             elif dynamic is not None:

@@ -13,7 +13,7 @@ import pytest
 from sdgl import checkpoint
 from sdgl import model as sdgl_model
 from sdgl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from sdgl.data import load_csv
+from sdgl.data import load_csv, make_windows
 from sdgl.model import SGD, ModelConfig
 from test_model import poison_after_third_step
 
@@ -609,6 +609,28 @@ class TestExportGraphs:
                          "--out-dir", str(tmp_path / f"one{idx}")]) == EXIT_OK
             assert (tmp_path / "many" / name).read_bytes() == \
                 (tmp_path / f"one{idx}" / name).read_bytes(), idx
+
+    @pytest.mark.parametrize("indices", [list(range(130)), [140, 3, 77, 78, 12, 199]])
+    def test_exports_are_the_graphs_forward_builds(self, train_dir, tmp_path, indices):
+        # 130 consecutive windows are a span slice of 128 and one of 2; the scattered
+        # ones run per window. Each file parses back to forward's matrix, bit for bit.
+        assert main(["synth", "--nodes", "5", "--steps", "250", "--seed", "5",
+                     "--out-dir", str(tmp_path / "long")]) == EXIT_OK
+        code = main(["export-graphs", "--checkpoint", str(train_dir / "checkpoint.sdgl"),
+                     "--data", str(tmp_path / "long" / "data.csv"),
+                     "--windows", *map(str, indices), "--out-dir", str(tmp_path / "graphs")])
+        assert code == EXIT_OK
+        loaded = checkpoint.load(train_dir / "checkpoint.sdgl")
+        cfg = loaded.model.config
+        inputs = make_windows(load_csv(tmp_path / "long" / "data.csv").values,
+                              cfg.window, cfg.horizon).inputs
+        for start in range(0, len(indices), sdgl_model.EVAL_BATCH):
+            chunk = indices[start : start + sdgl_model.EVAL_BATCH]
+            x = loaded.scaler.transform_windows(inputs[chunk])
+            want = loaded.model.forward(x).dynamic_graphs.values.data
+            for idx, matrix in zip(chunk, want):
+                got = load_csv(tmp_path / "graphs" / f"dynamic_adjacency_{idx:06d}.csv").values
+                np.testing.assert_array_equal(got, matrix, err_msg=str(idx))
 
 
 def test_success_leaves_no_temporary(synth_dir, train_dir, tmp_path):

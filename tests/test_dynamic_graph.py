@@ -121,8 +121,8 @@ class TestAdjacencyHeads:
     @pytest.mark.parametrize("heads, d, dk", [(1, 4, 4), (2, 4, 2), (4, 8, 2), (4, 6, 5)])
     @pytest.mark.parametrize("training", [False, True])
     def test_collapsed_heads_match_loop_oracle(self, heads, d, dk, training):
-        # without a mask the heads sum to one (d, d) form; training at keep 1 draws no
-        # mask either, so no RngState is needed
+        # out of training the heads sum to one (d, d) form; in training each head runs
+        # on its own, and at keep 1 dropout draws no mask, so no RngState is needed
         layer = self.make(n=5, d=d, dk=dk, heads=heads, seed=heads + d)
         rng = np.random.default_rng(dk)
         for mix in layer.head_mix:
@@ -150,8 +150,8 @@ class TestAdjacencyHeads:
                 assert grad_check(f, p, tol=1e-5).passed
 
     def test_tape_keeps_no_window_matrix_for_head_mix(self):
-        # Scaling the (B, N, d_k) query leaves Q and K for the mixing weight's
-        # gradient; scaling each head's (B, N, N) product would keep that
+        # Scaling the (d, d_k) query weight leaves only that weight for the mixing
+        # weight's gradient; scaling each head's (B, N, N) product would keep that
         # product. With dropout each head keeps a one-byte mask per entry.
         b, n = 8, 60
         heads = self.make(n=n, d=4, dk=2, heads=2, seed=13, keep=0.9)

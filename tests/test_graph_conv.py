@@ -117,7 +117,7 @@ class TestMixHopConv:
         a = rng.random((3, 6, 6) if per_sample else (6, 6)) + 0.1
         p = Tensor(a / a.sum(axis=-1, keepdims=True))
         z_0, hops = conv.hop_maps(x)
-        assert z_0.shape == x.shape and hops.shape == (3, 4 * depth, 5, 6)
+        assert [z.shape for z in [z_0, *hops]] == [x.shape] * (depth + 1)
         got = ad.add(z_0, conv.horner(hops, p)).data
         np.testing.assert_allclose(got, conv.mix_hop(x, p).data, rtol=0, atol=1e-12)
 
@@ -128,7 +128,8 @@ class TestMixHopConv:
         b, count = 5, 4
         span = np.random.default_rng(step).normal(size=(1, 3, b + step * (count - 1), 6))
         windows = np.stack([span[0][:, i + step * np.arange(count)] for i in range(b)])
-        for got, want in zip(conv.hop_maps(Tensor(span)), conv.hop_maps(Tensor(windows))):
+        (z_0, hops), (w_0, w_hops) = conv.hop_maps(Tensor(span)), conv.hop_maps(Tensor(windows))
+        for got, want in zip([z_0, *hops], [w_0, *w_hops]):
             np.testing.assert_allclose(_windows(got, b, count, step).data, want.data,
                                        rtol=0, atol=1e-12)
 

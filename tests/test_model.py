@@ -946,9 +946,9 @@ class TestSharedSpan:
         scaler = Scaler(np.zeros(cfg.n_nodes), np.ones(cfg.n_nodes))
         calls = self.spans(monkeypatch)
         got = predict(model, scaler, x)
-        # three views of each span: the gated output's (skip), the static branch plus
-        # residual plus the dynamic branch's z_0's, and the dynamic branch's hop maps'
-        assert calls == [128] * 6 + [44] * 3
+        # 2 + depth views of each span: the gated output's (skip), the static branch
+        # plus residual plus the dynamic branch's z_0's, and one per hop map z_1 ... z_d
+        assert calls == [128] * 8 + [44] * 4
         want = np.concatenate([self.taped(model, x[i : i + 128]).prediction.data
                                for i in range(0, 300, 128)])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
