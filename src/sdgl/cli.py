@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import logging
@@ -107,7 +108,9 @@ def _write_outputs(out_dir: Path, command: str, config: dict, data_path, files: 
     Each writer fills a temporary path in ``out_dir``. Only after all of them
     have succeeded is each temporary renamed over its file name, the manifest
     last. On any failure the temporaries, the files already renamed and the
-    directories this call made are removed, and the error propagates. The
+    directories this call made are removed, and the error propagates. So an
+    output path that is a directory is refused before anything is written: its
+    rename would fail after earlier renames had replaced the files there. The
     manifest takes ``seconds``, the phase times so far, with the write phase
     added, and the time since ``started``, both on ``time.perf_counter``.
     """
@@ -133,6 +136,9 @@ def _write_outputs(out_dir: Path, command: str, config: dict, data_path, files: 
 
     jobs = [(out_dir / name, write) for name, write in files.values()]
     jobs.append((out_dir / "manifest.json", write_manifest))
+    for path, _ in jobs:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     on_disk: list[Path] = []  # what this call has put in out_dir so far

@@ -216,14 +216,12 @@ def _replacing(path, mode: str, **open_args):
 def save_csv(path, values: np.ndarray) -> None:
     """Write a matrix under a ``node_0 .. node_{N-1}`` header.
 
-    Values get 17 significant digits, so parsing round-trips.
+    Values get 17 significant digits, so parsing round-trips. Lines end in CRLF.
     """
     values = np.asarray(values, dtype=np.float64)
     with _replacing(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"node_{i}" for i in range(values.shape[1])])
-        for row in values:
-            writer.writerow([f"{v:.17g}" for v in row])
+        np.savetxt(fh, values, fmt="%.17g", delimiter=",", newline="\r\n", comments="",
+                   header=",".join(f"node_{i}" for i in range(values.shape[1])))
 
 
 def make_windows(values: np.ndarray, h: int, horizon: int) -> WindowBatch:

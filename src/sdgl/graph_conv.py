@@ -15,6 +15,13 @@ block W_k of ``w_select`` that reads hop k, as W_k mixes channels and P nodes.
 So ``hop_maps`` forms each z_k = W_k x with one channel map per column block,
 once for any number of graphs (``SDGLModel.forward``'s shared span), and
 ``horner`` sums P^k z_k over that list as z_0 + P(z_1 + P(z_2 + ... + P z_d)).
+
+Both orders stay, each where it is cheaper (2-vCPU host, one BLAS thread).
+Per-window passes keep ``mix_hop``, propagate then select: select-first adds
+allocating adds and tape nodes, and at N = 10, B = 64 it took the forward pass
+from 10.32 to 11.09 ms and 159 to 187 tape nodes. A shared span keeps
+``hop_maps`` + ``horner``, select then propagate: running ``mix_hop`` per
+window there made a batch of 128 consecutive windows at N = 10 13-15% slower.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
+import errno
 import json
 import logging
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -383,6 +385,23 @@ class TestTrain:
         assert {p.name: p.read_text() for p in existing.iterdir()} == {
             name: f"earlier {name}\n" for name in ("epochs.csv", "manifest.json")}
 
+    def test_output_path_that_is_a_directory_keeps_the_earlier_run(
+            self, synth_dir, small_config, train_dir, tmp_path, caplog):
+        # a rename over epochs.csv would fail after the checkpoint's had
+        # replaced the earlier one, and the rollback would delete it
+        out = tmp_path / "run"
+        shutil.copytree(train_dir, out)
+        (out / "epochs.csv").unlink()
+        (out / "epochs.csv").mkdir()
+        assert main(["train", "--data", str(synth_dir / "data.csv"), "--config",
+                     str(small_config), "--out-dir", str(out)]) == EXIT_RUNTIME
+        assert error_lines(caplog) == [
+            f"[Errno {errno.EISDIR}] output path is a directory: '{out / 'epochs.csv'}'"]
+        for name in ("checkpoint.sdgl", "manifest.json"):
+            assert (out / name).read_bytes() == (train_dir / name).read_bytes(), name
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.sdgl", "epochs.csv", "manifest.json"]
+
     def test_huge_layer_count_writes_nothing(self, synth_dir, tmp_path):
         # 2.0 ** 1999 overflows a float; the window check stops at layer 3
         out = tmp_path / "run"
@@ -587,8 +606,8 @@ class TestExportGraphs:
 
 
     def test_many_windows_match_single_exports_in_bounded_memory(self, train_dir, tmp_path):
-        # 900 windows of a longer 5-node series: the dynamic learner runs on
-        # slices of EVAL_BATCH windows, not the whole model on all of them at once
+        # 900 windows of a longer 5-node series: the whole forward runs on
+        # slices of EVAL_BATCH windows, not on all of them at once
         assert main(["synth", "--nodes", "5", "--steps", "1000", "--seed", "4",
                      "--out-dir", str(tmp_path / "long")]) == EXIT_OK
         loaded = ["--checkpoint", str(train_dir / "checkpoint.sdgl"),

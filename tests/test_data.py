@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 from unittest import mock
 
@@ -70,6 +71,30 @@ class TestCsvRoundTrip:
         save_csv(p, vals)
         back = load_csv(p)
         np.testing.assert_array_equal(back.values, vals)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (100, 100), (2048, 10)],
+                             ids=["0x3", "1x1", "100x100", "2048x10"])
+    def test_bytes_match_the_csv_writer_loop(self, tmp_path, shape):
+        # the oracle: the csv.writer loop that wrote these files before np.savetxt
+        def oracle(path, values):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f"node_{i}" for i in range(values.shape[1])])
+                for row in values:
+                    writer.writerow([f"{v:.17g}" for v in row])
+
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, np.inf, -np.inf,
+                    np.nan, 1.0, -3.0, 2.0**53, 1e16, 12345678901234567890.0, np.pi, 1 / 3]
+        rng = np.random.default_rng(shape[0])
+        vals = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+        vals.reshape(-1)[: len(specials)] = specials[: vals.size]
+        arrays = [vals, rng.normal(size=shape), np.round(rng.normal(size=shape) * 1e3)]
+        if 0 < vals.size < len(specials):
+            arrays += [np.full(shape, v) for v in specials]
+        for values in arrays:
+            save_csv(tmp_path / "new.csv", values)
+            oracle(tmp_path / "old.csv", values)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
