@@ -34,16 +34,16 @@ Each rule is written once. An op that other primitives express is a composite
 with no rule of its own: ``sub`` is ``add`` of ``scale(b, -1)``, ``scale`` is
 ``mul`` by a constant, ``mean_all`` is ``scale`` of ``reduce_sum``,
 ``layer_norm`` applies its gain and bias with ``mul`` and ``add``, and
-``channel_map`` is the one-tap case of ``conv1d_dilated``'s rule. That rule
-reads its input as a list of channel blocks, weight columns [lo, lo + c)
-against the block of c channels at lo: the two convolutions pass one block.
-Some keep their own rule: the masks of ``relu`` and ``dropout`` take one byte
-per entry where ``mul`` would keep eight, ``propagate``'s folded matrix
-gradient forms no (B, C, N, N) temporary, ``channel_map_concat`` (the
-convolution rule on the parts of a channel concatenation, one block each)
-forms no (B, sum C, T, N) concatenation, so the mix-hop selection map keeps
-each hop once, and ``layer_norm``, ``row_softmax`` and ``divide`` need ops the
-engine lacks (an axis mean, ``exp``, a reciprocal).
+``channel_map`` is the one-tap case of ``conv1d_dilated``'s rule. A one-tap
+map reads a list of channel blocks, weight columns [lo, lo + c) against the
+block of c channels at lo; a multi-tap convolution reads one input. Some keep
+their own rule: the masks of ``relu`` and ``dropout`` take one byte per entry
+where ``mul`` would keep eight, ``propagate``'s folded matrix gradient forms
+no (B, C, N, N) temporary, ``channel_map_concat`` (the convolution rule on the
+parts of a channel concatenation, one block each) forms no (B, sum C, T, N)
+concatenation, so the mix-hop selection map keeps each hop once, and
+``layer_norm``, ``row_softmax`` and ``divide`` need ops the engine lacks (an
+axis mean, ``exp``, a reciprocal).
 
 Feature maps are time-major, (B, C, T, N): time is axis 2 and the nodes are
 the last axis. So the steps a convolution tap reads are one contiguous run
@@ -56,35 +56,36 @@ the input. ``propagate`` reads
 each (channel, step) as a row of N node values: its forward pass is
 rows @ p^T, one GEMM over all B*C*T rows for a shared p and one per sample
 otherwise, and its backward pass is g_rows @ p and g_rows^T @ x_rows. No
-axis is moved and nothing is copied. At train_wide's shapes (B = 32, C = 16,
-T = 13, N = 100; a 2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS 0.3.31 on 1 thread)
-this layout took ``propagate``'s forward plus backward from about 33 to 22 ms
+axis is moved and nothing is copied. At the train_wide shapes of commit
+abf3c64, which measured this (B = 32, C = 16, T = 13, N = 100; a 2-vCPU Xeon
+VM, numpy 2.4.6, OpenBLAS 0.3.31 on 1 thread), this layout took
+``propagate``'s forward plus backward from about 33 to 22 ms
 with a shared matrix and from 31 to 23 ms with one per sample, and the 7-tap
 convolution's backward from 37 to 26 ms (medians of 25 calls, interleaved in
 one process). Under ``tracemalloc`` one training step at those shapes peaked
 at 112.2 MB, against 120.0 MB before the layout switch and the in-place
 accumulation below.
 
-The convolution's forward pass gathers the k shifted tap slices of a batch
-chunk into one buffer and runs one matmul with K = k*C_in, in place of k
-matmuls and k-1 accumulating passes over the output; a one-tap map from one
-input channel (the model's first residual, which reads the raw series through
-the start map folded into its weight and bias) is a broadcast multiply. A one-tap
-map over several blocks runs one product per block: the first writes the
-output and each later one adds into it. The backward pass stays one matmul
-per tap and block, adding into a view of the input gradient: a gathered
-backward was measured and was no faster, and a gathered weight gradient of a
-16-channel block was slower (1.8 -> 2.7 ms at (64, 16, 19, 10), 13 output
-steps). Two shapes are the exceptions, because there the per-tap loop batches
-nothing. When one output step reads all k input steps (the last gated layer),
-the input is (B, C_in*k, N) rows, a view of a contiguous map, against the
-weight with its taps reversed: the forward pass, the input gradient and the
-weight gradient are one product each, with no gather, zero fill or strided
-add, and the backward pass took 0.81 -> 0.49 ms at train_small's (64, 16, 7,
-10) and 2.8 -> 1.3 ms at train_wide's (32, 16, 7, 100). A block of one input
-channel (the folded first layer) gathers its k taps as the forward pass does
-and forms its weight gradient in one product: 0.25 -> 0.11 ms at (64, 1, 19,
-10) and 2.2 -> 0.6 ms at (32, 1, 19, 100), both at stride 2.
+Each pass of the convolution has two forms: one product, or work per tap.
+Where each output step reads one input step (k = 1) or one output step reads
+all k input steps (the last gated layer), the rows, a one-tap map's kept steps
+or (B, C_in*k, N) rows of a contiguous map, meet the weight with its taps
+reversed: the forward pass, the input gradient (where the rows cover every
+input step) and the weight gradient are one product per channel block, the
+first writing the output and each later one adding into it, with no gather,
+zero fill or strided add. From one input channel (the model's first residual,
+which reads the raw series through the start map folded into its weight and
+bias) that product is a broadcast multiply. The last gated layer's backward
+pass took 0.81 -> 0.49 ms at train_small's (64, 16, 7, 10) and 2.8 -> 1.3 ms
+at train_wide's (32, 16, 7, 100). The weight gradient of one input channel
+(the folded first layer) is one product on its k taps gathered in step order:
+0.25 -> 0.11 ms at (64, 1, 19, 10) and 2.2 -> 0.6 ms at (32, 1, 19, 100), both
+at stride 2. Otherwise the forward pass gathers a batch chunk's k tap slices
+into one buffer for one matmul with K = k*C_in, in place of k matmuls and k-1
+accumulating passes, and the input and weight gradients take one matmul per
+tap. A gathered backward was no faster, and a gathered weight gradient of a
+16-channel block was slower: 2.3 -> 2.8 ms at (64, 16, 19, 10), stride 2, the
+middle of three layers on 30-step windows (interleaved medians of 25 calls).
 
 ``layer_norm`` and ``row_softmax`` take row sums as a product with a ones
 vector and row dot products with ``einsum``, never ``np.var`` or a last-axis
@@ -638,12 +639,17 @@ def _tap(x: np.ndarray, offset: int, t_out: int, stride: int) -> np.ndarray:
     return _steps(x, offset, t_out, stride).reshape(b, c, t_out * n)
 
 
-def _rows(x: np.ndarray, k: int, t_out: int, stride: int) -> np.ndarray:
-    """A (B, C, T, N) array as the (B, C*k, t_out*N) rows that a convolution
-    reads in one product: its kept steps for one tap, or its k steps, all of
-    them, for one output step."""
-    b, _, _, n = x.shape
-    return _tap(x, 0, t_out, stride) if k == 1 else x.reshape(b, -1, n)
+def _rows(x: np.ndarray, offsets: Sequence[int], t_out: int, stride: int) -> np.ndarray:
+    """A (B, C, T, N) array as the (B, C*k, t_out*N) rows, taps in step order, that
+    a convolution with k = len(offsets) taps reads in one product: its kept steps
+    for one tap, its k steps for one output step, or its one channel's k taps."""
+    b, _, t_in, n = x.shape
+    if len(offsets) == 1:
+        return _tap(x, 0, t_out, stride)
+    if t_out == 1 and t_in == len(offsets):
+        return x.reshape(b, -1, n)
+    return np.stack([_steps(x, off, t_out, stride)[:, 0] for off in offsets[::-1]],
+                    axis=1).reshape(b, -1, t_out * n)
 
 
 def _gather(x: np.ndarray, offsets: Sequence[int], t_out: int, stride: int,
@@ -667,7 +673,8 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
 
     Weight columns [lo, lo + c) read the part with c channels that starts at
     channel lo of the concatenation, which is never formed. A (C_out, C_in) w
-    is read as one tap. The output keeps every ``stride``-th step.
+    is read as one tap; only such a one-tap map passes more than one part. The
+    output keeps every ``stride``-th step.
     """
     taps = w.data.reshape(*w.data.shape[:2], -1)
     b, _, t_in, n = parts[0].data.shape
@@ -692,7 +699,7 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
         acc = None
         for (lo, hi), part in zip(blocks, parts):
             w_blk = taps[:, lo:hi, ::-1].reshape(c_out, -1)
-            x_rows = _rows(part.data, k, t_out, stride)
+            x_rows = _rows(part.data, offsets, t_out, stride)
             # a K = 1 product: the broadcast is the same single multiply
             y = w_blk * x_rows if w_blk.shape[1] == 1 else w_blk @ x_rows
             if acc is None:
@@ -712,11 +719,10 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
         gathered = block[:size].reshape(m, k, c_in, t_out, n)
         acc = block[size:].reshape(b, c_out, t_out * n)
         w_flat = taps.transpose(0, 2, 1).reshape(c_out, k * c_in)
+        (x,) = parts
         for start in range(0, b, m):
             rows = min(m, b - start)
-            for (lo, hi), part in zip(blocks, parts):
-                _gather(part.data[start : start + rows], offsets, t_out, stride,
-                        gathered[:rows, :, lo:hi])
+            _gather(x.data[start : start + rows], offsets, t_out, stride, gathered[:rows])
             np.matmul(w_flat, gathered[:rows].reshape(rows, k * c_in, t_out * n),
                       out=acc[start : start + rows])
     if bias is not None:
@@ -732,35 +738,28 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
 
         def backward(g):
             g = g.reshape(b, c_out, t_out * n)
-            for (lo, hi), gx in zip(blocks, gxs):
-                if not gx:
-                    continue
-                if whole or k == stride == 1:  # the rows cover every input step
-                    w_blk = w_data[:, lo:hi, ::-1].reshape(c_out, -1)
-                    dx = (w_blk.T @ g).reshape(b, hi - lo, t_in, n)
-                else:
-                    dx = np.zeros((b, hi - lo, t_in, n))
-                    for s, off in enumerate(offsets):
-                        _steps(dx, off, t_out, stride)[...] += (
-                            w_data[:, lo:hi, s].T @ g).reshape(b, hi - lo, t_out, n)
-                _accum(gx, dx, True)
+            if whole or k == stride == 1:  # the rows cover every input step
+                for (lo, hi), gx in zip(blocks, gxs):
+                    if gx:
+                        w_blk = w_data[:, lo:hi, ::-1].reshape(c_out, -1)
+                        _accum(gx, (w_blk.T @ g).reshape(b, hi - lo, t_in, n), True)
+            elif gxs[0]:
+                dx = np.zeros((b, c_in, t_in, n))
+                for s, off in enumerate(offsets):
+                    _steps(dx, off, t_out, stride)[...] += (
+                        w_data[:, :, s].T @ g).reshape(b, c_in, t_out, n)
+                _accum(gxs[0], dx, True)
             if gw:
                 dw = np.empty((c_out, c_in, k))
-                for (lo, hi), x_data in zip(blocks, x_datas):
-                    if k == 1 or whole:
-                        x_rows = _rows(x_data, k, t_out, stride)
+                if k == 1 or whole or c_in == 1:  # on rows, or one channel's taps
+                    for (lo, hi), x_data in zip(blocks, x_datas):
+                        x_rows = _rows(x_data, offsets, t_out, stride)
                         dw[:, lo:hi, ::-1] = (g @ x_rows.transpose(0, 2, 1)).sum(
                             axis=0).reshape(c_out, hi - lo, k)
-                    elif hi - lo == 1:
-                        # one channel (the folded first layer): its k taps as
-                        # (B, k, t_out*N) rows, as the forward pass gathers them
-                        x_taps = np.empty((b, k, 1, t_out, n))
-                        _gather(x_data, offsets, t_out, stride, x_taps)
-                        dw[:, lo] = (g @ x_taps.reshape(b, k, -1).transpose(0, 2, 1)).sum(axis=0)
-                    else:
-                        for s, off in enumerate(offsets):
-                            x_tap = _tap(x_data, off, t_out, stride)
-                            dw[:, lo:hi, s] = (g @ x_tap.transpose(0, 2, 1)).sum(axis=0)
+                else:
+                    for s, off in enumerate(offsets):
+                        x_tap = _tap(x_datas[0], off, t_out, stride)
+                        dw[:, :, s] = (g @ x_tap.transpose(0, 2, 1)).sum(axis=0)
                 _accum(gw, dw.reshape(w_shape), True)
             if gbias:
                 _accum(gbias, g.sum(axis=(0, 2)), True)

@@ -23,7 +23,7 @@ import os
 import platform
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
@@ -101,23 +101,27 @@ def _phase(seconds: dict, name: str):
     seconds[name] = time.perf_counter() - start
 
 
-def _write_outputs(out_dir: Path, command: str, config: dict, data_path, files: dict,
-                   started: float, seconds: dict) -> None:
+def _write_outputs(out_dir: Path, command: str, argv: list, config: dict, data_path,
+                   files: dict, started: float, seconds: dict) -> None:
     """Put ``files`` ({output key: (file name, writer)}) and the manifest in ``out_dir``.
 
     Each writer fills a temporary path in ``out_dir``. Only after all of them
     have succeeded is each temporary renamed over its file name, the manifest
-    last. On any failure the temporaries, the files already renamed and the
-    directories this call made are removed, and the error propagates. So an
-    output path that is a directory is refused before anything is written: its
-    rename would fail after earlier renames had replaced the files there. The
-    manifest takes ``seconds``, the phase times so far, with the write phase
-    added, and the time since ``started``, both on ``time.perf_counter``.
+    last; a file already at that name is first moved aside to ``.<name>.old``.
+    On any failure the temporaries, the files already renamed and the
+    directories this call made are removed, the files moved aside are moved
+    back, and the error propagates. Once the manifest is in place the files
+    moved aside are deleted. An output path that is a directory is refused
+    before anything is written, since it would be moved aside like a file and
+    could not be deleted. The manifest records ``argv``, the arguments the
+    command was parsed from, and takes ``seconds``, the phase times so far,
+    with the write phase added, and the time since ``started``, both on
+    ``time.perf_counter``.
     """
     writing = time.perf_counter()
     manifest = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": argv,
         "config": config,
         "dataset": None if data_path is None else {
             "path": str(data_path),
@@ -142,19 +146,28 @@ def _write_outputs(out_dir: Path, command: str, config: dict, data_path, files: 
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     on_disk: list[Path] = []  # what this call has put in out_dir so far
+    aside: list[tuple[Path, Path]] = []  # (earlier file moved aside, its name)
     try:
         for path, write in jobs:
             on_disk.append(path.with_name(f".{path.name}.tmp"))
             write(on_disk[-1])
         for k, (path, _) in enumerate(jobs):
+            old = path.with_name(f".{path.name}.old")
+            with suppress(FileNotFoundError):
+                os.replace(path, old)
+                aside.append((old, path))
             os.replace(on_disk[k], path)
             on_disk[k] = path
     except BaseException:
         for path in on_disk:
             path.unlink(missing_ok=True)
+        for old, path in aside:
+            os.replace(old, path)
         for d in made:
             d.rmdir()
         raise
+    for old, _ in aside:
+        old.unlink()
     log.info("%s: wrote %d files to %s", command, len(jobs), out_dir)
 
 
@@ -400,11 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     started, seconds = time.perf_counter(), {}
     try:
         config, data_path, files = args.fn(args, seconds)
-        _write_outputs(Path(args.out_dir), args.command, config, data_path, files,
+        _write_outputs(Path(args.out_dir), args.command, argv, config, data_path, files,
                        started, seconds)
     except (ConfigError, ParseError) as exc:
         log.error("%s", exc)

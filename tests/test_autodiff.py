@@ -597,23 +597,6 @@ class TestStructuredOracles:
         for got, want in zip(grads, want_grads):
             assert_close(got, want)
 
-    def test_conv_rule_reads_channel_blocks_with_taps(self):
-        # the rule reads its parts at their weight columns for every tap too
-        rng = np.random.default_rng(12)
-        parts = [rng.normal(size=(2, c, 3, 11)) for c in (2, 1, 3)]
-        w = rng.normal(size=(4, 6, 3))
-        g = rng.normal(size=(2, 4, 3, 7))
-
-        def run(f):
-            return vjp(lambda *t: f(list(t[:3]), t[3]),
-                       [Tensor(swap_tn(a)) for a in parts] + [Tensor(w)], swap_tn(g))
-
-        y, grads = run(lambda ps, m: ad._conv(ps, m, 2, None))
-        want_y, want_grads = run(lambda ps, m: ad.conv1d_dilated(ad.concat(ps, axis=1), m, 2))
-        assert_close(y, want_y)
-        for got, want in zip(grads, want_grads):
-            assert_close(got, want)
-
     @pytest.mark.parametrize("shapes, w_shape", [
         ([], (2, 0)),
         ([(1, 2, 3, 5), (1, 2, 3, 4)], (2, 4)),  # time lengths differ
@@ -665,12 +648,14 @@ class TestStructuredOracles:
         assert_close(gx, want_gx)
         assert_close(gw, want_gw)
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("narrowed", [False, True])
-    def test_one_channel_conv1d_dilated_at_stride_two(self, d, narrowed):
-        # the folded first layer: one input channel, 7 taps, every second step kept;
-        # its weight gradient gathers the taps as (B, 7, t_out*N) rows
-        b, k, t_in, n, stride = 5, 7, 19 + 2 * d, 3, 2
+    def test_one_channel_conv1d_dilated_at_each_stride(self, stride, d, narrowed):
+        # the folded first layer: one input channel, 7 taps, every stride-th step
+        # kept; its weight gradient is one product on the taps as (B, 7, t_out*N)
+        # rows in step order
+        b, k, t_in, n = 5, 7, 19 + 2 * d, 3
         t_full = t_in - d * (k - 1)
         rng = np.random.default_rng(d)
         lead = 2 if narrowed else 0

@@ -146,6 +146,16 @@ class TestManifestEnvironment:
         for var in THREAD_VARS:
             assert env[var] == os.environ.get(var)
 
+    def test_argv_is_the_parsed_list(self, tmp_path):
+        # in process, the list main parsed, not the host process's arguments;
+        # from the console, sys.argv[1:]
+        args = ["synth", "--nodes", "3", "--steps", "40", "--out-dir", str(tmp_path / "a")]
+        assert main(args) == EXIT_OK
+        assert json.loads((tmp_path / "a" / "manifest.json").read_text())["argv"] == args
+        args[-1] = str(tmp_path / "b")
+        assert run_sdgl(*args).returncode == EXIT_OK
+        assert json.loads((tmp_path / "b" / "manifest.json").read_text())["argv"] == args
+
     def test_thread_settings_as_set(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -359,11 +369,12 @@ class TestTrain:
     def test_failed_rename_leaves_nothing(self, synth_dir, small_config, tmp_path,
                                           monkeypatch, caplog):
         # the renames of outputs into place, not checkpoint.save's rename of its
-        # own temporary; the first, of the checkpoint, succeeds
+        # own temporary or the move of an earlier file aside; the first, of the
+        # checkpoint, succeeds
         real_replace, renames = os.replace, []
 
         def replace(src, dst):
-            if not Path(dst).name.endswith(".tmp"):
+            if not Path(dst).name.endswith((".tmp", ".old")):
                 renames.append(dst)
                 if len(renames) == 2:
                     raise OSError(28, "No space left on device")
@@ -401,6 +412,29 @@ class TestTrain:
             assert (out / name).read_bytes() == (train_dir / name).read_bytes(), name
         assert sorted(p.name for p in out.iterdir()) == [
             "checkpoint.sdgl", "epochs.csv", "manifest.json"]
+
+    def test_failed_rename_keeps_the_earlier_run(self, synth_dir, small_config, train_dir,
+                                                 tmp_path, monkeypatch, caplog):
+        # the rename over epochs.csv fails after the checkpoint's has replaced
+        # the earlier one, which was moved aside and is moved back
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(src).name == ".epochs.csv.tmp":
+                raise PermissionError(errno.EACCES, "Permission denied", str(dst))
+            real_replace(src, dst)
+
+        out = tmp_path / "run"
+        shutil.copytree(train_dir, out)
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(["train", "--data", str(synth_dir / "data.csv"), "--config",
+                     str(small_config), "--seed", "2", "--out-dir", str(out)]) == EXIT_RUNTIME
+        assert error_lines(caplog) == [
+            f"[Errno {errno.EACCES}] Permission denied: '{out / 'epochs.csv'}'"]
+        names = ["checkpoint.sdgl", "epochs.csv", "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (train_dir / name).read_bytes(), name
 
     def test_huge_layer_count_writes_nothing(self, synth_dir, tmp_path):
         # 2.0 ** 1999 overflows a float; the window check stops at layer 3
@@ -655,12 +689,13 @@ class TestExportGraphs:
 def test_success_leaves_no_temporary(synth_dir, train_dir, tmp_path):
     loaded = ["--checkpoint", str(train_dir / "checkpoint.sdgl"),
               "--data", str(synth_dir / "data.csv")]
-    assert main(["eval", *loaded, "--out-dir", str(tmp_path / "eval")]) == EXIT_OK
+    for _ in range(2):  # the second run moves the first one's files aside, then deletes them
+        assert main(["eval", *loaded, "--out-dir", str(tmp_path / "eval")]) == EXIT_OK
     assert main(["export-graphs", *loaded, "--windows", "0", "3", "--threshold", "0.1",
                  "--out-dir", str(tmp_path / "graphs")]) == EXIT_OK
     for d in (synth_dir, train_dir, tmp_path / "eval", tmp_path / "graphs"):
         assert (d / "manifest.json").is_file()
-        assert not list(d.glob(".*.tmp")), d
+        assert not list(d.glob(".*.tmp")) + list(d.glob(".*.old")), d
 
 
 def test_manifest_times_each_phase(synth_dir, train_dir, tmp_path):
