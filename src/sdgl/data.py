@@ -9,6 +9,7 @@ recovery can be scored against ground truth.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -276,36 +277,90 @@ def metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
     """MAE, RMSE, MAPE, RSE and CORR between same-shape arrays.
 
     MAPE averages over nonzero targets only and is None when every target is
-    zero. CORR averages over nodes (axis -2) each node's Pearson correlation
-    over its other entries; zero-variance nodes are excluded, None if all are.
+    zero. RSE is None when the target does not vary. CORR averages over nodes
+    (axis -2) each node's Pearson correlation over its other entries;
+    constant nodes are excluded, None if all are.
+
+    This is the one-group call of ``group_metrics``. A node's row holds its
+    entries at the last axis' first index, then at its second, and so on:
+    of the orders, the cheapest to gather from a (windows, nodes, steps) array.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ParseError(f"metric shapes differ: {pred.shape} vs {truth.shape}")
-    # err's buffer holds |err|, |err / truth| and the centred truth in turn
-    err = pred - truth
-    sse = float(np.vdot(err, err))
-    rmse = float(np.sqrt(sse / err.size))
-    mae = float(np.abs(err, out=err).mean())
-    nz = truth != 0
-    np.divide(err, truth, out=err, where=nz)
-    mape = float(np.abs(err, out=err).mean(where=nz)) if nz.any() else None
-    np.subtract(truth, truth.mean(), out=err)
-    denom = np.sqrt(np.vdot(err, err))
-    rse = float(np.sqrt(sse) / denom) if denom > 0 else None
+    # (entries, nodes, last axis) -> one group of (nodes, last axis, entries)
+    return group_metrics(*(a.reshape(-1, *a.shape[-2:]).transpose(1, 2, 0)[None]
+                           for a in map(np.atleast_2d, (pred, truth))))[0]
 
-    # (entries, nodes, entries): the node axis (-2) in the middle
-    p3, t3 = (a.reshape(-1, *a.shape[-2:]) for a in map(np.atleast_2d, (pred, truth)))
-    pc = p3 - p3.mean(axis=(0, 2), keepdims=True)
-    tc = np.subtract(t3, t3.mean(axis=(0, 2), keepdims=True), out=err.reshape(t3.shape))
-    sp, st = np.einsum("anl,anl->n", pc, pc), np.einsum("anl,anl->n", tc, tc)
+
+def group_metrics(pred: np.ndarray, truth: np.ndarray) -> list[dict]:
+    """``metrics`` of each group of (G, N, ...) arrays, in one pass.
+
+    Node n of group g has the entries ``pred[g, n]``. Both arrays are copied
+    into node-major (G, N, E) buffers, and every sum, mean and dot product
+    runs along one contiguous row of E entries, then over a group's N rows.
+    So each group's figures are bit for bit those of a one-group call on its
+    slice. The prediction's buffer holds the error, then ``pred`` again; both
+    are centred in place for CORR. Besides the two, only a boolean mask of
+    the nonzero targets is as large as the inputs.
+    """
+    shape = np.shape(pred)
+    if shape != np.shape(truth):
+        raise ParseError(f"metric shapes differ: {shape} vs {np.shape(truth)}")
+    n_groups, n_nodes = shape[:2]
+    n_entries = math.prod(shape[2:])
+    size = n_nodes * n_entries
+    p_buf, t_buf = np.empty(shape), np.empty(shape)
+    np.copyto(p_buf, pred)
+    np.copyto(t_buf, truth)
+    p, t = (a.reshape(n_groups, n_nodes, n_entries) for a in (p_buf, t_buf))
+
     # a constant row can center to tiny nonzero values when its mean does not
-    # round back to the constant, so test the range rather than the variance
-    keep = (np.ptp(p3, axis=(0, 2)) > 0) & (np.ptp(t3, axis=(0, 2)) > 0)
-    r = np.einsum("anl,anl->n", pc, tc)[keep] / (np.sqrt(sp[keep]) * np.sqrt(st[keep]))
-    corr = float(np.clip(r, -1.0, 1.0).mean()) if keep.any() else None
-    return {"MAE": mae, "RMSE": rmse, "MAPE": mape, "RSE": rse, "CORR": corr}
+    # round back to the constant, so CORR and RSE test the range
+    p_range = np.ptp(p, axis=-1)
+    t_max, t_min = t.max(axis=-1), t.min(axis=-1)
+    t_varies = t_max.max(axis=-1) > t_min.min(axis=-1)
+
+    np.subtract(p, t, out=p)  # the error
+    sse = np.add.reduce(_row_dot(p, p), axis=-1)
+    abs_sum = np.add.reduce(np.add.reduce(np.abs(p, out=p), axis=-1), axis=-1)
+    nz = t != 0
+    np.divide(p, t, out=p, where=nz)
+    ape_sum = np.add.reduce(np.add.reduce(np.abs(p, out=p), axis=-1, where=nz), axis=-1)
+    n_nonzero = np.count_nonzero(nz, axis=(1, 2))
+
+    np.copyto(p_buf, pred)
+    p_mean = np.add.reduce(p, axis=-1) / n_entries
+    t_mean = np.add.reduce(t, axis=-1) / n_entries
+    p -= p_mean[..., None]
+    t -= t_mean[..., None]
+    sp, st, spt = _row_dot(p, p), _row_dot(t, t), _row_dot(p, t)
+    keep = (p_range > 0) & (t_max > t_min)
+    r = np.divide(spt, np.sqrt(sp) * np.sqrt(st), out=np.zeros_like(spt), where=keep)
+    r_sum = np.add.reduce(np.clip(r, -1.0, 1.0, out=r), axis=-1)
+    n_kept = np.count_nonzero(keep, axis=-1)
+    # the target's squared deviation from its group mean, row by row:
+    # a row's own plus its length times its mean's offset from the group's
+    t_dev = t_mean - (np.add.reduce(t_mean, axis=-1) / n_nodes)[:, None]
+    sst = np.add.reduce(st + n_entries * t_dev * t_dev, axis=-1)
+
+    return [{"MAE": float(abs_sum[g] / size),
+             "RMSE": float(np.sqrt(sse[g] / size)),
+             "MAPE": float(ape_sum[g] / n_nonzero[g]) if n_nonzero[g] else None,
+             "RSE": float(np.sqrt(sse[g]) / np.sqrt(sst[g])) if t_varies[g] else None,
+             "CORR": float(r_sum[g] / n_kept[g]) if n_kept[g] else None}
+            for g in range(n_groups)]
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each last-axis row of ``a`` with that of ``b``.
+
+    ``matmul`` of a (1, E) row by an (E, 1) column hands each row whole to
+    one dot product, so a row's result does not depend on where it lies.
+    ``np.einsum``'s can, with the row's address or the array's shape.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)

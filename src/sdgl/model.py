@@ -51,7 +51,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, Tape
-from .data import Scaler, SeriesDataset, SplitWindows, WindowBatch, metrics, window_split
+from .data import (Scaler, SeriesDataset, SplitWindows, WindowBatch, group_metrics, metrics,
+                   window_split)
 from .dynamic_graph import DynamicGraphLearner
 from .graph_conv import MixHopConv
 from .params import weight, zeros
@@ -550,7 +551,7 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
         # the loss check above sees each update only at the next step, so the
         # epoch's last update is checked by the validation forecast it gives
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            val = evaluate(model, scaler, splits.val)["average"]
+            val = metrics(predict(model, scaler, splits.val.inputs), splits.val.targets)
         if not math.isfinite(val["MAE"]):
             raise DivergenceError(
                 f"validation forecast became non-finite after the last step of epoch "
@@ -584,13 +585,16 @@ def evaluate(model: SDGLModel, scaler: Scaler, windows: WindowBatch) -> dict:
     """Per-horizon and horizon-averaged metrics of ``predict``, in original units.
 
     CORR correlates each node over the windows, at step k for
-    ``per_horizon[k]`` and over all steps for ``average``.
+    ``per_horizon[k]`` and over all steps for ``average``. The L steps are
+    scored as L groups in one ``group_metrics`` call, each equal to
+    ``metrics(pred[:, :, k:k + 1], truth[:, :, k:k + 1])``, and the average
+    is ``metrics(pred, truth)``.
     """
     pred = predict(model, scaler, windows.inputs)
     truth = windows.targets
-    per_horizon = [metrics(pred[:, :, k:k + 1], truth[:, :, k:k + 1]) for k in range(pred.shape[2])]
-    average = metrics(pred, truth)
-    return {"per_horizon": per_horizon, "average": average}
+    # (B, N, L) -> (L, N, B): step k's group holds each node's windows
+    per_horizon = group_metrics(pred.transpose(2, 1, 0), truth.transpose(2, 1, 0))
+    return {"per_horizon": per_horizon, "average": metrics(pred, truth)}
 
 
 def predict(model: SDGLModel, scaler: Scaler, x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from sdgl.data import (
     Scaler,
     SeriesDataset,
     graph_recovery_score,
+    group_metrics,
     load_csv,
     make_windows,
     metrics,
@@ -385,6 +386,34 @@ class TestMetrics:
         assert corr >= -1.0
         assert corr == pytest.approx(-1.0, abs=1e-12)
         assert corr == pytest.approx(corrcoef_loop_corr(pred, truth), abs=1e-12)
+
+    @pytest.mark.parametrize("length", [7, 10, 1001])
+    @pytest.mark.parametrize("value", [0.1, 2.2, 3.7])
+    def test_constant_target_gives_undefined_rse(self, value, length):
+        # the mean of these rows does not round back to the constant, so
+        # centering leaves tiny nonzero values, which once gave RSE up to 3.6e16
+        truth = np.full((length, 3), value)
+        m = metrics(truth + 0.5, truth)
+        assert m["RSE"] is None and m["CORR"] is None
+        assert m["MAE"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_rse_of_rows_with_distinct_constants_is_defined(self):
+        # each node's target is constant, but the target as a whole varies
+        truth = np.broadcast_to(np.array([0.1, 2.2, 3.7])[:, None], (10, 3, 4)).copy()
+        pred = truth + np.random.default_rng(8).normal(size=truth.shape)
+        m = metrics(pred, truth)
+        assert m["CORR"] is None
+        assert m["RSE"] == pytest.approx(loop_metrics(pred, truth)[3], abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 5), (3, 1, 20000), (4, 2, 8193), (2, 10, 300)])
+    def test_group_is_its_one_group_call(self, shape):
+        # rows longer than numpy's 8192-element buffer and single-node groups
+        # included; a group's figures are its slice's, bit for bit
+        rng = np.random.default_rng(shape[-1])
+        pred = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape[:2] + (1,))
+        truth = pred + rng.normal(size=shape)
+        truth[..., ::7] = 0.0
+        assert group_metrics(pred, truth) == [metrics(p, t) for p, t in zip(pred, truth)]
 
     def test_all_zero_targets_mape_undefined(self):
         m = metrics(np.ones((2, 2)), np.zeros((2, 2)))

@@ -1230,6 +1230,38 @@ class TestEvaluatePredict:
         assert rep["per_horizon"] == [metrics(pred[:, :, k:k + 1], truth[:, :, k:k + 1])
                                       for k in range(3)]
 
+    @pytest.mark.parametrize("kind", ["noise", "zero_targets", "constant_nodes",
+                                      "constant_target"])
+    @pytest.mark.parametrize("horizon", [1, 3])
+    @pytest.mark.parametrize("n_nodes", [2, 10])
+    @pytest.mark.parametrize("n_windows", [1, 2, 128, 300])
+    def test_each_entry_is_its_one_group_call(self, monkeypatch, n_windows, n_nodes,
+                                              horizon, kind):
+        # evaluate scores its steps as groups of one pass; each entry must be
+        # the one-group call on its slice, bit for bit
+        rng = np.random.default_rng([n_windows, n_nodes, horizon])
+        values = rng.normal(size=(n_windows + horizon + 1, n_nodes)) * 10 + 3
+        pred = rng.normal(size=(n_windows, n_nodes, horizon)) * 10 + 3
+        if kind == "zero_targets":
+            values[rng.random(values.shape) < 0.3] = 0.0
+            values[2:n_windows + 2] = 0.0  # every target of step 1 (MAPE undefined)
+        elif kind == "constant_nodes":
+            values[:, 0] = 0.1  # CORR leaves both nodes out
+            pred[:, 1] = 0.3
+        elif kind == "constant_target":
+            values[:] = 3.7  # RSE and CORR undefined
+        windows = make_windows(values, 2, horizon)
+        monkeypatch.setattr(sdgl_model, "predict", lambda model, scaler, x: pred)
+        rep = evaluate(None, None, windows)
+        truth = windows.targets
+        assert rep["average"] == metrics(pred, truth)
+        assert rep["per_horizon"] == [metrics(pred[:, :, k:k + 1], truth[:, :, k:k + 1])
+                                      for k in range(horizon)]
+        if kind == "zero_targets":
+            assert rep["per_horizon"][0]["MAPE"] is None
+        elif kind == "constant_target":
+            assert rep["average"]["RSE"] is None and rep["average"]["CORR"] is None
+
     def test_horizon_corr_is_per_node_over_windows(self):
         out = self.make_trained(seed=5)
         windows = make_windows(tiny_dataset(t=200, seed=5).values, 19, 3)
