@@ -10,7 +10,9 @@ W'_q,i = (mix_i/sqrt(d_k)) W_q,i, formed once per call and read by both paths:
 the scalar's gradient then reads only that weight, and the tape holds no
 per-window array for it. Out of training the heads collapse: their sum is one
 bilinear form of the normalized features, H A H^T with the (d, d)
-A = sum_i W'_q,i W_k,i^T, so a window runs two products, not three per head.
+A = sum_i W'_q,i W_k,i^T, formed as one product of the heads' weights side by
+side, concat_i(W'_q,i) concat_i(W_k,i)^T, so a window runs two products, not
+three per head.
 In training each head is dropout((H W'_q,i)(H W_k,i)^T) on its own, as a mask
 drops entries of each head's product; at keep probability 1 dropout draws no
 mask and returns its input.
@@ -110,12 +112,10 @@ class AdjacencyHeads:
         h_norm = ad.layer_norm(h_t, self.ln_gain, self.ln_bias)
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
         w_q = [ad.mul(w, ad.scale(mix, inv_sqrt)) for w, mix in zip(self.w_q, self.head_mix)]
-        total: Tensor | None = None
         if not training:
-            for w_q_i, w_k in zip(w_q, self.w_k):
-                term = ad.matmul(w_q_i, ad.transpose(w_k))
-                total = term if total is None else ad.add(total, term)
-            return ad.matmul(ad.matmul(h_norm, total), ad.transpose(h_norm))
+            form = ad.matmul(ad.concat(w_q, axis=1), ad.transpose(ad.concat(self.w_k, axis=1)))
+            return ad.matmul(ad.matmul(h_norm, form), ad.transpose(h_norm))
+        total: Tensor | None = None
         for w_q_i, w_k in zip(w_q, self.w_k):
             q, k = ad.matmul(h_norm, w_q_i), ad.matmul(h_norm, w_k)
             head = ad.dropout(ad.matmul(q, ad.transpose(k)), self.dropout_keep, rng, training)

@@ -28,14 +28,19 @@ on the span that first sum runs once too. The dynamic mix-hop's selection
 commutes with its propagation (``graph_conv``), so its hop maps z_k, d + 1
 channel maps, also run once over the span, and z_0 + bias joins the sum: the
 span's output is ((static + residual) + (z_0 + bias)) + P(z_1 + P(...)). Each
-window reads its kept steps of the gated output, of that sum and of each of the
-d hop maps as 2 + d read-only views and runs only Horner's rule along its own
-graph P. The graph learners, the later layers and the head run per window. The
+window reads its kept steps of that sum and of each of the d hop maps as 1 + d
+read-only views and runs only Horner's rule along its own graph P. The first
+layer's skip map reads each window's last kept step, and window i's is span
+step i + stride * (t_out - 1), so it too runs once, over the span's last B
+steps. The graph learners, the later layers and the head run per window. The
 check is on the values, so a NaN fails it. A taped pass, any other batch, and a
 batch whose span would compute no fewer first-layer steps than its windows
 (B <= 2 at the defaults, and any one-layer model) run per window. Training
 minimizes lambda * graph regularization + L1 prediction loss; after every
 optimizer step the dynamic embeddings follow the static ones by momentum only.
+The regularizer is a training loss: a taped pass records it, and an untaped
+one computes it only when its result's ``reg_loss`` is read, which no forecast
+does.
 """
 
 from __future__ import annotations
@@ -248,16 +253,40 @@ def _windows(span: Tensor, b: int, count: int, step: int) -> Tensor:
     of the span they slide over: window i's step j is the span's step i + step*j.
 
     A read-only view with no copy and no tape record, so only untaped passes use it.
+    It is built from the span's strides in constant time. Raises ``ValueError``
+    unless b, count and step are positive and the last window ends in the span.
     """
-    return Tensor(np.lib.stride_tricks.sliding_window_view(
-        span.data[0], step * (count - 1) + 1, axis=1)[:, :b, :, ::step].transpose(1, 0, 3, 2))
+    data = span.data
+    _, c, t, n = data.shape
+    if b < 1 or count < 1 or step < 1 or b + step * (count - 1) > t:
+        raise ValueError(f"_windows: {b} windows of {count} steps, {step} apart, "
+                         f"do not fit in a span of {t} steps")
+    _, s_c, s_t, s_n = data.strides
+    return Tensor(np.lib.stride_tricks.as_strided(
+        data, (b, c, count, n), (s_t, s_c, step * s_t, s_n), writeable=False))
 
 
 @dataclass
 class ForwardResult:
+    """What one ``forward`` call gives.
+
+    ``reg_loss`` is the scalar graph-regularization term of the call's windows
+    and static graph, a training loss. A taped call records it in ``forward``.
+    An untaped call computes it on its first read, from the windows' array as
+    it is then, through this module's ``graph_regularization_loss``, and keeps
+    it: forecasts never read it, so they never compute it.
+    """
+
     prediction: Tensor  # (B, N, L), normalized units
     dynamic_graphs: AdjacencyMatrix | None  # values (B, N, N)
-    reg_loss: Tensor  # scalar graph-regularization term
+    # the term, or the (windows, static graph, gamma) it is computed from
+    _reg: Tensor | tuple[Tensor, Tensor, float]
+
+    @property
+    def reg_loss(self) -> Tensor:
+        if isinstance(self._reg, tuple):
+            self._reg = graph_regularization_loss(*self._reg)
+        return self._reg
 
 
 class SDGLModel:
@@ -348,9 +377,12 @@ class SDGLModel:
         Without an active ``Tape`` the last layer stops after its skip map:
         its graph branches and residual feed nothing the result holds. Under
         a tape they run, so backward gives their parameters zero gradients.
-        The result is the same bit for bit either way. Without a tape, a batch
-        of consecutive windows of one series takes the module docstring's span
-        path, and its forecast differs from the per-window one only by rounding.
+        Under a tape the graph regularizer runs here, before the dynamic graph
+        learner; without one it runs on the first read of the result's
+        ``reg_loss`` (``ForwardResult``). The result is the same bit for bit
+        either way. Without a tape, a batch of consecutive windows of one
+        series takes the module docstring's span path, and its forecast
+        differs from the per-window one only by rounding.
         """
         if isinstance(x, np.ndarray):
             x = Tensor(x)
@@ -363,7 +395,9 @@ class SDGLModel:
         b, n, h = x.shape
 
         static = build_static_graph(self.embeddings.m_static).values
-        reg = graph_regularization_loss(x, static, cfg.gamma)
+        taped = ad.tape_active()
+        # a training loss: recorded under a tape, and otherwise computed when read
+        reg = graph_regularization_loss(x, static, cfg.gamma) if taped else (x, static, cfg.gamma)
         # every layer's branches propagate along both softmax graphs as built
         dynamic = None
         if "no_dyadj" not in cfg.ablation:
@@ -377,7 +411,6 @@ class SDGLModel:
         t_in = self.step_plan[0][1]
         s_out, t_out = self.step_plan[1]
         # the span path of the module docstring, where it computes fewer first-layer steps
-        taped = ad.tape_active()
         shared = (not taped and b + s_out * (t_out - 1) < b * t_out
                   and np.array_equal(x.data[1:, :, :-1], x.data[:-1, :, 1:]))
         if shared:
@@ -397,9 +430,14 @@ class SDGLModel:
             stride = 1 if on_span else step
             start = (self.start_w, self.start_b) if j == 0 else ()
             temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, stride, *start)
-            windows = _windows(temporal, b, t_out, step) if on_span else temporal
             # the output head reads only the last step, so each skip maps only that step
-            skip = ad.channel_map(ad.narrow(windows, 2, t_out - 1, 1), self.skip_w[j])
+            if on_span:
+                # window i's last kept step is span step i + step*(t_out - 1): one map
+                # of those b steps, viewed as (b, C, 1, N)
+                skip = Tensor(ad.channel_map(ad.narrow(temporal, 2, step * (t_out - 1), b),
+                                             self.skip_w[j]).data.transpose(2, 1, 0, 3))
+            else:
+                skip = ad.channel_map(ad.narrow(temporal, 2, t_out - 1, 1), self.skip_w[j])
             skip_total = skip if skip_total is None else ad.add(skip_total, skip)
             # nothing reads the last layer's graph branches and residual: they run
             # only under a tape, whose backward gives their parameters zero gradients
@@ -428,12 +466,12 @@ class SDGLModel:
             elif on_span:
                 hidden = _windows(hidden, b, t_out, step)
             elif dynamic is not None:
-                hidden = ad.add(hidden, self.gcn_dynamic[j].mix_hop(windows, dynamic.values))
+                hidden = ad.add(hidden, self.gcn_dynamic[j].mix_hop(temporal, dynamic.values))
 
         h1 = ad.relu(ad.channel_map(skip_total, self.out_w1, self.out_b1))
         y = ad.channel_map(h1, self.out_w2, self.out_b2)  # (B, L, 1, N)
         y = ad.transpose(ad.reshape(y, (b, cfg.horizon, n)))  # (B, N, L)
-        return ForwardResult(prediction=y, dynamic_graphs=dynamic, reg_loss=reg)
+        return ForwardResult(y, dynamic, reg)
 
 
 def hybrid_loss(pred: Tensor, target: Tensor, reg_loss: Tensor, lambda_reg: float) -> Tensor:

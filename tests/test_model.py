@@ -879,6 +879,17 @@ class TestSharedSpan:
         with pytest.raises(ValueError):
             got[...] = 0.0
 
+    # (b, count, step) on a span of 10 steps: 4 windows of 3 steps, 3 apart, end at its last
+    @pytest.mark.parametrize("b, count, step", [
+        (0, 3, 3), (-1, 3, 3), (4, 0, 3), (4, -1, 3), (4, 3, 0), (4, 3, -2),
+        (5, 3, 3), (4, 4, 3), (4, 3, 4),
+    ])
+    def test_windows_past_the_span_or_not_positive_raise(self, b, count, step):
+        span = Tensor(np.zeros((1, 2, 10, 3)))
+        sdgl_model._windows(span, 4, 3, 3)
+        with pytest.raises(ValueError, match="_windows"):
+            sdgl_model._windows(span, b, count, step)
+
     @pytest.mark.parametrize("b", [1, 2, 3, 128, 129, 300])
     @pytest.mark.parametrize("name", sorted(SPAN_CONFIGS))
     def test_span_matches_the_per_window_pass(self, monkeypatch, name, b):
@@ -946,12 +957,99 @@ class TestSharedSpan:
         scaler = Scaler(np.zeros(cfg.n_nodes), np.ones(cfg.n_nodes))
         calls = self.spans(monkeypatch)
         got = predict(model, scaler, x)
-        # 2 + depth views of each span: the gated output's (skip), the static branch
-        # plus residual plus the dynamic branch's z_0's, and one per hop map z_1 ... z_d
-        assert calls == [128] * 8 + [44] * 4
+        # 1 + depth views of each span: the static branch plus residual plus the dynamic
+        # branch's z_0's, and one per hop map z_1 ... z_d; the first skip maps the span
+        assert calls == [128] * 6 + [44] * 3
         want = np.concatenate([self.taped(model, x[i : i + 128]).prediction.data
                                for i in range(0, 300, 128)])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestRegularizerOnlyWhenRead:
+    """The graph regularizer is a training loss: a taped ``forward`` records it,
+    an untaped one computes it on the first read of ``reg_loss``, and the
+    forecasts, which never read it, never compute it."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """The list of calls to the regularizer through ``sdgl.model``'s name."""
+        events, regularizer = [], sdgl_model.graph_regularization_loss
+
+        def counted(*args):
+            events.append("regularizer")
+            return regularizer(*args)
+
+        monkeypatch.setattr(sdgl_model, "graph_regularization_loss", counted)
+        return events
+
+    @staticmethod
+    def series(cfg, b):
+        """A series that holds b windows."""
+        return np.random.default_rng(21).normal(size=(b + cfg.window + cfg.horizon - 1,
+                                                      cfg.n_nodes))
+
+    @classmethod
+    def windows(cls, cfg, b):
+        return make_windows(cls.series(cfg, b), cfg.window, cfg.horizon)
+
+    @pytest.mark.parametrize("b", [1, 130])
+    def test_predict_and_evaluate_never_compute_it(self, monkeypatch, b):
+        cfg = tiny_config()
+        model, windows = SDGLModel(cfg), self.windows(cfg, b)
+        assert len(windows.inputs) == b
+        scaler = Scaler(np.zeros(cfg.n_nodes), np.ones(cfg.n_nodes))
+        calls = self.counting(monkeypatch)
+        predict(model, scaler, windows.inputs)
+        predict(model, scaler, windows.inputs[0])
+        evaluate(model, scaler, windows)
+        assert calls == []
+
+    def test_export_graphs_never_computes_it(self, monkeypatch, tmp_path):
+        from sdgl.cli import EXIT_OK, main
+        cfg = tiny_config()
+        save_csv(tmp_path / "data.csv", self.series(cfg, 130))
+        checkpoint.save(tmp_path / "model.sdgl", SDGLModel(cfg),
+                        Scaler(np.zeros(cfg.n_nodes), np.ones(cfg.n_nodes)))
+        calls = self.counting(monkeypatch)
+        code = main(["export-graphs", "--checkpoint", str(tmp_path / "model.sdgl"),
+                     "--data", str(tmp_path / "data.csv"), "--windows", *map(str, range(130)),
+                     "--out-dir", str(tmp_path / "graphs")])
+        assert code == EXIT_OK
+        assert calls == []
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_taped_forward_computes_it_once_before_the_dynamic_learner(self, monkeypatch,
+                                                                       training):
+        from sdgl.dynamic_graph import DynamicGraphLearner
+        events = self.counting(monkeypatch)
+        learner = DynamicGraphLearner.__call__
+
+        def tracked(*args):
+            events.append("dynamic")
+            return learner(*args)
+
+        monkeypatch.setattr(DynamicGraphLearner, "__call__", tracked)
+        cfg = tiny_config()
+        with Tape():
+            result = SDGLModel(cfg).forward(Tensor(self.windows(cfg, 6).inputs), training)
+        assert events == ["regularizer", "dynamic"]
+        assert result.reg_loss.data.shape == ()
+        assert events == ["regularizer", "dynamic"]
+
+    @pytest.mark.parametrize("b", [1, 6, 130])
+    def test_untaped_forward_computes_it_on_the_first_read(self, monkeypatch, b):
+        cfg = tiny_config()
+        model, x = SDGLModel(cfg), self.windows(cfg, b).inputs
+        with Tape():
+            want = model.forward(Tensor(x)).reg_loss
+        calls = self.counting(monkeypatch)
+        result = model.forward(Tensor(x))
+        assert calls == []
+        first = result.reg_loss
+        assert calls == ["regularizer"]
+        assert result.reg_loss is first
+        assert calls == ["regularizer"]
+        np.testing.assert_array_equal(first.data, want.data)
 
 
 class TestHybridLoss:
