@@ -97,13 +97,13 @@ backward pass allocated for that one slot and that nothing else references.
 A rule hands on the array it has just computed as fresh (``mul``,
 ``divide``, ``matmul``, ``relu``, ``tanh``, ``sigmoid``, ``row_softmax``,
 ``layer_norm``, ``dropout``, ``reduce_sum``, the convolution, ``propagate``),
-and the slot keeps it as its own. The incoming gradient or a view of it
-(``add``, ``transpose``, ``reshape``, ``concat``) is never fresh, so a slot
-that holds one, or a gradient of an earlier pass, gets a new sum. ``narrow``
-adds into its slice of the input's owned buffer, so the two halves of the
-gated layer's split fill one buffer. Ownership ends when ``backward`` returns, and
-assigning ``Tensor.grad`` clears it: a later pass never changes a ``.grad``
-array the caller kept or assigned.
+and a slot with no gradient yet keeps it as its own. The incoming gradient
+or a view of it (``add``, ``transpose``, ``reshape``, ``concat``) is never
+fresh, so a slot that holds one, or a gradient of an earlier pass, gets a new
+sum. ``narrow`` adds into its slice of the input's owned buffer, so the two
+halves of the gated layer's split fill one buffer. Ownership ends when
+``backward`` returns, and assigning ``Tensor.grad`` clears it: a later pass
+never changes a ``.grad`` array the caller kept or assigned.
 
 Primitives check nothing for non-finite values, and every rule passes NaN
 on (``relu`` is ``max(a, 0)``, not a mask that would zero it), so a NaN
@@ -297,21 +297,19 @@ def _record(out: Tensor, backward_fn: Callable, *input_slots: _Slot | None) -> N
 
 
 def _accum(slot: _Slot | None, g: np.ndarray, fresh: bool = False) -> None:
-    """Add g to a slot's gradient. ``fresh``: the rule has just computed g and
-    nothing else holds it, so the slot may own it (see the module docstring)."""
+    """Add g to a slot's gradient: in place into a buffer the slot owns, else
+    as a new sum that it owns. ``fresh``: the rule has just computed g and
+    nothing else holds it, so an empty slot may own it (module docstring)."""
     if slot is None:
         return
     if slot.grad is None:
         slot.grad = g
+        slot.owner = _GENERATION if fresh else 0
     elif slot.owner == _GENERATION:
         slot.grad += g
-        return
-    elif fresh:
-        g += slot.grad  # addition commutes: bit for bit slot.grad + g
-        slot.grad = g
     else:
-        slot.grad, fresh = slot.grad + g, True
-    slot.owner = _GENERATION if fresh else 0
+        slot.grad = slot.grad + g
+        slot.owner = _GENERATION
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -525,11 +523,13 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     return y
 
 
-def dropout(a: Tensor, keep_prob: float, rng, training: bool) -> Tensor:
-    """Inverted dropout: scaled by 1/keep at train time, identity in eval."""
+def dropout(a: Tensor, keep_prob: float, rng) -> Tensor:
+    """Inverted dropout: keeps each entry with probability ``keep_prob``, drawn
+    from ``rng``, and scales what it keeps by 1/keep_prob. At keep 1 it draws
+    no mask and returns ``a``. Callers apply it only in training."""
     if not 0.0 < keep_prob <= 1.0:
         raise ShapeError(f"dropout: keep probability must be in (0, 1], got {keep_prob}")
-    if not training or keep_prob == 1.0:
+    if keep_prob == 1.0:
         return a
     # a one-byte mask and one scale keep the tape small; a * keep * inv is
     # bit for bit a * (keep / keep_prob)

@@ -106,8 +106,9 @@ class AdjacencyHeads:
     def correlate(self, h_t: Tensor, rng: RngState, training: bool) -> Tensor:
         """Sum over heads of dropout((H W'_q,i)(H W_k,i)^T), H the normalized h_t.
 
-        W'_q,i is the scaled query weight, and out of training the heads
-        collapse into one bilinear form (module docstring).
+        W'_q,i is the scaled query weight. Dropout runs only in training, on
+        each head's product; out of training the heads collapse into one
+        bilinear form with no dropout (module docstring).
         """
         h_norm = ad.layer_norm(h_t, self.ln_gain, self.ln_bias)
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
@@ -118,7 +119,7 @@ class AdjacencyHeads:
         total: Tensor | None = None
         for w_q_i, w_k in zip(w_q, self.w_k):
             q, k = ad.matmul(h_norm, w_q_i), ad.matmul(h_norm, w_k)
-            head = ad.dropout(ad.matmul(q, ad.transpose(k)), self.dropout_keep, rng, training)
+            head = ad.dropout(ad.matmul(q, ad.transpose(k)), self.dropout_keep, rng)
             total = head if total is None else ad.add(total, head)
         return total
 

@@ -2,6 +2,8 @@
 
 Backed by numpy's Philox counter-based bit generator: identical seed plus an
 identical call sequence reproduces the stream bit-for-bit, on any platform.
+``RngState`` adds only ``seed`` and ``substream``; a copy or pickle of one is
+numpy's, a plain ``Generator`` that continues the same stream.
 """
 
 from __future__ import annotations
@@ -19,14 +21,3 @@ class RngState(np.random.Generator):
     def substream(self, key: int) -> "RngState":
         """Independent substream, reproducible from (seed, key)."""
         return RngState((self.seed * 0x9E3779B97F4A7C15 + key + 1) % (2**63))
-
-    def __reduce__(self):
-        # numpy's own would rebuild a plain Generator, without ``seed``
-        return _restore, (self.seed, self.bit_generator.state)
-
-
-def _restore(seed: int, state: dict) -> RngState:
-    """The ``RngState`` of ``seed`` at stream position ``state``: how copies are made."""
-    rng = RngState(seed)
-    rng.bit_generator.state = state
-    return rng
