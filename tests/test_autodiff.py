@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 import weakref
 
@@ -360,6 +362,18 @@ class TestInvariants:
         want = (seed * 0x9E3779B97F4A7C15 + key + 1) % 2**63
         assert isinstance(sub, RngState) and sub.seed == want
         np.testing.assert_array_equal(sub.random(8), RngState(want).random(8))
+
+    @pytest.mark.parametrize("duplicate", [lambda r: pickle.loads(pickle.dumps(r)),
+                                           copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_rng_copy_continues_stream(self, duplicate):
+        # a copy is numpy's plain Generator; it draws on from the stream's current position
+        rng, ref = RngState(3), RngState(3)
+        rng.random(5)
+        ref.random(5)
+        dup = duplicate(rng)
+        assert isinstance(dup, np.random.Generator)
+        np.testing.assert_array_equal(dup.random(8), ref.random(8))
 
     def test_grad_check_linear_function_near_zero(self):
         rep = grad_check(lambda z: ad.reduce_sum(z), rand((3, 3), seed=5))
