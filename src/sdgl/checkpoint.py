@@ -9,6 +9,10 @@ Little-endian binary layout:
                  (at most 32), rank x u64 dims, row-major f64 payload; each name
                  once, and nothing follows the last record
 
+The records are the model's ``state_tensors``, the tensors its config's
+forward pass reads (``model.state_shapes``), and the scaler's mean and std:
+an ablated model's checkpoint has no record of the parts it does not read,
+and a record the config does not name is refused.
 Save followed by load reproduces the eval-mode forward pass bit-identically.
 A checkpoint holds no training state: a loaded model's dropout stream starts
 where a fresh model's does.
@@ -45,7 +49,7 @@ class Checkpoint:
 
 
 def save(path, model: SDGLModel, scaler: Scaler) -> None:
-    tensors = dict(model.state_tensors())
+    tensors = model.state_tensors()
     tensors["scaler.mean"] = Tensor(scaler.mean)
     tensors["scaler.std"] = Tensor(scaler.std)
     header = {"config": asdict(model.config), "tensor_count": len(tensors)}

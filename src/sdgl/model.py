@@ -205,31 +205,42 @@ class ModelConfig:
 
 
 def state_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of each tensor of ``SDGLModel(config).state_tensors()``.
+    """(name, shape) of each tensor of the config's state: what its forward pass reads.
 
-    Computed from the config without building the model, one tensor
-    at a time, so ``checkpoint.load`` can check a file's records against it
-    before anything the file does not back is allocated.
+    ``SDGLModel.state_tensors`` is these tensors, in this order. It is the
+    order ``SGD`` sums their gradients in, with the dynamic embeddings, which
+    no gradient moves, last. An ablation's forward pass reads less: without
+    the dynamic graph (``no_dyadj``) no ``dynamic.*``, ``gcn_dynamic{j}.*`` or
+    dynamic embeddings, and without the fusion gate (``no_ifm``,
+    ``ifm_plus``) no ``w_r``, ``u_r``, ``b_r``, ``w_z``, ``u_z``, ``b_z``,
+    ``w_h`` or ``u_h``. Computed from the config without building the model,
+    one tensor at a time, so ``checkpoint.load`` can check a file's records
+    against it before anything the file does not back is allocated.
     """
     n, d, c, hd = config.n_nodes, config.embed_dim, config.channels, config.resolved_head_dim()
+    dynamic = "no_dyadj" not in config.ablation
+    branches = ("gcn_static", "gcn_dynamic") if dynamic else ("gcn_static",)
     yield "embeddings.m_static", (n, d)
-    yield "embeddings.m_dynamic", (n, d)
-    yield "dynamic.fusion.w_in", (config.window, d)
-    for name in ("b_in", "b_r", "b_z"):
-        yield f"dynamic.fusion.{name}", (d,)
-    for name in ("w_r", "u_r", "w_z", "u_z", "w_h", "u_h"):
-        yield f"dynamic.fusion.{name}", (d, d)
-    yield "dynamic.heads.ln_gain", (d,)
-    yield "dynamic.heads.ln_bias", (d,)
-    yield "dynamic.heads.w_res", (d, hd)
-    for name in ("w_1", "w_2"):
-        yield f"dynamic.heads.{name}", (n, n)
-    for name in ("b_1", "b_2"):
-        yield f"dynamic.heads.{name}", (n,)
-    for i in range(config.heads):
-        yield f"dynamic.heads.w_q{i}", (d, hd)
-        yield f"dynamic.heads.w_k{i}", (d, hd)
-        yield f"dynamic.heads.head_mix{i}", ()
+    if dynamic:
+        yield "dynamic.fusion.w_in", (config.window, d)
+        yield "dynamic.fusion.b_in", (d,)
+        if not {"no_ifm", "ifm_plus"} & set(config.ablation):
+            for gate in ("r", "z"):
+                yield f"dynamic.fusion.w_{gate}", (d, d)
+                yield f"dynamic.fusion.u_{gate}", (d, d)
+                yield f"dynamic.fusion.b_{gate}", (d,)
+            yield "dynamic.fusion.w_h", (d, d)
+            yield "dynamic.fusion.u_h", (d, d)
+        yield "dynamic.heads.ln_gain", (d,)
+        yield "dynamic.heads.ln_bias", (d,)
+        yield "dynamic.heads.w_res", (d, hd)
+        for k in (1, 2):
+            yield f"dynamic.heads.w_{k}", (n, n)
+            yield f"dynamic.heads.b_{k}", (n,)
+        for i in range(config.heads):
+            yield f"dynamic.heads.w_q{i}", (d, hd)
+            yield f"dynamic.heads.w_k{i}", (d, hd)
+            yield f"dynamic.heads.head_mix{i}", ()
     yield "start_w", (c, 1)
     yield "start_b", (c,)
     for j in range(config.layers):
@@ -239,13 +250,15 @@ def state_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
             yield f"tcn{j}.{bank}.bias", (c,)
         yield f"residual{j}.w", (c, c)
         yield f"skip{j}.w", (c, c)
-        for branch in ("gcn_static", "gcn_dynamic"):
+        for branch in branches:
             yield f"{branch}{j}.w_select", (c, c * (config.depth + 1))
             yield f"{branch}{j}.bias", (c,)
     yield "out_w1", (c, c)
     yield "out_b1", (c,)
     yield "out_w2", (config.horizon, c)
     yield "out_b2", (config.horizon,)
+    if dynamic:
+        yield "embeddings.m_dynamic", (n, d)
 
 
 def _windows(span: Tensor, b: int, count: int, step: int) -> Tensor:
@@ -338,36 +351,33 @@ class SDGLModel:
         self.out_w2 = weight(rng, c, (config.horizon, c))
         self.out_b2 = zeros((config.horizon,))
 
-    # -- parameter registry ---------------------------------------------------
-
-    def parameters(self) -> dict[str, Tensor]:
-        """All gradient-trained tensors; the dynamic embeddings are excluded
-        on purpose (they move only by momentum)."""
-        out: dict[str, Tensor] = {"embeddings.m_static": self.embeddings.m_static}
-        for name, tns in self.dynamic.parameters().items():
-            out[f"dynamic.{name}"] = tns
-        out["start_w"] = self.start_w
-        out["start_b"] = self.start_b
-        for j, layer in enumerate(self.tcn_layers):
-            for name, tns in layer.parameters().items():
-                out[f"tcn{j}.{name}"] = tns
-            out[f"residual{j}.w"] = self.residual_w[j]
-            out[f"skip{j}.w"] = self.skip_w[j]
-            for name, tns in self.gcn_static[j].parameters().items():
-                out[f"gcn_static{j}.{name}"] = tns
-            for name, tns in self.gcn_dynamic[j].parameters().items():
-                out[f"gcn_dynamic{j}.{name}"] = tns
-        out["out_w1"] = self.out_w1
-        out["out_b1"] = self.out_b1
-        out["out_w2"] = self.out_w2
-        out["out_b2"] = self.out_b2
-        return out
+    # -- state -----------------------------------------------------------------
 
     def state_tensors(self) -> dict[str, Tensor]:
-        """Everything that must persist in a checkpoint."""
-        out = dict(self.parameters())
-        out["embeddings.m_dynamic"] = self.embeddings.m_dynamic
-        return out
+        """The built tensors ``state_shapes`` names, in its order: what a
+        checkpoint holds and training checks for non-finite values. The parts
+        an ablation drops are built, so every later weight draws what it draws
+        in the full model, but they are not trained, checked or saved."""
+        built = {"embeddings.m_static": self.embeddings.m_static,
+                 "embeddings.m_dynamic": self.embeddings.m_dynamic,
+                 "start_w": self.start_w, "start_b": self.start_b, "out_w1": self.out_w1,
+                 "out_b1": self.out_b1, "out_w2": self.out_w2, "out_b2": self.out_b2}
+        parts = {"dynamic": self.dynamic}
+        for j in range(self.config.layers):
+            built[f"residual{j}.w"] = self.residual_w[j]
+            built[f"skip{j}.w"] = self.skip_w[j]
+            parts.update({f"tcn{j}": self.tcn_layers[j], f"gcn_static{j}": self.gcn_static[j],
+                          f"gcn_dynamic{j}": self.gcn_dynamic[j]})
+        for prefix, part in parts.items():
+            built.update((f"{prefix}.{name}", t) for name, t in part.parameters().items())
+        return {name: built[name] for name, _ in state_shapes(self.config)}
+
+    def parameters(self) -> dict[str, Tensor]:
+        """The state but the dynamic embeddings, which move only by momentum:
+        the tensors ``SGD`` trains. A taped step gives each one a gradient."""
+        params = self.state_tensors()
+        params.pop("embeddings.m_dynamic", None)
+        return params
 
     # -- forward ---------------------------------------------------------------
 
@@ -487,7 +497,11 @@ CLIP_NORM = 5.0  # largest global gradient norm an SGD step applies
 
 
 class SGD:
-    """Plain gradient descent with global gradient-norm clipping at CLIP_NORM."""
+    """Plain gradient descent with global gradient-norm clipping at CLIP_NORM.
+
+    Every parameter must hold a gradient when ``step`` runs: a taped step
+    gives one to each tensor of ``SDGLModel.parameters``.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
@@ -501,13 +515,11 @@ class SGD:
         """Apply one clipped step; returns the global gradient norm before clipping."""
         sq = 0.0
         for p in self.params.values():
-            if p.grad is not None:
-                sq += float((p.grad**2).sum())
+            sq += float((p.grad**2).sum())
         norm = math.sqrt(sq)
         coef = 1.0 if norm <= CLIP_NORM else CLIP_NORM / norm
         for p in self.params.values():
-            if p.grad is not None:
-                p.data = p.data - self.lr * coef * p.grad
+            p.data = p.data - self.lr * coef * p.grad
         return norm
 
 

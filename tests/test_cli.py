@@ -15,8 +15,8 @@ import pytest
 from sdgl import checkpoint
 from sdgl import model as sdgl_model
 from sdgl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from sdgl.data import load_csv, make_windows
-from sdgl.model import SGD, ModelConfig
+from sdgl.data import Scaler, load_csv, make_windows
+from sdgl.model import SGD, ModelConfig, SDGLModel
 from test_model import poison_after_third_step
 
 
@@ -588,6 +588,37 @@ class TestEval:
         [line] = error_lines(caplog)
         assert line.startswith(f"{bad}: {named}") and "\n" not in line, line
 
+    def test_ablation_checkpoint_with_a_tensor_it_does_not_read(self, synth_dir, tmp_path,
+                                                                 caplog):
+        # a no_ifm checkpoint that also holds a fusion gate tensor, as one saved
+        # while ablations kept the parts they do not read, is refused by name
+        model = SDGLModel(ModelConfig(n_nodes=5, embed_dim=8, heads=2, channels=8,
+                                      ablation=("no_ifm",)))
+        good = tmp_path / "good.sdgl"
+        checkpoint.save(good, model, Scaler(np.zeros(5), np.ones(5)))
+        raw = good.read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16 : 16 + hlen])
+        header["tensor_count"] += 1
+        name, data = b"dynamic.fusion.b_r", model.dynamic.fusion.b_r.data
+        record = (len(name).to_bytes(4, "little") + name + (1).to_bytes(4, "little")
+                  + data.size.to_bytes(8, "little") + data.astype("<f8").tobytes())
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "c.sdgl"
+        bad.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :]
+                        + record)
+        message = f"{bad}: unexpected tensor record 'dynamic.fusion.b_r'"
+        with pytest.raises(checkpoint.CheckpointError) as exc:
+            checkpoint.load(bad)
+        assert str(exc.value) == message
+        code = main([
+            "eval", "--checkpoint", str(bad),
+            "--data", str(synth_dir / "data.csv"), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == EXIT_RUNTIME
+        assert error_lines(caplog) == [message]
+        assert not (tmp_path / "eval").exists()
+
 
 class TestExportGraphs:
     def test_static_and_dynamic_csvs(self, synth_dir, train_dir, tmp_path):
@@ -637,7 +668,15 @@ class TestExportGraphs:
         ])
         assert code == EXIT_USAGE
         assert not (tmp_path / "graphs").exists()
-
+        # the static graph and its edges export without the dynamic branch
+        code = main([
+            "export-graphs", "--checkpoint", str(run / "checkpoint.sdgl"),
+            "--data", str(synth_dir / "data.csv"),
+            "--threshold", "0.1", "--out-dir", str(tmp_path / "graphs"),
+        ])
+        assert code == EXIT_OK
+        edges = (tmp_path / "graphs" / "static_edges.csv").read_text().splitlines()
+        assert edges[0] == "source,target,weight"
 
     def test_many_windows_match_single_exports_in_bounded_memory(self, train_dir, tmp_path):
         # 900 windows of a longer 5-node series: the whole forward runs on

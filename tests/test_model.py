@@ -1122,6 +1122,43 @@ class TestNonFiniteState:
             assert not math.isfinite(loss)
 
 
+class TestAblatedState:
+    """An ablated model's state is what its forward pass reads."""
+
+    @pytest.mark.parametrize("shape", [
+        dict(layers=1), dict(layers=3, window=43), dict(depth=1), dict(depth=3),
+    ], ids=lambda shape: ",".join(f"{k}={v}" for k, v in shape.items()))
+    @pytest.mark.parametrize("ablation", [
+        (), ("no_gloss",), ("no_dyadj",), ("no_ifm",), ("ifm_plus",), ("no_gloss", "no_dyadj"),
+    ], ids=lambda flags: "+".join(flags) or "none")
+    def test_every_parameter_gets_a_gradient(self, monkeypatch, ablation, shape):
+        real_step, steps, missing = SGD.step, [], []
+
+        def step(self):
+            steps.append(len(self.params))
+            missing.extend(name for name, p in self.params.items() if p.grad is None)
+            return real_step(self)
+        monkeypatch.setattr(SGD, "step", step)
+        train(tiny_dataset(t=300), tiny_config(epochs=1, batch_size=64, ablation=ablation,
+                                                **shape))
+        assert steps and missing == []
+
+    @pytest.mark.parametrize("flag,dropped", [
+        ("no_dyadj", r"dynamic\.|gcn_dynamic\d+\.|embeddings\.m_dynamic$"),
+        ("no_ifm", r"dynamic\.fusion\.[wub]_[rzh]$"),
+        ("ifm_plus", r"dynamic\.fusion\.[wub]_[rzh]$"),
+    ], ids=["no_dyadj", "no_ifm", "ifm_plus"])
+    def test_ablation_leaves_out_what_it_does_not_read(self, flag, dropped):
+        full = SDGLModel(tiny_config()).state_tensors()
+        model = SDGLModel(tiny_config(ablation=(flag,)))
+        state = model.state_tensors()
+        assert list(state) == [name for name in full if not re.match(dropped, name)]
+        # the dropped parts are still built, so each kept tensor starts as in the full model
+        for name, t in state.items():
+            np.testing.assert_array_equal(t.data, full[name].data)
+        assert model.parameters().keys() == state.keys() - {"embeddings.m_dynamic"}
+
+
 class TestSGD:
     def test_plain_step(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -1755,11 +1792,14 @@ class TestCheckpoint:
     @pytest.mark.parametrize("overrides", [
         {}, dict(layers=1), dict(layers=3, window=43), dict(depth=3),
         dict(heads=3, head_dim=5), dict(channels=12, horizon=5), dict(ablation=("no_dyadj",)),
+        dict(ablation=("no_dyadj",), layers=1), dict(ablation=("no_ifm",)),
+        dict(ablation=("ifm_plus",)),
     ])
     def test_state_shapes_match_the_model(self, overrides):
+        # as ordered lists: SGD sums the gradient norm in the parameters' order
         cfg = tiny_config(**overrides)
-        want = {name: t.shape for name, t in SDGLModel(cfg).state_tensors().items()}
-        assert dict(state_shapes(cfg)) == want
+        want = [(name, t.shape) for name, t in SDGLModel(cfg).state_tensors().items()]
+        assert list(state_shapes(cfg)) == want
 
     def test_config_beyond_the_records_fails_before_building(self, tmp_path):
         # a header claiming 3000 nodes would ask for two 3000 x 3000 weights
