@@ -2,7 +2,8 @@
 
 Configuration precedence is flags > config file > built-in defaults; every
 command writes a manifest with the effective configuration, a dataset
-fingerprint and wall-clock timings, sufficient to reproduce the run. Its
+fingerprint and wall-clock timings, sufficient to reproduce the run (``synth``'s
+also records the seasonal forcing it drew: amp, phase and period). Its
 ``phase_seconds`` gives the time of each phase the command ran (load,
 windowing, train, evaluate or generate, and write, the outputs and the
 manifest's dataset digest), measured on the clock of ``wall_clock_seconds``.
@@ -35,6 +36,7 @@ from .data import (
     GenerationError,
     ParseError,
     PlantedGraphSpec,
+    _in_place,
     load_csv,
     make_windows,
     save_csv,
@@ -101,7 +103,7 @@ def _phase(seconds: dict, name: str):
     seconds[name] = time.perf_counter() - start
 
 
-def _write_outputs(out_dir: Path, command: str, argv: list, config: dict, data_path,
+def _write_outputs(out_dir: Path, command: str, argv: list, entries: dict, data_path,
                    files: dict, started: float, seconds: dict) -> None:
     """Put ``files`` ({output key: (file name, writer)}) and the manifest in ``out_dir``.
 
@@ -111,10 +113,13 @@ def _write_outputs(out_dir: Path, command: str, argv: list, config: dict, data_p
     On any failure the temporaries, the files already renamed and the
     directories this call made are removed, the files moved aside are moved
     back, and the error propagates. Once the manifest is in place the files
-    moved aside are deleted. An output path that is a directory is refused
-    before anything is written, since it would be moved aside like a file and
-    could not be deleted. The manifest records ``argv``, the arguments the
-    command was parsed from, and takes ``seconds``, the phase times so far,
+    moved aside are deleted. ``checkpoint.save`` and ``save_csv`` write the
+    temporary they are handed, with no temporary of their own, so each file
+    is renamed once. An output path that is a directory is refused before
+    anything is written, since it would be moved aside like a file and could
+    not be deleted. The manifest records ``argv``, the arguments the command
+    was parsed from, and the command's ``entries`` (its ``config``, and
+    ``synth``'s ``forcing``), and takes ``seconds``, the phase times so far,
     with the write phase added, and the time since ``started``, both on
     ``time.perf_counter``.
     """
@@ -122,7 +127,7 @@ def _write_outputs(out_dir: Path, command: str, argv: list, config: dict, data_p
     manifest = {
         "command": command,
         "argv": argv,
-        "config": config,
+        **entries,
         "dataset": None if data_path is None else {
             "path": str(data_path),
             "sha256": _sha256(data_path),
@@ -148,9 +153,10 @@ def _write_outputs(out_dir: Path, command: str, argv: list, config: dict, data_p
     on_disk: list[Path] = []  # what this call has put in out_dir so far
     aside: list[tuple[Path, Path]] = []  # (earlier file moved aside, its name)
     try:
-        for path, write in jobs:
-            on_disk.append(path.with_name(f".{path.name}.tmp"))
-            write(on_disk[-1])
+        with _in_place():  # so checkpoint.save and save_csv make no temporary of their own
+            for path, write in jobs:
+                on_disk.append(path.with_name(f".{path.name}.tmp"))
+                write(on_disk[-1])
         for k, (path, _) in enumerate(jobs):
             old = path.with_name(f".{path.name}.old")
             with suppress(FileNotFoundError):
@@ -242,7 +248,7 @@ def cmd_train(args, seconds: dict) -> tuple[dict, Path | None, dict]:
                                         for k in _EPOCH_COLUMNS])
         for row in result.history
     ]
-    return asdict(config), data_path, {
+    return {"config": asdict(config)}, data_path, {
         "checkpoint": ("checkpoint.sdgl",
                        lambda path: ckpt.save(path, result.model, result.scaler)),
         "epochs_log": ("epochs.csv", _text("".join(line + "\n" for line in lines))),
@@ -273,7 +279,7 @@ def cmd_eval(args, seconds: dict) -> tuple[dict, Path | None, dict]:
     report_json = json.dumps(report, indent=2, sort_keys=True)
     text = "\n".join(_metrics_lines(report))
     print(report_json if args.format == "json" else text)
-    return asdict(model.config), data_path, {
+    return {"config": asdict(model.config)}, data_path, {
         "metrics_json": ("metrics.json", _text(report_json)),
         "metrics_text": ("metrics.txt", _text(text + "\n")),
     }
@@ -311,7 +317,7 @@ def cmd_export_graphs(args, seconds: dict) -> tuple[dict, Path | None, dict]:
         edges = [f"{i},{j},{_fmt(static[i, j])}\n"
                  for i, j in zip(*(static > args.threshold).nonzero())]
         files["edges"] = ("static_edges.csv", _text("source,target,weight\n" + "".join(edges)))
-    return asdict(model.config), data_path, files
+    return {"config": asdict(model.config)}, data_path, files
 
 
 def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
@@ -348,8 +354,10 @@ def cmd_synth(args, seconds: dict) -> tuple[dict, Path | None, dict]:
                               partial(save_csv, values=result.secondary_adjacency))
     files["schedule"] = ("schedule.json", _text(
         json.dumps({"switch_intervals": list(map(list, result.schedule))})))
-    return ({k: v for k, v in vars(args).items() if k not in ("command", "fn", "out_dir")},
-            None, files)
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out_dir")}
+    # the draws the series was generated with, so no reader replays the generator
+    forcing = {"amp": result.amp, "phase": result.phase, "period": result.period}
+    return {"config": config, "forcing": forcing}, None, files
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -417,8 +425,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started, seconds = time.perf_counter(), {}
     try:
-        config, data_path, files = args.fn(args, seconds)
-        _write_outputs(Path(args.out_dir), args.command, argv, config, data_path, files,
+        entries, data_path, files = args.fn(args, seconds)
+        _write_outputs(Path(args.out_dir), args.command, argv, entries, data_path, files,
                        started, seconds)
     except (ConfigError, ParseError) as exc:
         log.error("%s", exc)

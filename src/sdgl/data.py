@@ -13,6 +13,7 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,15 +196,34 @@ def _read_rows(path) -> np.ndarray:
     return np.array(rows)
 
 
+# set inside ``_in_place``
+_IN_PLACE: ContextVar[bool] = ContextVar("_IN_PLACE", default=False)
+
+
+@contextmanager
+def _in_place():
+    """Within the block, ``_replacing`` opens its path itself: the caller
+    (``cli._write_outputs``) hands each writer a temporary it renames."""
+    token = _IN_PLACE.set(True)
+    try:
+        yield
+    finally:
+        _IN_PLACE.reset(token)
+
+
 @contextmanager
 def _replacing(path, mode: str, **open_args):
     """Open a temporary file next to ``path`` that replaces it on success.
 
     The temporary is ``.<name>.tmp`` in the same directory, so ``os.replace``
     swaps it in whole. A write that raises leaves ``path`` as it was and
-    removes the temporary.
+    removes the temporary. Within ``_in_place`` it opens ``path`` itself.
     """
     path = Path(path)
+    if _IN_PLACE.get():
+        with open(path, mode, **open_args) as fh:
+            yield fh
+        return
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, mode, **open_args) as fh:
@@ -404,6 +424,10 @@ class SynthResult:
     adjacency: np.ndarray  # binary primary edges, symmetric, zero diagonal
     secondary_adjacency: np.ndarray | None
     schedule: tuple[tuple[int, int], ...]
+    # the seasonal forcing amp * sin(2 pi (t + 1) / period + phase) every node gets at step t + 1
+    amp: float
+    phase: float
+    period: int
 
 
 def _adjacency(n: int, rows: np.ndarray, cols: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -481,6 +505,9 @@ def synth_generate(spec: PlantedGraphSpec, t_total: int, seed: int) -> SynthResu
         adjacency=edges,
         secondary_adjacency=secondary,
         schedule=tuple(spec.switch_intervals),
+        amp=amp,
+        phase=phase,
+        period=spec.seasonal_period,
     )
 
 

@@ -16,11 +16,19 @@ three per head.
 In training each head is dropout((H W'_q,i)(H W_k,i)^T) on its own, as a mask
 drops entries of each head's product; at keep probability 1 dropout draws no
 mask and returns its input.
+
+What reads no window is derived by one function each: the gates' M_s W_r,
+M_s W_z and M_s U_h (``InformationFusion.static_terms``), the scaled query
+weights (``AdjacencyHeads.scaled_queries``), the head form
+(``AdjacencyHeads.head_form``) and the anchor LN(M_d M_d^T)
+(``inductive_anchor``). ``DynamicGraphLearner.terms`` gathers them as
+``LearnerTerms``; a call given them derives none, one without derives them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -58,12 +66,21 @@ class InformationFusion:
         """Linear map of each node's window onto the embedding dimension."""
         return ad.add(ad.matmul(x, self.w_in), self.b_in)
 
-    def __call__(self, x: Tensor, m_s: Tensor) -> Tensor:
-        """x: (B, N, h) or (N, h); returns h_T with trailing dims (N, d)."""
+    def static_terms(self, m_s: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """(M_s W_r, M_s W_z, M_s U_h): the gates' terms that read no window."""
+        return ad.matmul(m_s, self.w_r), ad.matmul(m_s, self.w_z), ad.matmul(m_s, self.u_h)
+
+    def __call__(self, x: Tensor, m_s: Tensor,
+                 gates: tuple[Tensor, Tensor, Tensor] | None = None) -> Tensor:
+        """x: (B, N, h) or (N, h); returns h_T with trailing dims (N, d).
+
+        ``gates`` is ``static_terms(m_s)`` where the caller already holds it.
+        """
+        s_r, s_z, s_h = self.static_terms(m_s) if gates is None else gates
         x_t = self.project(x)
-        r = ad.sigmoid(ad.add(ad.add(ad.matmul(m_s, self.w_r), ad.matmul(x_t, self.u_r)), self.b_r))
-        z = ad.sigmoid(ad.add(ad.add(ad.matmul(m_s, self.w_z), ad.matmul(x_t, self.u_z)), self.b_z))
-        h_cand = ad.tanh(ad.add(ad.matmul(x_t, self.w_h), ad.mul(r, ad.matmul(m_s, self.u_h))))
+        r = ad.sigmoid(ad.add(ad.add(s_r, ad.matmul(x_t, self.u_r)), self.b_r))
+        z = ad.sigmoid(ad.add(ad.add(s_z, ad.matmul(x_t, self.u_z)), self.b_z))
+        h_cand = ad.tanh(ad.add(ad.matmul(x_t, self.w_h), ad.mul(r, s_h)))
         one_minus_z = ad.sub(Tensor(1.0), z)
         return ad.add(ad.mul(one_minus_z, m_s), ad.mul(z, h_cand))
 
@@ -103,21 +120,33 @@ class AdjacencyHeads:
             out[f"head_mix{i}"] = self.head_mix[i]
         return out
 
-    def correlate(self, h_t: Tensor, rng: RngState, training: bool) -> Tensor:
+    def scaled_queries(self) -> list[Tensor]:
+        """Each head's W'_q,i = (mix_i/sqrt(d_k)) W_q,i."""
+        inv_sqrt = 1.0 / math.sqrt(self.head_dim)
+        return [ad.mul(w, ad.scale(mix, inv_sqrt)) for w, mix in zip(self.w_q, self.head_mix)]
+
+    def head_form(self, w_q: list[Tensor]) -> Tensor:
+        """The collapsed heads' (d, d) A = concat_i(W'_q,i) concat_i(W_k,i)^T,
+        from the scaled query weights ``w_q``."""
+        return ad.matmul(ad.concat(w_q, axis=1), ad.transpose(ad.concat(self.w_k, axis=1)))
+
+    def correlate(self, h_t: Tensor, rng: RngState, training: bool,
+                  w_q: list[Tensor] | None = None, form: Tensor | None = None) -> Tensor:
         """Sum over heads of dropout((H W'_q,i)(H W_k,i)^T), H the normalized h_t.
 
         W'_q,i is the scaled query weight. Dropout runs only in training, on
         each head's product; out of training the heads collapse into one
-        bilinear form with no dropout (module docstring).
+        bilinear form with no dropout (module docstring). ``w_q`` and ``form``
+        are ``scaled_queries()`` and ``head_form`` of them where the caller
+        already holds them.
         """
         h_norm = ad.layer_norm(h_t, self.ln_gain, self.ln_bias)
-        inv_sqrt = 1.0 / math.sqrt(self.head_dim)
-        w_q = [ad.mul(w, ad.scale(mix, inv_sqrt)) for w, mix in zip(self.w_q, self.head_mix)]
         if not training:
-            form = ad.matmul(ad.concat(w_q, axis=1), ad.transpose(ad.concat(self.w_k, axis=1)))
+            if form is None:
+                form = self.head_form(self.scaled_queries())
             return ad.matmul(ad.matmul(h_norm, form), ad.transpose(h_norm))
         total: Tensor | None = None
-        for w_q_i, w_k in zip(w_q, self.w_k):
+        for w_q_i, w_k in zip(self.scaled_queries() if w_q is None else w_q, self.w_k):
             q, k = ad.matmul(h_norm, w_q_i), ad.matmul(h_norm, w_k)
             head = ad.dropout(ad.matmul(q, ad.transpose(k)), self.dropout_keep, rng)
             total = head if total is None else ad.add(total, head)
@@ -132,11 +161,30 @@ class AdjacencyHeads:
         return ad.add(ad.matmul(hidden, self.w_2), self.b_2)
 
 
-def apply_inductive_bias(s_hat: Tensor, m_d: Tensor) -> AdjacencyMatrix:
-    """Anchor the refined logits to the momentum embeddings' structure."""
-    anchor = ad.layer_norm(ad.matmul(m_d, ad.transpose(m_d)))
+def inductive_anchor(m_d: Tensor) -> Tensor:
+    """LN(M_d M_d^T), the momentum embeddings' structure."""
+    return ad.layer_norm(ad.matmul(m_d, ad.transpose(m_d)))
+
+
+def apply_inductive_bias(s_hat: Tensor, m_d: Tensor,
+                         anchor: Tensor | None = None) -> AdjacencyMatrix:
+    """Anchor the refined logits to the momentum embeddings' structure,
+    ``inductive_anchor(m_d)`` unless the caller passes it as ``anchor``."""
+    if anchor is None:
+        anchor = inductive_anchor(m_d)
     logits = ad.relu(ad.add(anchor, s_hat))
     return AdjacencyMatrix(values=ad.row_softmax(logits), kind="dynamic")
+
+
+@dataclass
+class LearnerTerms:
+    """What a learner's pass reads that depends on its parameters and the
+    embeddings alone, not on the windows."""
+
+    gates: tuple[Tensor, Tensor, Tensor] | None  # fusion.static_terms(M_s); gated fusion only
+    w_q: list[Tensor]  # heads.scaled_queries()
+    form: Tensor | None  # heads.head_form(w_q); None where only training reads the terms
+    anchor: Tensor  # inductive_anchor(M_d)
 
 
 class DynamicGraphLearner:
@@ -170,16 +218,30 @@ class DynamicGraphLearner:
             out[f"heads.{name}"] = t
         return out
 
-    def fuse(self, x: Tensor, m_s: Tensor) -> Tensor:
+    def terms(self, emb: NodeEmbeddings, form: bool = True) -> LearnerTerms:
+        """The ``LearnerTerms`` of ``emb``; with ``form`` False, no head form."""
+        gates = self.fusion.static_terms(emb.m_static) if self.mode == "full" else None
+        w_q = self.heads.scaled_queries()
+        return LearnerTerms(gates, w_q, self.heads.head_form(w_q) if form else None,
+                            inductive_anchor(emb.m_dynamic))
+
+    def fuse(self, x: Tensor, m_s: Tensor,
+             gates: tuple[Tensor, Tensor, Tensor] | None = None) -> Tensor:
         if self.mode == "no_ifm":
             return self.fusion.project(x)
         if self.mode == "ifm_plus":
             return ad.add(m_s, self.fusion.project(x))
-        return self.fusion(x, m_s)
+        return self.fusion(x, m_s, gates)
 
-    def __call__(self, x: Tensor, emb: NodeEmbeddings, rng: RngState, training: bool) -> AdjacencyMatrix:
-        """x: (B, N, h) windows; returns a batch of dynamic adjacencies."""
-        h_t = self.fuse(x, emb.m_static)
-        r_t = self.heads.correlate(h_t, rng, training)
+    def __call__(self, x: Tensor, emb: NodeEmbeddings, rng: RngState, training: bool,
+                 terms: LearnerTerms | None = None) -> AdjacencyMatrix:
+        """x: (B, N, h) windows; returns a batch of dynamic adjacencies.
+
+        ``terms`` is ``self.terms(emb)`` where the caller already holds it.
+        """
+        if terms is None:
+            terms = self.terms(emb, form=not training)
+        h_t = self.fuse(x, emb.m_static, terms.gates)
+        r_t = self.heads.correlate(h_t, rng, training, terms.w_q, terms.form)
         s_hat = self.heads.refine(r_t, h_t)
-        return apply_inductive_bias(s_hat, emb.m_dynamic)
+        return apply_inductive_bias(s_hat, emb.m_dynamic, terms.anchor)

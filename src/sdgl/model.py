@@ -41,11 +41,28 @@ optimizer step the dynamic embeddings follow the static ones by momentum only.
 The regularizer is a training loss: a taped pass records it, and an untaped
 one computes it only when its result's ``reg_loss`` is read, which no forecast
 does.
+
+Some of what a pass reads depends on the state alone, never on the windows:
+the static graph, each gated layer's packed weight and bias (layer 0's with the
+start map folded in), layer 0's folded residual, the scaled query weights and
+the collapsed head form, the fusion gates' M_s W_r, M_s W_z and M_s U_h, and
+the anchor LN(M_d M_d^T). ``SDGLModel._terms`` derives them all, through the
+modules' own functions, for both paths. A taped pass derives and records them
+on every call, in an order that sums each gradient as the modules would, so
+training is unchanged bit for bit, and it drops any kept set: the step that
+follows changes what the set was derived from. An untaped pass (``predict``, ``evaluate``,
+``train``'s validation, ``export-graphs``) keeps the last set, read-only, and
+reuses it while the bytes, shapes and dtypes of the tensors it was derived
+from are unchanged. A rebinding (``SGD.step``, ``momentum_update``, a new model
+from ``checkpoint.load``) or an in-place edit (``grad_check``'s perturbations)
+derives it again, and so does a 0.0 that becomes -0.0, as the key compares
+bits.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import numbers
 import time
@@ -58,7 +75,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, Tape
 from .data import (Scaler, SeriesDataset, SplitWindows, WindowBatch, group_metrics, metrics,
                    window_split)
-from .dynamic_graph import DynamicGraphLearner
+from .dynamic_graph import DynamicGraphLearner, LearnerTerms
 from .graph_conv import MixHopConv
 from .params import weight, zeros
 from .rng import RngState
@@ -302,6 +319,24 @@ class ForwardResult:
         return self._reg
 
 
+@dataclass
+class _Terms:
+    """What a forward pass reads that depends on the state alone, not on the windows."""
+
+    static: Tensor  # the static graph, build_static_graph(M_s).values
+    layers: list[tuple[Tensor, Tensor]]  # each gated layer's packed weight and bias;
+    # layer 0's read the start map (temporal)
+    residual: tuple[Tensor, Tensor]  # layer 0's residual weight and bias, read the same way
+    dynamic: LearnerTerms | None  # the dynamic learner's; None without the dynamic graph
+
+    def tensors(self) -> Iterator[Tensor]:
+        d = self.dynamic
+        learned = () if d is None else (*(d.gates or ()), *d.w_q, d.form, d.anchor)
+        for t in (self.static, *itertools.chain(*self.layers), *self.residual, *learned):
+            if t is not None:
+                yield t
+
+
 class SDGLModel:
     def __init__(self, config: ModelConfig):
         retain_freed_heap()
@@ -343,6 +378,10 @@ class SDGLModel:
             self.gcn_static.append(MixHopConv(c, config.depth, rng))
             self.gcn_dynamic.append(MixHopConv(c, config.depth, rng))
 
+        # the layers built, whose packed weights _terms derives; forward calls
+        # tcn_layers[j] with layer j's, and a caller may wrap those calls
+        self._gated = tuple(self.tcn_layers)
+
         # the steps of each feature map the forecast reads: see temporal.step_plan
         self.step_plan = step_plan(dilations)
 
@@ -350,6 +389,8 @@ class SDGLModel:
         self.out_b1 = zeros((c,))
         self.out_w2 = weight(rng, c, (config.horizon, c))
         self.out_b2 = zeros((config.horizon,))
+        # (key, terms) of the last untaped pass's _terms: see _terms
+        self._kept: tuple[tuple, _Terms] | None = None
 
     # -- state -----------------------------------------------------------------
 
@@ -381,6 +422,56 @@ class SDGLModel:
 
     # -- forward ---------------------------------------------------------------
 
+    def _terms(self, taped: bool, training: bool) -> _Terms:
+        """The ``_Terms`` of the current state.
+
+        A taped pass derives and records them on every call, with no head
+        form in training, which reads none, and drops the kept set. An
+        untaped pass keeps the set it derives, read-only, and reuses it while
+        the bytes, shapes and dtypes of the tensors it was derived from are
+        unchanged. So rebinding a tensor's ``.data`` (``SGD.step``,
+        ``momentum_update``, ``checkpoint.load``) or editing it in place
+        (``grad_check``) derives them again, and so does 0.0 becoming -0.0.
+        """
+        emb, learner = self.embeddings, self.dynamic
+        dynamic = "no_dyadj" not in self.config.ablation
+        if taped:
+            # the step after a taped pass changes what a kept set was derived
+            # from, so training keeps none
+            self._kept = None
+        else:
+            # every tensor the terms below are derived from
+            sources = [emb.m_static, self.start_w, self.start_b, self.residual_w[0]]
+            for layer in self._gated:
+                for bank in (layer.filter_bank, layer.gate_bank):
+                    sources += [*bank.filters, bank.bias]
+            if dynamic:
+                heads = learner.heads
+                sources += [emb.m_dynamic, *heads.w_q, *heads.w_k, *heads.head_mix]
+                if learner.mode == "full":
+                    sources += [learner.fusion.w_r, learner.fusion.w_z, learner.fusion.u_h]
+            arrays = [t.data for t in sources]
+            key = (b"".join(a.tobytes() for a in arrays), [(a.shape, a.dtype) for a in arrays])
+            if self._kept is not None and self._kept[0] == key:
+                return self._kept[1]
+        # the static graph first and the start map's folds in layer order: each
+        # tensor's gradient then sums its parts in the order the modules' own
+        # calls record them
+        static = build_static_graph(emb.m_static).values
+        learned = learner.terms(emb, form=not (taped and training)) if dynamic else None
+        layers = [layer.packed(*((self.start_w, self.start_b) if j == 0 else ()))
+                  for j, layer in enumerate(self._gated)]
+        # residual_w (start_w x + start_b) = (residual_w start_w) x + residual_w start_b
+        residual = (ad.matmul(self.residual_w[0], self.start_w),
+                    ad.reshape(ad.matmul(self.residual_w[0], ad.reshape(self.start_b, (-1, 1))),
+                               (-1,)))
+        terms = _Terms(static, layers, residual, learned)
+        if not taped:
+            for t in terms.tensors():
+                t.data.flags.writeable = False
+            self._kept = (key, terms)
+        return terms
+
     def forward(self, x: Tensor | np.ndarray, training: bool = False) -> ForwardResult:
         """x: (B, N, h) normalized windows.
 
@@ -404,14 +495,15 @@ class SDGLModel:
             )
         b, n, h = x.shape
 
-        static = build_static_graph(self.embeddings.m_static).values
         taped = ad.tape_active()
+        terms = self._terms(taped, training)
+        static = terms.static
         # a training loss: recorded under a tape, and otherwise computed when read
         reg = graph_regularization_loss(x, static, cfg.gamma) if taped else (x, static, cfg.gamma)
         # every layer's branches propagate along both softmax graphs as built
         dynamic = None
         if "no_dyadj" not in cfg.ablation:
-            dynamic = self.dynamic(x, self.embeddings, self.dropout_rng, training)
+            dynamic = self.dynamic(x, self.embeddings, self.dropout_rng, training, terms.dynamic)
 
         # feature maps are time-major, (B, C, T, N): time is axis 2 and nodes the last
         # axis. Each keeps only the steps of its step_plan entry, which end at its last
@@ -438,8 +530,9 @@ class SDGLModel:
             on_span = shared and j == 0
             # on the span every output step is some window's kept step
             stride = 1 if on_span else step
-            start = (self.start_w, self.start_b) if j == 0 else ()
-            temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, stride, *start)
+            # no in_w, in_b: layer 0's packed weights read the start map already
+            temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, stride, None, None,
+                             terms.layers[j])
             # the output head reads only the last step, so each skip maps only that step
             if on_span:
                 # window i's last kept step is span step i + step*(t_out - 1): one map
@@ -454,13 +547,7 @@ class SDGLModel:
             if j == cfg.layers - 1 and not taped:
                 break
 
-            if j == 0:
-                # residual_w (start_w x + start_b) = (residual_w start_w) x + residual_w start_b
-                res_w = ad.matmul(self.residual_w[0], self.start_w)
-                res_b = ad.reshape(ad.matmul(self.residual_w[0],
-                                             ad.reshape(self.start_b, (-1, 1))), (-1,))
-            else:
-                res_w, res_b = self.residual_w[j], None
+            res_w, res_b = terms.residual if j == 0 else (self.residual_w[j], None)
             res_in = ad.narrow(hidden, 2, t_in - 1 - step * (t_out - 1), temporal.shape[2],
                                stride)
             # (static mix-hop + residual) + dynamic mix-hop on every path; no name holds

@@ -23,6 +23,11 @@ gradients reach w, b and the filters. The model's input needs no gradient,
 so the convolution then runs no input-gradient pass, and its forward product
 sums over 7 taps where it summed over 7 * C_in.
 
+The packed weight and bias, fold included, depend on the parameters alone:
+``GatedTemporalLayer.packed`` derives them, and a caller that holds them
+(``SDGLModel``, which keeps them between untaped passes) hands them to the
+layer's call.
+
 A stack need not compute every step. ``step_plan`` gives, for each feature
 map of a stack, the evenly spaced steps ending at its last one that the
 forecast reads; a gated layer then runs at its dilation counted in its
@@ -94,14 +99,14 @@ def _pad_taps(f: Tensor) -> Tensor:
     return ad.concat([f, Tensor(np.zeros(f.shape[:2] + (missing,)))], axis=2)
 
 
-def _packed_inception(x: Tensor, banks: Sequence[DilatedInception], dilation: int,
-                      stride: int, in_w: Tensor | None = None,
-                      in_b: Tensor | None = None) -> Tensor:
-    """All branches of all banks as one 7-tap convolution plus their biases.
+def _packed(banks: Sequence[DilatedInception], in_w: Tensor | None = None,
+            in_b: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    """All branches of all banks as one 7-tap weight, and their bias as (1, C, 1, 1).
 
     Output channels follow bank order, then kernel order within a bank. With
-    ``in_w`` and ``in_b`` the convolution reads ``channel_map(x, in_w, in_b)``,
-    folded into its weight and bias (see the module docstring).
+    ``in_w`` and ``in_b`` the weight and bias read ``channel_map(x, in_w, in_b)``
+    in place of x (see the module docstring). They depend on the parameters
+    alone, not on the input.
     """
     w = ad.concat([_pad_taps(f) for bank in banks for f in bank.filters], axis=0)
     bias = ad.concat([bank.bias for bank in banks], axis=0)
@@ -110,8 +115,13 @@ def _packed_inception(x: Tensor, banks: Sequence[DilatedInception], dilation: in
         folded_b = ad.matmul(ad.reduce_sum(w, axis=2), ad.reshape(in_b, (-1, 1)))
         bias = ad.add(bias, ad.reshape(folded_b, (-1,)))
         w = ad.matmul(ad.transpose(in_w), w)
-    y = ad.conv1d_dilated(x, w, dilation, stride)
-    return ad.add(y, ad.reshape(bias, (1, -1, 1, 1)))
+    return w, ad.reshape(bias, (1, -1, 1, 1))
+
+
+def _packed_inception(x: Tensor, w: Tensor, bias: Tensor, dilation: int,
+                      stride: int) -> Tensor:
+    """The one convolution of ``_packed``'s weight, plus its bias."""
+    return ad.add(ad.conv1d_dilated(x, w, dilation, stride), bias)
 
 
 class DilatedInception:
@@ -139,7 +149,7 @@ class DilatedInception:
 
     def __call__(self, x: Tensor) -> Tensor:
         """x: (B, C_in, T, N) -> (B, C_out, T - dilation*(7-1), N)."""
-        return _packed_inception(x, [self], self.dilation, 1)
+        return _packed_inception(x, *_packed([self]), self.dilation, 1)
 
 
 class GatedTemporalLayer:
@@ -157,18 +167,27 @@ class GatedTemporalLayer:
             out[f"gate.{name}"] = t
         return out
 
+    def packed(self, in_w: Tensor | None = None,
+               in_b: Tensor | None = None) -> tuple[Tensor, Tensor]:
+        """Both banks' packed weight and bias, reading ``channel_map(x, in_w,
+        in_b)`` when ``in_w`` and ``in_b`` are given: what ``__call__`` convolves."""
+        return _packed([self.filter_bank, self.gate_bank], in_w, in_b)
+
     def __call__(self, x: Tensor, dilation: int | None = None, stride: int = 1,
-                 in_w: Tensor | None = None, in_b: Tensor | None = None) -> Tensor:
+                 in_w: Tensor | None = None, in_b: Tensor | None = None,
+                 packed: tuple[Tensor, Tensor] | None = None) -> Tensor:
         """x: (B, C_in, T, N) -> (B, C_out, T_out, N), as ``conv1d_dilated`` with
         the banks' dilation unless ``dilation`` is given, keeping every
         ``stride``-th step.
 
         With ``in_w`` (C_in, 1) and ``in_b`` (C_in,), x is (B, 1, T, N) and the
-        layer reads ``channel_map(x, in_w, in_b)`` without forming it.
+        layer reads ``channel_map(x, in_w, in_b)`` without forming it. A caller
+        that already holds ``self.packed(in_w, in_b)`` passes it as ``packed``
+        and no ``in_w`` or ``in_b``.
         """
         if dilation is None:
             dilation = self.filter_bank.dilation
-        both = _packed_inception(x, [self.filter_bank, self.gate_bank], dilation, stride,
-                                 in_w, in_b)
+        w, bias = self.packed(in_w, in_b) if packed is None else packed
+        both = _packed_inception(x, w, bias, dilation, stride)
         c = self.filter_bank.bias.shape[0]
         return ad.mul(ad.tanh(ad.narrow(both, 1, 0, c)), ad.sigmoid(ad.narrow(both, 1, c, c)))

@@ -15,7 +15,7 @@ import pytest
 from sdgl import checkpoint
 from sdgl import model as sdgl_model
 from sdgl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from sdgl.data import Scaler, load_csv, make_windows
+from sdgl.data import PlantedGraphSpec, Scaler, load_csv, make_windows, synth_generate
 from sdgl.model import SGD, ModelConfig, SDGLModel
 from test_model import poison_after_third_step
 
@@ -123,6 +123,12 @@ class TestSynth:
         assert run.stderr.splitlines() == [
             "ERROR sdgl: trajectory became non-finite with noise std 1e+308"]
         assert not out.exists()
+
+    def test_manifest_records_the_forcing_drawn(self, synth_dir):
+        forcing = json.loads((synth_dir / "manifest.json").read_text())["forcing"]
+        res = synth_generate(PlantedGraphSpec(n_nodes=5, edge_prob=0.4, noise_std=0.2), 150, 3)
+        assert forcing == {"amp": res.amp, "phase": res.phase, "period": 24}
+        np.testing.assert_array_equal(load_csv(synth_dir / "data.csv").values, res.dataset.values)
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -435,6 +441,39 @@ class TestTrain:
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:
             assert (out / name).read_bytes() == (train_dir / name).read_bytes(), name
+
+    def test_each_output_is_renamed_once(self, synth_dir, small_config, tmp_path, monkeypatch):
+        # the savers write the temporary they are handed; only the files moved
+        # aside by a second run into the same directory add renames
+        from sdgl import data as sdgl_data
+        real_replace, renames, opened = os.replace, [], []
+
+        def replace(src, dst):
+            real_replace(src, dst)  # a move aside of a file not there raises here
+            renames.append((Path(src).name, Path(dst).name))
+
+        def spying_open(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(sdgl_data, "open", spying_open, raising=False)
+        outputs = ["checkpoint.sdgl", "epochs.csv", "manifest.json"]
+        for run in range(2):
+            renames.clear()
+            assert main(["train", "--data", str(synth_dir / "data.csv"), "--config",
+                         str(small_config), "--out-dir", str(tmp_path)]) == EXIT_OK
+            into_place = [(f".{name}.tmp", name) for name in outputs]
+            aside = [(name, f".{name}.old") for name in outputs]
+            assert renames == (into_place if run == 0 else
+                               [r for pair in zip(aside, into_place) for r in pair])
+        assert ".checkpoint.sdgl.tmp" in opened
+        assert not [name for name in opened if name.endswith(".tmp.tmp")]
+        # called from the library, the savers still write a temporary and rename it
+        renames.clear()
+        checkpoint.save(tmp_path / "copy.sdgl", checkpoint.load(tmp_path / "checkpoint.sdgl").model,
+                        Scaler(np.zeros(5), np.ones(5)))
+        assert renames == [(".copy.sdgl.tmp", "copy.sdgl")]
 
     def test_huge_layer_count_writes_nothing(self, synth_dir, tmp_path):
         # 2.0 ** 1999 overflows a float; the window check stops at layer 3

@@ -521,6 +521,24 @@ class TestSynthGenerator:
         np.testing.assert_allclose(resid[period:, 0], resid[:-period, 0], atol=1e-10)
         assert np.abs(x).max() < 50
 
+    @pytest.mark.parametrize("switch", [(), ((10, 20),)])
+    def test_recorded_forcing_is_the_noiseless_residual(self, switch):
+        spec = PlantedGraphSpec(n_nodes=5, edge_prob=0.4, alpha=0.6, noise_std=0.0,
+                                seasonal_period=7, switch_intervals=switch)
+        res = synth_generate(spec, 40, seed=4)
+        x = res.dataset.values
+
+        def dynamics(edges):
+            with_self = edges + np.eye(5)
+            return 0.6 * with_self / with_self.sum(axis=1, keepdims=True)
+
+        resid = np.array([x[t + 1] - dynamics(res.secondary_adjacency if 10 <= t < 20 and switch
+                                              else res.adjacency) @ x[t] for t in range(39)])
+        assert res.period == 7 and 0.5 <= res.amp <= 1.5 and 0.0 <= res.phase < 2 * np.pi
+        t = np.arange(1, 40)
+        forcing = res.amp * np.sin(2 * np.pi * t / res.period + res.phase)
+        np.testing.assert_allclose(resid, np.repeat(forcing[:, None], 5, axis=1), atol=1e-10)
+
     def test_switch_intervals_produce_secondary_set(self):
         spec = PlantedGraphSpec(n_nodes=8, edge_prob=0.3, switch_intervals=((10, 20),))
         res = synth_generate(spec, 60, seed=5)

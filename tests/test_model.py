@@ -1052,6 +1052,137 @@ class TestRegularizerOnlyWhenRead:
         np.testing.assert_array_equal(first.data, want.data)
 
 
+KEPT_CONFIGS = {"default": {}, "no_dyadj": dict(ablation=("no_dyadj",)),
+                "ifm_plus": dict(ablation=("ifm_plus",))}
+
+
+class TestKeptTerms:
+    """An untaped ``forward`` keeps the tensors it derives from the state
+    alone and reuses them while the bytes, shapes and dtypes of the tensors
+    they come from are unchanged; a taped one derives them on every call."""
+
+    @staticmethod
+    def warm(cfg):
+        """A model whose kept terms are derived, and a batch that is no span."""
+        model = SDGLModel(cfg)
+        x = np.random.default_rng(31).standard_normal((3, cfg.n_nodes, cfg.window))
+        model.forward(Tensor(x))
+        return model, x
+
+    @staticmethod
+    def derivations(monkeypatch):
+        """The calls to the static graph's builder and to the taps' padding."""
+        calls, build, pad = [], sdgl_model.build_static_graph, temporal._pad_taps
+
+        def building(m_s):
+            calls.append("static")
+            return build(m_s)
+
+        def padding(f):
+            calls.append("pad")
+            return pad(f)
+
+        monkeypatch.setattr(sdgl_model, "build_static_graph", building)
+        monkeypatch.setattr(temporal, "_pad_taps", padding)
+        return calls
+
+    @staticmethod
+    def assert_untaped_is_taped(model, x, what):
+        got = model.forward(Tensor(x))
+        with Tape():
+            want = model.forward(Tensor(x))
+        np.testing.assert_array_equal(got.prediction.data, want.prediction.data, err_msg=what)
+        if want.dynamic_graphs is not None:
+            np.testing.assert_array_equal(got.dynamic_graphs.values.data,
+                                          want.dynamic_graphs.values.data, err_msg=what)
+
+    @pytest.mark.parametrize("name", sorted(KEPT_CONFIGS))
+    def test_each_edit_of_the_state_derives_again(self, name):
+        model, x = self.warm(tiny_config(**KEPT_CONFIGS[name]))
+        for key, t in model.state_tensors().items():
+            last = t.data.size - 1
+            t.data.flat[last] += 0.25  # in place, as grad_check perturbs
+            self.assert_untaped_is_taped(model, x, f"{key} edited in place")
+            edited = t.data.copy()
+            edited.flat[0] -= 0.5
+            t.data = edited  # a rebinding, as SGD.step and checkpoint.load do
+            self.assert_untaped_is_taped(model, x, f"{key} rebound")
+
+    def test_unchanged_state_derives_nothing_until_a_step(self, monkeypatch):
+        cfg = tiny_config(dropout_keep=0.8)
+        model, x = self.warm(cfg)
+        calls = self.derivations(monkeypatch)
+        first = model.forward(Tensor(x)).prediction.data
+        assert calls == []
+        tape = Tape()
+        with tape:
+            res = model.forward(Tensor(x), training=True)
+            loss = hybrid_loss(res.prediction, Tensor(np.ones((3, cfg.n_nodes, cfg.horizon))),
+                               res.reg_loss, cfg.lambda_reg)
+        # a taped pass derives its own, every call, and keeps none
+        assert calls.count("static") == 1 and model._kept is None
+        calls.clear()
+        tape.backward(loss)
+        opt = SGD(model.parameters(), cfg.learning_rate)
+        opt.step()  # rebinds every parameter
+        after = model.forward(Tensor(x)).prediction.data
+        # one static graph, and the 4 kernels of 2 banks in each layer
+        assert calls == ["static"] + ["pad"] * 8 * cfg.layers
+        assert not np.array_equal(first, after)
+        calls.clear()
+        model.forward(Tensor(x))
+        assert calls == []
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_taped_pass_forms_the_head_form_only_out_of_training(self, monkeypatch, training):
+        from sdgl.dynamic_graph import AdjacencyHeads
+        model, x = self.warm(tiny_config(dropout_keep=0.8))
+        form, forms = AdjacencyHeads.head_form, []
+
+        def counting(self, w_q):
+            forms.append(w_q)
+            return form(self, w_q)
+
+        monkeypatch.setattr(AdjacencyHeads, "head_form", counting)
+        with Tape():
+            model.forward(Tensor(x), training=training)
+        assert len(forms) == (0 if training else 1)
+
+    @pytest.mark.parametrize("name", ["embeddings.m_static", "start_w", "tcn0.filter.f7",
+                                      "dynamic.heads.w_q0"])
+    def test_grad_check_through_an_untaped_forward(self, name):
+        # the finite differences perturb the parameter in place between untaped passes
+        model, x = self.warm(tiny_config())
+        weights = Tensor(np.random.default_rng(32).standard_normal((3, 4, 3)))
+
+        def loss(_):
+            return ad.reduce_sum(ad.mul(model.forward(Tensor(x)).prediction, weights))
+
+        report = ad.grad_check(loss, model.state_tensors()[name], sample=8)
+        assert report.passed, report
+
+    def test_negative_zero_counts_as_a_change(self, monkeypatch):
+        model, x = self.warm(tiny_config())
+        assert model.start_b.data[0] == 0.0 and not np.signbit(model.start_b.data[0])
+        calls = self.derivations(monkeypatch)
+        model.start_b.data[0] = -0.0
+        model.forward(Tensor(x))
+        assert "static" in calls
+        calls.clear()
+        model.forward(Tensor(x))
+        assert calls == []
+
+    def test_kept_terms_are_read_only(self):
+        model, x = self.warm(tiny_config())
+        kept = list(model._terms(taped=False, training=False).tensors())
+        assert kept and not any(t.data.flags.writeable for t in kept)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0].data[...] = 0.0
+        with Tape():
+            fresh = list(model._terms(taped=True, training=False).tensors())
+        assert all(t.data.flags.writeable for t in fresh)
+
+
 class TestHybridLoss:
     def test_perfect_prediction_leaves_regularizer(self):
         p = Tensor(np.ones((2, 3, 4)))
