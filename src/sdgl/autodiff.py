@@ -526,14 +526,19 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
 def dropout(a: Tensor, keep_prob: float, rng) -> Tensor:
     """Inverted dropout: keeps each entry with probability ``keep_prob``, drawn
     from ``rng``, and scales what it keeps by 1/keep_prob. At keep 1 it draws
-    no mask and returns ``a``. Callers apply it only in training."""
+    no mask and returns ``a``. Callers apply it only in training.
+
+    The mask is ``rng.keep_mask``: taken from the masks ``rng`` drew ahead
+    (``train`` has the next step's drawn while a step runs backward), any rest
+    drawn now. Either way it is ``rng.random(a.shape) < keep_prob`` bit for
+    bit, so a fresh ``RngState`` of the same seed gives the same mask."""
     if not 0.0 < keep_prob <= 1.0:
         raise ShapeError(f"dropout: keep probability must be in (0, 1], got {keep_prob}")
     if keep_prob == 1.0:
         return a
     # a one-byte mask and one scale keep the tape small; a * keep * inv is
     # bit for bit a * (keep / keep_prob)
-    keep = rng.random(a.shape) < keep_prob
+    keep = rng.keep_mask(a.shape, keep_prob)
     inv = 1.0 / keep_prob
     out = Tensor(a.data * keep * inv)
     if _recording(a):

@@ -1,5 +1,9 @@
 import copy
+import os
 import pickle
+import signal
+import threading
+import warnings
 import tracemalloc
 import weakref
 
@@ -8,7 +12,8 @@ import pytest
 
 from sdgl import autodiff as ad
 from sdgl.autodiff import Tape, Tensor, grad_check
-from sdgl.rng import RngState
+from sdgl import rng as rng_module
+from sdgl.rng import CHUNK, RngState
 
 
 def rand(shape, seed=0):
@@ -317,6 +322,125 @@ def test_dropout_gradient_through_mask(seed):
     def f(z):
         return ad.reduce_sum(ad.mul(ad.dropout(z, 0.8, RngState(rng_seed)), z))
     assert grad_check(f, x, tol=1e-4).passed
+
+
+class TestKeepMasks:
+    """``RngState.keep_mask`` and the masks ``draw_ahead`` draws on the worker
+    thread: both are the serial ``random(shape) < keep_prob``, bit for bit.
+    The worker takes every draw here, however small."""
+
+    @pytest.fixture(autouse=True)
+    def every_draw_on_the_worker(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "AHEAD_MIN", 1)
+        monkeypatch.setattr(rng_module, "_cpus", lambda: 2)
+
+    def test_philox_fills_do_not_depend_on_the_split(self):
+        rng, ref = RngState(9), RngState(9)
+        parts = [rng.random(7), rng.random(13), rng.random(3)]
+        np.testing.assert_array_equal(np.concatenate(parts), ref.random(23))
+
+    @pytest.mark.parametrize("n,shapes", [
+        (200, [(3, 5)]),  # less than drawn ahead
+        (188, [(2, 7, 7), (1, 7, 7), (4, 3, 3), (5,)]),  # exactly
+        (50, [(6, 6), (8, 8)]),  # more: the rest of the second is drawn inline
+        (2 * CHUNK + 10, [(CHUNK + 5,), (CHUNK + 5,)]),  # exactly, each crossing a chunk
+        (3 * CHUNK // 2, [(CHUNK + 3,), (2, CHUNK + 1)]),  # more, each crossing a chunk
+    ], ids=["less", "exact", "more", "exact-chunks", "more-chunks"])
+    def test_masks_drawn_ahead_are_the_serial_ones(self, n, shapes):
+        rng, ref = RngState(11), RngState(11)
+        rng.draw_ahead(n, 0.7)
+        for shape in shapes:
+            np.testing.assert_array_equal(rng.keep_mask(shape, 0.7), ref.random(shape) < 0.7)
+        # what is left drawn ahead goes back to the stream
+        rng.discard()
+        np.testing.assert_array_equal(rng.random(8), ref.random(8))
+
+    def test_dropout_takes_its_mask_from_the_masks_drawn_ahead(self):
+        x = rand((3, 6, 6), seed=4)
+        rng = RngState(5)
+        rng.draw_ahead(x.data.size, 0.8)
+        np.testing.assert_array_equal(ad.dropout(x, 0.8, rng).data,
+                                      ad.dropout(x, 0.8, RngState(5)).data)
+        assert rng._ahead is None
+
+    def test_a_fresh_stream_draws_inline(self):
+        # the learner passes its stream as it is: with nothing drawn ahead the
+        # mask is drawn in the call, and the worker runs nothing
+        rng = RngState(6)
+        x = rand((2, CHUNK + 9), seed=2)
+        want = x.data * (RngState(6).random(x.shape) < 0.9) * (1.0 / 0.9)
+        np.testing.assert_array_equal(ad.dropout(x, 0.9, rng).data, want)
+        assert rng._pending is None and rng._ahead is None
+
+    @pytest.mark.parametrize("least,cpus", [(100, 2), (1, 1)], ids=["small", "one-cpu"])
+    def test_some_draws_start_nothing(self, monkeypatch, least, cpus):
+        monkeypatch.setattr(rng_module, "AHEAD_MIN", least)
+        monkeypatch.setattr(rng_module, "_cpus", lambda: cpus)
+        started = []
+        monkeypatch.setattr(rng_module, "_submit", started.append)
+        rng = RngState(7)
+        rng.draw_ahead(99, 0.9)
+        assert started == [] and rng._ahead is None
+        np.testing.assert_array_equal(rng.keep_mask((99,), 0.9), RngState(7).random(99) < 0.9)
+
+    def test_another_keep_probability_is_refused(self):
+        rng, ref = RngState(12), RngState(12)
+        rng.draw_ahead(50, 0.9)
+        with pytest.raises(ValueError, match="keep probability 0.9"):
+            rng.keep_mask((5, 5), 0.5)
+        # the refused call took nothing: the masks drawn ahead are not mixed with others
+        np.testing.assert_array_equal(rng.keep_mask((5, 10), 0.9), ref.random((5, 10)) < 0.9)
+        rng.draw_ahead(10, 0.9)
+        with pytest.raises(RuntimeError, match="not all taken"):
+            rng.draw_ahead(10, 0.9)
+        rng.discard()
+
+    def test_a_failed_draw_raises_at_wait_and_rewinds(self, monkeypatch):
+        def failing(gen, keep, keep_prob):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker")
+            real(gen, keep, keep_prob)
+        real = rng_module._fill_keep
+        monkeypatch.setattr(rng_module, "_fill_keep", failing)
+        rng = RngState(13)
+        rng.random(3)
+        rng.draw_ahead(CHUNK * 2, 0.9)
+        with pytest.raises(MemoryError, match="worker"):
+            rng.wait()
+        ref = RngState(13)
+        ref.random(3)
+        np.testing.assert_array_equal(rng.random(8), ref.random(8))
+        # the worker survives the error
+        monkeypatch.setattr(rng_module, "_fill_keep", real)
+        rng.draw_ahead(40, 0.9)
+        rng.wait()
+        np.testing.assert_array_equal(rng.keep_mask((40,), 0.9), ref.random(40) < 0.9)
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self):
+        # the worker thread does not survive a fork; without a worker of its
+        # own the child's wait would block, and the alarm ends it
+        rng = RngState(14)
+        rng.draw_ahead(40, 0.9)
+        rng.wait()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with a thread running
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(10)
+                child = RngState(15)
+                child.draw_ahead(40, 0.9)
+                child.wait()
+                code = int(not np.array_equal(child.keep_mask((40,), 0.9),
+                                              RngState(15).random(40) < 0.9))
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        np.testing.assert_array_equal(rng.keep_mask((40,), 0.9), RngState(14).random(40) < 0.9)
 
 
 class TestInvariants:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -36,6 +37,7 @@ from sdgl.data import (
 )
 from sdgl import data as sdgl_data
 from sdgl import model as sdgl_model
+from sdgl import rng as rng_module
 from sdgl.graph_conv import MixHopConv
 from sdgl.model import (
     ABLATION_FLAGS,
@@ -50,6 +52,7 @@ from sdgl.model import (
     state_shapes,
     train,
 )
+from sdgl.rng import RngState
 from sdgl.static_graph import ConfigError, build_static_graph, graph_regularization_loss
 from sdgl.temporal import layer_dilation
 from test_reference_outputs import BASE as REFERENCE_BASE, CONFIGS as REFERENCE_CONFIGS
@@ -1385,6 +1388,120 @@ class TestTraining:
         out = train(tiny_dataset(seed=6), tiny_config(epochs=2))
         assert len(out.history) == 2
         assert {"epoch", "train_loss", "val_MAE", "val_RMSE", "val_MAPE"} <= set(out.history[0])
+
+
+def run_state(result) -> tuple:
+    """A training run's history, every state tensor's bytes and its dropout
+    stream's next 8 uniforms."""
+    state = {k: t.data.tobytes() for k, t in result.model.state_tensors().items()}
+    return result.history, state, result.model.dropout_rng.random(8).tobytes()
+
+
+class TestMasksDrawnAhead:
+    """``train`` has the worker thread draw the next step's keep masks during
+    backward: exactly those masks, never outside backward, and the same bits
+    as serial draws."""
+
+    # 51 training windows: six batches of 8 and a last one of 3
+    CONFIG = dict(dropout_keep=0.8, epochs=2)
+
+    @pytest.fixture(autouse=True)
+    def every_draw_on_the_worker(self, monkeypatch):
+        # these masks are far below the least draw the worker takes
+        monkeypatch.setattr(rng_module, "AHEAD_MIN", 1)
+        monkeypatch.setattr(rng_module, "_cpus", lambda: 2)
+
+    def serial(self, monkeypatch, config):
+        with monkeypatch.context() as m:
+            m.setattr(RngState, "draw_ahead", lambda self, count, keep_prob: None)
+            return run_state(train(tiny_dataset(seed=10), config))
+
+    @pytest.mark.parametrize("overrides", [dict(ablation=("no_dyadj",)),
+                                           dict(dropout_keep=1.0)],
+                             ids=["no_dyadj", "keep1"])
+    def test_no_masks_start_no_draw(self, monkeypatch, overrides):
+        started = []
+        monkeypatch.setattr(rng_module, "_submit", started.append)
+        train(tiny_dataset(seed=10), tiny_config(**{**self.CONFIG, **overrides}))
+        assert started == []
+
+    def test_each_step_draws_the_next_steps_masks(self, monkeypatch):
+        cfg = tiny_config(**self.CONFIG)
+        want = self.serial(monkeypatch, cfg)
+        streams, counts, inline = [], [], []
+        draw_ahead, fill = RngState.draw_ahead, rng_module._fill_keep
+
+        def recording_draw_ahead(self, count, keep_prob):
+            # the masks drawn ahead before were all taken by the step between
+            assert self._ahead is None and self._pending is None
+            streams.append(self)
+            counts.append(count)
+            draw_ahead(self, count, keep_prob)
+
+        def recording_fill(gen, keep, keep_prob):
+            if threading.current_thread() is threading.main_thread():
+                inline.append(keep.size)
+            fill(gen, keep, keep_prob)
+
+        def log(record):
+            assert all(r._pending is None for r in streams), "a draw is in flight at log"
+
+        monkeypatch.setattr(RngState, "draw_ahead", recording_draw_ahead)
+        monkeypatch.setattr(rng_module, "_fill_keep", recording_fill)
+        result = train(tiny_dataset(seed=10), cfg, log=log)
+        # heads x N^2 = 2 x 16 per window of the next batch: the next epoch's
+        # first after epoch 1's short last batch, none after the run's last step
+        nxt = [8] * 5 + [3, 8] + [8] * 5 + [3, 0]
+        assert counts == [32 * b for b in nxt]
+        # only the first step's two (8, 4, 4) masks are drawn in the forward
+        assert inline == [8 * 16] * 2
+        rng = result.model.dropout_rng
+        assert set(map(id, streams)) == {id(rng)}
+        assert rng._pending is None and rng._ahead is None
+        assert run_state(result) == want
+
+    @pytest.mark.parametrize("ablation", [(), ("ifm_plus",)], ids=["default", "ifm_plus"])
+    def test_same_bits_as_serial_draws(self, monkeypatch, ablation):
+        cfg = tiny_config(**self.CONFIG, ablation=ablation, batch_size=16)
+        assert run_state(train(tiny_dataset(seed=10), cfg)) == self.serial(monkeypatch, cfg)
+
+    def test_a_raise_between_epochs_drops_the_masks_drawn_ahead(self, monkeypatch):
+        # epoch 1's last step drew epoch 2's first masks; ``log`` raises before
+        # they are taken, and the stream goes back to where one epoch leaves it
+        want = self.serial(monkeypatch, tiny_config(**{**self.CONFIG, "epochs": 1}))
+        streams = []
+        draw_ahead = RngState.draw_ahead
+
+        def recording_draw_ahead(self, count, keep_prob):
+            streams.append(self)
+            draw_ahead(self, count, keep_prob)
+
+        def log(record):
+            assert streams[-1]._ahead is not None
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(RngState, "draw_ahead", recording_draw_ahead)
+        with pytest.raises(KeyboardInterrupt):
+            train(tiny_dataset(seed=10), tiny_config(**self.CONFIG), log=log)
+        rng = streams[-1]
+        assert rng._ahead is None and rng._pending is None
+        assert rng.random(8).tobytes() == want[2]
+
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+        cfg = tiny_config(**self.CONFIG)
+        fresh = run_state(train(tiny_dataset(seed=10), cfg))
+        fill = rng_module._fill_keep
+
+        def failing(gen, keep, keep_prob):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("drawing keep masks")
+            fill(gen, keep, keep_prob)
+
+        with monkeypatch.context() as m:
+            m.setattr(rng_module, "_fill_keep", failing)
+            with pytest.raises(MemoryError, match="drawing keep masks"):
+                train(tiny_dataset(seed=10), cfg)
+        assert run_state(train(tiny_dataset(seed=10), cfg)) == fresh
 
 
 # Frees 48 MB of 8 MB arrays three times, then counts the page faults of

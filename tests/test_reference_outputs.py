@@ -3,10 +3,14 @@
 A refactor of the network must keep its forward values and gradients. This
 test recomputes, for each config and mode, the loss, the prediction and every
 parameter gradient of one batch, and compares them with
-``reference_outputs.json``. Each array is stored as its L2 norm and its
-projection on a fixed random unit vector; both must match within ``RTOL`` of
-the array's norm. Reordering a float64 sum moves them by about 1e-13; a change
-to the math moves them by far more.
+``reference_outputs.json``. Three configs also run ``train`` for two epochs
+on a fixed series whose training windows are not a multiple of the batch
+size (the ``trained`` mode): each state tensor and the last epoch's
+validation MAE are compared. So the dropout stream is pinned across steps, a
+short last batch and an epoch boundary, not only within one batch. Each array
+is stored as its L2 norm and its projection on a fixed random unit vector;
+both must match within ``RTOL`` of the array's norm. Reordering a float64 sum
+moves them by about 1e-13; a change to the math moves them by far more.
 
 Run as a script, it compares without pytest and exits 1 on a mismatch; only
 ``--write`` stores new references, after a change meant to alter the outputs:
@@ -26,7 +30,8 @@ import numpy as np
 import pytest
 
 from sdgl.autodiff import Tape, Tensor
-from sdgl.model import ModelConfig, SDGLModel, hybrid_loss
+from sdgl.data import SeriesDataset
+from sdgl.model import ModelConfig, SDGLModel, hybrid_loss, train
 
 REFERENCE = Path(__file__).resolve().parent / "reference_outputs.json"
 RTOL = 1e-11
@@ -44,6 +49,15 @@ CONFIGS = {
     "ifm_plus_depth3": dict(window=19, layers=2, depth=3, ablation=("ifm_plus",)),
 }
 MODES = ("eval", "train")
+# the configs that also run the ``trained`` mode, and its run: 120 steps give
+# 51 training windows, three batches of 16 and a last one of 3
+TRAINED = ("default", "no_dyadj", "ifm_plus_depth3")
+TRAIN_RUN = dict(batch_size=16, epochs=2)
+SERIES_STEPS = 120
+
+
+def _modes(name: str) -> tuple[str, ...]:
+    return (*MODES, "trained") if name in TRAINED else MODES
 
 
 def _summary(a: np.ndarray) -> dict:
@@ -72,6 +86,21 @@ def compute(name: str, mode: str) -> dict:
     }
 
 
+def compute_trained(name: str) -> dict:
+    """State and last validation MAE of a two-epoch ``train`` on a fixed series."""
+    cfg = ModelConfig(**{**BASE, **CONFIGS[name], **TRAIN_RUN})
+    series = np.random.default_rng(2024).standard_normal((SERIES_STEPS, cfg.n_nodes)).cumsum(axis=0)
+    result = train(SeriesDataset(series), cfg)
+    return {
+        "val_MAE": result.history[-1]["val_MAE"],
+        "state": {k: _summary(t.data) for k, t in result.model.state_tensors().items()},
+    }
+
+
+def _compute(name: str, mode: str) -> dict:
+    return compute_trained(name) if mode == "trained" else compute(name, mode)
+
+
 def _reference() -> dict:
     return json.loads(REFERENCE.read_text(encoding="utf-8"))
 
@@ -97,9 +126,19 @@ def test_matches_reference(name, mode):
         _assert_summary(got["grad"][k], r, f"grad {k}")
 
 
+@pytest.mark.parametrize("name", TRAINED)
+def test_trained_matches_reference(name):
+    ref = _reference()[name]["trained"]
+    got = compute_trained(name)
+    assert abs(got["val_MAE"] - ref["val_MAE"]) <= RTOL * abs(ref["val_MAE"])
+    assert sorted(got["state"]) == sorted(ref["state"])
+    for k, r in ref["state"].items():
+        _assert_summary(got["state"][k], r, f"state {k}")
+
+
 def test_reference_covers_every_config_and_mode():
     assert {name: sorted(modes) for name, modes in _reference().items()} == {
-        name: sorted(MODES) for name in CONFIGS
+        name: sorted(_modes(name)) for name in CONFIGS
     }
 
 
@@ -108,7 +147,8 @@ def main() -> int:
     ap.add_argument("--write", action="store_true", help="store new references")
     args = ap.parse_args()
     if args.write:
-        out = {name: {mode: compute(name, mode) for mode in MODES} for name in sorted(CONFIGS)}
+        out = {name: {mode: _compute(name, mode) for mode in _modes(name)}
+               for name in sorted(CONFIGS)}
         REFERENCE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {REFERENCE}")
         return 0
@@ -116,6 +156,8 @@ def main() -> int:
     for name in sorted(CONFIGS):
         for mode in MODES:
             checks[f"{name}/{mode}"] = lambda name=name, mode=mode: test_matches_reference(name, mode)
+    for name in TRAINED:
+        checks[f"{name}/trained"] = lambda name=name: test_trained_matches_reference(name)
     failed = 0
     for what, check in checks.items():
         try:
