@@ -38,10 +38,11 @@ batch whose span would compute no fewer first-layer steps than its windows
 (B <= 2 at the defaults, and any one-layer model) run per window. Training
 minimizes lambda * graph regularization + L1 prediction loss; after every
 optimizer step the dynamic embeddings follow the static ones by momentum only.
-Training uses one extra thread: while a step runs backward, the ``rng``
-worker draws the next step's dropout keep masks, where they are large enough
-to be worth it, and the step waits for them before the optimizer step
-(``train``). The masks are the serial draws' bit for bit, so training is too.
+Training may use one extra thread per step: while a step runs backward, a
+thread the step starts (``rng``) draws the next step's dropout keep masks,
+where they are large enough to be worth it, and the step joins it before the
+optimizer step (``train``), so none runs between steps. The masks are the
+serial draws' bit for bit, so training is too.
 The regularizer is a training loss: a taped pass records it, and an untaped
 one computes it only when its result's ``reg_loss`` is read, which no forecast
 does.
@@ -382,10 +383,6 @@ class SDGLModel:
             self.gcn_static.append(MixHopConv(c, config.depth, rng))
             self.gcn_dynamic.append(MixHopConv(c, config.depth, rng))
 
-        # the layers built, whose packed weights _terms derives; forward calls
-        # tcn_layers[j] with layer j's, and a caller may wrap those calls
-        self._gated = tuple(self.tcn_layers)
-
         # the steps of each feature map the forecast reads: see temporal.step_plan
         self.step_plan = step_plan(dilations)
 
@@ -446,7 +443,7 @@ class SDGLModel:
         else:
             # every tensor the terms below are derived from
             sources = [emb.m_static, self.start_w, self.start_b, self.residual_w[0]]
-            for layer in self._gated:
+            for layer in self.tcn_layers:
                 for bank in (layer.filter_bank, layer.gate_bank):
                     sources += [*bank.filters, bank.bias]
             if dynamic:
@@ -464,7 +461,7 @@ class SDGLModel:
         static = build_static_graph(emb.m_static).values
         learned = learner.terms(emb, form=not (taped and training)) if dynamic else None
         layers = [layer.packed(*((self.start_w, self.start_b) if j == 0 else ()))
-                  for j, layer in enumerate(self._gated)]
+                  for j, layer in enumerate(self.tcn_layers)]
         # residual_w (start_w x + start_b) = (residual_w start_w) x + residual_w start_b
         residual = (ad.matmul(self.residual_w[0], self.start_w),
                     ad.reshape(ad.matmul(self.residual_w[0], ad.reshape(self.start_b, (-1, 1))),
@@ -534,8 +531,8 @@ class SDGLModel:
             on_span = shared and j == 0
             # on the span every output step is some window's kept step
             stride = 1 if on_span else step
-            # no in_w, in_b: layer 0's packed weights read the start map already
-            temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, stride, None, None,
+            # layer 0's packed weights read the start map already
+            temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, stride,
                              terms.layers[j])
             # the output head reads only the last step, so each skip maps only that step
             if on_span:
@@ -653,19 +650,20 @@ def retain_freed_heap() -> None:
 def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
     """Run the joint training loop; deterministic given config.seed.
 
-    While a step runs backward, one worker thread draws the next step's
+    While a step runs backward, a thread of its own draws the next step's
     dropout keep masks (``RngState.draw_ahead``): the dynamic learner's
     heads x B x N^2 entries for the next batch, the next epoch's first after an
     epoch's last step, and none after the run's last step, under ``no_dyadj``
-    or at keep 1. The step waits for them right after backward, before the
-    optimizer step, so the worker is idle while anything else runs (the
-    update, validation, ``log``, the caller), and the next forward takes them
+    or at keep 1. The step joins it right after backward, before the
+    optimizer step, so no thread draws while anything else runs (the update,
+    validation, ``log``, the caller), and the next forward takes the masks
     in the order it would have drawn them. A draw below ``rng.AHEAD_MIN``
     entries (N = 10, B = 64 draws 25,600), or in a process confined to one
     CPU, is not worth the thread: the forward draws those masks itself and
     no thread starts. The masks are those serial draws give, bit for bit
     (``rng``). When ``train`` returns or raises, no draw is in flight or
-    held, and the dropout stream stands where serial draws leave it.
+    held, no mask thread is alive, and the dropout stream stands where serial
+    draws leave it. A thread that cannot start raises its error here.
     """
     model = SDGLModel(config)
     lam = 0.0 if "no_gloss" in config.ablation else config.lambda_reg

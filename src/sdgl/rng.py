@@ -7,11 +7,11 @@ a copy or pickle of one is numpy's, a plain ``Generator`` that continues the
 same stream and holds no masks.
 
 A keep mask is ``u < keep_prob`` over the stream's next uniforms, in stream
-order (``keep_mask``). ``draw_ahead`` has one worker thread, shared by every
-stream and started on first use, draw the next ``count`` entries of such
-masks into a boolean FIFO while the calling thread does other work; ``wait``
-blocks until the draw is done. A draw of fewer than AHEAD_MIN entries, or in
-a process confined to one CPU, is not worth the thread and starts nothing. ``keep_mask`` takes its entries from the
+order (``keep_mask``). ``draw_ahead`` starts one thread that draws the next
+``count`` entries of such masks into a boolean FIFO while the calling thread
+does other work; ``wait`` joins it, so no thread outlives the draw. A draw of
+fewer than AHEAD_MIN entries, or in a process confined to one CPU, is not
+worth the thread and starts nothing. ``keep_mask`` takes its entries from the
 FIFO first and draws any rest inline. ``train`` draws the next step's masks
 this way while the current step runs backward, and waits right after. Philox
 fills do not depend on how a draw is split (``random(7)`` then ``random(13)``
@@ -19,7 +19,7 @@ equals ``random(23)``), so the masks are those a serial ``random(shape) <
 keep_prob`` per mask gives, bit for bit. Both threads draw CHUNK uniforms at
 a time into one reused 64 KB buffer and keep only the booleans, one byte per
 entry, so no float64 array of a mask's size is formed. numpy releases the
-GIL for each fill, so the worker runs beside the caller's numpy work.
+GIL for each fill, so the drawing thread runs beside the caller's numpy work.
 """
 
 from __future__ import annotations
@@ -31,39 +31,9 @@ import threading
 import numpy as np
 
 CHUNK = 8192  # uniforms per fill: a 64 KB float64 buffer
-# the least draw ahead the worker takes: below it, the thread costs the caller
-# more than the draw (see ``draw_ahead``)
+# the least draw ahead that starts a thread: below it, the thread costs the
+# caller more than the draw (see ``draw_ahead``)
 AHEAD_MIN = 16 * CHUNK
-
-_jobs: list = []  # callables the worker runs in order
-_queued: threading.Semaphore | None = None  # counts _jobs; None until the worker runs
-
-
-def _serve(queued: threading.Semaphore, jobs: list) -> None:
-    while True:
-        queued.acquire()
-        jobs.pop(0)()
-
-
-def _submit(job) -> None:
-    """Run ``job`` on the worker thread, starting the worker on first use."""
-    global _queued
-    if _queued is None:
-        _queued = threading.Semaphore(0)
-        threading.Thread(target=_serve, args=(_queued, _jobs), name="sdgl-keep-masks",
-                         daemon=True).start()
-    _jobs.append(job)
-    _queued.release()
-
-
-def _forget_worker() -> None:
-    global _jobs, _queued
-    _jobs, _queued = [], None
-
-
-# a forked child has no worker thread; its first draw ahead starts one
-if hasattr(os, "register_at_fork"):  # no fork, and no such hook, on Windows
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _cpus() -> int:
@@ -94,57 +64,52 @@ class RngState(np.random.Generator):
         self._read = 0  # entries of the FIFO taken
         self._ahead_keep = 1.0  # the keep probability they were drawn at
         self._before: dict | None = None  # the bit generator's state before the draw
-        self._pending: tuple[threading.Lock, list] | None = None  # a draw in flight
+        self._drawing: threading.Thread | None = None  # the draw in flight
+        self._error: BaseException | None = None  # what the draw raised
 
     def substream(self, key: int) -> "RngState":
         """Independent substream, reproducible from (seed, key)."""
         return RngState((self.seed * 0x9E3779B97F4A7C15 + key + 1) % (2**63))
 
     def draw_ahead(self, count: int, keep_prob: float) -> None:
-        """Start drawing the next ``count`` keep-mask entries at ``keep_prob``
-        on the worker thread. Nothing may draw from this stream until ``wait``
-        returns.
+        """Start a thread drawing the next ``count`` keep-mask entries at
+        ``keep_prob``. Nothing may draw from this stream until ``wait``
+        returns. If the thread cannot start, nothing is drawn and the error
+        propagates.
 
         A count below AHEAD_MIN (16 chunks, about 1 ms of Philox) starts
         nothing, and ``keep_mask`` draws those masks inline. Once a process
-        has a second thread, glibc's malloc takes its arena lock on every
-        call, and each GIL handoff to the worker wakes a sleeping thread: at
-        N = 10, B = 64 (25,600 entries a step, 0.2 ms of draws) that cost more
-        than the draw, and training read 1.5% fewer windows/s. Nor does a
-        process that may run on one CPU only start a draw: there the worker
-        could only take turns with the caller."""
+        has run a second thread, glibc's malloc takes its arena lock on every
+        call, and each GIL handoff to the drawing thread wakes a sleeping
+        one: at N = 10, B = 64 (25,600 entries a step, 0.2 ms of draws) that
+        cost more than the draw, and training read 1.5% fewer windows/s. Nor
+        does a process that may run on one CPU only start a draw: there the
+        thread could only take turns with the caller."""
         if count < AHEAD_MIN or _cpus() < 2:
             return
-        if self._ahead is not None or self._pending is not None:
+        if self._ahead is not None or self._drawing is not None:
             raise RuntimeError("draw_ahead: the masks drawn ahead before are not all taken")
-        ahead = self._ahead = np.empty(count, dtype=bool)
-        self._read, self._ahead_keep = 0, keep_prob
-        # the worker releases ``done`` once it has put the stream's state
-        # before the draw, and any error, in ``outcome``
-        done, outcome = threading.Lock(), [None, None]
-        done.acquire()
+        before = self.bit_generator.state
+        ahead = np.empty(count, dtype=bool)
 
-        def job():
+        def fill():
             try:
-                outcome[0] = self.bit_generator.state
                 _fill_keep(self, ahead, keep_prob)
             except BaseException as exc:  # raised by ``wait``, in the thread that waits
-                outcome[1] = exc
-            finally:
-                done.release()
+                self._error = exc
 
-        self._pending = (done, outcome)
-        _submit(job)
+        drawing = threading.Thread(target=fill, name="sdgl-keep-masks")
+        drawing.start()  # a start that raises leaves nothing drawn or held
+        self._ahead, self._read, self._ahead_keep = ahead, 0, keep_prob
+        self._before, self._drawing = before, drawing
 
     def wait(self) -> None:
-        """Block until the draw ahead is done. If it failed, drop what it drew,
-        leave the stream where it stood before it, and raise its error."""
-        if self._pending is None:
+        """Join the draw ahead. If it failed, drop what it drew, leave the
+        stream where it stood before it, and raise its error."""
+        if self._drawing is None:
             return
-        done, outcome = self._pending
-        done.acquire()
-        self._pending = None
-        self._before, error = outcome
+        self._drawing.join()
+        self._drawing, error, self._error = None, self._error, None
         if error is not None:
             self.discard()
             raise error

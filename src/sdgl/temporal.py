@@ -174,20 +174,18 @@ class GatedTemporalLayer:
         return _packed([self.filter_bank, self.gate_bank], in_w, in_b)
 
     def __call__(self, x: Tensor, dilation: int | None = None, stride: int = 1,
-                 in_w: Tensor | None = None, in_b: Tensor | None = None,
                  packed: tuple[Tensor, Tensor] | None = None) -> Tensor:
         """x: (B, C_in, T, N) -> (B, C_out, T_out, N), as ``conv1d_dilated`` with
         the banks' dilation unless ``dilation`` is given, keeping every
         ``stride``-th step.
 
-        With ``in_w`` (C_in, 1) and ``in_b`` (C_in,), x is (B, 1, T, N) and the
-        layer reads ``channel_map(x, in_w, in_b)`` without forming it. A caller
-        that already holds ``self.packed(in_w, in_b)`` passes it as ``packed``
-        and no ``in_w`` or ``in_b``.
+        ``packed`` is ``self.packed()``, derived here when not given. Given
+        ``self.packed(in_w, in_b)``, x is (B, 1, T, N) and the layer reads
+        ``channel_map(x, in_w, in_b)`` without forming it.
         """
         if dilation is None:
             dilation = self.filter_bank.dilation
-        w, bias = self.packed(in_w, in_b) if packed is None else packed
+        w, bias = self.packed() if packed is None else packed
         both = _packed_inception(x, w, bias, dilation, stride)
         c = self.filter_bank.bias.shape[0]
         return ad.mul(ad.tanh(ad.narrow(both, 1, 0, c)), ad.sigmoid(ad.narrow(both, 1, c, c)))

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import os
 import pickle
@@ -324,13 +325,46 @@ def test_dropout_gradient_through_mask(seed):
     assert grad_check(f, x, tol=1e-4).passed
 
 
+def spy_on_thread_starts(monkeypatch) -> list:
+    """The names of the threads started from here on, in order."""
+    started, start = [], threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def refuse_thread_start(thread):
+    """A ``Thread.start`` that fails as it does when the process may start no more threads."""
+    raise RuntimeError("can't start new thread")
+
+
+@contextlib.contextmanager
+def fails_if_blocked(seconds: int):
+    """Raise TimeoutError in the body once it has run ``seconds``: a test that
+    would block forever fails instead."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestKeepMasks:
-    """``RngState.keep_mask`` and the masks ``draw_ahead`` draws on the worker
-    thread: both are the serial ``random(shape) < keep_prob``, bit for bit.
-    The worker takes every draw here, however small."""
+    """``RngState.keep_mask`` and the masks ``draw_ahead`` draws on a thread
+    of its own: both are the serial ``random(shape) < keep_prob``, bit for
+    bit. Every draw ahead here starts a thread, however small."""
 
     @pytest.fixture(autouse=True)
-    def every_draw_on_the_worker(self, monkeypatch):
+    def every_draw_on_a_thread(self, monkeypatch):
         monkeypatch.setattr(rng_module, "AHEAD_MIN", 1)
         monkeypatch.setattr(rng_module, "_cpus", lambda: 2)
 
@@ -365,19 +399,18 @@ class TestKeepMasks:
 
     def test_a_fresh_stream_draws_inline(self):
         # the learner passes its stream as it is: with nothing drawn ahead the
-        # mask is drawn in the call, and the worker runs nothing
+        # mask is drawn in the call, and no thread draws
         rng = RngState(6)
         x = rand((2, CHUNK + 9), seed=2)
         want = x.data * (RngState(6).random(x.shape) < 0.9) * (1.0 / 0.9)
         np.testing.assert_array_equal(ad.dropout(x, 0.9, rng).data, want)
-        assert rng._pending is None and rng._ahead is None
+        assert rng._drawing is None and rng._ahead is None
 
     @pytest.mark.parametrize("least,cpus", [(100, 2), (1, 1)], ids=["small", "one-cpu"])
     def test_some_draws_start_nothing(self, monkeypatch, least, cpus):
         monkeypatch.setattr(rng_module, "AHEAD_MIN", least)
         monkeypatch.setattr(rng_module, "_cpus", lambda: cpus)
-        started = []
-        monkeypatch.setattr(rng_module, "_submit", started.append)
+        started = spy_on_thread_starts(monkeypatch)
         rng = RngState(7)
         rng.draw_ahead(99, 0.9)
         assert started == [] and rng._ahead is None
@@ -410,17 +443,34 @@ class TestKeepMasks:
         ref = RngState(13)
         ref.random(3)
         np.testing.assert_array_equal(rng.random(8), ref.random(8))
-        # the worker survives the error
+        # the next draw ahead starts a thread again
         monkeypatch.setattr(rng_module, "_fill_keep", real)
         rng.draw_ahead(40, 0.9)
         rng.wait()
         np.testing.assert_array_equal(rng.keep_mask((40,), 0.9), ref.random(40) < 0.9)
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+    def test_a_thread_that_cannot_start_draws_nothing(self, monkeypatch):
+        # the error reaches the caller, and no later wait blocks on a draw that
+        # never began: the alarm fails the test where one would
+        rng, ref = RngState(3), RngState(3)
+        with fails_if_blocked(10):
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start", refuse_thread_start)
+                with pytest.raises(RuntimeError, match="can't start new thread"):
+                    rng.draw_ahead(100, 0.9)
+            assert rng._ahead is None and rng._before is None and rng._drawing is None
+            rng.discard()
+            for _ in range(8):
+                rng.draw_ahead(100, 0.9)
+                rng.wait()
+                np.testing.assert_array_equal(rng.keep_mask((100,), 0.9),
+                                              ref.random(100) < 0.9)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_starts_its_own_worker(self):
-        # the worker thread does not survive a fork; without a worker of its
-        # own the child's wait would block, and the alarm ends it
+        # a thread does not survive a fork; the child's draw ahead starts one of
+        # its own, and the alarm ends a child whose wait would block
         rng = RngState(14)
         rng.draw_ahead(40, 0.9)
         rng.wait()

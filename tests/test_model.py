@@ -5,6 +5,7 @@ import math
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -54,7 +55,8 @@ from sdgl.model import (
 )
 from sdgl.rng import RngState
 from sdgl.static_graph import ConfigError, build_static_graph, graph_regularization_loss
-from sdgl.temporal import layer_dilation
+from sdgl.temporal import GatedTemporalLayer, layer_dilation
+from test_autodiff import fails_if_blocked, refuse_thread_start, spy_on_thread_starts
 from test_reference_outputs import BASE as REFERENCE_BASE, CONFIGS as REFERENCE_CONFIGS
 
 
@@ -120,7 +122,7 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match=field):
             tiny_config(**overrides)
 
-    def test_window_bound_follows_floored_dilations(self):
+    def test_window_bound_follows_floored_dilations(self, monkeypatch):
         # growth 1.5 floors the dilations to 1, 1, 2, so three layers shorten
         # time by 6 * (1 + 1 + 2) = 24: window 25 leaves exactly one step. The
         # layers compute only the steps the forecast reads: 19 of the first
@@ -128,15 +130,14 @@ class TestModelConfig:
         # layer's last step.
         model = SDGLModel(tiny_config(growth=1.5, layers=3, window=25))
         lengths = []
+        call = GatedTemporalLayer.__call__
 
-        def recording(layer):
-            def run(hidden, *args):
-                out = layer(hidden, *args)
-                lengths.append(out.shape[2])
-                return out
-            return run
+        def recording(layer, *args):
+            out = call(layer, *args)
+            lengths.append(out.shape[2])
+            return out
 
-        model.tcn_layers = [recording(layer) for layer in model.tcn_layers]
+        monkeypatch.setattr(GatedTemporalLayer, "__call__", recording)
         out = model.forward(np.random.default_rng(0).normal(size=(2, 4, 25)))
         assert lengths == [19, 7, 1]
         assert out.prediction.shape == (2, 4, 3)
@@ -344,19 +345,20 @@ def run_step_model(cfg, training, full):
     x = Tensor(rng.standard_normal((3, cfg.n_nodes, cfg.window)))
     y = Tensor(rng.standard_normal((3, cfg.n_nodes, cfg.horizon)))
     outputs = []
-    if not full:
-        def recording(layer):
-            def run(hidden, *args):
-                outputs.append(layer(hidden, *args))
-                return outputs[-1]
-            return run
-        model.tcn_layers = [recording(layer) for layer in model.tcn_layers]
+    call = GatedTemporalLayer.__call__
+
+    def recording(layer, *args):
+        outputs.append(call(layer, *args))
+        return outputs[-1]
+
     tape = Tape()
     with tape:
         if full:
             pred, reg = full_step_forward(model, x, training, outputs)
         else:
-            res = model.forward(x, training=training)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(GatedTemporalLayer, "__call__", recording)
+                res = model.forward(x, training=training)
             pred, reg = res.prediction, res.reg_loss
         loss = hybrid_loss(pred, y, reg, cfg.lambda_reg)
     tape.backward(loss)
@@ -1390,6 +1392,11 @@ class TestTraining:
         assert {"epoch", "train_loss", "val_MAE", "val_RMSE", "val_MAPE"} <= set(out.history[0])
 
 
+def mask_threads() -> list[threading.Thread]:
+    """The live threads drawing keep masks ahead."""
+    return [t for t in threading.enumerate() if t.name == "sdgl-keep-masks"]
+
+
 def run_state(result) -> tuple:
     """A training run's history, every state tensor's bytes and its dropout
     stream's next 8 uniforms."""
@@ -1398,16 +1405,16 @@ def run_state(result) -> tuple:
 
 
 class TestMasksDrawnAhead:
-    """``train`` has the worker thread draw the next step's keep masks during
-    backward: exactly those masks, never outside backward, and the same bits
-    as serial draws."""
+    """``train`` has a thread draw the next step's keep masks during backward:
+    exactly those masks, never outside backward, and the same bits as serial
+    draws. No such thread outlives ``train``."""
 
     # 51 training windows: six batches of 8 and a last one of 3
     CONFIG = dict(dropout_keep=0.8, epochs=2)
 
     @pytest.fixture(autouse=True)
-    def every_draw_on_the_worker(self, monkeypatch):
-        # these masks are far below the least draw the worker takes
+    def every_draw_on_a_thread(self, monkeypatch):
+        # these masks are far below the least draw that starts a thread
         monkeypatch.setattr(rng_module, "AHEAD_MIN", 1)
         monkeypatch.setattr(rng_module, "_cpus", lambda: 2)
 
@@ -1420,8 +1427,7 @@ class TestMasksDrawnAhead:
                                            dict(dropout_keep=1.0)],
                              ids=["no_dyadj", "keep1"])
     def test_no_masks_start_no_draw(self, monkeypatch, overrides):
-        started = []
-        monkeypatch.setattr(rng_module, "_submit", started.append)
+        started = spy_on_thread_starts(monkeypatch)
         train(tiny_dataset(seed=10), tiny_config(**{**self.CONFIG, **overrides}))
         assert started == []
 
@@ -1433,7 +1439,7 @@ class TestMasksDrawnAhead:
 
         def recording_draw_ahead(self, count, keep_prob):
             # the masks drawn ahead before were all taken by the step between
-            assert self._ahead is None and self._pending is None
+            assert self._ahead is None and self._drawing is None
             streams.append(self)
             counts.append(count)
             draw_ahead(self, count, keep_prob)
@@ -1444,7 +1450,7 @@ class TestMasksDrawnAhead:
             fill(gen, keep, keep_prob)
 
         def log(record):
-            assert all(r._pending is None for r in streams), "a draw is in flight at log"
+            assert all(r._drawing is None for r in streams), "a draw is in flight at log"
 
         monkeypatch.setattr(RngState, "draw_ahead", recording_draw_ahead)
         monkeypatch.setattr(rng_module, "_fill_keep", recording_fill)
@@ -1457,7 +1463,8 @@ class TestMasksDrawnAhead:
         assert inline == [8 * 16] * 2
         rng = result.model.dropout_rng
         assert set(map(id, streams)) == {id(rng)}
-        assert rng._pending is None and rng._ahead is None
+        assert rng._drawing is None and rng._ahead is None
+        assert mask_threads() == []
         assert run_state(result) == want
 
     @pytest.mark.parametrize("ablation", [(), ("ifm_plus",)], ids=["default", "ifm_plus"])
@@ -1484,7 +1491,8 @@ class TestMasksDrawnAhead:
         with pytest.raises(KeyboardInterrupt):
             train(tiny_dataset(seed=10), tiny_config(**self.CONFIG), log=log)
         rng = streams[-1]
-        assert rng._ahead is None and rng._pending is None
+        assert rng._ahead is None and rng._drawing is None
+        assert mask_threads() == []
         assert rng.random(8).tobytes() == want[2]
 
     def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
@@ -1501,7 +1509,22 @@ class TestMasksDrawnAhead:
             m.setattr(rng_module, "_fill_keep", failing)
             with pytest.raises(MemoryError, match="drawing keep masks"):
                 train(tiny_dataset(seed=10), cfg)
+        assert mask_threads() == []
         assert run_state(train(tiny_dataset(seed=10), cfg)) == fresh
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+    def test_a_thread_that_cannot_start_reaches_the_caller(self, monkeypatch):
+        # the first step's draw ahead is refused: ``train`` raises, where a
+        # wait that blocked on the draw would hang until the alarm
+        cfg = tiny_config(**self.CONFIG)
+        fresh = run_state(train(tiny_dataset(seed=10), cfg))
+        with fails_if_blocked(60):
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start", refuse_thread_start)
+                with pytest.raises(RuntimeError, match="can't start new thread"):
+                    train(tiny_dataset(seed=10), cfg)
+            assert mask_threads() == []
+            assert run_state(train(tiny_dataset(seed=10), cfg)) == fresh
 
 
 # Frees 48 MB of 8 MB arrays three times, then counts the page faults of

@@ -212,7 +212,7 @@ class TestGatedTemporalLayer:
                 p.requires_grad, p.grad = True, None
             t = ad.Tape()
             with t:
-                y = layer(x, d, stride, in_w, in_b) if folded else \
+                y = layer(x, d, stride, packed=layer.packed(in_w, in_b)) if folded else \
                     layer(ad.channel_map(x, in_w, in_b), d, stride)
                 loss = ad.reduce_sum(ad.mul(y, Tensor(probe)))
             t.backward(loss)
