@@ -66,26 +66,35 @@ one process). Under ``tracemalloc`` one training step at those shapes peaked
 at 112.2 MB, against 120.0 MB before the layout switch and the in-place
 accumulation below.
 
-Each pass of the convolution has two forms: one product, or work per tap.
-Where each output step reads one input step (k = 1) or one output step reads
-all k input steps (the last gated layer), the rows, a one-tap map's kept steps
-or (B, C_in*k, N) rows of a contiguous map, meet the weight with its taps
-reversed: the forward pass, the input gradient (where the rows cover every
-input step) and the weight gradient are one product per channel block, the
-first writing the output and each later one adding into it, with no gather,
-zero fill or strided add. From one input channel (the model's first residual,
-which reads the raw series through the start map folded into its weight and
-bias) that product is a broadcast multiply. The last gated layer's backward
-pass took 0.81 -> 0.49 ms at train_small's (64, 16, 7, 10) and 2.8 -> 1.3 ms
-at train_wide's (32, 16, 7, 100). The weight gradient of one input channel
-(the folded first layer) is one product on its k taps gathered in step order:
-0.25 -> 0.11 ms at (64, 1, 19, 10) and 2.2 -> 0.6 ms at (32, 1, 19, 100), both
-at stride 2. Otherwise the forward pass gathers a batch chunk's k tap slices
-into one buffer for one matmul with K = k*C_in, in place of k matmuls and k-1
-accumulating passes, and the input and weight gradients take one matmul per
-tap. A gathered backward was no faster, and a gathered weight gradient of a
-16-channel block was slower: 2.3 -> 2.8 ms at (64, 16, 19, 10), stride 2, the
-middle of three layers on 30-step windows (interleaved medians of 25 calls).
+Each pass of the convolution has two forms: one product, or work per tap. A
+one-tap map (every ``channel_map`` and ``channel_map_concat``, and a
+``conv1d_dilated`` of a (C_out, C_in, 1) weight) reads w's (C_out, c) column
+block of each part and the part's kept steps as (B, c, t_out*N) rows
+directly, with no tap offsets and no reversed taps. Its forward pass, input
+gradient and weight gradient are one product per part, the forward pass's
+first writing the output and each later one adding into it. From one input
+channel (the model's first residual, which reads the raw series through the
+start map folded into its weight and bias) that product is a broadcast
+multiply. At one window this took a (1, 16, 7, 10) ``channel_map`` from 9.2
+to 6.7 us and a three-part ``channel_map_concat`` from 20.7 to 14.1 us (its
+shape checks make one pass). Where one output step reads all k
+input steps (the last gated layer), x's (B, C_in*k, N) rows meet the weight
+with its taps reversed in one product per pass, with no gather, zero fill or
+strided add. Its backward pass took 0.81 -> 0.49 ms at train_small's (64,
+16, 7, 10) and 2.8 -> 1.3 ms at train_wide's (32, 16, 7, 100). The weight
+gradient of one input channel (the folded first layer) is one product on its
+k taps gathered in step order: 0.25 -> 0.11 ms at (64, 1, 19, 10) and 2.2 ->
+0.6 ms at (32, 1, 19, 100), both at stride 2. Otherwise the forward pass
+copies a batch chunk's k taps, one strided view (``_taps``), into one buffer
+for one matmul with K = k*C_in, in place of k matmuls and k-1 accumulating
+passes, and the input and weight gradients take one matmul per tap. The one
+copy took the folded first layer's one-window forward pass, on the
+transposed window, from 15.2 to 9.0 us, where a slice per tap was copied. A
+gathered backward was no faster, and a gathered weight gradient of a
+16-channel block was slower: 2.3 -> 2.8 ms at (64, 16, 19, 10), stride 2,
+the middle of three layers on 30-step windows (interleaved medians of 25
+calls). The one-window figures here are best-of-7 timeit runs on a 2-vCPU
+host with one BLAS thread.
 
 ``layer_norm`` and ``row_softmax`` take row sums as a product with a ones
 vector and row dot products with ``einsum``, never ``np.var`` or a last-axis
@@ -172,13 +181,23 @@ class _Slot:
         self.shape = shape
 
 
+_F64 = np.dtype(np.float64)
+
+
 class Tensor:
-    """A shaped float64 array with an optional gradient slot."""
+    """A shaped float64 array with an optional gradient slot.
+
+    A native float64 ``np.ndarray`` is kept as it is, not copied or viewed:
+    ``Tensor(a).data is a``. Anything else (a list, a scalar, another dtype or
+    byte order, an ndarray subclass) becomes ``np.asarray(data, dtype=np.float64)``.
+    """
 
     __slots__ = ("data", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # np.asarray would return such an array itself too, at several times the cost
+        self.data = (data if type(data) is np.ndarray and data.dtype is _F64
+                     else np.asarray(data, dtype=np.float64))
         self.requires_grad = bool(requires_grad)
         self._slot: _Slot | None = None
 
@@ -454,11 +473,20 @@ def transpose(a: Tensor) -> Tensor:
 # --- normalization ----------------------------------------------------------
 
 
+# read-only ones vectors by length, for _row_sums: allocating one took 1.0 of
+# the 3.6 us a (1, 10, 8) row centering took
+_ONES: dict[int, np.ndarray] = {}
+
+
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Sums over the last axis, keeping it: a product with a ones vector, where
     numpy's last-axis mean took 1.5 times as long (25 against 14 us at (64, 10,
     10), 169 against 113 us at (32, 100, 100))."""
-    return (a @ np.ones(a.shape[-1]))[..., None]
+    ones = _ONES.get(a.shape[-1])
+    if ones is None:
+        ones = _ONES[a.shape[-1]] = np.ones(a.shape[-1])
+        ones.flags.writeable = False
+    return (a @ ones)[..., None]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -609,9 +637,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int, step: int = 1) -> Tens
             f"narrow: slice [{start}, {stop}) out of range for axis "
             f"{axis} of shape {a.shape}"
         )
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop, step)
-    idx = tuple(idx)
+    # the axes after ``axis`` need no entry of their own
+    idx = (slice(None),) * (axis % a.data.ndim) + (slice(start, stop, step),)
     out = Tensor(a.data[idx])
     if _recording(a):
         ga, a_shape = _slot(a), a.shape
@@ -629,40 +656,21 @@ def narrow(a: Tensor, axis: int, start: int, length: int, step: int = 1) -> Tens
 # --- structured primitives --------------------------------------------------
 
 
-def _steps(x: np.ndarray, offset: int, t_out: int, stride: int) -> np.ndarray:
-    """The view of steps offset + stride*[0, t_out) of a (B, C, T, N) array."""
-    return x[:, :, offset : offset + stride * (t_out - 1) + 1 : stride]
+def _taps(x: np.ndarray, dilation: int, k: int, t_out: int, stride: int) -> np.ndarray:
+    """The (B, k, C, t_out, N) view of a (B, C, T, N) array whose [:, s] is tap s
+    of a k-tap convolution: steps d*(k-1-s) + stride*[0, t_out).
 
-
-def _tap(x: np.ndarray, offset: int, t_out: int, stride: int) -> np.ndarray:
-    """Steps offset + stride*[0, t_out) of a (B, C, T, N) array as (B, C, t_out*N).
-
-    At stride 1 the steps of one channel lie back to back, so for a contiguous
-    x (and for a slice of one along time) this is a view; a larger stride copies.
+    One view with a negative tap stride, so one copy gathers all k taps, where
+    a slice per tap took 5.7 us at (1, 1, 19, 10) and this 1.0 us. It views x
+    where x is contiguous, writeable where x is (the input gradient adds each
+    tap into one), and a contiguous copy of x otherwise: as_strided, which
+    views any strides, took 3.7 us by itself.
     """
+    x = np.ascontiguousarray(x)
     b, c, _, n = x.shape
-    return _steps(x, offset, t_out, stride).reshape(b, c, t_out * n)
-
-
-def _rows(x: np.ndarray, offsets: Sequence[int], t_out: int, stride: int) -> np.ndarray:
-    """A (B, C, T, N) array as the (B, C*k, t_out*N) rows, taps in step order, that
-    a convolution with k = len(offsets) taps reads in one product: its kept steps
-    for one tap, its k steps for one output step, or its one channel's k taps."""
-    b, _, t_in, n = x.shape
-    if len(offsets) == 1:
-        return _tap(x, 0, t_out, stride)
-    if t_out == 1 and t_in == len(offsets):
-        return x.reshape(b, -1, n)
-    return np.stack([_steps(x, off, t_out, stride)[:, 0] for off in offsets[::-1]],
-                    axis=1).reshape(b, -1, t_out * n)
-
-
-def _gather(x: np.ndarray, offsets: Sequence[int], t_out: int, stride: int,
-            out: np.ndarray) -> None:
-    """Copy tap s of a (m, C, T, N) array, steps offsets[s] + stride*[0, t_out),
-    into out[:, s] of a (m, k, C, t_out, N) buffer."""
-    for s, off in enumerate(offsets):
-        out[:, s] = _steps(x, off, t_out, stride)
+    sb, sc, st, sn = x.strides
+    return np.ndarray((b, k, c, t_out, n), x.dtype, x, dilation * (k - 1) * st,
+                      (sb, -dilation * st, sc, stride * st, sn))
 
 
 # Bytes of the gathered-tap buffer of one batch chunk in the convolution's
@@ -681,55 +689,57 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
     is read as one tap; only such a one-tap map passes more than one part. The
     output keeps every ``stride``-th step.
     """
-    taps = w.data.reshape(*w.data.shape[:2], -1)
+    w_data = w.data
     b, _, t_in, n = parts[0].data.shape
-    c_out, c_in, k = taps.shape
+    c_out, c_in = w_data.shape[0], w_data.shape[1]
+    k = 1 if w_data.ndim == 2 else w_data.shape[2]
     t_out = (t_in - dilation * (k - 1) - 1) // stride + 1
-    # Tap s reads input steps offset + stride*[0, t_out), offset = d*(k-1-s).
-    offsets = [dilation * (k - 1 - s) for s in range(k)]
-    # (lo, hi) channels of each part, by a plain loop: per call np.cumsum took
-    # 8 us and itertools.accumulate 2 us, against 10 us for a whole one-window
-    # channel_map
-    blocks, hi = [], 0
-    for part in parts:
-        lo, hi = hi, hi + part.data.shape[1]
-        blocks.append((lo, hi))
-    # Where each output step reads one input step (k = 1), or one output step
-    # reads every input step (the last gated layer), each block is one product:
-    # its ``_rows`` against its (C_out, c*k) weight columns with the taps
-    # reversed, so that tap s meets step k-1-s.
-    whole = t_out == 1 and t_in == k
-    if k == 1 or whole:
-        # the first part's product is the output, each later one adds into it
-        acc = None
-        for (lo, hi), part in zip(blocks, parts):
-            w_blk = taps[:, lo:hi, ::-1].reshape(c_out, -1)
-            x_rows = _rows(part.data, offsets, t_out, stride)
+    if k == 1:
+        # one tap: each part's kept steps, as (b, c, t_out*n) rows, meet w's
+        # (C_out, c) column block in one product; the first part's product is
+        # the output, each later one adds into it
+        w_read = w_data if w_data.ndim == 2 else w_data[:, :, 0]
+        blocks, acc, hi = [], None, 0
+        for part in parts:
+            x = part.data
+            lo, hi = hi, hi + x.shape[1]
+            blocks.append((lo, hi))
+            rows = (x if t_out == t_in else x[:, :, ::stride]).reshape(b, hi - lo, t_out * n)
             # a K = 1 product: the broadcast is the same single multiply
-            y = w_blk * x_rows if w_blk.shape[1] == 1 else w_blk @ x_rows
+            w_blk = w_read[:, lo:hi]
+            y = w_blk * rows if hi - lo == 1 else w_blk @ rows
             if acc is None:
                 acc = y
             else:
                 acc += y
     else:
-        # Copy the k tap slices of a chunk of m samples into one
-        # (m, k*C_in, t_out*N) buffer and run one matmul with the
-        # (C_out, k*C_in) weight into the chunk's output rows. The buffer and
-        # the output share one allocation, the buffer first, freed together:
-        # as two arrays the heap placed them so that peak RSS rose by up to
-        # 2 MB on some seeds (train_small 67.0 -> 69.1 MB).
-        m = max(1, min(b, _GATHER_BYTES // (8 * k * c_in * t_out * n)))
-        size = m * k * c_in * t_out * n
-        block = np.empty(size + b * c_out * t_out * n)
-        gathered = block[:size].reshape(m, k, c_in, t_out, n)
-        acc = block[size:].reshape(b, c_out, t_out * n)
-        w_flat = taps.transpose(0, 2, 1).reshape(c_out, k * c_in)
-        (x,) = parts
-        for start in range(0, b, m):
-            rows = min(m, b - start)
-            _gather(x.data[start : start + rows], offsets, t_out, stride, gathered[:rows])
-            np.matmul(w_flat, gathered[:rows].reshape(rows, k * c_in, t_out * n),
-                      out=acc[start : start + rows])
+        x = parts[0].data
+        whole = t_out == 1 and t_in == k
+        if whole:
+            # one output step reads every input step: x's (b, c_in*k, n) rows
+            # against w with its taps reversed, so that tap s meets step k-1-s
+            w_read = w_data[:, :, ::-1].reshape(c_out, -1)
+            acc = w_read @ x.reshape(b, -1, n)
+        else:
+            # Copy the k tap slices of a chunk of m samples into one
+            # (m, k*C_in, t_out*N) buffer and run one matmul with the
+            # (C_out, k*C_in) weight into the chunk's output rows. The buffer and
+            # the output share one allocation, the buffer first, freed together:
+            # as two arrays the heap placed them so that peak RSS rose by up to
+            # 2 MB on some seeds (train_small 67.0 -> 69.1 MB).
+            m = max(1, min(b, _GATHER_BYTES // (8 * k * c_in * t_out * n)))
+            size = m * k * c_in * t_out * n
+            block = np.empty(size + b * c_out * t_out * n)
+            gathered = block[:size].reshape(m, k, c_in, t_out, n)
+            acc = block[size:].reshape(b, c_out, t_out * n)
+            w_read = w_data
+            w_flat = w_data.transpose(0, 2, 1).reshape(c_out, k * c_in)
+            taps = _taps(x, dilation, k, t_out, stride)
+            for start in range(0, b, m):
+                rows = min(m, b - start)
+                gathered[:rows] = taps[start : start + rows]
+                np.matmul(w_flat, gathered[:rows].reshape(rows, k * c_in, t_out * n),
+                          out=acc[start : start + rows])
     if bias is not None:
         acc += bias.data.reshape(1, -1, 1)
     out = Tensor(acc.reshape(b, c_out, t_out, n))
@@ -737,35 +747,52 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
     if _recording(*inputs):
         gxs, gw, w_shape = [_slot(p) for p in parts], _slot(w), w.shape
         gbias = None if bias is None else _slot(bias)
-        # each part is re-tapped in backward, so a strided part is not kept as a copy
+        # each part is re-read in backward, so a strided part is not kept as a copy
         x_datas = [p.data if gw else None for p in parts]
-        w_data = taps if any(gxs) else None
+        # the weight as the forward pass read it, kept for the input gradients
+        w_read = w_read if any(gxs) else None
 
         def backward(g):
             g = g.reshape(b, c_out, t_out * n)
-            if whole or k == stride == 1:  # the rows cover every input step
+            if k == 1:
                 for (lo, hi), gx in zip(blocks, gxs):
                     if gx:
-                        w_blk = w_data[:, lo:hi, ::-1].reshape(c_out, -1)
-                        _accum(gx, (w_blk.T @ g).reshape(b, hi - lo, t_in, n), True)
-            elif gxs[0]:
-                dx = np.zeros((b, c_in, t_in, n))
-                for s, off in enumerate(offsets):
-                    _steps(dx, off, t_out, stride)[...] += (
-                        w_data[:, :, s].T @ g).reshape(b, c_in, t_out, n)
-                _accum(gxs[0], dx, True)
-            if gw:
-                dw = np.empty((c_out, c_in, k))
-                if k == 1 or whole or c_in == 1:  # on rows, or one channel's taps
-                    for (lo, hi), x_data in zip(blocks, x_datas):
-                        x_rows = _rows(x_data, offsets, t_out, stride)
-                        dw[:, lo:hi, ::-1] = (g @ x_rows.transpose(0, 2, 1)).sum(
-                            axis=0).reshape(c_out, hi - lo, k)
-                else:
-                    for s, off in enumerate(offsets):
-                        x_tap = _tap(x_datas[0], off, t_out, stride)
-                        dw[:, :, s] = (g @ x_tap.transpose(0, 2, 1)).sum(axis=0)
-                _accum(gw, dw.reshape(w_shape), True)
+                        dx = (w_read[:, lo:hi].T @ g).reshape(b, hi - lo, t_out, n)
+                        if t_out < t_in:  # the rows read every stride-th input step
+                            dx, kept = np.zeros((b, hi - lo, t_in, n)), dx
+                            dx[:, :, ::stride] += kept
+                        _accum(gx, dx, True)
+                if gw:
+                    dw = np.empty((c_out, c_in))
+                    for (lo, hi), x in zip(blocks, x_datas):
+                        rows = (x if t_out == t_in else x[:, :, ::stride]).reshape(
+                            b, hi - lo, t_out * n)
+                        dw[:, lo:hi] = (g @ rows.transpose(0, 2, 1)).sum(axis=0)
+                    _accum(gw, dw.reshape(w_shape), True)
+            else:
+                (gx,), (x,) = gxs, x_datas
+                if gx and whole:  # the rows cover every input step
+                    _accum(gx, (w_read.T @ g).reshape(b, c_in, t_in, n), True)
+                elif gx:
+                    dx = np.zeros((b, c_in, t_in, n))
+                    dx_taps = _taps(dx, dilation, k, t_out, stride)
+                    for s in range(k):
+                        dx_taps[:, s] += (w_read[:, :, s].T @ g).reshape(b, c_in, t_out, n)
+                    _accum(gx, dx, True)
+                if gw:
+                    dw = np.empty((c_out, c_in, k))
+                    x_taps = None if whole else _taps(x, dilation, k, t_out, stride)
+                    if whole or c_in == 1:
+                        # one product on x's rows, or on one channel's k taps in step order
+                        rows = (x.reshape(b, -1, n) if whole
+                                else x_taps[:, ::-1, 0].reshape(b, k, t_out * n))
+                        dw[:, :, ::-1] = (g @ rows.transpose(0, 2, 1)).sum(
+                            axis=0).reshape(c_out, c_in, k)
+                    else:
+                        for s in range(k):
+                            x_tap = x_taps[:, s].reshape(b, c_in, t_out * n)
+                            dw[:, :, s] = (g @ x_tap.transpose(0, 2, 1)).sum(axis=0)
+                    _accum(gw, dw, True)
             if gbias:
                 _accum(gbias, g.sum(axis=(0, 2)), True)
 
@@ -807,10 +834,15 @@ def channel_map_concat(parts: Sequence[Tensor], w: Tensor, bias: Tensor | None =
 
     Each part is (B, C_i, T, N) with the same B, T and N; w is (C_out, sum C_i).
     """
-    shapes = [p.shape for p in parts]
-    if (not parts or w.data.ndim != 2 or any(len(s) != 4 for s in shapes)
-            or any(s[0] != shapes[0][0] or s[2:] != shapes[0][2:] for s in shapes)
-            or sum(s[1] for s in shapes) != w.data.shape[1]):
+    shapes = [p.data.shape for p in parts]
+    # one pass: each part is (B, C_i, T, N) like the first, and the C_i add up
+    channels = 0
+    for s in shapes:
+        if len(s) != 4 or s[0] != shapes[0][0] or s[2:] != shapes[0][2:]:
+            channels = -1
+            break
+        channels += s[1]
+    if not shapes or w.data.ndim != 2 or channels != w.data.shape[1]:
         raise ShapeError(f"channel_map_concat: incompatible shapes {shapes}, {w.shape}")
     return _conv(parts, w, 1, bias)
 

@@ -70,16 +70,17 @@ def save(path, model: SDGLModel, scaler: Scaler) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
-def _read(fh, size: int, path, what: str) -> bytes:
-    """The next ``size`` bytes; a size beyond the end of the file is never read."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+def _read(fh, end: int, size: int, path, what: str) -> bytes:
+    """The next ``size`` bytes of a file of ``end`` bytes; a size beyond its end
+    is never read."""
+    left = end - fh.tell()
     if size > left:
         raise CheckpointError(f"{path}: truncated in {what}: needs {size} bytes, {left} left")
     return fh.read(size)
 
 
-def _unpack(fh, fmt: str, path, what: str) -> int:
-    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt), path, what))[0]
+def _unpack(fh, end: int, fmt: str, path, what: str) -> int:
+    return struct.unpack(fmt, _read(fh, end, struct.calcsize(fmt), path, what))[0]
 
 
 def _field(header: dict, key: str, kind: type, path):
@@ -92,13 +93,14 @@ def _field(header: dict, key: str, kind: type, path):
 
 def load(path) -> Checkpoint:
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size  # once: the file is read, never written
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not an SDGL checkpoint")
-        version = _unpack(fh, "<I", path, "format version")
+        version = _unpack(fh, end, "<I", path, "format version")
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
-        hlen = _unpack(fh, "<Q", path, "header length")
-        blob = _read(fh, hlen, path, "header")
+        hlen = _unpack(fh, end, "<Q", path, "header length")
+        blob = _read(fh, end, hlen, path, "header")
         try:
             header = json.loads(blob.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -115,15 +117,16 @@ def load(path) -> Checkpoint:
         # name -> (dims, flat values), reshaped only once the dims are the expected ones
         tensors: dict[str, tuple[tuple[int, ...], np.ndarray]] = {}
         for k in range(_field(header, "tensor_count", int, path)):
-            nlen = _unpack(fh, "<I", path, f"name length of record {k}")
-            name = _read(fh, nlen, path, f"name of record {k}").decode("utf-8", "replace")
+            nlen = _unpack(fh, end, "<I", path, f"name length of record {k}")
+            name = _read(fh, end, nlen, path, f"name of record {k}").decode("utf-8", "replace")
             if name in tensors:
                 raise CheckpointError(f"{path}: duplicate tensor record {name!r}")
-            rank = _unpack(fh, "<I", path, f"rank of tensor {name!r}")
+            rank = _unpack(fh, end, "<I", path, f"rank of tensor {name!r}")
             if rank > 32:  # numpy before 2.0 allows at most 32 axes
                 raise CheckpointError(f"{path}: tensor {name!r} has rank {rank}, more than 32")
-            dims = tuple(_unpack(fh, "<Q", path, f"shape of tensor {name!r}") for _ in range(rank))
-            payload = _read(fh, math.prod(dims) * 8, path, f"tensor {name!r}")
+            dims = tuple(_unpack(fh, end, "<Q", path, f"shape of tensor {name!r}")
+                         for _ in range(rank))
+            payload = _read(fh, end, math.prod(dims) * 8, path, f"tensor {name!r}")
             data = np.frombuffer(payload, dtype="<f8")
             if not np.isfinite(data).all():
                 raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")

@@ -390,7 +390,19 @@ class SDGLModel:
         self.out_b1 = zeros((c,))
         self.out_w2 = weight(rng, c, (config.horizon, c))
         self.out_b2 = zeros((config.horizon,))
-        # (key, terms) of the last untaped pass's _terms: see _terms
+        # every tensor _terms derives from, and the (key, terms) of its last
+        # untaped pass: see _terms
+        self._sources = [self.embeddings.m_static, self.start_w, self.start_b,
+                         self.residual_w[0]]
+        for layer in self.tcn_layers:
+            for bank in (layer.filter_bank, layer.gate_bank):
+                self._sources += [*bank.filters, bank.bias]
+        if "no_dyadj" not in config.ablation:
+            heads, fusion = self.dynamic.heads, self.dynamic.fusion
+            self._sources += [self.embeddings.m_dynamic, *heads.w_q, *heads.w_k,
+                              *heads.head_mix]
+            if mode == "full":
+                self._sources += [fusion.w_r, fusion.w_z, fusion.u_h]
         self._kept: tuple[tuple, _Terms] | None = None
 
     # -- state -----------------------------------------------------------------
@@ -430,9 +442,11 @@ class SDGLModel:
         form in training, which reads none, and drops the kept set. An
         untaped pass keeps the set it derives, read-only, and reuses it while
         the bytes, shapes and dtypes of the tensors it was derived from are
-        unchanged. So rebinding a tensor's ``.data`` (``SGD.step``,
-        ``momentum_update``, ``checkpoint.load``) or editing it in place
-        (``grad_check``) derives them again, and so does 0.0 becoming -0.0.
+        unchanged. The model lists those tensors once, when it is built, and
+        each call reads their ``.data`` afresh. So rebinding a tensor's
+        ``.data`` (``SGD.step``, ``momentum_update``, ``checkpoint.load``) or
+        editing it in place (``grad_check``) derives them again, and so does
+        0.0 becoming -0.0.
         """
         emb, learner = self.embeddings, self.dynamic
         dynamic = "no_dyadj" not in self.config.ablation
@@ -441,18 +455,8 @@ class SDGLModel:
             # from, so training keeps none
             self._kept = None
         else:
-            # every tensor the terms below are derived from
-            sources = [emb.m_static, self.start_w, self.start_b, self.residual_w[0]]
-            for layer in self.tcn_layers:
-                for bank in (layer.filter_bank, layer.gate_bank):
-                    sources += [*bank.filters, bank.bias]
-            if dynamic:
-                heads = learner.heads
-                sources += [emb.m_dynamic, *heads.w_q, *heads.w_k, *heads.head_mix]
-                if learner.mode == "full":
-                    sources += [learner.fusion.w_r, learner.fusion.w_z, learner.fusion.u_h]
-            arrays = [t.data for t in sources]
-            key = (b"".join(a.tobytes() for a in arrays), [(a.shape, a.dtype) for a in arrays])
+            arrays = [t.data for t in self._sources]
+            key = (b"".join([a.tobytes() for a in arrays]), [(a.shape, a.dtype) for a in arrays])
             if self._kept is not None and self._kept[0] == key:
                 return self._kept[1]
         # the static graph first and the start map's folds in layer order: each

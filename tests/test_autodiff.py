@@ -82,6 +82,71 @@ class TestForwardValues:
             ad.matmul(rand((3,)), rand((3, 2)))
 
 
+class TestTensorWrapping:
+    @pytest.mark.parametrize("view", [lambda a: a, lambda a: a[:, ::2]],
+                             ids=["contiguous", "strided"])
+    def test_float64_array_is_kept(self, view):
+        a = view(np.random.default_rng(0).normal(size=(4, 6)))
+        assert Tensor(a).data is a
+
+    @staticmethod
+    def matrix():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PendingDeprecationWarning)
+            return np.matrix([[1.0, 2.0], [3.0, 4.5]])
+
+    @pytest.mark.parametrize("make", [
+        lambda: [1.0, 2.5, -3.0], lambda: 7, lambda: np.arange(5, dtype=np.float32) / 3,
+        lambda: np.linspace(-1.0, 1.0, 6).astype(">f8"), matrix],
+        ids=["list", "int", "float32", "big-endian float64", "matrix"])
+    def test_anything_else_becomes_a_native_float64_array(self, make):
+        value = make()
+        data, want = Tensor(value).data, np.asarray(value, dtype=np.float64)
+        assert type(data) is np.ndarray and data.dtype == np.float64 and data.dtype.isnative
+        assert data.shape == want.shape
+        np.testing.assert_array_equal(data, want)
+
+
+class TestOneTapForm:
+    """A one-tap map is the plain product of each part's (B, C_i, T*N) rows
+    with its weight columns [lo, hi), summed block by block in part order,
+    plus the bias: bit for bit, a one-channel block's broadcast multiply too."""
+
+    @staticmethod
+    def products(parts, w, bias=None):
+        b, _, t, n = parts[0].shape
+        acc, lo = None, 0
+        for x in parts:
+            c = x.shape[1]
+            y = w[:, lo:lo + c] @ x.reshape(b, c, -1)
+            acc = y if acc is None else acc + y
+            lo += c
+        if bias is not None:
+            acc = acc + bias.reshape(1, -1, 1)
+        return acc.reshape(b, -1, t, n)
+
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no bias", "bias"])
+    def test_channel_map(self, with_bias):
+        x, w, bias = rand((3, 5, 4, 6), 1), rand((7, 5), 2), rand((7,), 3)
+        got = ad.channel_map(x, w, bias if with_bias else None).data
+        want = self.products([x.data], w.data, bias.data if with_bias else None)
+        np.testing.assert_array_equal(got, want)
+
+    def test_channel_map_concat_over_16_16_and_1_channels(self):
+        parts = [rand((2, c, 3, 4), seed) for c, seed in ((16, 4), (16, 5), (1, 6))]
+        w, bias = rand((8, 33), 7), rand((8,), 8)
+        got = ad.channel_map_concat(parts, w, bias).data
+        np.testing.assert_array_equal(got, self.products([p.data for p in parts], w.data,
+                                                         bias.data))
+
+    def test_one_tap_convolution_at_stride_2(self):
+        # a (C_out, C_in, 1) weight reads every second step; the dilation does not matter
+        x, w = rand((2, 3, 7, 5), 9), rand((6, 3, 1), 10)
+        got = ad.conv1d_dilated(x, w, 2, stride=2).data
+        assert got.shape == (2, 6, 4, 5)
+        np.testing.assert_array_equal(got, self.products([x.data[:, :, ::2]], w.data[:, :, 0]))
+
+
 class TestBackward:
     def test_square_sum(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
