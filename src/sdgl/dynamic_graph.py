@@ -24,7 +24,9 @@ M_s W_z and M_s U_h (``InformationFusion.static_terms``), the scaled query
 weights (``AdjacencyHeads.scaled_queries``), the head form
 (``AdjacencyHeads.head_form``) and the anchor LN(M_d M_d^T)
 (``inductive_anchor``). ``DynamicGraphLearner.terms`` gathers them as
-``LearnerTerms``; a call given them derives none, one without derives them.
+``LearnerTerms``, and ``DynamicGraphLearner.term_sources`` lists the tensors
+they read. The fusion, the heads and the bias take them as arguments and
+derive none; only the learner's own call derives them when not given them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .params import weight, zeros, ones
 from .rng import RngState
-from .static_graph import AdjacencyMatrix, NodeEmbeddings
+from .static_graph import AdjacencyMatrix, ConfigError, NodeEmbeddings
 
 
 class InformationFusion:
@@ -72,13 +74,12 @@ class InformationFusion:
         """(M_s W_r, M_s W_z, M_s U_h): the gates' terms that read no window."""
         return ad.matmul(m_s, self.w_r), ad.matmul(m_s, self.w_z), ad.matmul(m_s, self.u_h)
 
-    def __call__(self, x: Tensor, m_s: Tensor,
-                 gates: tuple[Tensor, Tensor, Tensor] | None = None) -> Tensor:
+    def __call__(self, x: Tensor, m_s: Tensor, gates: tuple[Tensor, Tensor, Tensor]) -> Tensor:
         """x: (B, N, h) or (N, h); returns h_T with trailing dims (N, d).
 
-        ``gates`` is ``static_terms(m_s)`` where the caller already holds it.
+        ``gates`` is ``static_terms(m_s)``.
         """
-        s_r, s_z, s_h = self.static_terms(m_s) if gates is None else gates
+        s_r, s_z, s_h = gates
         x_t = self.project(x)
         r = ad.sigmoid(ad.add(ad.add(s_r, ad.matmul(x_t, self.u_r)), self.b_r))
         z = ad.sigmoid(ad.add(ad.add(s_z, ad.matmul(x_t, self.u_z)), self.b_z))
@@ -139,22 +140,20 @@ class AdjacencyHeads:
         return 0 if self.dropout_keep == 1.0 else self.n_heads * batch * self.n_nodes**2
 
     def correlate(self, h_t: Tensor, rng: RngState, training: bool,
-                  w_q: list[Tensor] | None = None, form: Tensor | None = None) -> Tensor:
+                  w_q: list[Tensor], form: Tensor) -> Tensor:
         """Sum over heads of dropout((H W'_q,i)(H W_k,i)^T), H the normalized h_t.
 
         W'_q,i is the scaled query weight. Dropout runs only in training, on
         each head's product; out of training the heads collapse into one
-        bilinear form with no dropout (module docstring). ``w_q`` and ``form``
-        are ``scaled_queries()`` and ``head_form`` of them where the caller
-        already holds them.
+        bilinear form with no dropout (module docstring). ``w_q`` is
+        ``scaled_queries()`` and ``form`` is ``head_form(w_q)``: training
+        reads ``w_q``, and a pass out of training reads ``form``.
         """
         h_norm = ad.layer_norm(h_t, self.ln_gain, self.ln_bias)
         if not training:
-            if form is None:
-                form = self.head_form(self.scaled_queries())
             return ad.matmul(ad.matmul(h_norm, form), ad.transpose(h_norm))
         total: Tensor | None = None
-        for w_q_i, w_k in zip(self.scaled_queries() if w_q is None else w_q, self.w_k):
+        for w_q_i, w_k in zip(w_q, self.w_k):
             q, k = ad.matmul(h_norm, w_q_i), ad.matmul(h_norm, w_k)
             head = ad.dropout(ad.matmul(q, ad.transpose(k)), self.dropout_keep, rng)
             total = head if total is None else ad.add(total, head)
@@ -174,12 +173,9 @@ def inductive_anchor(m_d: Tensor) -> Tensor:
     return ad.layer_norm(ad.matmul(m_d, ad.transpose(m_d)))
 
 
-def apply_inductive_bias(s_hat: Tensor, m_d: Tensor,
-                         anchor: Tensor | None = None) -> AdjacencyMatrix:
-    """Anchor the refined logits to the momentum embeddings' structure,
-    ``inductive_anchor(m_d)`` unless the caller passes it as ``anchor``."""
-    if anchor is None:
-        anchor = inductive_anchor(m_d)
+def apply_inductive_bias(s_hat: Tensor, anchor: Tensor) -> AdjacencyMatrix:
+    """Anchor the refined logits to the momentum embeddings' structure, the
+    ``anchor`` ``inductive_anchor(M_d)``."""
     logits = ad.relu(ad.add(anchor, s_hat))
     return AdjacencyMatrix(values=ad.row_softmax(logits), kind="dynamic")
 
@@ -191,7 +187,7 @@ class LearnerTerms:
 
     gates: tuple[Tensor, Tensor, Tensor] | None  # fusion.static_terms(M_s); gated fusion only
     w_q: list[Tensor]  # heads.scaled_queries()
-    form: Tensor | None  # heads.head_form(w_q); None where only training reads the terms
+    form: Tensor  # heads.head_form(w_q)
     anchor: Tensor  # inductive_anchor(M_d)
 
 
@@ -200,7 +196,7 @@ class DynamicGraphLearner:
 
     ``mode`` selects the fusion pathway: "full" (gated fusion), "no_ifm"
     (projected input goes straight to the correlation heads) or "ifm_plus"
-    (fusion replaced by M_s + X_T).
+    (fusion replaced by M_s + X_T); any other raises ``ConfigError``.
     """
 
     def __init__(
@@ -212,8 +208,11 @@ class DynamicGraphLearner:
         n_heads: int,
         dropout_keep: float,
         rng: RngState,
-        mode: str = "full",
+        mode: str,
     ):
+        if mode not in ("full", "no_ifm", "ifm_plus"):
+            raise ConfigError(f"dynamic graph learner mode must be 'full', 'no_ifm' or "
+                              f"'ifm_plus', got {mode!r}")
         self.mode = mode
         self.fusion = InformationFusion(window, dim, rng)
         self.heads = AdjacencyHeads(n_nodes, dim, head_dim, n_heads, dropout_keep, rng)
@@ -226,15 +225,24 @@ class DynamicGraphLearner:
             out[f"heads.{name}"] = t
         return out
 
-    def terms(self, emb: NodeEmbeddings, form: bool = True) -> LearnerTerms:
-        """The ``LearnerTerms`` of ``emb``; with ``form`` False, no head form."""
+    def terms(self, emb: NodeEmbeddings) -> LearnerTerms:
+        """The ``LearnerTerms`` of ``emb``, read from ``term_sources(emb)``."""
         gates = self.fusion.static_terms(emb.m_static) if self.mode == "full" else None
         w_q = self.heads.scaled_queries()
-        return LearnerTerms(gates, w_q, self.heads.head_form(w_q) if form else None,
+        return LearnerTerms(gates, w_q, self.heads.head_form(w_q),
                             inductive_anchor(emb.m_dynamic))
 
+    def term_sources(self, emb: NodeEmbeddings) -> list[Tensor]:
+        """The tensors ``terms(emb)`` reads, each once."""
+        heads = self.heads
+        sources = [emb.m_dynamic, *heads.w_q, *heads.w_k, *heads.head_mix]
+        if self.mode == "full":
+            sources += [emb.m_static, self.fusion.w_r, self.fusion.w_z, self.fusion.u_h]
+        return sources
+
     def fuse(self, x: Tensor, m_s: Tensor,
-             gates: tuple[Tensor, Tensor, Tensor] | None = None) -> Tensor:
+             gates: tuple[Tensor, Tensor, Tensor] | None) -> Tensor:
+        """h_T of the mode's pathway; only gated fusion reads ``gates``."""
         if self.mode == "no_ifm":
             return self.fusion.project(x)
         if self.mode == "ifm_plus":
@@ -248,8 +256,8 @@ class DynamicGraphLearner:
         ``terms`` is ``self.terms(emb)`` where the caller already holds it.
         """
         if terms is None:
-            terms = self.terms(emb, form=not training)
+            terms = self.terms(emb)
         h_t = self.fuse(x, emb.m_static, terms.gates)
         r_t = self.heads.correlate(h_t, rng, training, terms.w_q, terms.form)
         s_hat = self.heads.refine(r_t, h_t)
-        return apply_inductive_bias(s_hat, emb.m_dynamic, terms.anchor)
+        return apply_inductive_bias(s_hat, terms.anchor)

@@ -54,7 +54,8 @@ the collapsed head form, the fusion gates' M_s W_r, M_s W_z and M_s U_h, and
 the anchor LN(M_d M_d^T). ``SDGLModel._terms`` derives them all, through the
 modules' own functions, for both paths. A taped pass derives and records them
 on every call, in an order that sums each gradient as the modules would, so
-training is unchanged bit for bit, and it drops any kept set: the step that
+training is unchanged bit for bit; a training pass reads no head form, so
+backward runs none of its rules. It drops any kept set: the step that
 follows changes what the set was derived from. An untaped pass (``predict``, ``evaluate``,
 ``train``'s validation, ``export-graphs``) keeps the last set, read-only, and
 reuses it while the bytes, shapes and dtypes of the tensors it was derived
@@ -337,9 +338,7 @@ class _Terms:
     def tensors(self) -> Iterator[Tensor]:
         d = self.dynamic
         learned = () if d is None else (*(d.gates or ()), *d.w_q, d.form, d.anchor)
-        for t in (self.static, *itertools.chain(*self.layers), *self.residual, *learned):
-            if t is not None:
-                yield t
+        yield from (self.static, *itertools.chain(*self.layers), *self.residual, *learned)
 
 
 class SDGLModel:
@@ -390,19 +389,14 @@ class SDGLModel:
         self.out_b1 = zeros((c,))
         self.out_w2 = weight(rng, c, (config.horizon, c))
         self.out_b2 = zeros((config.horizon,))
-        # every tensor _terms derives from, and the (key, terms) of its last
-        # untaped pass: see _terms
-        self._sources = [self.embeddings.m_static, self.start_w, self.start_b,
-                         self.residual_w[0]]
+        # every tensor _terms derives from, each once, and the (key, terms) of
+        # its last untaped pass: see _terms
+        sources = [self.embeddings.m_static, self.start_w, self.start_b, self.residual_w[0]]
         for layer in self.tcn_layers:
-            for bank in (layer.filter_bank, layer.gate_bank):
-                self._sources += [*bank.filters, bank.bias]
+            sources += layer.parameters().values()
         if "no_dyadj" not in config.ablation:
-            heads, fusion = self.dynamic.heads, self.dynamic.fusion
-            self._sources += [self.embeddings.m_dynamic, *heads.w_q, *heads.w_k,
-                              *heads.head_mix]
-            if mode == "full":
-                self._sources += [fusion.w_r, fusion.w_z, fusion.u_h]
+            sources += self.dynamic.term_sources(self.embeddings)
+        self._sources = list(dict.fromkeys(sources))
         self._kept: tuple[tuple, _Terms] | None = None
 
     # -- state -----------------------------------------------------------------
@@ -435,15 +429,15 @@ class SDGLModel:
 
     # -- forward ---------------------------------------------------------------
 
-    def _terms(self, taped: bool, training: bool) -> _Terms:
+    def _terms(self, taped: bool) -> _Terms:
         """The ``_Terms`` of the current state.
 
-        A taped pass derives and records them on every call, with no head
-        form in training, which reads none, and drops the kept set. An
-        untaped pass keeps the set it derives, read-only, and reuses it while
-        the bytes, shapes and dtypes of the tensors it was derived from are
-        unchanged. The model lists those tensors once, when it is built, and
-        each call reads their ``.data`` afresh. So rebinding a tensor's
+        A taped pass derives and records them on every call, and drops the
+        kept set. An untaped pass keeps the set it derives, read-only, and
+        reuses it while the bytes, shapes and dtypes of the tensors it was
+        derived from are unchanged. The model lists those tensors once, when
+        it is built (the learner's from ``DynamicGraphLearner.term_sources``),
+        and each call reads their ``.data`` afresh. So rebinding a tensor's
         ``.data`` (``SGD.step``, ``momentum_update``, ``checkpoint.load``) or
         editing it in place (``grad_check``) derives them again, and so does
         0.0 becoming -0.0.
@@ -463,7 +457,7 @@ class SDGLModel:
         # tensor's gradient then sums its parts in the order the modules' own
         # calls record them
         static = build_static_graph(emb.m_static).values
-        learned = learner.terms(emb, form=not (taped and training)) if dynamic else None
+        learned = learner.terms(emb) if dynamic else None
         layers = [layer.packed(*((self.start_w, self.start_b) if j == 0 else ()))
                   for j, layer in enumerate(self.tcn_layers)]
         # residual_w (start_w x + start_b) = (residual_w start_w) x + residual_w start_b
@@ -501,7 +495,7 @@ class SDGLModel:
         b, n, h = x.shape
 
         taped = ad.tape_active()
-        terms = self._terms(taped, training)
+        terms = self._terms(taped)
         static = terms.static
         # a training loss: recorded under a tape, and otherwise computed when read
         reg = graph_regularization_loss(x, static, cfg.gamma) if taped else (x, static, cfg.gamma)
@@ -536,7 +530,7 @@ class SDGLModel:
             # on the span every output step is some window's kept step
             stride = 1 if on_span else step
             # layer 0's packed weights read the start map already
-            temporal = layer(hidden, layer_dilation(cfg.growth, j + 1) // s_in, stride,
+            temporal = layer(hidden, layer.filter_bank.dilation // s_in, stride,
                              terms.layers[j])
             # the output head reads only the last step, so each skip maps only that step
             if on_span:
@@ -662,12 +656,12 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
     optimizer step, so no thread draws while anything else runs (the update,
     validation, ``log``, the caller), and the next forward takes the masks
     in the order it would have drawn them. A draw below ``rng.AHEAD_MIN``
-    entries (N = 10, B = 64 draws 25,600), or in a process confined to one
-    CPU, is not worth the thread: the forward draws those masks itself and
-    no thread starts. The masks are those serial draws give, bit for bit
-    (``rng``). When ``train`` returns or raises, no draw is in flight or
-    held, no mask thread is alive, and the dropout stream stands where serial
-    draws leave it. A thread that cannot start raises its error here.
+    entries (N = 10, B = 64 draws 25,600) is not worth the thread: the
+    forward draws those masks itself and no thread starts. The masks are
+    those serial draws give, bit for bit (``rng``). When ``train`` returns
+    or raises, no draw is in flight or held, no mask thread is alive, and
+    the dropout stream stands where serial draws leave it. A thread that
+    cannot start raises its error here.
     """
     model = SDGLModel(config)
     lam = 0.0 if "no_gloss" in config.ablation else config.lambda_reg

@@ -431,7 +431,6 @@ class TestKeepMasks:
     @pytest.fixture(autouse=True)
     def every_draw_on_a_thread(self, monkeypatch):
         monkeypatch.setattr(rng_module, "AHEAD_MIN", 1)
-        monkeypatch.setattr(rng_module, "_cpus", lambda: 2)
 
     def test_philox_fills_do_not_depend_on_the_split(self):
         rng, ref = RngState(9), RngState(9)
@@ -471,10 +470,8 @@ class TestKeepMasks:
         np.testing.assert_array_equal(ad.dropout(x, 0.9, rng).data, want)
         assert rng._drawing is None and rng._ahead is None
 
-    @pytest.mark.parametrize("least,cpus", [(100, 2), (1, 1)], ids=["small", "one-cpu"])
-    def test_some_draws_start_nothing(self, monkeypatch, least, cpus):
-        monkeypatch.setattr(rng_module, "AHEAD_MIN", least)
-        monkeypatch.setattr(rng_module, "_cpus", lambda: cpus)
+    def test_a_small_draw_starts_nothing(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "AHEAD_MIN", 100)
         started = spy_on_thread_starts(monkeypatch)
         rng = RngState(7)
         rng.draw_ahead(99, 0.9)
@@ -556,6 +553,19 @@ class TestKeepMasks:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
         np.testing.assert_array_equal(rng.keep_mask((40,), 0.9), RngState(14).random(40) < 0.9)
+
+
+def test_one_cpu_still_draws_ahead_on_a_thread(monkeypatch):
+    # a draw at the least count that starts a thread starts it whatever CPUs
+    # the process may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    started = spy_on_thread_starts(monkeypatch)
+    count = rng_module.AHEAD_MIN
+    rng = RngState(16)
+    rng.draw_ahead(count, 0.9)
+    rng.wait()
+    assert started == ["sdgl-keep-masks"]
+    np.testing.assert_array_equal(rng.keep_mask((count,), 0.9), RngState(16).random(count) < 0.9)
 
 
 class TestInvariants:

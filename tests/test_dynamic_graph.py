@@ -10,9 +10,10 @@ from sdgl.dynamic_graph import (
     DynamicGraphLearner,
     InformationFusion,
     apply_inductive_bias,
+    inductive_anchor,
 )
 from sdgl.rng import RngState
-from sdgl.static_graph import NodeEmbeddings
+from sdgl.static_graph import ConfigError, NodeEmbeddings
 
 
 def np_layer_norm(x, gain=None, bias=None, eps=1e-5):
@@ -35,6 +36,22 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+# the inner functions with the terms the model derives for them
+
+
+def fuse(fusion, x, m_s):
+    return fusion(x, m_s, fusion.static_terms(m_s))
+
+
+def correlate(heads, h_t, rng, training):
+    w_q = heads.scaled_queries()
+    return heads.correlate(h_t, rng, training, w_q, heads.head_form(w_q))
+
+
+def bias(s_hat, m_d):
+    return apply_inductive_bias(s_hat, inductive_anchor(m_d))
+
+
 class TestInformationFusion:
     def make(self, n=4, h=5, d=3, seed=0):
         return InformationFusion(h, d, RngState(seed))
@@ -44,7 +61,7 @@ class TestInformationFusion:
         fusion.b_z.data = np.full_like(fusion.b_z.data, -1e4)  # z -> 0
         m_s = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
         x = Tensor(np.random.default_rng(2).normal(size=(4, 5)))
-        out = fusion(x, m_s)
+        out = fuse(fusion, x, m_s)
         np.testing.assert_allclose(out.data, m_s.data, atol=1e-12)
 
     def test_open_gate_pure_dynamic_path(self):
@@ -53,7 +70,7 @@ class TestInformationFusion:
         fusion.b_r.data = np.full_like(fusion.b_r.data, -1e4)  # r -> 0
         m_s = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
         x = Tensor(np.random.default_rng(2).normal(size=(4, 5)))
-        out = fusion(x, m_s)
+        out = fuse(fusion, x, m_s)
         x_t = x.data @ fusion.w_in.data + fusion.b_in.data
         np.testing.assert_allclose(out.data, np.tanh(x_t @ fusion.w_h.data), atol=1e-12)
 
@@ -63,7 +80,7 @@ class TestInformationFusion:
         rng = np.random.default_rng(seed + 50)
         m_s = rng.normal(size=(4, 3))
         x = rng.normal(size=(4, 5))
-        got = fusion(Tensor(x), Tensor(m_s)).data
+        got = fuse(fusion, Tensor(x), Tensor(m_s)).data
         # independent recomposition from raw numpy
         x_t = x @ fusion.w_in.data + fusion.b_in.data
         r = sigmoid(m_s @ fusion.w_r.data + x_t @ fusion.u_r.data)
@@ -95,21 +112,21 @@ class TestAdjacencyHeads:
         heads.w_q[0].data = np.eye(d)
         heads.w_k[0].data = np.eye(d)
         heads.head_mix[0].data = np.asarray(0.7)
-        got = heads.correlate(Tensor(h_rows), None, training=False).data
+        got = correlate(heads, Tensor(h_rows), None, training=False).data
         np.testing.assert_allclose(got, 0.7 * np.eye(n) / np.sqrt(d), atol=1e-6)
 
     def test_zero_mixing_weights_zero_matrix(self):
         heads = self.make(seed=2)
         for w in heads.head_mix:
             w.data = np.asarray(0.0)
-        out = heads.correlate(Tensor(np.random.default_rng(3).normal(size=(4, 3))), None, False)
+        out = correlate(heads, Tensor(np.random.default_rng(3).normal(size=(4, 3))), None, False)
         np.testing.assert_array_equal(out.data, np.zeros((4, 4)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_correlate_matches_loop_oracle(self, seed):
         heads = self.make(n=3, d=4, dk=2, heads=2, seed=seed)
         h_t = np.random.default_rng(seed + 9).normal(size=(3, 4))
-        got = heads.correlate(Tensor(h_t), None, training=False).data
+        got = correlate(heads, Tensor(h_t), None, training=False).data
         h_norm = np_layer_norm(h_t, heads.ln_gain.data, heads.ln_bias.data)
         want = np.zeros((3, 3))
         for i in range(2):
@@ -128,7 +145,7 @@ class TestAdjacencyHeads:
         for mix in layer.head_mix:
             mix.data = np.asarray(rng.normal())
         h_t = rng.normal(size=(3, 5, d))
-        got = layer.correlate(Tensor(h_t), None, training).data
+        got = correlate(layer, Tensor(h_t), None, training).data
         h_norm = np_layer_norm(h_t, layer.ln_gain.data, layer.ln_bias.data)
         want = sum(float(mix.data) * (h_norm @ w_q.data) @ (h_norm @ w_k.data).transpose(0, 2, 1)
                    for w_q, w_k, mix in zip(layer.w_q, layer.w_k, layer.head_mix)) / np.sqrt(dk)
@@ -143,7 +160,7 @@ class TestAdjacencyHeads:
         c = Tensor(rng.normal(size=(2, 4, 4)))
 
         def f(_):
-            return ad.reduce_sum(ad.mul(heads.correlate(h_t, RngState(5), training=True), c))
+            return ad.reduce_sum(ad.mul(correlate(heads, h_t, RngState(5), training=True), c))
 
         for i in range(heads.n_heads):
             for p in (heads.head_mix[i], heads.w_q[i], heads.w_k[i]):
@@ -161,7 +178,7 @@ class TestAdjacencyHeads:
         try:
             before = tracemalloc.get_traced_memory()[0]
             with tape:
-                out = heads.correlate(h_t, RngState(0), training=True)
+                out = correlate(heads, h_t, RngState(0), training=True)
             del out
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -202,12 +219,12 @@ class TestAdjacencyHeads:
 
 class TestInductiveBias:
     def test_zero_everything_gives_uniform(self):
-        adj = apply_inductive_bias(Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 2))))
+        adj = bias(Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 2))))
         np.testing.assert_allclose(adj.values.data, 0.25, atol=1e-15)
 
     def test_bias_only_pathway(self):
         m_d = np.random.default_rng(0).normal(size=(4, 3))
-        adj = apply_inductive_bias(Tensor(np.zeros((4, 4))), Tensor(m_d))
+        adj = bias(Tensor(np.zeros((4, 4))), Tensor(m_d))
         want = np_softmax(np.maximum(0, np_layer_norm(m_d @ m_d.T)))
         np.testing.assert_allclose(adj.values.data, want, atol=1e-12)
 
@@ -215,7 +232,7 @@ class TestInductiveBias:
         m_d = np.random.default_rng(1).normal(size=(4, 3))
         s = np.zeros((4, 4))
         s[1, 2] = 50.0
-        adj = apply_inductive_bias(Tensor(s), Tensor(m_d))
+        adj = bias(Tensor(s), Tensor(m_d))
         assert adj.values.data[1, 2] > 0.999
 
 
@@ -278,7 +295,7 @@ class TestDynamicGraphPipeline:
 
     def test_eval_pass_leaves_the_dropout_stream_untouched(self):
         learner = DynamicGraphLearner(4, 5, 4, head_dim=2, n_heads=2, dropout_keep=0.9,
-                                      rng=RngState(0))
+                                      rng=RngState(0), mode="full")
         emb = NodeEmbeddings.initialize(4, 4, 0.9, RngState(1))
         x = Tensor(np.random.default_rng(2).normal(size=(3, 4, 5)))
         # the next draw tells whether a pass drew a mask: a training pass does
@@ -289,16 +306,20 @@ class TestDynamicGraphPipeline:
             draws.append(rng.random())
         assert draws[0] == RngState(7).random() != draws[1]
 
+    def test_an_unknown_mode_fails_by_name(self):
+        with pytest.raises(ConfigError, match="'full', 'no_ifm' or 'ifm_plus', got 'ful'"):
+            self.make(mode="ful")
+
     def test_no_ifm_uses_projected_input(self):
         learner, emb = self.make(seed=7, mode="no_ifm")
         x = Tensor(np.random.default_rng(8).normal(size=(1, 4, 5)))
-        h_t = learner.fuse(x, emb.m_static)
+        h_t = learner.fuse(x, emb.m_static, learner.terms(emb).gates)
         want = x.data @ learner.fusion.w_in.data + learner.fusion.b_in.data
         np.testing.assert_allclose(h_t.data, want, atol=1e-14)
 
     def test_ifm_plus_is_sum(self):
         learner, emb = self.make(seed=9, mode="ifm_plus")
         x = Tensor(np.random.default_rng(10).normal(size=(1, 4, 5)))
-        h_t = learner.fuse(x, emb.m_static)
+        h_t = learner.fuse(x, emb.m_static, learner.terms(emb).gates)
         want = emb.m_static.data + (x.data @ learner.fusion.w_in.data + learner.fusion.b_in.data)
         np.testing.assert_allclose(h_t.data, want, atol=1e-14)

@@ -1139,7 +1139,7 @@ class TestKeptTerms:
         assert calls == []
 
     @pytest.mark.parametrize("training", [False, True])
-    def test_taped_pass_forms_the_head_form_only_out_of_training(self, monkeypatch, training):
+    def test_taped_pass_forms_one_head_form(self, monkeypatch, training):
         from sdgl.dynamic_graph import AdjacencyHeads
         model, x = self.warm(tiny_config(dropout_keep=0.8))
         form, forms = AdjacencyHeads.head_form, []
@@ -1151,7 +1151,7 @@ class TestKeptTerms:
         monkeypatch.setattr(AdjacencyHeads, "head_form", counting)
         with Tape():
             model.forward(Tensor(x), training=training)
-        assert len(forms) == (0 if training else 1)
+        assert len(forms) == 1
 
     @pytest.mark.parametrize("name", ["embeddings.m_static", "start_w", "tcn0.filter.f7",
                                       "dynamic.heads.w_q0"])
@@ -1179,12 +1179,12 @@ class TestKeptTerms:
 
     def test_kept_terms_are_read_only(self):
         model, x = self.warm(tiny_config())
-        kept = list(model._terms(taped=False, training=False).tensors())
+        kept = list(model._terms(taped=False).tensors())
         assert kept and not any(t.data.flags.writeable for t in kept)
         with pytest.raises(ValueError, match="read-only"):
             kept[0].data[...] = 0.0
         with Tape():
-            fresh = list(model._terms(taped=True, training=False).tensors())
+            fresh = list(model._terms(taped=True).tensors())
         assert all(t.data.flags.writeable for t in fresh)
 
 
@@ -1416,7 +1416,6 @@ class TestMasksDrawnAhead:
     def every_draw_on_a_thread(self, monkeypatch):
         # these masks are far below the least draw that starts a thread
         monkeypatch.setattr(rng_module, "AHEAD_MIN", 1)
-        monkeypatch.setattr(rng_module, "_cpus", lambda: 2)
 
     def serial(self, monkeypatch, config):
         with monkeypatch.context() as m:
