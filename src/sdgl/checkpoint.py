@@ -13,6 +13,7 @@ The records are the model's ``state_tensors``, the tensors its config's
 forward pass reads (``model.state_shapes``), and the scaler's mean and std:
 an ablated model's checkpoint has no record of the parts it does not read,
 and a record the config does not name is refused.
+``load`` copies each record into its view of the new model's state buffer.
 Save followed by load reproduces the eval-mode forward pass bit-identically.
 A checkpoint holds no training state: a loaded model's dropout stream starts
 where a fresh model's does.
@@ -49,6 +50,7 @@ class Checkpoint:
 
 
 def save(path, model: SDGLModel, scaler: Scaler) -> None:
+    model._attach()  # a tensor rebound to another shape raises before a file opens
     tensors = model.state_tensors()
     tensors["scaler.mean"] = Tensor(scaler.mean)
     tensors["scaler.std"] = Tensor(scaler.std)
@@ -130,7 +132,7 @@ def load(path) -> Checkpoint:
             data = np.frombuffer(payload, dtype="<f8")
             if not np.isfinite(data).all():
                 raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
-            tensors[name] = dims, data.astype(np.float64)
+            tensors[name] = dims, data
         trailing = len(fh.read())
         if trailing:
             raise CheckpointError(f"{path}: {trailing} unexpected bytes after the last record")
@@ -159,12 +161,12 @@ def load(path) -> Checkpoint:
         raise CheckpointError(f"{path}: unexpected tensor record {unexpected[0]!r}")
     values = {name: data.reshape(dims) for name, (dims, data) in tensors.items()}
     # ``save`` writes a scaler's std, which is floored, so a value below the floor is corrupt
-    scaler = Scaler(values["scaler.mean"], values["scaler.std"])
+    scaler = Scaler(values["scaler.mean"].copy(), values["scaler.std"])  # records are read-only
     low = scaler.std != values["scaler.std"]
     if low.any():
         raise CheckpointError(f"{path}: tensor 'scaler.std' holds {values['scaler.std'][low][0]}"
                               f", below the scaler's floor of {scaler.std[low][0]}")
     model = SDGLModel(config)
     for name, t in model.state_tensors().items():
-        t.data = values[name]
+        t.data[...] = values[name]
     return Checkpoint(model=model, scaler=scaler)

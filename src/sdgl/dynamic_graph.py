@@ -24,9 +24,8 @@ M_s W_z and M_s U_h (``InformationFusion.static_terms``), the scaled query
 weights (``AdjacencyHeads.scaled_queries``), the head form
 (``AdjacencyHeads.head_form``) and the anchor LN(M_d M_d^T)
 (``inductive_anchor``). ``DynamicGraphLearner.terms`` gathers them as
-``LearnerTerms``, and ``DynamicGraphLearner.term_sources`` lists the tensors
-they read. The fusion, the heads and the bias take them as arguments and
-derive none; only the learner's own call derives them when not given them.
+``LearnerTerms``. The fusion, the heads and the bias take them as arguments
+and derive none; only the learner's own call derives them when not given them.
 """
 
 from __future__ import annotations
@@ -226,19 +225,11 @@ class DynamicGraphLearner:
         return out
 
     def terms(self, emb: NodeEmbeddings) -> LearnerTerms:
-        """The ``LearnerTerms`` of ``emb``, read from ``term_sources(emb)``."""
+        """The ``LearnerTerms`` of ``emb``."""
         gates = self.fusion.static_terms(emb.m_static) if self.mode == "full" else None
         w_q = self.heads.scaled_queries()
         return LearnerTerms(gates, w_q, self.heads.head_form(w_q),
                             inductive_anchor(emb.m_dynamic))
-
-    def term_sources(self, emb: NodeEmbeddings) -> list[Tensor]:
-        """The tensors ``terms(emb)`` reads, each once."""
-        heads = self.heads
-        sources = [emb.m_dynamic, *heads.w_q, *heads.w_k, *heads.head_mix]
-        if self.mode == "full":
-            sources += [emb.m_static, self.fusion.w_r, self.fusion.w_z, self.fusion.u_h]
-        return sources
 
     def fuse(self, x: Tensor, m_s: Tensor,
              gates: tuple[Tensor, Tensor, Tensor] | None) -> Tensor:

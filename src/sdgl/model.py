@@ -58,11 +58,10 @@ training is unchanged bit for bit; a training pass reads no head form, so
 backward runs none of its rules. It drops any kept set: the step that
 follows changes what the set was derived from. An untaped pass (``predict``, ``evaluate``,
 ``train``'s validation, ``export-graphs``) keeps the last set, read-only, and
-reuses it while the bytes, shapes and dtypes of the tensors it was derived
-from are unchanged. A rebinding (``SGD.step``, ``momentum_update``, a new model
-from ``checkpoint.load``) or an in-place edit (``grad_check``'s perturbations)
-derives it again, and so does a 0.0 that becomes -0.0, as the key compares
-bits.
+reuses it while the bits of the state are unchanged. The state is one float64
+buffer, each state tensor's ``.data`` a view of it, and every writer
+(``SGD.step``, ``momentum_update``, ``checkpoint.load``, ``grad_check``) edits
+it in place, so any edit derives the set again, and so does 0.0 becoming -0.0.
 """
 
 from __future__ import annotations
@@ -389,15 +388,14 @@ class SDGLModel:
         self.out_b1 = zeros((c,))
         self.out_w2 = weight(rng, c, (config.horizon, c))
         self.out_b2 = zeros((config.horizon,))
-        # every tensor _terms derives from, each once, and the (key, terms) of
-        # its last untaped pass: see _terms
-        sources = [self.embeddings.m_static, self.start_w, self.start_b, self.residual_w[0]]
-        for layer in self.tcn_layers:
-            sources += layer.parameters().values()
-        if "no_dyadj" not in config.ablation:
-            sources += self.dynamic.term_sources(self.embeddings)
-        self._sources = list(dict.fromkeys(sources))
-        self._kept: tuple[tuple, _Terms] | None = None
+        # the state buffer, its (name, tensor, view)s and the last untaped (bits, terms)
+        state = self.state_tensors()
+        self._state = np.empty(sum(t.size for t in state.values()))
+        ends = itertools.accumulate(t.size for t in state.values())
+        self._views = [(name, t, self._state[end - t.size:end].reshape(t.shape))
+                       for (name, t), end in zip(state.items(), ends)]
+        self._attach()
+        self._kept: tuple[np.ndarray, _Terms] | None = None
 
     # -- state -----------------------------------------------------------------
 
@@ -427,20 +425,28 @@ class SDGLModel:
         params.pop("embeddings.m_dynamic", None)
         return params
 
+    def _attach(self) -> None:
+        """Point each state tensor's ``.data`` at its view of the state buffer,
+        copying a rebound one's values into its view first; one rebound to
+        another shape raises ``ShapeError`` naming it."""
+        for name, t, view in self._views:
+            if t.data is not view:
+                if np.shape(t.data) != view.shape:
+                    raise ad.ShapeError(f"state tensor {name!r} was rebound to shape "
+                                        f"{np.shape(t.data)}, expected {view.shape}")
+                view[...] = t.data
+                t.data = view
+
     # -- forward ---------------------------------------------------------------
 
     def _terms(self, taped: bool) -> _Terms:
         """The ``_Terms`` of the current state.
 
         A taped pass derives and records them on every call, and drops the
-        kept set. An untaped pass keeps the set it derives, read-only, and
-        reuses it while the bytes, shapes and dtypes of the tensors it was
-        derived from are unchanged. The model lists those tensors once, when
-        it is built (the learner's from ``DynamicGraphLearner.term_sources``),
-        and each call reads their ``.data`` afresh. So rebinding a tensor's
-        ``.data`` (``SGD.step``, ``momentum_update``, ``checkpoint.load``) or
-        editing it in place (``grad_check``) derives them again, and so does
-        0.0 becoming -0.0.
+        kept set. An untaped pass keeps the set it derives, read-only, with a
+        copy of the state buffer's bits, and reuses it while the bits are the
+        same: every writer edits the buffer in place, so each edit derives
+        them again, and so does 0.0 becoming -0.0.
         """
         emb, learner = self.embeddings, self.dynamic
         dynamic = "no_dyadj" not in self.config.ablation
@@ -449,9 +455,8 @@ class SDGLModel:
             # from, so training keeps none
             self._kept = None
         else:
-            arrays = [t.data for t in self._sources]
-            key = (b"".join([a.tobytes() for a in arrays]), [(a.shape, a.dtype) for a in arrays])
-            if self._kept is not None and self._kept[0] == key:
+            bits = self._state.view(np.uint64)
+            if self._kept is not None and (self._kept[0] == bits).all():
                 return self._kept[1]
         # the static graph first and the start map's folds in layer order: each
         # tensor's gradient then sums its parts in the order the modules' own
@@ -468,7 +473,7 @@ class SDGLModel:
         if not taped:
             for t in terms.tensors():
                 t.data.flags.writeable = False
-            self._kept = (key, terms)
+            self._kept = (bits.copy(), terms)
         return terms
 
     def forward(self, x: Tensor | np.ndarray, training: bool = False) -> ForwardResult:
@@ -494,6 +499,7 @@ class SDGLModel:
             )
         b, n, h = x.shape
 
+        self._attach()
         taped = ad.tape_active()
         terms = self._terms(taped)
         static = terms.static
@@ -586,7 +592,8 @@ class SGD:
     """Plain gradient descent with global gradient-norm clipping at CLIP_NORM.
 
     Every parameter must hold a gradient when ``step`` runs: a taped step
-    gives one to each tensor of ``SDGLModel.parameters``.
+    gives one to each tensor of ``SDGLModel.parameters``. ``step`` updates each
+    ``p.data`` in place, so an array taken from it before a step changes too.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
@@ -605,7 +612,7 @@ class SGD:
         norm = math.sqrt(sq)
         coef = 1.0 if norm <= CLIP_NORM else CLIP_NORM / norm
         for p in self.params.values():
-            p.data = p.data - self.lr * coef * p.grad
+            p.data -= self.lr * coef * p.grad
         return norm
 
 

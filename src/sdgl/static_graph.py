@@ -79,9 +79,9 @@ def graph_regularization_loss(x: Tensor, a: Tensor, gamma: float) -> Tensor:
 
 
 def momentum_update(emb: NodeEmbeddings) -> None:
-    """M_d <- p*M_d + (1-p)*M_s, outside the tape: no gradient flows here.
+    """M_d <- p*M_d + (1-p)*M_s in place, outside the tape: no gradient flows here.
 
     ``ModelConfig.validate`` keeps p in [0, 1); it is not checked again here.
     """
-    p = emb.momentum
-    emb.m_dynamic.data = p * emb.m_dynamic.data + (1.0 - p) * emb.m_static.data
+    emb.m_dynamic.data *= emb.momentum
+    emb.m_dynamic.data += (1.0 - emb.momentum) * emb.m_static.data

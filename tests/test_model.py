@@ -1063,8 +1063,8 @@ KEPT_CONFIGS = {"default": {}, "no_dyadj": dict(ablation=("no_dyadj",)),
 
 class TestKeptTerms:
     """An untaped ``forward`` keeps the tensors it derives from the state
-    alone and reuses them while the bytes, shapes and dtypes of the tensors
-    they come from are unchanged; a taped one derives them on every call."""
+    alone and reuses them while the bits of the state buffer are unchanged;
+    a taped one derives them on every call."""
 
     @staticmethod
     def warm(cfg):
@@ -1186,6 +1186,90 @@ class TestKeptTerms:
         with Tape():
             fresh = list(model._terms(taped=True).tensors())
         assert all(t.data.flags.writeable for t in fresh)
+
+
+STATE_CONFIGS = {"default": {}, "no_dyadj": dict(ablation=("no_dyadj",)),
+                 "no_ifm": dict(ablation=("no_ifm",))}
+
+
+class TestStateBuffer:
+    """The state is one float64 buffer in ``state_shapes`` order, each state
+    tensor's ``.data`` a view of it, whatever has written to it."""
+
+    @staticmethod
+    def assert_one_buffer(model):
+        state = model.state_tensors()
+        assert list(state) == [name for name, _ in state_shapes(model.config)]
+        buffer = next(iter(state.values())).data.base
+        assert buffer is not None and buffer.base is None and buffer.ndim == 1
+        assert buffer.dtype == np.float64 and buffer.size == sum(t.size for t in state.values())
+        at = buffer.ctypes.data
+        for name, t in state.items():
+            assert t.data.base is buffer and t.data.ctypes.data == at, name
+            assert t.data.flags.c_contiguous and t.data.flags.writeable, name
+            at += t.data.nbytes
+        # what an ablation drops stays out of the buffer
+        kept = {id(t) for t in state.values()}
+        dropped = [t for part in (model.dynamic, *model.gcn_dynamic)
+                   for t in part.parameters().values() if id(t) not in kept]
+        if "no_dyadj" in model.config.ablation:
+            dropped.append(model.embeddings.m_dynamic)
+        assert not any(np.shares_memory(t.data, buffer) for t in dropped)
+
+    @pytest.mark.parametrize("name", sorted(STATE_CONFIGS))
+    def test_every_writer_keeps_one_buffer(self, name, tmp_path):
+        cfg = tiny_config(dropout_keep=0.8, **STATE_CONFIGS[name])
+        model = SDGLModel(cfg)
+        self.assert_one_buffer(model)
+        before = {k: t.data.copy() for k, t in model.state_tensors().items()}
+        one_step(model, training=True)
+        SGD(model.parameters(), cfg.learning_rate).step()
+        sdgl_model.momentum_update(model.embeddings)
+        self.assert_one_buffer(model)
+        moved = [k for k, t in model.state_tensors().items()
+                 if not np.array_equal(t.data, before[k])]
+        assert "embeddings.m_static" in moved and "out_w2" in moved
+        if "no_dyadj" not in cfg.ablation:
+            assert "embeddings.m_dynamic" in moved
+        path = tmp_path / "m.sdgl"
+        checkpoint.save(path, model, Scaler(np.zeros(4), np.ones(4)))
+        loaded = checkpoint.load(path)
+        back = loaded.model
+        self.assert_one_buffer(back)
+        # the file's records are copied, so what load returns is writeable
+        assert loaded.scaler.mean.flags.writeable and loaded.scaler.std.flags.writeable
+        for k, t in back.state_tensors().items():
+            np.testing.assert_array_equal(t.data, model.state_tensors()[k].data, err_msg=k)
+
+    def test_a_rebound_tensor_is_copied_into_its_view(self):
+        model = SDGLModel(tiny_config())
+        t = model.state_tensors()["out_b1"]
+        new = np.arange(8.0)
+        t.data = new
+        model.forward(np.zeros((1, 4, 19)))
+        self.assert_one_buffer(model)
+        assert t.data is not new
+        np.testing.assert_array_equal(t.data, new)
+
+    @pytest.mark.parametrize("name, shape", [("dynamic.heads.head_mix0", (1,)),
+                                             ("out_b1", (1, 8)), ("dynamic.heads.b_1", (1,))])
+    @pytest.mark.parametrize("path", ["untaped", "taped", "save"])
+    def test_a_tensor_rebound_to_another_shape_is_named(self, name, shape, path, tmp_path,
+                                                        monkeypatch):
+        model = SDGLModel(tiny_config())
+        model.state_tensors()[name].data = np.ones(shape)
+        want = re.escape(f"state tensor {name!r} was rebound to shape {shape}")
+        with pytest.raises(ad.ShapeError, match=want):
+            if path == "untaped":
+                model.forward(np.zeros((2, 4, 19)))
+            elif path == "taped":
+                with Tape():
+                    model.forward(np.zeros((2, 4, 19)), training=True)
+            else:
+                # the check runs before anything is opened
+                monkeypatch.setattr(checkpoint, "_replacing", None)
+                checkpoint.save(tmp_path / "m.sdgl", model, Scaler(np.zeros(4), np.ones(4)))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHybridLoss:
