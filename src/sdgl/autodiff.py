@@ -66,35 +66,34 @@ one process). Under ``tracemalloc`` one training step at those shapes peaked
 at 112.2 MB, against 120.0 MB before the layout switch and the in-place
 accumulation below.
 
-Each pass of the convolution has two forms: one product, or work per tap. A
-one-tap map (every ``channel_map`` and ``channel_map_concat``, and a
-``conv1d_dilated`` of a (C_out, C_in, 1) weight) reads w's (C_out, c) column
-block of each part and the part's kept steps as (B, c, t_out*N) rows
-directly, with no tap offsets and no reversed taps. Its forward pass, input
-gradient and weight gradient are one product per part, the forward pass's
-first writing the output and each later one adding into it. From one input
-channel (the model's first residual, which reads the raw series through the
-start map folded into its weight and bias) that product is a broadcast
-multiply. At one window this took a (1, 16, 7, 10) ``channel_map`` from 9.2
-to 6.7 us and a three-part ``channel_map_concat`` from 20.7 to 14.1 us (its
-shape checks make one pass). Where one output step reads all k
-input steps (the last gated layer), x's (B, C_in*k, N) rows meet the weight
-with its taps reversed in one product per pass, with no gather, zero fill or
-strided add. Its backward pass took 0.81 -> 0.49 ms at train_small's (64,
-16, 7, 10) and 2.8 -> 1.3 ms at train_wide's (32, 16, 7, 100). The weight
-gradient of one input channel (the folded first layer) is one product on its
-k taps gathered in step order: 0.25 -> 0.11 ms at (64, 1, 19, 10) and 2.2 ->
-0.6 ms at (32, 1, 19, 100), both at stride 2. Otherwise the forward pass
-copies a batch chunk's k taps, one strided view (``_taps``), into one buffer
-for one matmul with K = k*C_in, in place of k matmuls and k-1 accumulating
-passes, and the input and weight gradients take one matmul per tap. The one
-copy took the folded first layer's one-window forward pass, on the
-transposed window, from 15.2 to 9.0 us, where a slice per tap was copied. A
-gathered backward was no faster, and a gathered weight gradient of a
-16-channel block was slower: 2.3 -> 2.8 ms at (64, 16, 19, 10), stride 2,
-the middle of three layers on 30-step windows (interleaved medians of 25
-calls). The one-window figures here are best-of-7 timeit runs on a 2-vCPU
-host with one BLAS thread.
+Each pass of the convolution has two forms: one product of rows, or work per
+tap. The rows form covers a one-tap map at stride 1 (every ``channel_map`` and
+``channel_map_concat``, and a ``conv1d_dilated`` of a (C_out, C_in, 1) weight
+at stride 1), and a k-tap convolution whose one output step reads all k input
+steps (the last gated layer), a channel map of its C_in*k rows (im2col). It
+reads w's (C_out, c*k) column block of each part, taps reversed, against the
+part's (B, c*k, t_out*N) rows, with no tap offsets, gather, zero fill or
+strided add: one product per part in each pass, the forward pass's first
+writing the output and each later one adding into it. From one input channel
+(the first residual, which reads the raw series through the folded start map)
+that product is a broadcast multiply. At one window this took a (1, 16, 7, 10)
+``channel_map`` from 9.2 to 6.7 us and a three-part ``channel_map_concat`` from
+20.7 to 14.1 us (its shape checks make one pass). On the last gated layer it
+took the backward pass from 0.81 to 0.49 ms at train_small's (64, 16, 7, 10)
+and from 2.8 to 1.3 ms at train_wide's (32, 16, 7, 100). Every other
+convolution, one tap at stride > 1 too, takes the tap form. Its weight gradient
+of one input channel (the folded first layer) is one product on its k taps
+gathered in step order: 0.25 to 0.11 ms at (64, 1, 19, 10) and 2.2 to 0.6 ms at
+(32, 1, 19, 100), both at stride 2. Otherwise the forward pass copies a batch
+chunk's k taps, one strided view (``_taps``), into one buffer for one matmul
+with K = k*C_in, in place of k matmuls and k-1 accumulating passes, and the
+input and weight gradients take one matmul per tap. The one copy took the
+folded first layer's one-window forward pass, on the transposed window, from
+15.2 to 9.0 us, where a slice per tap was copied. A gathered backward was no
+faster, and a gathered weight gradient of a 16-channel block was slower: 2.3 ->
+2.8 ms at (64, 16, 19, 10), stride 2, the middle of three layers on 30-step
+windows (interleaved medians of 25 calls). The one-window figures here are
+best-of-7 timeit runs on a 2-vCPU host with one BLAS thread.
 
 ``layer_norm`` and ``row_softmax`` take row sums as a product with a ones
 vector and row dot products with ``einsum``, never ``np.var`` or a last-axis
@@ -684,27 +683,32 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
           stride: int = 1) -> Tensor:
     """The rule of the convolutions, on the channel concatenation of ``parts``.
 
-    Weight columns [lo, lo + c) read the part with c channels that starts at
-    channel lo of the concatenation, which is never formed. A (C_out, C_in) w
-    is read as one tap; only such a one-tap map passes more than one part. The
-    output keeps every ``stride``-th step.
+    One product of rows per part where the output's steps read the input's
+    in blocks of k (one tap at stride 1, or k taps for one output step), work
+    per tap otherwise. Weight columns [lo, lo + c) read the part with c
+    channels that starts at channel lo of the concatenation, which is never
+    formed. A (C_out, C_in) w is read as one tap; only such a one-tap map
+    passes more than one part. The output keeps every ``stride``-th step.
     """
     w_data = w.data
     b, _, t_in, n = parts[0].data.shape
     c_out, c_in = w_data.shape[0], w_data.shape[1]
     k = 1 if w_data.ndim == 2 else w_data.shape[2]
     t_out = (t_in - dilation * (k - 1) - 1) // stride + 1
-    if k == 1:
-        # one tap: each part's kept steps, as (b, c, t_out*n) rows, meet w's
-        # (C_out, c) column block in one product; the first part's product is
-        # the output, each later one adds into it
-        w_read = w_data if w_data.ndim == 2 else w_data[:, :, 0]
+    rows_form = t_out * k == t_in and (k == 1 or t_out == 1)
+    if rows_form:
+        # each part's (b, c*k, t_out*n) rows meet w's (C_out, c*k) column block
+        # in one product; the first part's product is the output, each later one
+        # adds into it. Where one output step reads all k input steps, w is read
+        # with its taps reversed, so that tap s meets step k-1-s
+        w_read = (w_data if w_data.ndim == 2 else w_data[:, :, 0] if k == 1
+                  else w_data[:, :, ::-1].reshape(c_out, -1))
         blocks, acc, hi = [], None, 0
         for part in parts:
             x = part.data
-            lo, hi = hi, hi + x.shape[1]
-            blocks.append((lo, hi))
-            rows = (x if t_out == t_in else x[:, :, ::stride]).reshape(b, hi - lo, t_out * n)
+            lo, hi = hi, hi + x.shape[1] * k
+            blocks.append((lo, hi, x.shape))
+            rows = x.reshape(b, hi - lo, t_out * n)
             # a K = 1 product: the broadcast is the same single multiply
             w_blk = w_read[:, lo:hi]
             y = w_blk * rows if hi - lo == 1 else w_blk @ rows
@@ -714,32 +718,25 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
                 acc += y
     else:
         x = parts[0].data
-        whole = t_out == 1 and t_in == k
-        if whole:
-            # one output step reads every input step: x's (b, c_in*k, n) rows
-            # against w with its taps reversed, so that tap s meets step k-1-s
-            w_read = w_data[:, :, ::-1].reshape(c_out, -1)
-            acc = w_read @ x.reshape(b, -1, n)
-        else:
-            # Copy the k tap slices of a chunk of m samples into one
-            # (m, k*C_in, t_out*N) buffer and run one matmul with the
-            # (C_out, k*C_in) weight into the chunk's output rows. The buffer and
-            # the output share one allocation, the buffer first, freed together:
-            # as two arrays the heap placed them so that peak RSS rose by up to
-            # 2 MB on some seeds (train_small 67.0 -> 69.1 MB).
-            m = max(1, min(b, _GATHER_BYTES // (8 * k * c_in * t_out * n)))
-            size = m * k * c_in * t_out * n
-            block = np.empty(size + b * c_out * t_out * n)
-            gathered = block[:size].reshape(m, k, c_in, t_out, n)
-            acc = block[size:].reshape(b, c_out, t_out * n)
-            w_read = w_data
-            w_flat = w_data.transpose(0, 2, 1).reshape(c_out, k * c_in)
-            taps = _taps(x, dilation, k, t_out, stride)
-            for start in range(0, b, m):
-                rows = min(m, b - start)
-                gathered[:rows] = taps[start : start + rows]
-                np.matmul(w_flat, gathered[:rows].reshape(rows, k * c_in, t_out * n),
-                          out=acc[start : start + rows])
+        # Copy the k tap slices of a chunk of m samples into one
+        # (m, k*C_in, t_out*N) buffer and run one matmul with the
+        # (C_out, k*C_in) weight into the chunk's output rows. The buffer and
+        # the output share one allocation, the buffer first, freed together:
+        # as two arrays the heap placed them so that peak RSS rose by up to
+        # 2 MB on some seeds (train_small 67.0 -> 69.1 MB).
+        m = max(1, min(b, _GATHER_BYTES // (8 * k * c_in * t_out * n)))
+        size = m * k * c_in * t_out * n
+        block = np.empty(size + b * c_out * t_out * n)
+        gathered = block[:size].reshape(m, k, c_in, t_out, n)
+        acc = block[size:].reshape(b, c_out, t_out * n)
+        w_read = w_data
+        w_flat = w_data.transpose(0, 2, 1).reshape(c_out, k * c_in)
+        taps = _taps(x, dilation, k, t_out, stride)
+        for start in range(0, b, m):
+            rows = min(m, b - start)
+            gathered[:rows] = taps[start : start + rows]
+            np.matmul(w_flat, gathered[:rows].reshape(rows, k * c_in, t_out * n),
+                      out=acc[start : start + rows])
     if bias is not None:
         acc += bias.data.reshape(1, -1, 1)
     out = Tensor(acc.reshape(b, c_out, t_out, n))
@@ -754,26 +751,21 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
 
         def backward(g):
             g = g.reshape(b, c_out, t_out * n)
-            if k == 1:
-                for (lo, hi), gx in zip(blocks, gxs):
+            if rows_form:
+                for (lo, hi, x_shape), gx in zip(blocks, gxs):
                     if gx:
-                        dx = (w_read[:, lo:hi].T @ g).reshape(b, hi - lo, t_out, n)
-                        if t_out < t_in:  # the rows read every stride-th input step
-                            dx, kept = np.zeros((b, hi - lo, t_in, n)), dx
-                            dx[:, :, ::stride] += kept
-                        _accum(gx, dx, True)
+                        _accum(gx, (w_read[:, lo:hi].T @ g).reshape(x_shape), True)
                 if gw:
-                    dw = np.empty((c_out, c_in))
-                    for (lo, hi), x in zip(blocks, x_datas):
-                        rows = (x if t_out == t_in else x[:, :, ::stride]).reshape(
-                            b, hi - lo, t_out * n)
+                    dw = np.empty((c_out, c_in * k))
+                    for (lo, hi, _), x in zip(blocks, x_datas):
+                        rows = x.reshape(b, hi - lo, t_out * n)
                         dw[:, lo:hi] = (g @ rows.transpose(0, 2, 1)).sum(axis=0)
+                    if k > 1:  # back in w's layout, taps in their order
+                        dw = np.ascontiguousarray(dw.reshape(w_shape)[:, :, ::-1])
                     _accum(gw, dw.reshape(w_shape), True)
             else:
                 (gx,), (x,) = gxs, x_datas
-                if gx and whole:  # the rows cover every input step
-                    _accum(gx, (w_read.T @ g).reshape(b, c_in, t_in, n), True)
-                elif gx:
+                if gx:
                     dx = np.zeros((b, c_in, t_in, n))
                     dx_taps = _taps(dx, dilation, k, t_out, stride)
                     for s in range(k):
@@ -781,11 +773,10 @@ def _conv(parts: Sequence[Tensor], w: Tensor, dilation: int, bias: Tensor | None
                     _accum(gx, dx, True)
                 if gw:
                     dw = np.empty((c_out, c_in, k))
-                    x_taps = None if whole else _taps(x, dilation, k, t_out, stride)
-                    if whole or c_in == 1:
-                        # one product on x's rows, or on one channel's k taps in step order
-                        rows = (x.reshape(b, -1, n) if whole
-                                else x_taps[:, ::-1, 0].reshape(b, k, t_out * n))
+                    x_taps = _taps(x, dilation, k, t_out, stride)
+                    if c_in == 1:
+                        # one product on the channel's k taps in step order
+                        rows = x_taps[:, ::-1, 0].reshape(b, k, t_out * n)
                         dw[:, :, ::-1] = (g @ rows.transpose(0, 2, 1)).sum(
                             axis=0).reshape(c_out, c_in, k)
                     else:

@@ -142,10 +142,10 @@ def load(path) -> Checkpoint:
         config = ModelConfig(**settings)
     except (TypeError, ValueError) as exc:  # an unknown, mistyped or invalid setting
         raise CheckpointError(f"{path}: header field 'config': {exc}") from None
-    # Each record is checked against the config before the model is built, so
-    # the model allocates no more than the file holds. The expected tensors
-    # come one at a time: a config asking for more than the file has fails at
-    # the first one missing.
+    # Each record is checked against the config before the model is built, so a file
+    # that lacks a tensor its config names allocates no model. Under ``no_dyadj`` the
+    # model still holds the dynamic learner's two N x N weights, which the file does
+    # not. The expected tensors come one at a time: the first one missing fails.
     scaler_shapes = [(name, (config.n_nodes,)) for name in ("scaler.mean", "scaler.std")]
     seen = set()
     for name, shape in itertools.chain(state_shapes(config), scaler_shapes):

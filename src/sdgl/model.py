@@ -720,7 +720,8 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
                     finally:
                         masks.wait()
                     last_norm = opt.step()
-                    momentum_update(model.embeddings)
+                    if heads is not None:  # under no_dyadj nothing reads m_dynamic
+                        momentum_update(model.embeddings)
                 losses.append(value)
             # the loss check above sees each update only at the next step, so the
             # epoch's last update is checked by the validation forecast it gives

@@ -147,6 +147,28 @@ class TestOneTapForm:
         np.testing.assert_array_equal(got, self.products([x.data[:, :, ::2]], w.data[:, :, 0]))
 
 
+class TestAllTapsRowsForm:
+    """A k-tap convolution whose one output step reads all k input steps is
+    the product of its weight, taps reversed, with x's (B, C_in*k, N) rows:
+    the forward pass, the input gradient and the weight gradient, bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    @pytest.mark.parametrize("c_in", [1, 4])
+    def test_one_output_step(self, k, c_in):
+        b, c_out, n = 3, 5, 4
+        rng = np.random.default_rng(10 * k + c_in)
+        x, w = Tensor(rng.normal(size=(b, c_in, k, n))), Tensor(rng.normal(size=(c_out, c_in, k)))
+        g = rng.normal(size=(b, c_out, 1, n))
+        y, (gx, gw) = vjp(lambda a, m: ad.conv1d_dilated(a, m, 1), [x, w], g)
+        w_rows, rows = w.data[:, :, ::-1].reshape(c_out, -1), x.data.reshape(b, -1, n)
+        g_rows = g.reshape(b, c_out, n)
+        np.testing.assert_array_equal(y, (w_rows @ rows).reshape(b, c_out, 1, n))
+        np.testing.assert_array_equal(gx, (w_rows.T @ g_rows).reshape(b, c_in, k, n))
+        dw = (g_rows @ rows.transpose(0, 2, 1)).sum(axis=0)
+        np.testing.assert_array_equal(gw, dw.reshape(c_out, c_in, k)[:, :, ::-1])
+        assert gw.flags.c_contiguous
+
+
 class TestBackward:
     def test_square_sum(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

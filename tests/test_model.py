@@ -1431,6 +1431,14 @@ class TestTraining:
         assert np.abs(md - ms).max() > 0  # lags behind
         assert np.all(np.isfinite(md))
 
+    def test_no_dyadj_leaves_the_dynamic_embeddings_alone(self):
+        # without the dynamic graph nothing reads or saves them, so no step moves them
+        cfg = tiny_config(epochs=1, ablation=("no_dyadj",))
+        out, fresh = train(tiny_dataset(seed=4), cfg).model, SDGLModel(cfg)
+        assert np.abs(out.embeddings.m_static.data - fresh.embeddings.m_static.data).max() > 0
+        np.testing.assert_array_equal(out.embeddings.m_dynamic.data,
+                                      fresh.embeddings.m_dynamic.data)
+
     def test_divergence_warns_nothing(self):
         with warnings.catch_warnings(record=True) as caught, pytest.raises(DivergenceError):
             warnings.simplefilter("always")
