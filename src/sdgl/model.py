@@ -236,7 +236,7 @@ def state_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     dynamic embeddings, and without the fusion gate (``no_ifm``,
     ``ifm_plus``) no ``w_r``, ``u_r``, ``b_r``, ``w_z``, ``u_z``, ``b_z``,
     ``w_h`` or ``u_h``. Computed from the config without building the model,
-    one tensor at a time, so ``checkpoint.load`` can check a file's records
+    one tensor at a time, so ``checkpoint.load`` can check a file's payload length
     against it before anything the file does not back is allocated.
     """
     n, d, c, hd = config.n_nodes, config.embed_dim, config.channels, config.resolved_head_dim()

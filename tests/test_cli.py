@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from sdgl import model as sdgl_model
 from sdgl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from sdgl.data import PlantedGraphSpec, Scaler, load_csv, make_windows, synth_generate
 from sdgl.model import SGD, ModelConfig, SDGLModel
-from test_model import poison_after_third_step
+from test_model import format_1_bytes, poison_after_third_step
 
 
 def error_lines(caplog) -> list[str]:
@@ -586,26 +587,39 @@ class TestEval:
 
     @pytest.mark.parametrize("extra", [1, 22])
     def test_trailing_bytes_after_checkpoint(self, synth_dir, train_dir, tmp_path, caplog, extra):
+        raw = (train_dir / "checkpoint.sdgl").read_bytes()
         bad = tmp_path / "c.sdgl"
-        bad.write_bytes((train_dir / "checkpoint.sdgl").read_bytes() + b"\x00" * extra)
+        bad.write_bytes(raw + b"\x00" * extra)
         code = main([
             "eval", "--checkpoint", str(bad),
             "--data", str(synth_dir / "data.csv"), "--out-dir", str(tmp_path / "eval"),
         ])
         assert code == EXIT_RUNTIME == 1
+        size = len(raw) - 16 - int.from_bytes(raw[8:16], "little")
         [line] = error_lines(caplog)
-        assert line == f"{bad}: {extra} unexpected bytes after the last record", line
+        assert line == f"{bad}: payload is {size + extra} bytes, its config needs {size}", line
+
+    def test_checkpoint_of_format_1(self, synth_dir, tmp_path):
+        # a file the earlier format wrote fails by its version; retrain to use it
+        model = SDGLModel(ModelConfig(n_nodes=5, embed_dim=8, heads=2, channels=8))
+        bad, out = tmp_path / "c.sdgl", tmp_path / "eval"
+        bad.write_bytes(format_1_bytes(model, Scaler(np.zeros(5), np.ones(5))))
+        run = run_sdgl("eval", "--checkpoint", bad, "--data", synth_dir / "data.csv",
+                       "--out-dir", out)
+        assert run.returncode == EXIT_RUNTIME
+        assert run.stderr.splitlines() == [f"ERROR sdgl: {bad}: unsupported format version 1"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,value,named", [
-        ("tensor_count", None, "header field 'tensor_count'"),
+        ("crc32", None, "header field 'crc32'"),
         # the whole header, nested past the JSON parser's depth limit
         pytest.param(None, b"[" * 200_000,
                      "header is nested past the JSON parser's recursion depth limit",
                      id="header-nested"),
         ("config", {"heads": "4"}, "header field 'config'"),
-        # checked against the records before a 3000-node model is built
-        ("config", {"n_nodes": 3000},
-         "tensor 'embeddings.m_static' has shape (5, 8), expected (3000, 8)"),
+        # checked against the payload's length before a 3000-node model is built
+        pytest.param("config", {"n_nodes": 3000},
+                     "payload is {payload} bytes, its config needs 144504744", id="config-n_nodes"),
     ])
     def test_checkpoint_header_schema_error(self, synth_dir, train_dir, tmp_path, caplog,
                                             field, value, named):
@@ -625,28 +639,30 @@ class TestEval:
         ])
         assert code == EXIT_RUNTIME
         [line] = error_lines(caplog)
+        named = named.format(payload=len(raw) - 16 - hlen)
         assert line.startswith(f"{bad}: {named}") and "\n" not in line, line
 
     def test_ablation_checkpoint_with_a_tensor_it_does_not_read(self, synth_dir, tmp_path,
                                                                  caplog):
-        # a no_ifm checkpoint that also holds a fusion gate tensor, as one saved
-        # while ablations kept the parts they do not read, is refused by name
-        model = SDGLModel(ModelConfig(n_nodes=5, embed_dim=8, heads=2, channels=8,
-                                      ablation=("no_ifm",)))
-        good = tmp_path / "good.sdgl"
-        checkpoint.save(good, model, Scaler(np.zeros(5), np.ones(5)))
-        raw = good.read_bytes()
-        hlen = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[16 : 16 + hlen])
-        header["tensor_count"] += 1
-        name, data = b"dynamic.fusion.b_r", model.dynamic.fusion.b_r.data
-        record = (len(name).to_bytes(4, "little") + name + (1).to_bytes(4, "little")
-                  + data.size.to_bytes(8, "little") + data.astype("<f8").tobytes())
+        # a no_ifm header over the full model's payload, which also holds the
+        # fusion gate tensors no_ifm does not read, is refused by its length
+        settings = dict(n_nodes=5, embed_dim=8, heads=2, channels=8)
+        files = {}
+        for ablation in ((), ("no_ifm",)):
+            model = SDGLModel(ModelConfig(**settings, ablation=ablation))
+            files[ablation] = tmp_path / f"{'-'.join(ablation) or 'full'}.sdgl"
+            checkpoint.save(files[ablation], model, Scaler(np.zeros(5), np.ones(5)))
+        full, ablated = (f.read_bytes() for f in files.values())
+        hlen, full_hlen = (int.from_bytes(raw[8:16], "little") for raw in (ablated, full))
+        header = json.loads(ablated[16 : 16 + hlen])
+        payload = full[16 + full_hlen :]
+        header["crc32"] = zlib.crc32(payload)
         blob = json.dumps(header).encode()
         bad = tmp_path / "c.sdgl"
-        bad.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :]
-                        + record)
-        message = f"{bad}: unexpected tensor record 'dynamic.fusion.b_r'"
+        bad.write_bytes(ablated[:8] + len(blob).to_bytes(8, "little") + blob + payload)
+        need = len(ablated) - 16 - hlen
+        assert len(payload) > need
+        message = f"{bad}: payload is {len(payload)} bytes, its config needs {need}"
         with pytest.raises(checkpoint.CheckpointError) as exc:
             checkpoint.load(bad)
         assert str(exc.value) == message

@@ -6,6 +6,7 @@ import os
 import platform
 import re
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+import zlib
 from dataclasses import FrozenInstanceError, asdict, replace
 from functools import lru_cache
 from pathlib import Path
@@ -1811,42 +1813,46 @@ def fresh_checkpoint_bytes() -> bytes:
         return path.read_bytes()
 
 
+def format_1_bytes(model: SDGLModel, scaler: Scaler) -> bytes:
+    """The file format 1 wrote: a header with a tensor count, then a record per
+    tensor of its name, rank, dims and values."""
+    tensors = {**{name: t.data for name, t in model.state_tensors().items()},
+               "scaler.mean": scaler.mean, "scaler.std": scaler.std}
+    blob = json.dumps({"config": asdict(model.config), "tensor_count": len(tensors)},
+                      sort_keys=True).encode()
+    records = b"".join(struct.pack(f"<I{len(name)}sI{a.ndim}Q", len(name), name.encode(),
+                                   a.ndim, *a.shape) + a.astype("<f8").tobytes()
+                       for name, a in sorted(tensors.items()))
+    return checkpoint.MAGIC + struct.pack("<IQ", 1, len(blob)) + blob + records
+
+
+# the configs whose state_shapes and checkpoints are checked against the model
+SHAPE_CONFIGS = [
+    {}, dict(layers=1), dict(layers=3, window=43), dict(depth=3),
+    dict(heads=3, head_dim=5), dict(channels=12, horizon=5), dict(ablation=("no_dyadj",)),
+    dict(ablation=("no_dyadj",), layers=1), dict(ablation=("no_ifm",)),
+    dict(ablation=("ifm_plus",)),
+]
+
+
 class TestCheckpoint:
-    def test_round_trip_bit_identical(self, tmp_path):
-        out = train(tiny_dataset(seed=7), tiny_config(epochs=1, dropout_keep=0.8))
-        p = tmp_path / "m.sdgl"
+    @pytest.mark.parametrize("overrides", SHAPE_CONFIGS)
+    def test_round_trip_bit_identical(self, tmp_path, overrides):
+        out = train(tiny_dataset(t=240, seed=7),
+                    tiny_config(epochs=1, dropout_keep=0.8, **overrides))
+        p, again = tmp_path / "m.sdgl", tmp_path / "again.sdgl"
         checkpoint.save(p, out.model, out.scaler)
         back = checkpoint.load(p)
-        x = np.random.default_rng(2).normal(size=(3, 4, 19))
+        x = np.random.default_rng(2).normal(size=(3, 4, out.model.config.window))
         np.testing.assert_array_equal(
             back.model.forward(x).prediction.data,
             out.model.forward(x).prediction.data,
         )
         np.testing.assert_array_equal(back.scaler.mean, out.scaler.mean)
         np.testing.assert_array_equal(back.scaler.std, out.scaler.std)
-
-    def test_header_of_the_earlier_format_loads(self, tmp_path):
-        # Files written before the header lost its step counter and dropout RNG
-        # state still load, without reading either: a counter whose dtype
-        # string asks numpy for a 128 MB array allocates nothing.
-        out = train(tiny_dataset(seed=8), tiny_config(epochs=1, dropout_keep=0.8))
-        p = tmp_path / "m.sdgl"
-        checkpoint.save(p, out.model, out.scaler)
-        raw = p.read_bytes()
-        header, records = self.split_records(raw)
-        header.update(self.earlier_fields(out.model))
-        header["rng"]["state"]["counter"]["dtype"] = "(4000000,)u8"
-        p.write_bytes(self.join_records(raw, header, records))
-        tracemalloc.start()
-        try:
-            back = checkpoint.load(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, peak
-        x = np.random.default_rng(3).normal(size=(2, 4, 19))
-        np.testing.assert_array_equal(predict(back.model, back.scaler, x),
-                                      predict(out.model, out.scaler, x))
+        checkpoint.save(again, back.model, back.scaler)
+        assert again.read_bytes() == p.read_bytes()
+        # a checkpoint holds no training state: the dropout stream starts afresh
         fresh = SDGLModel(back.model.config).dropout_rng
         np.testing.assert_array_equal(back.model.dropout_rng.random(8), fresh.random(8))
 
@@ -1865,21 +1871,9 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.model.forward(x).prediction.data,
                                       model.forward(x).prediction.data)
 
-    @staticmethod
-    def earlier_fields(model):
-        """The step counter and dropout RNG state the earlier header format held."""
-        rng = json.loads(json.dumps(model.dropout_rng.bit_generator.state, default=lambda a: {
-            "__ndarray__": a.tolist(), "dtype": str(a.dtype)}))
-        return {"step": 3, "rng": rng}
-
-    @pytest.mark.parametrize("mutation", [
-        "step a string", "step a float", "rng a string", "rng empty",
-        "rng counter too short", "rng key too large", "key unknown",
-    ])
-    def test_unread_header_fields_load_whatever_they_hold(self, tmp_path, mutation):
-        # the values that once failed by name in the step and rng fields are
-        # never decoded now, nor is a key no format wrote: the file loads and
-        # forecasts as it was saved
+    def test_unknown_header_key_is_not_read(self, tmp_path):
+        # a key no format wrote is never decoded, even one whose dtype string
+        # would ask numpy for a 32 MB array: the file loads and forecasts as saved
         model = SDGLModel(tiny_config(dropout_keep=0.8))
         rng = np.random.default_rng(4)
         for t in model.state_tensors().values():
@@ -1887,34 +1881,17 @@ class TestCheckpoint:
         scaler = Scaler(rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
         p = tmp_path / "m.sdgl"
         checkpoint.save(p, model, scaler)
-        raw = p.read_bytes()
-        header, records = self.split_records(raw)
-        header.update(self.earlier_fields(model))
-        if mutation == "step a string":
-            header["step"] = "3"
-        elif mutation == "step a float":
-            header["step"] = 3.0
-        elif mutation == "rng a string":
-            header["rng"] = "philox"
-        elif mutation == "rng empty":
-            header["rng"] = {}
-        elif mutation == "rng counter too short":
-            header["rng"]["state"]["counter"]["__ndarray__"] = [0]
-        elif mutation == "rng key too large":
-            header["rng"]["state"]["key"]["__ndarray__"][0] = 2**64
-        elif mutation == "key unknown":
-            header["note"] = {"__ndarray__": [0], "dtype": "(4000000,)u8"}
-        p.write_bytes(self.join_records(raw, header, records))
+        header, payload = self.split(p.read_bytes())
+        header["note"] = {"__ndarray__": [0], "dtype": "(4000000,)u8"}
+        p.write_bytes(self.join(p.read_bytes(), header, payload))
         back = checkpoint.load(p)
         x = rng.normal(size=(2, 4, 19))
         np.testing.assert_array_equal(predict(back.model, back.scaler, x),
                                       predict(model, scaler, x))
-        fresh = SDGLModel(back.model.config).dropout_rng
-        np.testing.assert_array_equal(back.model.dropout_rng.random(8), fresh.random(8))
 
     @pytest.mark.parametrize("saver", ["checkpoint", "save_csv"])
     def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch, saver):
-        # the second save raises after its first write, as on a full disk
+        # the second save's first write stops halfway and raises, as on a full disk
         def save(path, seed):
             if saver == "checkpoint":
                 model = SDGLModel(tiny_config(seed=seed))
@@ -1924,13 +1901,11 @@ class TestCheckpoint:
 
         class FullDisk:
             def __init__(self, fh):
-                self.fh, self.writes = fh, 0
+                self.fh = fh
 
             def write(self, data):
-                self.writes += 1
-                if self.writes > 1:
-                    raise OSError(28, "No space left on device")
-                return self.fh.write(data)
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
 
             def __enter__(self):
                 return self
@@ -1955,89 +1930,116 @@ class TestCheckpoint:
             checkpoint.load(p)
 
     @staticmethod
-    def save_fresh(path):
-        """Save a fresh tiny model; returns the name of the last tensor record."""
-        model = SDGLModel(tiny_config())
-        checkpoint.save(path, model, Scaler(np.zeros(4), np.ones(4)))
-        return sorted([*model.state_tensors(), "scaler.mean", "scaler.std"])[-1]
+    def save_fresh(path) -> bytes:
+        """Save a fresh ``tiny_config`` model; returns the file's bytes."""
+        checkpoint.save(path, SDGLModel(tiny_config()), Scaler(np.zeros(4), np.ones(4)))
+        return path.read_bytes()
+
+    @staticmethod
+    def split(raw):
+        """(header dict, payload bytes) of a saved checkpoint."""
+        hlen = int.from_bytes(raw[8:16], "little")
+        return json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
+
+    @staticmethod
+    def join(raw, header, payload):
+        """``raw``'s magic and version, then ``header`` (a JSON value, or the
+        header's bytes) and ``payload``."""
+        blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+        return raw[:8] + len(blob).to_bytes(8, "little") + blob + payload
 
     @pytest.mark.parametrize("field", [
-        "format version", "header length", "header", "name length of record 0", "payload",
-        "header of length 2**63", "first dimension 2**62",
+        "format version", "header length", "header", "header of length 2**63",
     ])
     def test_truncated_file_names_the_field(self, tmp_path, field):
         p = tmp_path / "m.sdgl"
-        last = self.save_fresh(p)
-        raw = p.read_bytes()
+        raw = self.save_fresh(p)
         hlen = int.from_bytes(raw[8:16], "little")
-        first = sorted(self.split_records(raw)[1])[0]
-        dim0 = 16 + hlen + 4 + len(first) + 4  # offset of the first record's first dimension
         # a size beyond the end of the file is reported as truncation, before any read
         bad, what = {
             "format version": (raw[:6], field),
             "header length": (raw[:12], field),
             "header": (raw[: 16 + hlen // 2], field),
-            "name length of record 0": (raw[: 16 + hlen + 2], field),
-            "payload": (raw[:-4], f"tensor {last!r}"),  # inside the last record's payload
             "header of length 2**63": (raw[:8] + (2**63).to_bytes(8, "little") + raw[16:],
                                        "header"),
-            "first dimension 2**62": (raw[:dim0] + (2**62).to_bytes(8, "little")
-                                      + raw[dim0 + 8 :], f"tensor {first!r}"),
         }[field]
         p.write_bytes(bad)
         with pytest.raises(checkpoint.CheckpointError) as exc:
             checkpoint.load(p)
         assert str(exc.value).startswith(f"{p}: truncated in {what}:")
 
-    @pytest.mark.parametrize("extra", [1, 22])
-    def test_trailing_bytes_rejected(self, tmp_path, extra):
+    # tiny_config: 4 nodes, the static embeddings (4, 8) first
+    PAYLOAD_CHANGES = {
+        "none": lambda b: b"",
+        "cut to its first 2 bytes": lambda b: b[:2],
+        "cut inside its last value": lambda b: b[:-4],
+        "scaler.mean missing": lambda b: b[:-64] + b[-32:],
+        "scaler.std missing": lambda b: b[:-32],
+        "a value extra": lambda b: b + np.zeros(1).tobytes(),
+        "a byte after the end": lambda b: b + b"\x07",
+        "22 bytes after the end": lambda b: b + b"\x07" * 22,
+        "the first tensor twice": lambda b: b[: 8 * 32] + b,
+    }
+
+    @pytest.mark.parametrize("change", PAYLOAD_CHANGES)
+    def test_payload_of_another_length_rejected(self, tmp_path, change):
+        # the config fixes the payload's length: a tensor missing, cut or extra
+        # changes it, and the crc32, made for the changed payload, is not reached
         p = tmp_path / "m.sdgl"
-        self.save_fresh(p)
-        p.write_bytes(p.read_bytes() + b"\x07" * extra)
+        raw = self.save_fresh(p)
+        header, payload = self.split(raw)
+        bad = self.PAYLOAD_CHANGES[change](payload)
+        header["crc32"] = zlib.crc32(bad)
+        p.write_bytes(self.join(raw, header, bad))
         with pytest.raises(checkpoint.CheckpointError) as exc:
             checkpoint.load(p)
-        assert str(exc.value) == f"{p}: {extra} unexpected bytes after the last record"
+        assert str(exc.value) == (f"{p}: payload is {len(bad)} bytes, "
+                                  f"its config needs {len(payload)}")
 
-    def test_non_finite_payload_rejected(self, tmp_path):
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_changed_payload_byte_fails_the_crc(self, tmp_path, data):
+        raw = fresh_checkpoint_bytes()
+        header, payload = self.split(raw)
+        at = data.draw(st.integers(0, len(payload) - 1))
+        bad = payload[:at] + bytes([payload[at] ^ data.draw(st.integers(1, 255))]) \
+            + payload[at + 1 :]
         p = tmp_path / "m.sdgl"
-        last = self.save_fresh(p)
-        raw = bytearray(p.read_bytes())
-        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last value of the last record
-        p.write_bytes(bytes(raw))
-        with pytest.raises(checkpoint.CheckpointError, match=f"{last!r} has non-finite"):
+        p.write_bytes(self.join(raw, header, bad))
+        with pytest.raises(checkpoint.CheckpointError) as exc:
             checkpoint.load(p)
+        assert str(exc.value) == (f"{p}: payload's CRC32 is {zlib.crc32(bad)}, "
+                                  f"the header's crc32 is {header['crc32']}")
+
+    @pytest.mark.parametrize("name", [
+        "embeddings.m_static", "start_w", "embeddings.m_dynamic", "scaler.mean", "scaler.std",
+    ])
+    def test_non_finite_payload_rejected(self, tmp_path, name):
+        # the named tensor's last value is NaN, and the crc32 is made for it
+        p = tmp_path / "m.sdgl"
+        raw = self.save_fresh(p)
+        header, payload = self.split(raw)
+        shapes = [*state_shapes(tiny_config()), ("scaler.mean", (4,)), ("scaler.std", (4,))]
+        ends = np.cumsum([math.prod(shape) for _, shape in shapes])
+        at = 8 * int(ends[[n for n, _ in shapes].index(name)] - 1)
+        bad = payload[:at] + np.array([np.nan], "<f8").tobytes() + payload[at + 8 :]
+        header["crc32"] = zlib.crc32(bad)
+        p.write_bytes(self.join(raw, header, bad))
+        with pytest.raises(checkpoint.CheckpointError) as exc:
+            checkpoint.load(p)
+        assert str(exc.value) == f"{p}: tensor {name!r} has non-finite values"
 
     @staticmethod
-    def split_records(raw):
-        """(header dict, {name: record bytes}) of a saved checkpoint."""
-        hlen = int.from_bytes(raw[8:16], "little")
-        header, pos, records = json.loads(raw[16 : 16 + hlen]), 16 + hlen, {}
-        while pos < len(raw):
-            start = pos
-            nlen = int.from_bytes(raw[pos : pos + 4], "little")
-            name = raw[pos + 4 : pos + 4 + nlen].decode()
-            pos += 4 + nlen
-            rank = int.from_bytes(raw[pos : pos + 4], "little")
-            dims = [int.from_bytes(raw[pos + 4 + 8 * i : pos + 12 + 8 * i], "little")
-                    for i in range(rank)]
-            pos += 4 + 8 * rank + 8 * int(np.prod(dims))
-            records[name] = raw[start:pos]
-        return header, records
-
-    @staticmethod
-    def join_records(raw, header, records):
-        """``raw`` with ``header`` (a JSON value, or the header's bytes) and ``records``."""
-        blob = header if isinstance(header, bytes) else json.dumps(header).encode()
-        return raw[:8] + len(blob).to_bytes(8, "little") + blob + b"".join(records.values())
-
-    @staticmethod
-    def mutate_header(h, records, mutation):
-        if mutation == "tensor_count renamed":
-            h["tensor_cOunt"] = h.pop("tensor_count")
-        elif mutation == "tensor_count missing":
-            del h["tensor_count"]
-        elif mutation == "tensor_count a string":
-            h["tensor_count"] = str(h["tensor_count"])
+    def mutate_header(h, payload, mutation):
+        """The header (a JSON value, or the header's bytes) and payload ``mutation`` makes."""
+        if mutation == "crc32 renamed":
+            h["CRC32"] = h.pop("crc32")
+        elif mutation == "crc32 missing":
+            del h["crc32"]
+        elif mutation == "crc32 a string":
+            h["crc32"] = str(h["crc32"])
+        elif mutation == "crc32 a bool":
+            h["crc32"] = True
         elif mutation == "config a list":
             h["config"] = [1, 2]
         elif mutation == "config missing":
@@ -2056,43 +2058,28 @@ class TestCheckpoint:
             h["config"]["learning_rate"] = 10**400
         elif mutation == "config integer past the int-to-str limit":
             h["config"]["seed"] = "SEED"  # json.dumps cannot write the int itself
-            return json.dumps(h).replace('"SEED"', "1" + "0" * 5000).encode()
+            return json.dumps(h).replace('"SEED"', "1" + "0" * 5000).encode(), payload
         elif mutation == "config too many layers":
             h["config"]["layers"] = 2000  # 2.0 ** 1999 overflows a float
         elif mutation == "header a list":
-            return [h]
+            return [h], payload
         elif mutation == "header nested too deeply":
-            return b"[" * 200_000  # past the JSON parser's depth limit
+            return b"[" * 200_000, payload  # past the JSON parser's depth limit
         elif mutation == "header cut short":
-            return json.dumps(h).encode()[:-1]
+            return json.dumps(h).encode()[:-1], payload
         elif mutation == "header not UTF-8":
-            return json.dumps(h).encode().replace(b'"config"', b'"conf\xe9g"')
-        elif mutation in ("scaler.mean missing", "scaler.std missing"):
-            del records[mutation.split()[0]]
-            h["tensor_count"] -= 1
-        elif mutation == "rank 33":
-            name, rec = next(iter(records.items()))
-            at = 4 + len(name)  # after the name length and the name
-            records[name] = rec[:at] + (33).to_bytes(4, "little") + rec[at + 4 :]
-        elif mutation == "unexpected record":
-            name = b"zz.extra"
-            records["zz.extra"] = (len(name).to_bytes(4, "little") + name
-                                   + (1).to_bytes(4, "little") + (2).to_bytes(8, "little")
-                                   + np.zeros(2).astype("<f8").tobytes())
-            h["tensor_count"] += 1
-        elif mutation == "duplicate record":
-            records["start_b again"] = records["start_b"]  # the same bytes, written again last
-            h["tensor_count"] += 1
+            return json.dumps(h).encode().replace(b'"config"', b'"conf\xe9g"'), payload
         elif mutation == "scaler.std below the floor":
-            rec = records["scaler.std"]
-            at = 4 + len("scaler.std") + 4 + 8  # after the name, the rank and the one dim
-            records["scaler.std"] = rec[:at] + np.array(-2.0, "<f8").tobytes() + rec[at + 8 :]
-        return h
+            # its first value, with the crc32 made for the changed payload
+            payload = payload[:-32] + np.array(-2.0, "<f8").tobytes() + payload[-24:]
+            h["crc32"] = zlib.crc32(payload)
+        return h, payload
 
     HEADER_MUTATIONS = {
-        "tensor_count renamed": "'tensor_count'",
-        "tensor_count missing": "'tensor_count'",
-        "tensor_count a string": "'tensor_count'",
+        "crc32 renamed": "'crc32'",
+        "crc32 missing": "'crc32'",
+        "crc32 a string": "'crc32'",
+        "crc32 a bool": "'crc32'",
         "config a list": "'config'",
         "config missing": "'config'",
         "config field unknown": "'config'.*foo",
@@ -2108,11 +2095,6 @@ class TestCheckpoint:
         "header nested too deeply": "header is nested past the JSON parser's recursion depth limit",
         "header cut short": "header is not valid JSON: Expecting ',' delimiter",
         "header not UTF-8": "header is not valid JSON: 'utf-8' codec can't decode byte 0xe9",
-        "scaler.mean missing": "missing tensor record 'scaler.mean'",
-        "scaler.std missing": "missing tensor record 'scaler.std'",
-        "rank 33": "tensor 'dynamic.fusion.b_in' has rank 33",
-        "unexpected record": "unexpected tensor record 'zz.extra'",
-        "duplicate record": "duplicate tensor record 'start_b'",
         "scaler.std below the floor":
             r"tensor 'scaler.std' holds -2.0, below the scaler's floor of 1e-08",
     }
@@ -2120,11 +2102,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
     def test_header_schema_errors_name_the_field(self, tmp_path, mutation):
         p = tmp_path / "m.sdgl"
-        self.save_fresh(p)
-        raw = p.read_bytes()
-        header, records = self.split_records(raw)
-        header = self.mutate_header(header, records, mutation)
-        p.write_bytes(self.join_records(raw, header, records))
+        raw = self.save_fresh(p)
+        header, payload = self.mutate_header(*self.split(raw), mutation)
+        p.write_bytes(self.join(raw, header, payload))
         with pytest.raises(checkpoint.CheckpointError,
                            match=f"^{re.escape(str(p))}: .*{self.HEADER_MUTATIONS[mutation]}"):
             checkpoint.load(p)
@@ -2151,26 +2131,20 @@ class TestCheckpoint:
         except checkpoint.CheckpointError:
             pass
 
-    @pytest.mark.parametrize("overrides", [
-        {}, dict(layers=1), dict(layers=3, window=43), dict(depth=3),
-        dict(heads=3, head_dim=5), dict(channels=12, horizon=5), dict(ablation=("no_dyadj",)),
-        dict(ablation=("no_dyadj",), layers=1), dict(ablation=("no_ifm",)),
-        dict(ablation=("ifm_plus",)),
-    ])
+    @pytest.mark.parametrize("overrides", SHAPE_CONFIGS)
     def test_state_shapes_match_the_model(self, overrides):
         # as ordered lists: SGD sums the gradient norm in the parameters' order
         cfg = tiny_config(**overrides)
         want = [(name, t.shape) for name, t in SDGLModel(cfg).state_tensors().items()]
         assert list(state_shapes(cfg)) == want
 
-    def test_config_beyond_the_records_fails_before_building(self, tmp_path):
+    def test_config_beyond_the_payload_fails_before_building(self, tmp_path):
         # a header claiming 3000 nodes would ask for two 3000 x 3000 weights
         p = tmp_path / "m.sdgl"
-        self.save_fresh(p)
-        raw = p.read_bytes()
-        header, records = self.split_records(raw)
+        raw = self.save_fresh(p)
+        header, payload = self.split(raw)
         header["config"]["n_nodes"] = 3000
-        p.write_bytes(self.join_records(raw, header, records))
+        p.write_bytes(self.join(raw, header, payload))
         tracemalloc.start()
         try:
             with pytest.raises(checkpoint.CheckpointError) as exc:
@@ -2178,16 +2152,21 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(exc.value) == (f"{p}: tensor 'embeddings.m_static' has shape (4, 8), "
-                                  "expected (3000, 8)")
+        need = 8 * (sum(math.prod(shape) for _, shape in state_shapes(tiny_config(n_nodes=3000)))
+                    + 2 * 3000)
+        assert str(exc.value) == f"{p}: payload is {len(payload)} bytes, its config needs {need}"
         assert peak < 10 * len(raw)
 
-    def test_unsupported_version(self, tmp_path):
-        out = train(tiny_dataset(seed=9), tiny_config(epochs=0))
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_version(self, tmp_path, version):
+        model, scaler = SDGLModel(tiny_config()), Scaler(np.zeros(4), np.ones(4))
         p = tmp_path / "m.sdgl"
-        checkpoint.save(p, out.model, out.scaler)
-        raw = bytearray(p.read_bytes())
-        raw[4] = 99
-        p.write_bytes(bytes(raw))
-        with pytest.raises(checkpoint.CheckpointError, match="version"):
+        if version == 1:
+            p.write_bytes(format_1_bytes(model, scaler))
+        else:
+            checkpoint.save(p, model, scaler)
+            raw = p.read_bytes()
+            p.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+        with pytest.raises(checkpoint.CheckpointError) as exc:
             checkpoint.load(p)
+        assert str(exc.value) == f"{p}: unsupported format version {version}"
