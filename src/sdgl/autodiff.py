@@ -555,10 +555,9 @@ def dropout(a: Tensor, keep_prob: float, rng) -> Tensor:
     from ``rng``, and scales what it keeps by 1/keep_prob. At keep 1 it draws
     no mask and returns ``a``. Callers apply it only in training.
 
-    The mask is ``rng.keep_mask``: taken from the masks ``rng`` drew ahead
-    (``train`` has the next step's drawn while a step runs backward), any rest
-    drawn now. Either way it is ``rng.random(a.shape) < keep_prob`` bit for
-    bit, so a fresh ``RngState`` of the same seed gives the same mask."""
+    The mask is ``rng.keep_mask``, drawn in the call: ``rng.random(a.shape)
+    < keep_prob`` bit for bit, so a fresh ``RngState`` of the same seed gives
+    the same mask."""
     if not 0.0 < keep_prob <= 1.0:
         raise ShapeError(f"dropout: keep probability must be in (0, 1], got {keep_prob}")
     if keep_prob == 1.0:

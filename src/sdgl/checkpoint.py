@@ -13,6 +13,8 @@ payload's length, so no name, shape or length is stored: ``load`` checks what
 is left of the file against the config before it builds the model, then the
 payload's CRC32, its finiteness and the scaler's std floor, and copies the
 state into the new model's buffer. A file of another format fails by version.
+``save`` refuses a scaler of another node count than the model's with
+``ShapeError``, before it opens a file.
 Save followed by load reproduces the eval-mode forward pass bit-identically.
 A checkpoint holds no training state: a loaded model's dropout stream starts
 where a fresh model's does.
@@ -30,6 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .autodiff import ShapeError
 from .data import Scaler, _replacing
 from .model import ModelConfig, SDGLModel, state_shapes
 
@@ -48,7 +51,14 @@ class Checkpoint:
 
 
 def save(path, model: SDGLModel, scaler: Scaler) -> None:
-    model._attach()  # a tensor rebound to another shape raises before a file opens
+    # a tensor rebound to another shape, or a scaler of another node count,
+    # raises before a file opens
+    model._attach()
+    want = (model.config.n_nodes,)
+    for name, a in (("scaler.mean", scaler.mean), ("scaler.std", scaler.std)):
+        if a.shape != want:
+            raise ShapeError(f"save: {name} has shape {a.shape}, the model's "
+                             f"{want[0]} nodes need {want}")
     payload = np.concatenate([model._state, scaler.mean, scaler.std]).astype("<f8", copy=False)
     header = {"config": asdict(model.config), "crc32": zlib.crc32(payload)}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")

@@ -16,8 +16,7 @@ three per head.
 In training each head is dropout((H W'_q,i)(H W_k,i)^T) on its own, as a mask
 drops entries of each head's product; at keep probability 1 dropout draws no
 mask and returns its input. So a training pass of B windows draws one (B, N, N)
-mask per head, in head order (``AdjacencyHeads.mask_entries``), which is what
-``train`` has drawn ahead for its next step.
+mask per head, in head order, from the stream it is given.
 
 What reads no window is derived by one function each: the gates' M_s W_r,
 M_s W_z and M_s U_h (``InformationFusion.static_terms``), the scaled query
@@ -99,7 +98,6 @@ class AdjacencyHeads:
         dropout_keep: float,
         rng: RngState,
     ):
-        self.n_nodes = n_nodes
         self.n_heads = n_heads
         self.head_dim = head_dim
         self.dropout_keep = dropout_keep
@@ -132,11 +130,6 @@ class AdjacencyHeads:
         """The collapsed heads' (d, d) A = concat_i(W'_q,i) concat_i(W_k,i)^T,
         from the scaled query weights ``w_q``."""
         return ad.matmul(ad.concat(w_q, axis=1), ad.transpose(ad.concat(self.w_k, axis=1)))
-
-    def mask_entries(self, batch: int) -> int:
-        """Entries of the keep masks a training ``correlate`` of ``batch``
-        windows draws: one (B, N, N) mask per head, none at keep 1."""
-        return 0 if self.dropout_keep == 1.0 else self.n_heads * batch * self.n_nodes**2
 
     def correlate(self, h_t: Tensor, rng: RngState, training: bool,
                   w_q: list[Tensor], form: Tensor) -> Tensor:

@@ -38,11 +38,8 @@ batch whose span would compute no fewer first-layer steps than its windows
 (B <= 2 at the defaults, and any one-layer model) run per window. Training
 minimizes lambda * graph regularization + L1 prediction loss; after every
 optimizer step the dynamic embeddings follow the static ones by momentum only.
-Training may use one extra thread per step: while a step runs backward, a
-thread the step starts (``rng``) draws the next step's dropout keep masks,
-where they are large enough to be worth it, and the step joins it before the
-optimizer step (``train``), so none runs between steps. The masks are the
-serial draws' bit for bit, so training is too.
+Training runs on the calling thread alone: each forward draws its own dropout
+keep masks (``rng``) as it reaches them.
 The regularizer is a training loss: a taped pass records it, and an untaped
 one computes it only when its result's ``reg_loss`` is read, which no forecast
 does.
@@ -655,20 +652,9 @@ def retain_freed_heap() -> None:
 def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
     """Run the joint training loop; deterministic given config.seed.
 
-    While a step runs backward, a thread of its own draws the next step's
-    dropout keep masks (``RngState.draw_ahead``): the dynamic learner's
-    heads x B x N^2 entries for the next batch, the next epoch's first after an
-    epoch's last step, and none after the run's last step, under ``no_dyadj``
-    or at keep 1. The step joins it right after backward, before the
-    optimizer step, so no thread draws while anything else runs (the update,
-    validation, ``log``, the caller), and the next forward takes the masks
-    in the order it would have drawn them. A draw below ``rng.AHEAD_MIN``
-    entries (N = 10, B = 64 draws 25,600) is not worth the thread: the
-    forward draws those masks itself and no thread starts. The masks are
-    those serial draws give, bit for bit (``rng``). When ``train`` returns
-    or raises, no draw is in flight or held, no mask thread is alive, and
-    the dropout stream stands where serial draws leave it. A thread that
-    cannot start raises its error here.
+    Each step's forward draws the dynamic learner's dropout keep masks from
+    ``model.dropout_rng`` (heads x B x N^2 entries; none under ``no_dyadj``
+    or at keep 1), on the calling thread: ``train`` starts no thread.
     """
     model = SDGLModel(config)
     lam = 0.0 if "no_gloss" in config.ablation else config.lambda_reg
@@ -678,80 +664,64 @@ def train(dataset: SeriesDataset, config: ModelConfig, log=None) -> TrainResult:
     scaler = splits.scaler
     opt = SGD(model.parameters(), config.learning_rate)
     shuffle_rng = RngState(config.seed).substream(2)
-    masks = model.dropout_rng
-    heads = None if "no_dyadj" in config.ablation else model.dynamic.heads
+    dynamic = "no_dyadj" not in config.ablation
     n_train, bs = len(splits.train), config.batch_size
 
     history: list[dict] = []
     last_finite = last_norm = None
-    try:
-        for epoch in range(config.epochs):
-            order = shuffle_rng.permutation(n_train)
-            losses = []
-            for i in range(0, n_train, bs):
-                idx = order[i : i + bs]
-                x = scaler.transform_windows(splits.train.inputs[idx])
-                y = scaler.transform_windows(splits.train.targets[idx])
-                # a diverging step is reported by the loss check, not by numpy warnings
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    t = Tape()
-                    with t:
-                        result = model.forward(Tensor(x), training=True)
-                        loss = hybrid_loss(result.prediction, Tensor(y), result.reg_loss, lam)
-                    value = loss.item()
-                    if not math.isfinite(value):
-                        raise DivergenceError(
-                            f"loss became non-finite at epoch {epoch + 1}, batch "
-                            f"{i // bs + 1}; last finite loss was {last_finite}, "
-                            f"last gradient norm before clipping was {last_norm}"
-                        )
-                    last_finite = value
-                    opt.zero_grad()
-                    # the next step's batch starts at i + bs, else it is the next
-                    # epoch's first; after the run's last step there is none
-                    after = i + bs
-                    if after >= n_train:
-                        after = 0 if epoch + 1 < config.epochs else n_train
-                    if heads is not None:
-                        masks.draw_ahead(heads.mask_entries(min(bs, n_train - after)),
-                                         config.dropout_keep)
-                    try:
-                        t.backward(loss)
-                    finally:
-                        masks.wait()
-                    last_norm = opt.step()
-                    if heads is not None:  # under no_dyadj nothing reads m_dynamic
-                        momentum_update(model.embeddings)
-                losses.append(value)
-            # the loss check above sees each update only at the next step, so the
-            # epoch's last update is checked by the validation forecast it gives
+    for epoch in range(config.epochs):
+        order = shuffle_rng.permutation(n_train)
+        losses = []
+        for i in range(0, n_train, bs):
+            idx = order[i : i + bs]
+            x = scaler.transform_windows(splits.train.inputs[idx])
+            y = scaler.transform_windows(splits.train.targets[idx])
+            # a diverging step is reported by the loss check, not by numpy warnings
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                val = metrics(predict(model, scaler, splits.val.inputs), splits.val.targets)
-            if not math.isfinite(val["MAE"]):
-                raise DivergenceError(
-                    f"validation forecast became non-finite after the last step of epoch "
-                    f"{epoch + 1}; that step's loss was {last_finite}, its gradient norm "
-                    f"before clipping was {last_norm}"
-                )
-            # tanh and sigmoid saturate, so an infinite weight can leave both checks finite
-            bad = next((name for name, tns in model.state_tensors().items()
-                        if not np.isfinite(tns.data).all()), None)
-            if bad is not None:
-                raise DivergenceError(
-                    f"state tensor '{bad}' became non-finite in epoch {epoch + 1}")
-            record = {
-                "epoch": epoch + 1,
-                "train_loss": float(np.mean(losses)) if losses else None,
-                "val_MAE": val["MAE"],
-                "val_RMSE": val["RMSE"],
-                "val_MAPE": val["MAPE"],
-            }
-            history.append(record)
-            if log is not None:
-                log(record)
-    finally:
-        # a raise can leave the next epoch's first masks drawn
-        masks.discard()
+                t = Tape()
+                with t:
+                    result = model.forward(Tensor(x), training=True)
+                    loss = hybrid_loss(result.prediction, Tensor(y), result.reg_loss, lam)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise DivergenceError(
+                        f"loss became non-finite at epoch {epoch + 1}, batch "
+                        f"{i // bs + 1}; last finite loss was {last_finite}, "
+                        f"last gradient norm before clipping was {last_norm}"
+                    )
+                last_finite = value
+                opt.zero_grad()
+                t.backward(loss)
+                last_norm = opt.step()
+                if dynamic:  # under no_dyadj nothing reads m_dynamic
+                    momentum_update(model.embeddings)
+            losses.append(value)
+        # the loss check above sees each update only at the next step, so the
+        # epoch's last update is checked by the validation forecast it gives
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            val = metrics(predict(model, scaler, splits.val.inputs), splits.val.targets)
+        if not math.isfinite(val["MAE"]):
+            raise DivergenceError(
+                f"validation forecast became non-finite after the last step of epoch "
+                f"{epoch + 1}; that step's loss was {last_finite}, its gradient norm "
+                f"before clipping was {last_norm}"
+            )
+        # tanh and sigmoid saturate, so an infinite weight can leave both checks finite
+        bad = next((name for name, tns in model.state_tensors().items()
+                    if not np.isfinite(tns.data).all()), None)
+        if bad is not None:
+            raise DivergenceError(
+                f"state tensor '{bad}' became non-finite in epoch {epoch + 1}")
+        record = {
+            "epoch": epoch + 1,
+            "train_loss": float(np.mean(losses)) if losses else None,
+            "val_MAE": val["MAE"],
+            "val_RMSE": val["RMSE"],
+            "val_MAPE": val["MAPE"],
+        }
+        history.append(record)
+        if log is not None:
+            log(record)
     seconds = {"windowing": windowed - started, "train": time.perf_counter() - windowed}
     return TrainResult(model=model, scaler=scaler, history=history, splits=splits,
                        seconds=seconds)

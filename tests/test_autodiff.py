@@ -1,8 +1,5 @@
-import contextlib
 import copy
-import os
 import pickle
-import signal
 import threading
 import warnings
 import tracemalloc
@@ -13,7 +10,6 @@ import pytest
 
 from sdgl import autodiff as ad
 from sdgl.autodiff import Tape, Tensor, grad_check
-from sdgl import rng as rng_module
 from sdgl.rng import CHUNK, RngState
 
 
@@ -424,170 +420,74 @@ def spy_on_thread_starts(monkeypatch) -> list:
     return started
 
 
-def refuse_thread_start(thread):
-    """A ``Thread.start`` that fails as it does when the process may start no more threads."""
-    raise RuntimeError("can't start new thread")
-
-
-@contextlib.contextmanager
-def fails_if_blocked(seconds: int):
-    """Raise TimeoutError in the body once it has run ``seconds``: a test that
-    would block forever fails instead."""
-    def expired(signum, frame):
-        raise TimeoutError(f"still blocked after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestKeepMasks:
-    """``RngState.keep_mask`` and the masks ``draw_ahead`` draws on a thread
-    of its own: both are the serial ``random(shape) < keep_prob``, bit for
-    bit. Every draw ahead here starts a thread, however small."""
-
-    @pytest.fixture(autouse=True)
-    def every_draw_on_a_thread(self, monkeypatch):
-        monkeypatch.setattr(rng_module, "AHEAD_MIN", 1)
+    """``RngState.keep_mask`` is the serial ``random(shape) < keep_prob``, bit for bit."""
 
     def test_philox_fills_do_not_depend_on_the_split(self):
         rng, ref = RngState(9), RngState(9)
         parts = [rng.random(7), rng.random(13), rng.random(3)]
         np.testing.assert_array_equal(np.concatenate(parts), ref.random(23))
 
-    @pytest.mark.parametrize("n,shapes", [
-        (200, [(3, 5)]),  # less than drawn ahead
-        (188, [(2, 7, 7), (1, 7, 7), (4, 3, 3), (5,)]),  # exactly
-        (50, [(6, 6), (8, 8)]),  # more: the rest of the second is drawn inline
-        (2 * CHUNK + 10, [(CHUNK + 5,), (CHUNK + 5,)]),  # exactly, each crossing a chunk
-        (3 * CHUNK // 2, [(CHUNK + 3,), (2, CHUNK + 1)]),  # more, each crossing a chunk
-    ], ids=["less", "exact", "more", "exact-chunks", "more-chunks"])
-    def test_masks_drawn_ahead_are_the_serial_ones(self, n, shapes):
+    @pytest.mark.parametrize("shapes", [
+        [(3, 5)],
+        [(2, 7, 7), (1, 7, 7), (4, 3, 3), (5,)],
+        [(CHUNK + 5,), (CHUNK + 5,)],  # each crossing a chunk
+        [(CHUNK + 3,), (2, CHUNK + 1)],
+        [(0,)],  # an empty mask draws nothing
+        [(3, 0), (4,)],
+    ], ids=["one", "several", "chunks", "more-chunks", "empty", "empty-then-one"])
+    def test_keep_masks_are_the_serial_ones(self, shapes):
         rng, ref = RngState(11), RngState(11)
-        rng.draw_ahead(n, 0.7)
         for shape in shapes:
             np.testing.assert_array_equal(rng.keep_mask(shape, 0.7), ref.random(shape) < 0.7)
-        # what is left drawn ahead goes back to the stream
-        rng.discard()
+        # and the stream stands where the serial draws leave it
         np.testing.assert_array_equal(rng.random(8), ref.random(8))
 
-    def test_dropout_takes_its_mask_from_the_masks_drawn_ahead(self):
-        x = rand((3, 6, 6), seed=4)
-        rng = RngState(5)
-        rng.draw_ahead(x.data.size, 0.8)
-        np.testing.assert_array_equal(ad.dropout(x, 0.8, rng).data,
-                                      ad.dropout(x, 0.8, RngState(5)).data)
-        assert rng._ahead is None
-
-    def test_a_fresh_stream_draws_inline(self):
-        # the learner passes its stream as it is: with nothing drawn ahead the
-        # mask is drawn in the call, and no thread draws
+    def test_a_fresh_stream_draws_inline(self, monkeypatch):
+        # the learner passes its stream as it is: the mask is drawn in the
+        # call, and no thread draws
+        started = spy_on_thread_starts(monkeypatch)
         rng = RngState(6)
         x = rand((2, CHUNK + 9), seed=2)
         want = x.data * (RngState(6).random(x.shape) < 0.9) * (1.0 / 0.9)
         np.testing.assert_array_equal(ad.dropout(x, 0.9, rng).data, want)
-        assert rng._drawing is None and rng._ahead is None
+        assert started == []
 
-    def test_a_small_draw_starts_nothing(self, monkeypatch):
-        monkeypatch.setattr(rng_module, "AHEAD_MIN", 100)
-        started = spy_on_thread_starts(monkeypatch)
-        rng = RngState(7)
-        rng.draw_ahead(99, 0.9)
-        assert started == [] and rng._ahead is None
-        np.testing.assert_array_equal(rng.keep_mask((99,), 0.9), RngState(7).random(99) < 0.9)
-
-    def test_another_keep_probability_is_refused(self):
-        rng, ref = RngState(12), RngState(12)
-        rng.draw_ahead(50, 0.9)
-        with pytest.raises(ValueError, match="keep probability 0.9"):
-            rng.keep_mask((5, 5), 0.5)
-        # the refused call took nothing: the masks drawn ahead are not mixed with others
-        np.testing.assert_array_equal(rng.keep_mask((5, 10), 0.9), ref.random((5, 10)) < 0.9)
-        rng.draw_ahead(10, 0.9)
-        with pytest.raises(RuntimeError, match="not all taken"):
-            rng.draw_ahead(10, 0.9)
-        rng.discard()
-
-    def test_a_failed_draw_raises_at_wait_and_rewinds(self, monkeypatch):
-        def failing(gen, keep, keep_prob):
-            if threading.current_thread() is not threading.main_thread():
-                raise MemoryError("worker")
-            real(gen, keep, keep_prob)
-        real = rng_module._fill_keep
-        monkeypatch.setattr(rng_module, "_fill_keep", failing)
-        rng = RngState(13)
-        rng.random(3)
-        rng.draw_ahead(CHUNK * 2, 0.9)
-        with pytest.raises(MemoryError, match="worker"):
-            rng.wait()
-        ref = RngState(13)
-        ref.random(3)
+    def test_dropout_takes_its_mask_from_keep_mask(self):
+        x = rand((3, 6, 6), seed=4)
+        rng, ref = RngState(5), RngState(5)
+        want = x.data * ref.keep_mask(x.shape, 0.8) * (1.0 / 0.8)
+        np.testing.assert_array_equal(ad.dropout(x, 0.8, rng).data, want)
         np.testing.assert_array_equal(rng.random(8), ref.random(8))
-        # the next draw ahead starts a thread again
-        monkeypatch.setattr(rng_module, "_fill_keep", real)
-        rng.draw_ahead(40, 0.9)
-        rng.wait()
-        np.testing.assert_array_equal(rng.keep_mask((40,), 0.9), ref.random(40) < 0.9)
 
-    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
-    def test_a_thread_that_cannot_start_draws_nothing(self, monkeypatch):
-        # the error reaches the caller, and no later wait blocks on a draw that
-        # never began: the alarm fails the test where one would
-        rng, ref = RngState(3), RngState(3)
-        with fails_if_blocked(10):
-            with monkeypatch.context() as m:
-                m.setattr(threading.Thread, "start", refuse_thread_start)
-                with pytest.raises(RuntimeError, match="can't start new thread"):
-                    rng.draw_ahead(100, 0.9)
-            assert rng._ahead is None and rng._before is None and rng._drawing is None
-            rng.discard()
-            for _ in range(8):
-                rng.draw_ahead(100, 0.9)
-                rng.wait()
-                np.testing.assert_array_equal(rng.keep_mask((100,), 0.9),
-                                              ref.random(100) < 0.9)
+    def test_a_mask_is_an_array_of_its_own(self):
+        # a later draw leaves an earlier mask as it was
+        rng = RngState(7)
+        first = rng.keep_mask((5, CHUNK + 1), 0.9)
+        kept = first.copy()
+        second = rng.keep_mask((5, CHUNK + 1), 0.9)
+        assert first.dtype == bool and first.shape == (5, CHUNK + 1)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_starts_its_own_worker(self):
-        # a thread does not survive a fork; the child's draw ahead starts one of
-        # its own, and the alarm ends a child whose wait would block
-        rng = RngState(14)
-        rng.draw_ahead(40, 0.9)
-        rng.wait()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # fork with a thread running
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                signal.alarm(10)
-                child = RngState(15)
-                child.draw_ahead(40, 0.9)
-                child.wait()
-                code = int(not np.array_equal(child.keep_mask((40,), 0.9),
-                                              RngState(15).random(40) < 0.9))
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        np.testing.assert_array_equal(rng.keep_mask((40,), 0.9), RngState(14).random(40) < 0.9)
+    def test_no_float64_array_of_the_masks_size_is_formed(self):
+        shape = (8, 4 * CHUNK)  # 256 KB of booleans, 2 MB as float64
+        rng = RngState(8)
+        rng.keep_mask((CHUNK,), 0.9)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            keep = rng.keep_mask(shape, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < keep.nbytes + 2 * CHUNK * 8, peak
 
-
-def test_one_cpu_still_draws_ahead_on_a_thread(monkeypatch):
-    # a draw at the least count that starts a thread starts it whatever CPUs
-    # the process may run on
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    started = spy_on_thread_starts(monkeypatch)
-    count = rng_module.AHEAD_MIN
-    rng = RngState(16)
-    rng.draw_ahead(count, 0.9)
-    rng.wait()
-    assert started == ["sdgl-keep-masks"]
-    np.testing.assert_array_equal(rng.keep_mask((count,), 0.9), RngState(16).random(count) < 0.9)
+    def test_a_copy_continues_the_stream_of_masks(self):
+        # a copy is a plain Generator: its serial draw is the next mask
+        rng = RngState(10)
+        rng.keep_mask((50,), 0.9)
+        twin = copy.deepcopy(rng)
+        np.testing.assert_array_equal(rng.keep_mask((4, 25), 0.9), twin.random((4, 25)) < 0.9)
 
 
 class TestInvariants:

@@ -5,12 +5,10 @@ import math
 import os
 import platform
 import re
-import signal
 import struct
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 import tracemalloc
 import warnings
@@ -58,7 +56,7 @@ from sdgl.model import (
 from sdgl.rng import RngState
 from sdgl.static_graph import ConfigError, build_static_graph, graph_regularization_loss
 from sdgl.temporal import GatedTemporalLayer, layer_dilation
-from test_autodiff import fails_if_blocked, refuse_thread_start, spy_on_thread_starts
+from test_autodiff import spy_on_thread_starts
 from test_reference_outputs import BASE as REFERENCE_BASE, CONFIGS as REFERENCE_CONFIGS
 
 
@@ -1486,11 +1484,6 @@ class TestTraining:
         assert {"epoch", "train_loss", "val_MAE", "val_RMSE", "val_MAPE"} <= set(out.history[0])
 
 
-def mask_threads() -> list[threading.Thread]:
-    """The live threads drawing keep masks ahead."""
-    return [t for t in threading.enumerate() if t.name == "sdgl-keep-masks"]
-
-
 def run_state(result) -> tuple:
     """A training run's history, every state tensor's bytes and its dropout
     stream's next 8 uniforms."""
@@ -1498,103 +1491,73 @@ def run_state(result) -> tuple:
     return result.history, state, result.model.dropout_rng.random(8).tobytes()
 
 
-class TestMasksDrawnAhead:
-    """``train`` has a thread draw the next step's keep masks during backward:
-    exactly those masks, never outside backward, and the same bits as serial
-    draws. No such thread outlives ``train``."""
+class TestDropoutMasks:
+    """``train`` draws each step's keep masks in that step's forward, from
+    ``model.dropout_rng``: one (B, N, N) mask per head, the same bits as
+    serial draws."""
 
     # 51 training windows: six batches of 8 and a last one of 3
     CONFIG = dict(dropout_keep=0.8, epochs=2)
 
-    @pytest.fixture(autouse=True)
-    def every_draw_on_a_thread(self, monkeypatch):
-        # these masks are far below the least draw that starts a thread
-        monkeypatch.setattr(rng_module, "AHEAD_MIN", 1)
+    @staticmethod
+    def record_draws(monkeypatch) -> list:
+        """The (stream, shape) of each keep mask drawn from here on, in order."""
+        draws, keep_mask = [], RngState.keep_mask
 
-    def serial(self, monkeypatch, config):
-        with monkeypatch.context() as m:
-            m.setattr(RngState, "draw_ahead", lambda self, count, keep_prob: None)
-            return run_state(train(tiny_dataset(seed=10), config))
+        def recording(self, shape, keep_prob):
+            draws.append((self, tuple(shape)))
+            return keep_mask(self, shape, keep_prob)
+
+        monkeypatch.setattr(RngState, "keep_mask", recording)
+        return draws
 
     @pytest.mark.parametrize("overrides", [dict(ablation=("no_dyadj",)),
                                            dict(dropout_keep=1.0)],
                              ids=["no_dyadj", "keep1"])
     def test_no_masks_start_no_draw(self, monkeypatch, overrides):
-        started = spy_on_thread_starts(monkeypatch)
-        train(tiny_dataset(seed=10), tiny_config(**{**self.CONFIG, **overrides}))
-        assert started == []
+        draws = self.record_draws(monkeypatch)
+        cfg = tiny_config(**{**self.CONFIG, **overrides})
+        result = train(tiny_dataset(seed=10), cfg)
+        assert draws == []
+        fresh = RngState(cfg.seed).substream(1)
+        assert result.model.dropout_rng.random(8).tobytes() == fresh.random(8).tobytes()
 
-    def test_each_step_draws_the_next_steps_masks(self, monkeypatch):
-        cfg = tiny_config(**self.CONFIG)
-        want = self.serial(monkeypatch, cfg)
-        streams, counts, inline = [], [], []
-        draw_ahead, fill = RngState.draw_ahead, rng_module._fill_keep
-
-        def recording_draw_ahead(self, count, keep_prob):
-            # the masks drawn ahead before were all taken by the step between
-            assert self._ahead is None and self._drawing is None
-            streams.append(self)
-            counts.append(count)
-            draw_ahead(self, count, keep_prob)
-
-        def recording_fill(gen, keep, keep_prob):
-            if threading.current_thread() is threading.main_thread():
-                inline.append(keep.size)
-            fill(gen, keep, keep_prob)
-
-        def log(record):
-            assert all(r._drawing is None for r in streams), "a draw is in flight at log"
-
-        monkeypatch.setattr(RngState, "draw_ahead", recording_draw_ahead)
-        monkeypatch.setattr(rng_module, "_fill_keep", recording_fill)
-        result = train(tiny_dataset(seed=10), cfg, log=log)
-        # heads x N^2 = 2 x 16 per window of the next batch: the next epoch's
-        # first after epoch 1's short last batch, none after the run's last step
-        nxt = [8] * 5 + [3, 8] + [8] * 5 + [3, 0]
-        assert counts == [32 * b for b in nxt]
-        # only the first step's two (8, 4, 4) masks are drawn in the forward
-        assert inline == [8 * 16] * 2
-        rng = result.model.dropout_rng
-        assert set(map(id, streams)) == {id(rng)}
-        assert rng._drawing is None and rng._ahead is None
-        assert mask_threads() == []
-        assert run_state(result) == want
+    def test_each_step_draws_its_own_masks(self, monkeypatch):
+        draws = self.record_draws(monkeypatch)
+        result = train(tiny_dataset(seed=10), tiny_config(**self.CONFIG))
+        # two heads, each a (B, 4, 4) mask, for each batch of each epoch
+        batches = ([8] * 6 + [3]) * 2
+        assert [shape for _, shape in draws] == [(b, 4, 4) for b in batches for _ in range(2)]
+        assert {id(rng) for rng, _ in draws} == {id(result.model.dropout_rng)}
 
     @pytest.mark.parametrize("ablation", [(), ("ifm_plus",)], ids=["default", "ifm_plus"])
     def test_same_bits_as_serial_draws(self, monkeypatch, ablation):
         cfg = tiny_config(**self.CONFIG, ablation=ablation, batch_size=16)
-        assert run_state(train(tiny_dataset(seed=10), cfg)) == self.serial(monkeypatch, cfg)
+        got = run_state(train(tiny_dataset(seed=10), cfg))
+        monkeypatch.setattr(RngState, "keep_mask",
+                            lambda self, shape, keep_prob: self.random(shape) < keep_prob)
+        assert got == run_state(train(tiny_dataset(seed=10), cfg))
 
-    def test_a_raise_between_epochs_drops_the_masks_drawn_ahead(self, monkeypatch):
-        # epoch 1's last step drew epoch 2's first masks; ``log`` raises before
-        # they are taken, and the stream goes back to where one epoch leaves it
-        want = self.serial(monkeypatch, tiny_config(**{**self.CONFIG, "epochs": 1}))
-        streams = []
-        draw_ahead = RngState.draw_ahead
-
-        def recording_draw_ahead(self, count, keep_prob):
-            streams.append(self)
-            draw_ahead(self, count, keep_prob)
+    def test_a_raise_between_epochs_leaves_the_stream_where_one_epoch_does(self, monkeypatch):
+        want = run_state(train(tiny_dataset(seed=10), tiny_config(**{**self.CONFIG, "epochs": 1})))
+        draws = self.record_draws(monkeypatch)
 
         def log(record):
-            assert streams[-1]._ahead is not None
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(RngState, "draw_ahead", recording_draw_ahead)
         with pytest.raises(KeyboardInterrupt):
             train(tiny_dataset(seed=10), tiny_config(**self.CONFIG), log=log)
-        rng = streams[-1]
-        assert rng._ahead is None and rng._drawing is None
-        assert mask_threads() == []
-        assert rng.random(8).tobytes() == want[2]
+        assert len(draws) == 7 * 2
+        assert draws[-1][0].random(8).tobytes() == want[2]
 
     def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
         cfg = tiny_config(**self.CONFIG)
         fresh = run_state(train(tiny_dataset(seed=10), cfg))
-        fill = rng_module._fill_keep
+        fill, calls = rng_module._fill_keep, []
 
         def failing(gen, keep, keep_prob):
-            if threading.current_thread() is not threading.main_thread():
+            calls.append(keep.size)
+            if len(calls) == 3:
                 raise MemoryError("drawing keep masks")
             fill(gen, keep, keep_prob)
 
@@ -1602,22 +1565,17 @@ class TestMasksDrawnAhead:
             m.setattr(rng_module, "_fill_keep", failing)
             with pytest.raises(MemoryError, match="drawing keep masks"):
                 train(tiny_dataset(seed=10), cfg)
-        assert mask_threads() == []
+        assert len(calls) == 3
         assert run_state(train(tiny_dataset(seed=10), cfg)) == fresh
 
-    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
-    def test_a_thread_that_cannot_start_reaches_the_caller(self, monkeypatch):
-        # the first step's draw ahead is refused: ``train`` raises, where a
-        # wait that blocked on the draw would hang until the alarm
-        cfg = tiny_config(**self.CONFIG)
-        fresh = run_state(train(tiny_dataset(seed=10), cfg))
-        with fails_if_blocked(60):
-            with monkeypatch.context() as m:
-                m.setattr(threading.Thread, "start", refuse_thread_start)
-                with pytest.raises(RuntimeError, match="can't start new thread"):
-                    train(tiny_dataset(seed=10), cfg)
-            assert mask_threads() == []
-            assert run_state(train(tiny_dataset(seed=10), cfg)) == fresh
+
+def test_train_starts_no_thread(monkeypatch):
+    # N = 64, B = 32 and 4 heads draw 524,288 mask entries a step: every one
+    # is drawn by the forward that reads it, on the calling thread
+    started = spy_on_thread_starts(monkeypatch)
+    cfg = tiny_config(n_nodes=64, heads=4, batch_size=32, epochs=2, dropout_keep=0.9)
+    train(tiny_dataset(t=150, n=64, seed=10), cfg)
+    assert started == []
 
 
 # Frees 48 MB of 8 MB arrays three times, then counts the page faults of
@@ -1922,6 +1880,20 @@ class TestCheckpoint:
             save(p, seed=1)
         assert p.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("mean, std, name, shape", [
+        (np.zeros(3), np.ones(4), "scaler.mean", (3,)),
+        (np.zeros(4), np.ones(5), "scaler.std", (5,)),
+        (np.zeros((1, 4)), np.ones(4), "scaler.mean", (1, 4)),
+    ])
+    def test_a_scaler_of_another_node_count_is_refused(self, tmp_path, monkeypatch,
+                                                       mean, std, name, shape):
+        # the check runs before anything is opened
+        monkeypatch.setattr(checkpoint, "_replacing", None)
+        want = re.escape(f"save: {name} has shape {shape}, the model's 4 nodes need (4,)")
+        with pytest.raises(ad.ShapeError, match=want):
+            checkpoint.save(tmp_path / "m.sdgl", SDGLModel(tiny_config()), Scaler(mean, std))
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.sdgl"
